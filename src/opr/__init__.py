@@ -26,7 +26,7 @@ from .experiment import (
     summarize,
     sweep_ratios,
 )
-from .offline import active_backend, brute_force_optimal, dp_optimal
+from .offline import brute_force_optimal, dp_optimal
 from .thresholds import (
     AsymptoticRegime,
     ThresholdFamily,
@@ -69,7 +69,6 @@ __all__ = [
     "TraceDataset",
     "TraceKind",
     "Variant",
-    "active_backend",
     "adversary_max",
     "adversary_min",
     "apply_noise",

@@ -19,11 +19,12 @@ the exact DP optimum of the realized sequence, which can only certify a
 larger lower bound than the analytic estimate.
 
 The probes sit on the double-threshold resume rail, so a player whose own
-thresholds sit above it grabs them cheaply.  A player whose two rails
-coincide and can be read (k-search, the constant threshold) therefore also
-faces the grab/stall scripts of ``_grab_stall_script``, built on its own
-thresholds; the adversary returns whichever transcript scores higher.
-Double-threshold players and black-box factories see only the probe script.
+thresholds sit above it grabs them cheaply.  The k-search and constant-
+threshold players, whose two rails coincide, therefore also face the
+grab/stall scripts of ``_grab_stall_script``, built on their own thresholds;
+the adversary returns whichever transcript scores higher.  Double-threshold
+players, the carbon-agnostic player and black-box factories see only the
+probe script.
 
 The probe script drives the double-threshold player to exactly alpha/omega.
 It does not certify alpha/omega against every player in this cost model,
@@ -52,6 +53,12 @@ class OnlinePlayer(Protocol):
 
 #: factory signature: (k, T, L, U, beta) -> player honoring the step protocol
 PlayerFactory = Callable[[int, int, float, float, float], OnlinePlayer]
+
+#: shipped players read for the grab/stall scripts; the carbon-agnostic rail
+#: sits on the price bound and is left to the probe script
+_GRAB_STALL_KINDS = frozenset(
+    {PlayerKind.CONSTANT_THRESHOLD, PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX}
+)
 
 #: relative nudge applied to probe prices so exact-threshold ties refuse
 _PROBE_NUDGE = 1e-9
@@ -237,8 +244,8 @@ def _adversary(
     prices, decisions = _drive(p, k, T, probes, flood_price=flood, close_price=close)
     inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=tuple(prices))
     transcript = _finish(inst, Schedule(tuple(decisions)))
-    # only a shipped player with one rail is read; others stay black boxes
-    if not isinstance(p, PlayerState) or p.family is None or p.family.lower != p.family.upper:
+    # every other player, black-box factories included, sees only the probes
+    if not isinstance(p, PlayerState) or p.kind not in _GRAB_STALL_KINDS:
         return transcript
     script = _grab_stall_script(p.family.lower, variant, k, U, L, beta)
     if script is None:

@@ -1,10 +1,13 @@
 """Online players: one price in, one irrevocable 0/1 decision out.
 
-All threshold players share a single state machine; they differ only in the
-family of per-unit thresholds they consult.  The double-threshold players
-compare against the stay rail when the previous price was accepted and the
-resume rail otherwise; the k-search and constant-threshold baselines have
-both rails equal, so their decisions ignore the previous state.
+Every player is a threshold family driven by one state machine; the players
+differ only in the per-unit thresholds they consult.  The double-threshold
+players compare against the stay rail when the previous price was accepted
+and the resume rail otherwise.  The baselines have both rails equal, so
+their decisions ignore the previous state: k-search uses the beta = 0
+double-threshold rails, the constant rule the single price sqrt(L*U), and
+the carbon-agnostic player a rail on the price bound (U for min, L for max)
+that accepts every price, so it runs the job in the first k slots.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -12,7 +15,6 @@ what makes every run feasible regardless of the price sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,7 +55,7 @@ class PlayerState:
     variant: Variant
     k: int
     T: int
-    family: ThresholdFamily | None
+    family: ThresholdFamily
     i: int = 1
     prev_decision: int = 0
     t: int = 0
@@ -74,10 +76,7 @@ class PlayerState:
         # (k - i) >= (T - t).
         if (self.k - self.i) >= (self.T - t_now):
             accept = True
-        elif self.kind is PlayerKind.CARBON_AGNOSTIC:
-            accept = t_now <= self.k
         else:
-            assert self.family is not None
             if self.prev_decision == 1:
                 rail = (
                     self.family.upper[self.i - 1]
@@ -99,14 +98,18 @@ class PlayerState:
         return decision
 
 
-def _constant_family(k: int, U: float, L: float, variant: Variant) -> ThresholdFamily:
-    phi = constant_threshold(U, L)
+def _constant_family(
+    k: int, rail: float, U: float, L: float, variant: Variant
+) -> ThresholdFamily:
+    """Both rails at one price for every unit.  The ratio is that of a single
+    reservation price at beta = 0: accept at the rail against an optimum at
+    the far bound, or be forced to the near bound against one at the rail."""
     return ThresholdFamily(
         variant=variant,
         k=k,
-        lower=(phi,) * k,
-        upper=(phi,) * k,
-        ratio=math.sqrt(U / L),
+        lower=(rail,) * k,
+        upper=(rail,) * k,
+        ratio=max(rail / L, U / rail),
         params=(L, U, 0.0),
     )
 
@@ -123,9 +126,9 @@ def new_player(
 ) -> PlayerState:
     """Build a fresh single-use player from raw parameters.
 
-    ``family`` overrides the threshold construction; the experiment layer
-    uses this to run a player built from a clipped beta while the instance
-    still charges the true one.
+    The player always carries a threshold family.  ``family`` overrides the
+    threshold construction; the experiment layer uses this to run a player
+    built from a clipped beta while the instance still charges the true one.
     """
     if kind in _MIN_SIDE and variant is not Variant.MIN:
         raise ParameterError(f"{kind.value} is a min-variant player")
@@ -139,7 +142,10 @@ def new_player(
         elif kind in (PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX):
             family = ksearch_thresholds(k, U, L, variant)
         elif kind is PlayerKind.CONSTANT_THRESHOLD:
-            family = _constant_family(k, U, L, variant)
+            family = _constant_family(k, constant_threshold(U, L), U, L, variant)
+        else:  # carbon-agnostic: a rail on the price bound accepts every price
+            rail = U if variant is Variant.MIN else L
+            family = _constant_family(k, rail, U, L, variant)
     return PlayerState(kind=kind, variant=variant, k=k, T=T, family=family)
 
 

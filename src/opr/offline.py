@@ -5,61 +5,25 @@ transitions that add the price on accept and beta on every 0<->1 flip,
 including the implicit boundary flips at t = 0 and t = T+1.  It is exact for
 every beta >= 0, both variants, in O(T*k) time and memory.
 
-The inner loop is the package's hot kernel.  It is compiled with numba's
-@njit when available; set ``OPR_BACKEND=numpy`` to force the pure-numpy
-fallback (or ``OPR_BACKEND=numba`` to insist on the compiled path).  Both
-backends perform the identical comparisons in the identical order, so their
-results are bit-for-bit equal; ``benchmarks/dp_backends.py`` times them
-against each other.
+The kernel is vectorized with numpy over the units axis and loops in Python
+over the slots only.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from itertools import combinations
 
 import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
-from .errors import ParameterError, SizeError
+from .errors import SizeError
 
 _INF = np.inf
 
-_ENV_FLAG = "OPR_BACKEND"
 
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ParameterError(f"{_ENV_FLAG} must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if not _HAVE_NUMBA:
-        if choice == "numba":
-            raise ParameterError(f"{_ENV_FLAG}=numba but numba is not installed")
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend()
-
-
-def active_backend() -> str:
-    """Which DP kernel is in use: 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def _dp_kernel_numpy(prices: np.ndarray, k: int, beta: float):
-    """Vectorized over the units axis; one python iteration per slot."""
+def _dp_kernel(prices: np.ndarray, k: int, beta: float):
+    """Forward pass: final (k+1, 2) cost table and (T, k+1, 2) backpointers."""
     T = prices.shape[0]
     cost = np.full((k + 1, 2), _INF)
     cost[0, 0] = 0.0
@@ -83,45 +47,6 @@ def _dp_kernel_numpy(prices: np.ndarray, k: int, beta: float):
     return cost, prev_choice
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dp_kernel_numba(prices, k, beta):  # pragma: no cover - exercised via dispatch
-        T = prices.shape[0]
-        cost = np.full((k + 1, 2), np.inf)
-        cost[0, 0] = 0.0
-        prev_choice = np.zeros((T, k + 1, 2), dtype=np.uint8)
-        for t in range(T):
-            c = prices[t]
-            new = np.full((k + 1, 2), np.inf)
-            for j in range(k + 1):
-                off_stay = cost[j, 0]
-                off_switch = cost[j, 1] + beta
-                if off_stay <= off_switch:
-                    new[j, 0] = off_stay
-                    prev_choice[t, j, 0] = 0
-                else:
-                    new[j, 0] = off_switch
-                    prev_choice[t, j, 0] = 1
-                if j >= 1:
-                    on_stay = cost[j - 1, 1]
-                    on_switch = cost[j - 1, 0] + beta
-                    if on_stay <= on_switch:
-                        new[j, 1] = on_stay + c
-                        prev_choice[t, j, 1] = 1
-                    else:
-                        new[j, 1] = on_switch + c
-                        prev_choice[t, j, 1] = 0
-            cost = new
-        return cost, prev_choice
-
-
-def _run_kernel(prices: np.ndarray, k: int, beta: float):
-    if _BACKEND == "numba":
-        return _dp_kernel_numba(prices, k, beta)
-    return _dp_kernel_numpy(prices, k, beta)
-
-
 def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     """Exact optimum over all feasible schedules.
 
@@ -133,7 +58,7 @@ def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     """
     sign = 1.0 if inst.variant is Variant.MIN else -1.0
     prices = sign * np.asarray(inst.prices, dtype=np.float64)
-    cost, prev_choice = _run_kernel(prices, inst.k, float(inst.beta))
+    cost, prev_choice = _dp_kernel(prices, inst.k, float(inst.beta))
 
     # closing boundary: a final x_T = 1 pays one more flip
     end_off = cost[inst.k, 0]

@@ -30,7 +30,6 @@ from .errors import DomainError, ParameterError, RegimeError
 
 #: Bisection floor for the ratio bracket; ratios are > 1 by construction.
 _RATIO_LO = 1.0 + 1e-12
-_BISECT_ITERS = 200
 
 
 class AsymptoticRegime(Enum):
@@ -85,7 +84,10 @@ def _bisect_ratio(residual, what: str) -> float:
 
     The residual is positive at the left end for all in-regime parameters and
     eventually negative, and the underlying equation has a unique positive
-    root, so plain bisection is robust without derivatives.
+    root, so plain bisection is robust without derivatives.  It runs to its
+    fixed point: residual(lo) > 0 >= residual(hi) holds throughout, so once
+    the midpoint rounds to lo or hi the bracket can never move again, and
+    that midpoint is returned.
     """
     lo = _RATIO_LO
     if residual(lo) <= 0:
@@ -97,13 +99,14 @@ def _bisect_ratio(residual, what: str) -> float:
         doublings += 1
         if doublings > 200:
             raise RegimeError(f"{what} root bracket did not close; ratio diverges")
-    for _ in range(_BISECT_ITERS):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         if residual(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def solve_alpha(k: int, U: float, L: float, beta: float) -> float:

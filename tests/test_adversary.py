@@ -2,7 +2,7 @@
 
 import pytest
 
-from opr.adversary import adversary_max, adversary_min, declared_horizon
+from opr.adversary import _nudged, adversary_max, adversary_min, declared_horizon
 from opr.algorithms import PlayerKind
 from opr.errors import ProtocolError, RegimeError
 from opr.thresholds import (
@@ -79,6 +79,17 @@ class TestTightness:
             alpha = solve_alpha(k, U, L, beta)
             tr = adversary_min(PlayerKind.CARBON_AGNOSTIC, k, U, L, beta)
             assert tr.ratio >= alpha - 1e-6
+
+    @pytest.mark.parametrize("k,U,L,beta", PARAMS + [(40, 30.0, 5.0, 3.0)])
+    def test_carbon_agnostic_takes_the_probe_branch(self, k, U, L, beta):
+        # agnostic accepts the first probe and the flood after it; it is
+        # kept off the grab/stall scripts, so its ratio is the probe branch's
+        p1 = _nudged(dtpr_min_thresholds(k, U, L, beta).lower[0], L, U, up=True)
+        tr = adversary_min(PlayerKind.CARBON_AGNOSTIC, k, U, L, beta)
+        assert tr.ratio == (p1 + (k - 1) * U + 2 * beta) / (k * L + 2 * beta)
+        q1 = _nudged(dtpr_max_thresholds(k, U, L, beta).upper[0], L, U, up=False)
+        tr = adversary_max(PlayerKind.CARBON_AGNOSTIC, k, U, L, beta)
+        assert tr.ratio == (k * U - 2 * beta) / (q1 + (k - 1) * L - 2 * beta)
 
     def test_constant_threshold_max_scores_at_least_omega(self):
         for k, U, L, beta in ((8, 760.0, 25.0, 10.0), (10, 30.0, 5.0, 1.0)):

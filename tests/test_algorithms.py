@@ -173,6 +173,8 @@ class TestProperties:
         for kind in ALL_KINDS[inst.variant]:
             sched = run_online(kind, inst)
             assert sched.num_accepted() == inst.k
+            if kind is PlayerKind.CARBON_AGNOSTIC:
+                assert sched.decisions == (1,) * inst.k + (0,) * (inst.T - inst.k)
 
     @given(random_instances())
     @settings(max_examples=60, deadline=None)

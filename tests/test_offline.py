@@ -1,18 +1,12 @@
 """Offline optimum: DP against the exhaustive oracle."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opr.core import Instance, Variant, evaluate_schedule, extreme_price
 from opr.errors import SizeError
-from opr.offline import (
-    _dp_kernel_numpy,
-    _HAVE_NUMBA,
-    brute_force_optimal,
-    dp_optimal,
-)
+from opr.offline import brute_force_optimal, dp_optimal
 
 
 def inst(prices, k, beta, variant=Variant.MIN, L=None, U=None):
@@ -99,18 +93,3 @@ class TestAgainstOracle:
             assert cb.total <= instance.k * hi_price + 2 * instance.k * instance.beta + 1e-9
         else:
             assert cb.total <= instance.k * hi_price - 2 * instance.beta + 1e-9
-
-
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-class TestBackendEquivalence:
-    def test_kernels_bit_identical(self):
-        from opr.offline import _dp_kernel_numba
-
-        rng = np.random.default_rng(7)
-        for T, k in ((1, 1), (17, 5), (200, 23)):
-            prices = rng.uniform(1.0, 50.0, T)
-            beta = float(rng.uniform(0, 10))
-            cost_np, back_np = _dp_kernel_numpy(prices, k, beta)
-            cost_nb, back_nb = _dp_kernel_numba(prices, k, beta)
-            assert np.array_equal(cost_np, cost_nb)
-            assert np.array_equal(back_np, back_nb)
