@@ -5,8 +5,9 @@ transitions that add the price on accept and beta on every 0<->1 flip,
 including the implicit boundary flips at t = 0 and t = T+1.  It is exact for
 every beta >= 0, both variants, in O(T*k) time and memory.
 
-The kernel is vectorized with numpy over the units axis and loops in Python
-over the slots only.
+The kernel loops in Python over the units only: layer j (every state with j
+units accepted) depends on layer j-1 and on itself through a running minimum,
+so each layer is a handful of numpy passes over all T slots.
 """
 
 from __future__ import annotations
@@ -23,27 +24,46 @@ _INF = np.inf
 
 
 def _dp_kernel(prices: np.ndarray, k: int, beta: float):
-    """Forward pass: final (k+1, 2) cost table and (T, k+1, 2) backpointers."""
+    """Forward pass: final (k+1, 2) cost table and (T, k+1, 2) backpointers.
+
+    O(T*k) work in k numpy passes over the slots.  With on_t(j) / off_t(j) the
+    cheapest cost after slot t with j units accepted and x_t = 1 / 0:
+
+        on_t(j)  = min(on_{t-1}(j-1), off_{t-1}(j-1) + beta) + c_t
+        off_t(j) = min(off_{t-1}(j), on_{t-1}(j) + beta)
+
+    The first reads only layer j-1, so a whole row is one select and one add.
+    The second unrolls to the running minimum of on_s(j) + beta over s < t,
+    one `np.minimum.accumulate`.  Every cost comes from the same IEEE adds as
+    when the recurrences are evaluated slot by slot, and min and compare
+    round nothing, so the table and the backpointers do not depend on the
+    evaluation order.  Ties stay (no switch).
+    """
     T = prices.shape[0]
-    cost = np.full((k + 1, 2), _INF)
-    cost[0, 0] = 0.0
+    cost = np.empty((k + 1, 2))
     prev_choice = np.zeros((T, k + 1, 2), dtype=np.uint8)
-    for t in range(T):
-        c = prices[t]
-        new = np.full((k + 1, 2), _INF)
-        # x_t = 0: stay off (q=0) vs switch off (q=1, +beta); ties stay
-        off_stay = cost[:, 0]
-        off_switch = cost[:, 1] + beta
-        take_stay = off_stay <= off_switch
-        new[:, 0] = np.where(take_stay, off_stay, off_switch)
-        prev_choice[t, :, 0] = np.where(take_stay, 0, 1)
-        # x_t = 1: stay on (q=1) vs switch on (q=0, +beta); ties stay
-        on_stay = cost[:-1, 1]
-        on_switch = cost[:-1, 0] + beta
+    # entry s of a layer is the state after slot s-1; entry 0 is the start,
+    # where only (j=0, off) is reachable.  Layer 0 stays off at cost 0 and
+    # its backpointers stay 0.
+    on = np.full(T + 1, _INF)
+    off = np.zeros(T + 1)
+    cost[0] = off[-1], on[-1]
+    for j in range(1, k + 1):
+        # x_t = 1: stay on vs switch on (+beta) from layer j-1; ties stay
+        on_stay = on[:-1]
+        on_switch = off[:-1] + beta
         keep_on = on_stay <= on_switch
-        new[1:, 1] = np.where(keep_on, on_stay, on_switch) + c
-        prev_choice[t, 1:, 1] = np.where(keep_on, 1, 0)
-        cost = new
+        on = np.empty(T + 1)
+        on[0] = _INF
+        np.add(np.where(keep_on, on_stay, on_switch), prices, out=on[1:])
+        prev_choice[:, j, 1] = keep_on
+        # x_t = 0: switch off (+beta) only when strictly cheaper than staying
+        off_switch = np.empty(T + 1)
+        off_switch[0] = _INF
+        np.add(on[:-1], beta, out=off_switch[1:])
+        off = np.minimum.accumulate(off_switch)
+        prev_choice[:, j, 0] = off[:-1] > off_switch[1:]
+        cost[j] = off[-1], on[-1]
     return cost, prev_choice
 
 

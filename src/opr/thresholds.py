@@ -76,7 +76,13 @@ def _min_residual(a: float, k: int, U: float, L: float, beta: float) -> float:
 
 def _max_residual(w: float, k: int, U: float, L: float, beta: float) -> float:
     lhs = L * (w - 1) - 2 * beta * (1 - 1 / k) - 2 * beta * w / k
-    return (U - L - 2 * beta) - lhs * (1 + w / k) ** k
+    try:
+        growth = (1 + w / k) ** k
+    except OverflowError:
+        # reached while doubling the bracket: the power is past 1.8e308 and
+        # U - L - 2b is finite and positive, so the product decides the sign
+        return -math.inf if lhs > 0 else math.inf
+    return (U - L - 2 * beta) - lhs * growth
 
 
 def _bisect_ratio(residual, what: str) -> float:

@@ -1,5 +1,7 @@
 """Offline optimum: DP against the exhaustive oracle."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,3 +95,53 @@ class TestAgainstOracle:
             assert cb.total <= instance.k * hi_price + 2 * instance.k * instance.beta + 1e-9
         else:
             assert cb.total <= instance.k * hi_price - 2 * instance.beta + 1e-9
+
+
+def slot_by_slot_decisions(instance):
+    """Pure-Python DP over (slot, units, last decision) with dp_optimal's
+    documented tie rules: every comparison keeps the no-switch predecessor
+    on a tie, and the close prefers a rejected final state."""
+    sign = 1.0 if instance.variant is Variant.MIN else -1.0
+    k, beta = instance.k, instance.beta
+    cost = [[math.inf, math.inf] for _ in range(k + 1)]
+    cost[0][0] = 0.0
+    back = []
+    for price in instance.prices:
+        new = [[math.inf, math.inf] for _ in range(k + 1)]
+        choice = [[0, 0] for _ in range(k + 1)]
+        for j in range(k + 1):
+            stay, switch = cost[j][0], cost[j][1] + beta
+            new[j][0], choice[j][0] = (stay, 0) if stay <= switch else (switch, 1)
+            if j:
+                stay, switch = cost[j - 1][1], cost[j - 1][0] + beta
+                best, choice[j][1] = (stay, 1) if stay <= switch else (switch, 0)
+                new[j][1] = best + sign * price
+        cost = new
+        back.append(choice)
+    p = 0 if cost[k][0] <= cost[k][1] + beta else 1
+    decisions, j = [], k
+    for choice in reversed(back):
+        decisions.append(p)
+        p, j = choice[j][p], j - p
+    return tuple(reversed(decisions))
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    T = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=T))
+    beta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    prices = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=T, max_size=T))
+    return Instance(k=k, T=T, L=1, U=4, beta=beta, variant=variant, prices=tuple(prices))
+
+
+class TestTieBreaks:
+    @given(tie_heavy_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_follows_the_documented_tie_rules(self, instance):
+        # integer prices and dyadic beta make every total exact, so ties are
+        # real and the chosen schedule is pinned, not just its total
+        sched, cb = dp_optimal(instance)
+        assert sched.decisions == slot_by_slot_decisions(instance)
+        assert cb.total == brute_force_optimal(instance)[1].total

@@ -113,6 +113,21 @@ class TestSolvers:
             assert changes == 1
             assert 1 < root < hi
 
+    def test_omega_bracket_survives_power_overflow(self):
+        # 2b sits just below kL, so the root is near 1.2e8 and doubling the
+        # bracket takes (1 + w/k)**k past the float range on the way there
+        from opr.experiment import sweep_ratios
+        from opr.thresholds import _max_residual
+
+        k, U, L, beta = 120, 71263.04857916338, 6.3901825257597675, 383.4105681346345
+        omega = solve_omega(k, U, L, beta)
+        assert math.isfinite(omega) and omega > 1
+        assert _max_residual(omega * (1 - 1e-9), k, U, L, beta) > 0
+        assert _max_residual(omega * (1 + 1e-9), k, U, L, beta) <= 0
+        assert dtpr_max_thresholds(k, U, L, beta).ratio == omega
+        [(_, _, cell)] = sweep_ratios(Variant.MAX, k, U, [beta], [L])
+        assert cell == omega
+
 
 class TestMinFamily:
     def test_k1_beta0_is_constant_threshold(self):
