@@ -9,6 +9,11 @@ double-threshold rails, the constant rule the single price sqrt(L*U), and
 the carbon-agnostic player a rail on the price bound (U for min, L for max)
 that accepts every price, so it runs the job in the first k slots.
 
+The state machine is one loop, ``PlayerState.feed``: ``run_online`` feeds it
+the whole price sequence, and ``step``, the protocol the adversary drives,
+is that same loop on one price.  ``player_family`` is the one place the
+per-kind threshold family is built.
+
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
 from .errors import ParameterError, ProtocolError
@@ -40,6 +46,10 @@ class PlayerKind(Enum):
 
 _MIN_SIDE = {PlayerKind.DTPR_MIN, PlayerKind.KSEARCH_MIN}
 _MAX_SIDE = {PlayerKind.DTPR_MAX, PlayerKind.KSEARCH_MAX}
+#: read once per ``feed`` call: on CPython 3.11 a member lookup on the enum
+#: class is several times slower than a module global, and ``step`` pays it
+#: on every price
+_VARIANT_MIN = Variant.MIN
 
 
 @dataclass
@@ -64,38 +74,48 @@ class PlayerState:
     def exhausted(self) -> bool:
         return self.i > self.k
 
+    def feed(self, prices: Iterable[float]) -> list[int]:
+        """Consume prices in order and emit one irrevocable decision each.
+
+        This is the only state-machine loop.  It stops early, without
+        consuming the rest, once all k units are filled; the caller pads the
+        remaining slots with 0.  The forced-acceptance rule makes every unit
+        filled by slot T, so the loop never passes the horizon.
+        """
+        k, T, i, prev, t = self.k, self.T, self.i, self.prev_decision, self.t
+        is_min = self.variant is _VARIANT_MIN
+        # "on" rail after an accept (stay), "off" rail otherwise (resume)
+        if is_min:
+            on, off = self.family.upper, self.family.lower
+        else:
+            on, off = self.family.lower, self.family.upper
+        out: list[int] = []
+        for price in prices:
+            if i > k:
+                break
+            t += 1
+            # Forced acceptance: units still needed are k - i + 1 and slots
+            # left including this one are T - t + 1, so the deadline binds
+            # exactly when (k - i) >= (T - t).
+            if k - i >= T - t:
+                x = 1
+            else:
+                rail = on[i - 1] if prev else off[i - 1]
+                # ties accept on both sides
+                x = 1 if (price <= rail if is_min else price >= rail) else 0
+            i += x
+            prev = x
+            out.append(x)
+        self.i, self.prev_decision, self.t = i, prev, t
+        return out
+
     def step(self, price: float) -> int:
         """Consume the next price and emit the irrevocable decision."""
-        if self.exhausted:
+        if self.i > self.k:
             raise ProtocolError(f"player already filled all {self.k} units")
-        t_now = self.t + 1
-        if t_now > self.T:
+        if self.t >= self.T:
             raise ProtocolError(f"step past horizon T={self.T}")
-        # Forced acceptance: units still needed are k - i + 1 and slots left
-        # including this one are T - t + 1, so the deadline binds exactly when
-        # (k - i) >= (T - t).
-        if (self.k - self.i) >= (self.T - t_now):
-            accept = True
-        else:
-            if self.prev_decision == 1:
-                rail = (
-                    self.family.upper[self.i - 1]
-                    if self.variant is Variant.MIN
-                    else self.family.lower[self.i - 1]
-                )
-            else:
-                rail = (
-                    self.family.lower[self.i - 1]
-                    if self.variant is Variant.MIN
-                    else self.family.upper[self.i - 1]
-                )
-            # ties accept on both sides
-            accept = price <= rail if self.variant is Variant.MIN else price >= rail
-        decision = 1 if accept else 0
-        self.i += decision
-        self.prev_decision = decision
-        self.t = t_now
-        return decision
+        return self.feed((price,))[0]
 
 
 def _constant_family(
@@ -114,6 +134,36 @@ def _constant_family(
     )
 
 
+def _check_side(kind: PlayerKind, variant: Variant) -> None:
+    if kind in _MIN_SIDE and variant is not Variant.MIN:
+        raise ParameterError(f"{kind.value} is a min-variant player")
+    if kind in _MAX_SIDE and variant is not Variant.MAX:
+        raise ParameterError(f"{kind.value} is a max-variant player")
+
+
+def player_family(
+    kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
+) -> ThresholdFamily:
+    """The threshold family a player of this kind runs on.
+
+    This is the one place the per-kind construction lives; a caller that
+    runs many players on the same parameters can build the family once and
+    hand it to ``new_player``/``run_online``.
+    """
+    _check_side(kind, variant)
+    if kind is PlayerKind.DTPR_MIN:
+        return dtpr_min_thresholds(k, U, L, beta)
+    if kind is PlayerKind.DTPR_MAX:
+        return dtpr_max_thresholds(k, U, L, beta)
+    if kind in (PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX):
+        return ksearch_thresholds(k, U, L, variant)
+    if kind is PlayerKind.CONSTANT_THRESHOLD:
+        return _constant_family(k, constant_threshold(U, L), U, L, variant)
+    # carbon-agnostic: a rail on the price bound accepts every price
+    rail = U if variant is Variant.MIN else L
+    return _constant_family(k, rail, U, L, variant)
+
+
 def new_player(
     kind: PlayerKind,
     k: int,
@@ -127,25 +177,14 @@ def new_player(
     """Build a fresh single-use player from raw parameters.
 
     The player always carries a threshold family.  ``family`` overrides the
-    threshold construction; the experiment layer uses this to run a player
-    built from a clipped beta while the instance still charges the true one.
+    threshold construction; the experiment layer uses this to reuse one
+    family across trials and to run a player built from a clipped beta while
+    the instance still charges the true one.
     """
-    if kind in _MIN_SIDE and variant is not Variant.MIN:
-        raise ParameterError(f"{kind.value} is a min-variant player")
-    if kind in _MAX_SIDE and variant is not Variant.MAX:
-        raise ParameterError(f"{kind.value} is a max-variant player")
     if family is None:
-        if kind is PlayerKind.DTPR_MIN:
-            family = dtpr_min_thresholds(k, U, L, beta)
-        elif kind is PlayerKind.DTPR_MAX:
-            family = dtpr_max_thresholds(k, U, L, beta)
-        elif kind in (PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX):
-            family = ksearch_thresholds(k, U, L, variant)
-        elif kind is PlayerKind.CONSTANT_THRESHOLD:
-            family = _constant_family(k, constant_threshold(U, L), U, L, variant)
-        else:  # carbon-agnostic: a rail on the price bound accepts every price
-            rail = U if variant is Variant.MIN else L
-            family = _constant_family(k, rail, U, L, variant)
+        family = player_family(kind, k, U, L, beta, variant)
+    else:
+        _check_side(kind, variant)
     return PlayerState(kind=kind, variant=variant, k=k, T=T, family=family)
 
 
@@ -155,15 +194,11 @@ def run_online(
     """Drive a player over c_1..c_T and return its (always feasible) schedule.
 
     Once the player has filled its k units the remaining decisions are 0 by
-    protocol; the player is not stepped further.
+    protocol; the player is not fed further.
     """
     player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family)
-    decisions = []
-    for price in inst.prices:
-        if player.exhausted:
-            decisions.append(0)
-        else:
-            decisions.append(player.step(price))
+    decisions = player.feed(inst.prices)
+    decisions += [0] * (inst.T - len(decisions))
     sched = Schedule(tuple(decisions))
     if sched.num_accepted() != inst.k:
         raise ProtocolError(

@@ -9,7 +9,9 @@ feasible schedule flips at least twice and at most 2k times.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -44,10 +46,10 @@ class Instance:
             raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
         if self.k < 1 or self.T < 1 or self.k > self.T:
             raise ParameterError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
-        if not (0 < self.L <= self.U):
-            raise ParameterError(f"need 0 < L <= U, got L={self.L}, U={self.U}")
-        if self.beta < 0:
-            raise ParameterError(f"beta must be nonnegative, got {self.beta}")
+        if not (0 < self.L <= self.U < math.inf):
+            raise ParameterError(f"need 0 < L <= U < inf, got L={self.L}, U={self.U}")
+        if not (0 <= self.beta < math.inf):
+            raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
         if len(self.prices) != self.T:
             raise StructuralError(
                 f"price sequence has length {len(self.prices)}, expected T={self.T}"
@@ -64,6 +66,9 @@ class Instance:
         return self.U / self.L
 
 
+_BINARY = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Binary decision vector x_1..x_T."""
@@ -71,10 +76,11 @@ class Schedule:
     decisions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decisions", tuple(int(x) for x in self.decisions))
-        for x in self.decisions:
-            if x not in (0, 1):
-                raise StructuralError(f"decisions must be 0/1, got {x}")
+        decisions = tuple(map(int, self.decisions))
+        object.__setattr__(self, "decisions", decisions)
+        if not _BINARY.issuperset(decisions):
+            bad = next(x for x in decisions if x not in _BINARY)
+            raise StructuralError(f"decisions must be 0/1, got {bad}")
 
     def num_accepted(self) -> int:
         return sum(self.decisions)
@@ -115,15 +121,11 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> CostBreakdown:
         raise FeasibilityError(
             f"schedule accepts {sched.num_accepted()} prices, instance requires k={inst.k}"
         )
-    accepted = math.fsum(p for p, x in zip(inst.prices, sched.decisions) if x)
-    flips = 0
-    prev = 0
-    for x in sched.decisions:
-        if x != prev:
-            flips += 1
-        prev = x
-    if prev == 1:
-        flips += 1
+    d = sched.decisions
+    # fsum is correctly rounded, so the summation order cannot move a bit
+    accepted = math.fsum(itertools.compress(inst.prices, d))
+    # x_0 = 0 flips into d[0], x_{T+1} = 0 flips out of d[-1]
+    flips = d[0] + d[-1] + sum(map(operator.ne, d, d[1:]))
     switching = inst.beta * flips
     if inst.variant is Variant.MIN:
         total = accepted + switching

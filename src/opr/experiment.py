@@ -13,6 +13,10 @@ push values to 0, below any positive L).  We widen U to the segment maximum,
 keep the trace-wide L floored at the segment minimum, and lift truncated
 zeros to the smallest positive segment value; every adjustment is recorded
 in the trial record rather than silently applied.
+
+Threshold families depend on a trial only through its (L, U), so a run keeps
+each algorithm's last family and reuses it while consecutive trials repeat
+(L, U); the records are the same as if every trial built its own.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algorithms import PlayerKind, hindsight_trace
+from .algorithms import PlayerKind, hindsight_trace, player_family
 from .core import CostBreakdown, Instance, Variant
 from .errors import DegenerateProfitError, OprError, ParameterError
 from .offline import dp_optimal
-from .thresholds import dtpr_min_thresholds, solve_alpha, solve_omega
+from .thresholds import ThresholdFamily, solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -99,12 +103,12 @@ class ExperimentConfig:
             raise ParameterError(f"need 1 <= k <= T, got k={k}, T={self.T}")
         if (self.beta is None) == (self.beta_frac is None):
             raise ParameterError("give exactly one of beta (absolute) or beta_frac")
-        if self.beta is not None and self.beta < 0:
-            raise ParameterError(f"beta must be >= 0, got {self.beta}")
-        if self.beta_frac is not None and self.beta_frac < 0:
-            raise ParameterError(f"beta_frac must be >= 0, got {self.beta_frac}")
-        if self.noise < 1:
-            raise ParameterError(f"noise factor must be >= 1, got {self.noise}")
+        if self.beta is not None and not (0 <= self.beta < math.inf):
+            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.beta_frac is not None and not (0 <= self.beta_frac < math.inf):
+            raise ParameterError(f"beta_frac must be finite and >= 0, got {self.beta_frac}")
+        if not (1 <= self.noise < math.inf):
+            raise ParameterError(f"noise factor must be finite and >= 1, got {self.noise}")
         for name in self.algs:
             resolve_player_kind(name, self.variant)
 
@@ -160,17 +164,19 @@ def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple
     return math.fsum(ordered) / n, p95, ordered[-1], cdf
 
 
-def _min_threshold_family(k: int, U: float, L: float, beta: float):
-    """Threshold family for min-side players, clipping beta into the regime.
+def _trial_family(
+    kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
+) -> tuple[ThresholdFamily, bool]:
+    """Threshold family a trial runs, and whether beta was clipped for it.
 
     When beta >= (U-L)/2, the min algorithm degenerates to one contiguous
-    block; thresholds are built from a clipped beta while the instance still
-    charges the true one.
+    block; DTPR-min's thresholds are then built from a clipped beta while the
+    instance still charges the true one.
     """
-    if U > L and beta < (U - L) / 2:
-        return dtpr_min_thresholds(k, U, L, beta), False
-    beta_eff = _BETA_CLIP * (U - L) / 2
-    return dtpr_min_thresholds(k, U, L, beta_eff), True
+    clipped = kind is PlayerKind.DTPR_MIN and not (U > L and beta < (U - L) / 2)
+    if clipped:
+        beta = _BETA_CLIP * (U - L) / 2
+    return player_family(kind, k, U, L, beta, variant), clipped
 
 
 def _trial_bounds(
@@ -196,8 +202,16 @@ def _trial_bounds(
 
 
 def run_trial(
-    cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, trial: int, beta_abs: float
+    cfg: ExperimentConfig,
+    ds: TraceDataset,
+    bounds: TraceBounds,
+    trial: int,
+    beta_abs: float,
+    families: dict[str, tuple[tuple[float, float], tuple[ThresholdFamily, bool]]],
 ) -> dict:
+    """One trial's record.  ``families`` holds, per algorithm name, the last
+    (L, U) seen and its ``_trial_family`` result; it is reused while (L, U)
+    repeats and replaced when it changes, so pass ``{}`` to build afresh."""
     k = cfg.resolved_k()
     seed = derive_seed(cfg.seed, trial)
     segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
@@ -220,10 +234,13 @@ def run_trial(
     }
     for name in cfg.algs:
         kind = resolve_player_kind(name, cfg.variant)
-        family = None
-        clipped = False
-        if kind is PlayerKind.DTPR_MIN:
-            family, clipped = _min_threshold_family(k, U, L, beta_abs)
+        slot = families.get(name)
+        if slot is None or slot[0] != (L, U):
+            slot = families[name] = (
+                (L, U),
+                _trial_family(kind, k, U, L, beta_abs, cfg.variant),
+            )
+        family, clipped = slot[1]
         _, cost = hindsight_trace(kind, inst, family)
         ratio = empirical_cr(cost, opt, cfg.variant)
         record["algs"][name] = {
@@ -240,9 +257,11 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     bounds = trace_bounds(ds)
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
+    # each algorithm's last (L, U) and its family; nothing outlives this run
+    families: dict = {}
     for trial in range(cfg.trials):
         try:
-            records.append(run_trial(cfg, ds, bounds, trial, beta_abs))
+            records.append(run_trial(cfg, ds, bounds, trial, beta_abs, families))
         except OprError as exc:
             raise type(exc)(f"trial {trial}: {exc}") from exc
     summary: dict[str, dict] = {}

@@ -62,10 +62,10 @@ class ThresholdFamily:
 def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
     if int(k) != k or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
-    if not (0 < L <= U):
-        raise ParameterError(f"need 0 < L <= U, got L={L}, U={U}")
-    if beta < 0:
-        raise ParameterError(f"beta must be nonnegative, got {beta}")
+    if not (0 < L <= U < math.inf):
+        raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
+    if not (0 <= beta < math.inf):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
 
 
 def _min_residual(a: float, k: int, U: float, L: float, beta: float) -> float:

@@ -1,10 +1,12 @@
 """Online-player protocol, baselines, and the competitive guarantees."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opr.algorithms import PlayerKind, hindsight_trace, new_player, run_online
+from opr.algorithms import PlayerKind, hindsight_trace, new_player, player_family, run_online
 from opr.core import Instance, Variant
 from opr.errors import ParameterError, ProtocolError
 from opr.offline import dp_optimal
@@ -59,6 +61,28 @@ class TestStep:
         assert off.step(fam.lower[0]) == 1
         assert off.step(U) == 0  # switched away
         assert off.step(mid) == 0  # same price now needs the resume rail
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_ties_accept_on_both_rails(self, variant):
+        # a price exactly on the resume rail switches the player on, and a
+        # price exactly on the stay rail keeps it on; one ulp worse is refused
+        k, L, U, beta = 3, 5.0, 30.0, 3.0
+        worse = math.inf if variant is Variant.MIN else -math.inf
+        for kind in ALL_KINDS[variant]:
+            fam = player_family(kind, k, U, L, beta, variant)
+            on, off = (fam.upper, fam.lower) if variant is Variant.MIN else (fam.lower, fam.upper)
+            prices = (off[0], on[1]) + ((U if variant is Variant.MIN else L),) * 8
+            inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant,
+                            prices=prices)
+            assert run_online(kind, inst).decisions[:2] == (1, 1)
+            player = new_player(kind, k, inst.T, L, U, beta, variant)
+            assert [player.step(p) for p in prices[:2]] == [1, 1]
+            for prefix, rail in (((), off[0]), ((off[0],), on[1])):
+                nudged = math.nextafter(rail, worse)
+                if L <= nudged <= U:
+                    player = new_player(kind, k, inst.T, L, U, beta, variant)
+                    decisions = [player.step(p) for p in prefix + (nudged,)]
+                    assert decisions == [1] * len(prefix) + [0]
 
     def test_exhausted_player_raises(self):
         player = new_player(PlayerKind.DTPR_MIN, 1, 5, 5, 30, 3, Variant.MIN)
@@ -166,6 +190,19 @@ ALL_KINDS = {
 }
 
 
+def _on_the_rails(inst, data):
+    """The instance with every price moved onto a rail value of some player
+    (or a price bound), so the comparisons hit their ties."""
+    rails = {inst.L, inst.U}
+    for kind in ALL_KINDS[inst.variant]:
+        fam = player_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant)
+        rails.update(v for v in fam.lower + fam.upper if inst.L <= v <= inst.U)
+    menu = sorted(rails)
+    prices = tuple(data.draw(st.sampled_from(menu)) for _ in range(inst.T))
+    return Instance(k=inst.k, T=inst.T, L=inst.L, U=inst.U, beta=inst.beta,
+                    variant=inst.variant, prices=prices)
+
+
 class TestProperties:
     @given(random_instances())
     @settings(max_examples=150, deadline=None)
@@ -176,18 +213,23 @@ class TestProperties:
             if kind is PlayerKind.CARBON_AGNOSTIC:
                 assert sched.decisions == (1,) * inst.k + (0,) * (inst.T - inst.k)
 
-    @given(random_instances())
+    @given(random_instances(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_online_causality(self, inst):
-        # the decision at slot t must be recomputable from the prefix alone
-        kind = PlayerKind.DTPR_MIN if inst.variant is Variant.MIN else PlayerKind.DTPR_MAX
-        full = run_online(kind, inst)
-        player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant)
-        for t, price in enumerate(inst.prices):
-            if player.exhausted:
-                assert full.decisions[t] == 0
-            else:
-                assert player.step(price) == full.decisions[t]
+    def test_online_causality(self, inst, data):
+        # the decision at slot t must be recomputable from the prefix alone:
+        # run_online feeds the whole sequence at once, step one price at a
+        # time, and both must agree for every kind on both variants, also
+        # when prices sit exactly on some player's rail (ties accept)
+        if data.draw(st.booleans()):
+            inst = _on_the_rails(inst, data)
+        for kind in ALL_KINDS[inst.variant]:
+            full = run_online(kind, inst)
+            player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant)
+            for t, price in enumerate(inst.prices):
+                if player.exhausted:
+                    assert full.decisions[t] == 0
+                else:
+                    assert player.step(price) == full.decisions[t]
 
     @given(random_instances())
     @settings(max_examples=150, deadline=None)

@@ -38,6 +38,16 @@ class TestSolve:
         ) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exits_2(self, beta, capsys):
+        assert main(
+            ["solve", "--variant", "min", "--k", "4", "--u", "30", "--l", "5",
+             "--beta", beta]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "beta" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_grid_written_with_sentinels(self, tmp_path, capsys):
@@ -109,6 +119,20 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out.read_text())["config"]["trace_kind"] == "carbon-free"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--beta-frac", "nan"], ["--beta", "inf"], ["--beta-frac", "0.05", "--noise", "nan"]],
+    )
+    def test_non_finite_parameters_exit_2_before_trial_0(self, flags, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE),
+             "--trials", "3", "--out", str(out)] + flags
+        ) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "trial" not in err
+        assert not out.exists()
 
     def test_missing_trace_exits_3(self, capsys):
         assert main(

@@ -1,5 +1,8 @@
 """Instance/schedule construction and exact objective evaluation."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,8 @@ class TestConstruction:
             Instance(k=1, T=1, L=5, U=2, beta=0, variant=Variant.MIN, prices=(3,))
         with pytest.raises(ParameterError):
             Instance(k=1, T=1, L=0, U=2, beta=0, variant=Variant.MIN, prices=(1,))
+        with pytest.raises(ParameterError):
+            Instance(k=1, T=1, L=1, U=math.inf, beta=0, variant=Variant.MIN, prices=(1,))
 
     def test_k_range(self):
         with pytest.raises(ParameterError):
@@ -43,6 +48,12 @@ class TestConstruction:
     def test_negative_beta(self):
         with pytest.raises(ParameterError):
             Instance(k=1, T=1, L=1, U=2, beta=-1, variant=Variant.MIN, prices=(1,))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta(self, beta):
+        # NaN passes `beta < 0`; it used to reach the DP as a NaN switching cost
+        with pytest.raises(ParameterError):
+            Instance(k=1, T=1, L=1, U=2, beta=beta, variant=Variant.MIN, prices=(1,))
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
@@ -55,6 +66,17 @@ class TestConstruction:
     def test_schedule_entries_checked(self):
         with pytest.raises(StructuralError):
             Schedule((0, 2, 1))
+        with pytest.raises(StructuralError, match="got 2$"):
+            Schedule((0, 2))
+        # the message names the first bad value
+        with pytest.raises(StructuralError, match="got 3$"):
+            Schedule((1, 3, 0, 2))
+
+    def test_schedule_accepts_numpy_ints_and_bools(self):
+        for raw in ((np.int64(1), np.int8(0), np.uint8(1)), (True, False, True)):
+            sched = Schedule(raw)
+            assert sched.decisions == (1, 0, 1)
+            assert all(type(x) is int for x in sched.decisions)
 
 
 class TestValidateSchedule:
@@ -108,6 +130,25 @@ class TestEvaluateSchedule:
         cb = evaluate_schedule(inst, Schedule((0, 1)))
         assert cb.num_switches == 2
 
+    @pytest.mark.parametrize(
+        "decisions, flips",
+        [
+            ((1,), 2),  # T = 1
+            ((1, 1, 1, 1), 2),  # k = T
+            ((0, 0, 1, 1), 2),  # block ends at slot T: closing flip charged
+            ((1, 0, 1, 0, 1), 6),  # alternating, both ends on
+            ((0, 1, 0, 1, 0), 4),  # alternating, both ends off
+        ],
+    )
+    def test_edge_schedules(self, decisions, flips):
+        prices = tuple(float(3 + t) for t in range(len(decisions)))
+        inst = make_min(prices, k=sum(decisions), beta=0.5, L=1, U=20)
+        for raw in (decisions, tuple(np.array(decisions)), tuple(bool(x) for x in decisions)):
+            cb = evaluate_schedule(inst, Schedule(raw))
+            assert cb.num_switches == flips == _loop_flips(decisions)
+            assert cb.accepted_sum == sum(p for p, x in zip(prices, decisions) if x)
+            assert cb.total == cb.accepted_sum + 0.5 * flips
+
 
 class TestExtremePrice:
     def test_min(self):
@@ -146,12 +187,29 @@ def feasible_cases(draw):
     return inst, Schedule(tuple(decisions))
 
 
+def _loop_flips(decisions):
+    """Flip count over x_0 = 0, x_1..x_T, x_{T+1} = 0, one slot at a time."""
+    flips = 0
+    prev = 0
+    for x in decisions:
+        if x != prev:
+            flips += 1
+        prev = x
+    if prev == 1:
+        flips += 1
+    return flips
+
+
 class TestInvariants:
     @given(feasible_cases())
     @settings(max_examples=200, deadline=None)
     def test_switch_count_is_twice_blocks(self, case):
         inst, sched = case
         cb = evaluate_schedule(inst, sched)
+        assert cb.num_switches == _loop_flips(sched.decisions)
+        assert cb.accepted_sum == math.fsum(
+            p for p, x in zip(inst.prices, sched.decisions) if x
+        )
         blocks = 0
         prev = 0
         for x in sched.decisions:

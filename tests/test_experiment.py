@@ -1,5 +1,8 @@
 """Experiment runner, statistics, and the ratio sweep."""
 
+import math
+from importlib import resources
+
 import pytest
 
 from opr.core import CostBreakdown, Variant
@@ -10,11 +13,12 @@ from opr.experiment import (
     derive_seed,
     empirical_cr,
     run_experiment,
+    run_trial,
     summarize,
     sweep_ratios,
 )
 from opr.thresholds import ksearch_thresholds, solve_alpha
-from opr.traces import TraceKind, synthetic_diurnal
+from opr.traces import TraceKind, parse_trace, synthetic_diurnal, trace_bounds
 
 
 def cb(total):
@@ -179,10 +183,56 @@ class TestRunExperiment:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, beta_frac=0.1)
+        for bad in (
+            dict(beta=math.nan),
+            dict(beta=math.inf),
+            dict(beta_frac=math.nan),
+            dict(beta_frac=math.inf),
+            dict(beta=1.0, noise=math.nan),
+            dict(beta=1.0, noise=math.inf),
+        ):
+            with pytest.raises(ParameterError):
+                ExperimentConfig(variant=Variant.MIN, T=48, **bad)
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48)
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, algs=("nope",))
+
+
+SHIPPED_INTENSITY = resources.files("opr.data") / "synthetic_intensity.csv"
+
+
+class TestFamilyMemo:
+    """run_experiment reuses each algorithm's threshold family while (L, U)
+    repeats between consecutive trials; the records must not show it."""
+
+    @staticmethod
+    def _check_against_fresh_trials(cfg, ds):
+        res = run_experiment(cfg, ds)
+        bounds = trace_bounds(ds)
+        beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
+        for trial, rec in enumerate(res.trials):
+            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, {})
+        return res.trials
+
+    def test_records_equal_fresh_trials_as_bounds_repeat_and_change(self):
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, beta_frac=0.05, noise=1.5, trials=20, seed=1
+        )
+        trials = self._check_against_fresh_trials(cfg, ds)
+        bounds = [(rec["instance_l"], rec["instance_u"]) for rec in trials]
+        same = [a == b for a, b in zip(bounds, bounds[1:])]
+        assert any(same) and not all(same)
+
+    def test_records_equal_fresh_trials_as_clipping_changes(self):
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, beta_frac=0.5, noise=3.0, trials=30, seed=5
+        )
+        trials = self._check_against_fresh_trials(cfg, ds)
+        clipped = {rec["algs"]["dtpr"]["beta_clipped"] for rec in trials}
+        assert clipped == {True, False}
 
 
 class TestSweep:

@@ -92,6 +92,19 @@ class TestSolvers:
         with pytest.raises(ParameterError):
             solve_alpha(2, 1, 10, 0)
 
+    @pytest.mark.parametrize(
+        "U, beta", [(30.0, math.nan), (30.0, math.inf), (math.inf, 1.0)]
+    )
+    def test_non_finite_parameters_rejected(self, U, beta):
+        # NaN slips past any `beta < 0` test, and U = inf past `L <= U`;
+        # both used to give alpha = 1 with NaN thresholds
+        for solve in (solve_alpha, solve_omega):
+            with pytest.raises(ParameterError):
+                solve(4, U, 5.0, beta)
+        for build in (dtpr_min_thresholds, dtpr_max_thresholds):
+            with pytest.raises(ParameterError):
+                build(4, U, 5.0, beta)
+
     def test_degenerate_flat_bounds(self):
         assert solve_alpha(3, 4, 4, 0) == 1.0
         assert solve_omega(3, 4, 4, 0) == 1.0
