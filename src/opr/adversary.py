@@ -56,9 +56,7 @@ PlayerFactory = Callable[[int, int, float, float, float], OnlinePlayer]
 
 #: shipped players read for the grab/stall scripts; the carbon-agnostic rail
 #: sits on the price bound and is left to the probe script
-_GRAB_STALL_KINDS = frozenset(
-    {PlayerKind.CONSTANT_THRESHOLD, PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX}
-)
+_GRAB_STALL_KINDS = frozenset({PlayerKind.CONSTANT_THRESHOLD, PlayerKind.KSEARCH})
 
 #: relative nudge applied to probe prices so exact-threshold ties refuse
 _PROBE_NUDGE = 1e-9

@@ -1,13 +1,16 @@
 """Online players: one price in, one irrevocable 0/1 decision out.
 
 Every player is a threshold family driven by one state machine; the players
-differ only in the per-unit thresholds they consult.  The double-threshold
-players compare against the stay rail when the previous price was accepted
-and the resume rail otherwise.  The baselines have both rails equal, so
-their decisions ignore the previous state: k-search uses the beta = 0
-double-threshold rails, the constant rule the single price sqrt(L*U), and
-the carbon-agnostic player a rail on the price bound (U for min, L for max)
-that accepts every price, so it runs the job in the first k slots.
+differ only in the per-unit thresholds they consult.  A ``PlayerKind`` names
+an algorithm, not a variant: each kind serves both the min and the max side,
+and a player takes its variant from the instance, through its family.  The
+double-threshold player (DTPR) compares against the stay rail when the
+previous price was accepted and the resume rail otherwise.  The baselines
+have both rails equal, so their decisions ignore the previous state:
+k-search uses the beta = 0 double-threshold rails, the constant rule the
+single price sqrt(L*U), and the carbon-agnostic player a rail on the price
+bound (U for min, L for max) that accepts every price, so it runs the job in
+the first k slots.
 
 The state machine is one loop, ``PlayerState.feed``: ``run_online`` feeds it
 the whole price sequence, and ``step``, the protocol the adversary drives,
@@ -36,16 +39,12 @@ from .thresholds import (
 
 
 class PlayerKind(Enum):
-    DTPR_MIN = "dtpr-min"
-    DTPR_MAX = "dtpr-max"
-    CARBON_AGNOSTIC = "agnostic"
+    DTPR = "dtpr"
+    KSEARCH = "ksearch"
     CONSTANT_THRESHOLD = "const"
-    KSEARCH_MIN = "ksearch-min"
-    KSEARCH_MAX = "ksearch-max"
+    CARBON_AGNOSTIC = "agnostic"
 
 
-_MIN_SIDE = {PlayerKind.DTPR_MIN, PlayerKind.KSEARCH_MIN}
-_MAX_SIDE = {PlayerKind.DTPR_MAX, PlayerKind.KSEARCH_MAX}
 #: read once per ``feed`` call: on CPython 3.11 a member lookup on the enum
 #: class is several times slower than a module global, and ``step`` pays it
 #: on every price
@@ -62,7 +61,6 @@ class PlayerState:
     """
 
     kind: PlayerKind
-    variant: Variant
     k: int
     T: int
     family: ThresholdFamily
@@ -83,7 +81,7 @@ class PlayerState:
         filled by slot T, so the loop never passes the horizon.
         """
         k, T, i, prev, t = self.k, self.T, self.i, self.prev_decision, self.t
-        is_min = self.variant is _VARIANT_MIN
+        is_min = self.family.variant is _VARIANT_MIN
         # "on" rail after an accept (stay), "off" rail otherwise (resume)
         if is_min:
             on, off = self.family.upper, self.family.lower
@@ -130,32 +128,24 @@ def _constant_family(
         lower=(rail,) * k,
         upper=(rail,) * k,
         ratio=max(rail / L, U / rail),
-        params=(L, U, 0.0),
     )
-
-
-def _check_side(kind: PlayerKind, variant: Variant) -> None:
-    if kind in _MIN_SIDE and variant is not Variant.MIN:
-        raise ParameterError(f"{kind.value} is a min-variant player")
-    if kind in _MAX_SIDE and variant is not Variant.MAX:
-        raise ParameterError(f"{kind.value} is a max-variant player")
 
 
 def player_family(
     kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
 ) -> ThresholdFamily:
-    """The threshold family a player of this kind runs on.
+    """The threshold family a player of this kind runs on ``variant``.
 
-    This is the one place the per-kind construction lives; a caller that
-    runs many players on the same parameters can build the family once and
-    hand it to ``new_player``/``run_online``.
+    This is the one place the per-kind construction lives, and the one place
+    DTPR's min or max construction is picked by variant; a caller that runs
+    many players on the same parameters can build the family once and hand
+    it to ``new_player``/``run_online``.
     """
-    _check_side(kind, variant)
-    if kind is PlayerKind.DTPR_MIN:
-        return dtpr_min_thresholds(k, U, L, beta)
-    if kind is PlayerKind.DTPR_MAX:
+    if kind is PlayerKind.DTPR:
+        if variant is Variant.MIN:
+            return dtpr_min_thresholds(k, U, L, beta)
         return dtpr_max_thresholds(k, U, L, beta)
-    if kind in (PlayerKind.KSEARCH_MIN, PlayerKind.KSEARCH_MAX):
+    if kind is PlayerKind.KSEARCH:
         return ksearch_thresholds(k, U, L, variant)
     if kind is PlayerKind.CONSTANT_THRESHOLD:
         return _constant_family(k, constant_threshold(U, L), U, L, variant)
@@ -176,16 +166,19 @@ def new_player(
 ) -> PlayerState:
     """Build a fresh single-use player from raw parameters.
 
-    The player always carries a threshold family.  ``family`` overrides the
-    threshold construction; the experiment layer uses this to reuse one
-    family across trials and to run a player built from a clipped beta while
-    the instance still charges the true one.
+    ``kind`` names the algorithm; ``variant`` is the instance's, and the
+    player reads it from its threshold family, so every kind plays both
+    sides.  ``family`` overrides the threshold construction; the experiment
+    layer uses this to reuse one family across trials and to run a player
+    built from a clipped beta while the instance still charges the true one.
     """
     if family is None:
         family = player_family(kind, k, U, L, beta, variant)
-    else:
-        _check_side(kind, variant)
-    return PlayerState(kind=kind, variant=variant, k=k, T=T, family=family)
+    elif family.variant is not variant:
+        raise ParameterError(
+            f"a {family.variant.value} family cannot play a {variant.value} instance"
+        )
+    return PlayerState(kind=kind, k=k, T=T, family=family)
 
 
 def run_online(

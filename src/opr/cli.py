@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .adversary import adversary_max, adversary_min
+from .algorithms import PlayerKind, player_family
 from .core import Variant
 from .errors import OprError, ParameterError, TraceError
 from .experiment import (
@@ -20,12 +21,7 @@ from .experiment import (
     run_experiment,
     sweep_ratios,
 )
-from .thresholds import (
-    dtpr_max_thresholds,
-    dtpr_min_thresholds,
-    solve_alpha,
-    solve_omega,
-)
+from .thresholds import solve_alpha, solve_omega
 from .traces import TraceKind, parse_trace, synthetic_diurnal
 
 _EXIT_PARAM = 2
@@ -58,10 +54,7 @@ def _parse_synthetic_spec(spec: str) -> dict:
 
 def _cmd_solve(args) -> int:
     variant = _variant(args.variant)
-    if variant is Variant.MIN:
-        family = dtpr_min_thresholds(args.k, args.u, args.l, args.beta)
-    else:
-        family = dtpr_max_thresholds(args.k, args.u, args.l, args.beta)
+    family = player_family(PlayerKind.DTPR, args.k, args.u, args.l, args.beta, variant)
     if args.json:
         payload = {
             "variant": variant.value,
@@ -166,7 +159,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_adversary(args) -> int:
     variant = _variant(args.variant)
-    kind = resolve_player_kind(args.alg, variant)
+    kind = resolve_player_kind(args.alg)
     if variant is Variant.MIN:
         transcript = adversary_min(kind, args.k, args.u, args.l, args.beta)
         bound = solve_alpha(args.k, args.u, args.l, args.beta)

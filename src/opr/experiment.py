@@ -42,29 +42,16 @@ from .traces import (
 _BETA_CLIP = 0.999999
 
 #: short algorithm names used in configs, result files, and the CLI
-ALG_NAMES = ("dtpr", "ksearch", "const", "agnostic")
-
-_KIND_BY_NAME = {
-    Variant.MIN: {
-        "dtpr": PlayerKind.DTPR_MIN,
-        "ksearch": PlayerKind.KSEARCH_MIN,
-        "const": PlayerKind.CONSTANT_THRESHOLD,
-        "agnostic": PlayerKind.CARBON_AGNOSTIC,
-    },
-    Variant.MAX: {
-        "dtpr": PlayerKind.DTPR_MAX,
-        "ksearch": PlayerKind.KSEARCH_MAX,
-        "const": PlayerKind.CONSTANT_THRESHOLD,
-        "agnostic": PlayerKind.CARBON_AGNOSTIC,
-    },
-}
+ALG_NAMES = tuple(kind.value for kind in PlayerKind)
 
 
-def resolve_player_kind(name: str, variant: Variant) -> PlayerKind:
-    try:
-        return _KIND_BY_NAME[variant][name]
-    except KeyError:
-        raise ParameterError(f"unknown algorithm {name!r}; choose from {ALG_NAMES}")
+def resolve_player_kind(name: str) -> PlayerKind:
+    if isinstance(name, str):
+        try:
+            return PlayerKind(name)
+        except ValueError:
+            pass
+    raise ParameterError(f"unknown algorithm {name!r}; choose from {ALG_NAMES}")
 
 
 def default_k(T: int) -> int:
@@ -109,8 +96,12 @@ class ExperimentConfig:
             raise ParameterError(f"beta_frac must be finite and >= 0, got {self.beta_frac}")
         if not (1 <= self.noise < math.inf):
             raise ParameterError(f"noise factor must be finite and >= 1, got {self.noise}")
+        if not self.algs:
+            raise ParameterError("algs must name at least one algorithm")
+        if len(set(self.algs)) != len(self.algs):
+            raise ParameterError(f"algs must not repeat a name, got {list(self.algs)}")
         for name in self.algs:
-            resolve_player_kind(name, self.variant)
+            resolve_player_kind(name)
 
     def resolved_k(self) -> int:
         return self.k if self.k is not None else default_k(self.T)
@@ -170,10 +161,14 @@ def _trial_family(
     """Threshold family a trial runs, and whether beta was clipped for it.
 
     When beta >= (U-L)/2, the min algorithm degenerates to one contiguous
-    block; DTPR-min's thresholds are then built from a clipped beta while the
+    block; DTPR's min thresholds are then built from a clipped beta while the
     instance still charges the true one.
     """
-    clipped = kind is PlayerKind.DTPR_MIN and not (U > L and beta < (U - L) / 2)
+    clipped = (
+        kind is PlayerKind.DTPR
+        and variant is Variant.MIN
+        and not (U > L and beta < (U - L) / 2)
+    )
     if clipped:
         beta = _BETA_CLIP * (U - L) / 2
     return player_family(kind, k, U, L, beta, variant), clipped
@@ -207,9 +202,11 @@ def run_trial(
     bounds: TraceBounds,
     trial: int,
     beta_abs: float,
+    kinds: Sequence[PlayerKind],
     families: dict[str, tuple[tuple[float, float], tuple[ThresholdFamily, bool]]],
 ) -> dict:
-    """One trial's record.  ``families`` holds, per algorithm name, the last
+    """One trial's record.  ``kinds`` are the algorithms to run, each recorded
+    under its name ``kind.value``.  ``families`` holds, per name, the last
     (L, U) seen and its ``_trial_family`` result; it is reused while (L, U)
     repeats and replaced when it changes, so pass ``{}`` to build afresh."""
     k = cfg.resolved_k()
@@ -232,8 +229,8 @@ def run_trial(
         "opt_total": opt.total,
         "algs": {},
     }
-    for name in cfg.algs:
-        kind = resolve_player_kind(name, cfg.variant)
+    for kind in kinds:
+        name = kind.value
         slot = families.get(name)
         if slot is None or slot[0] != (L, U):
             slot = families[name] = (
@@ -257,11 +254,12 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     bounds = trace_bounds(ds)
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
+    kinds = [resolve_player_kind(name) for name in cfg.algs]
     # each algorithm's last (L, U) and its family; nothing outlives this run
     families: dict = {}
     for trial in range(cfg.trials):
         try:
-            records.append(run_trial(cfg, ds, bounds, trial, beta_abs, families))
+            records.append(run_trial(cfg, ds, bounds, trial, beta_abs, kinds, families))
         except OprError as exc:
             raise type(exc)(f"trial {trial}: {exc}") from exc
     summary: dict[str, dict] = {}

@@ -52,7 +52,6 @@ class ThresholdFamily:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     ratio: float
-    params: tuple[float, float, float]  # (L, U, beta)
 
     def __post_init__(self) -> None:
         if len(self.lower) != self.k or len(self.upper) != self.k:
@@ -181,9 +180,7 @@ def dtpr_min_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFam
     alpha = solve_alpha(k, U, L, beta)
     upper = tuple(min_upper_threshold(i, k, U, L, beta, alpha) for i in range(1, k + 1))
     lower = tuple(u - 2 * beta for u in upper)
-    return ThresholdFamily(
-        variant=Variant.MIN, k=k, lower=lower, upper=upper, ratio=alpha, params=(L, U, beta)
-    )
+    return ThresholdFamily(variant=Variant.MIN, k=k, lower=lower, upper=upper, ratio=alpha)
 
 
 def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:
@@ -192,9 +189,7 @@ def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFam
     omega = solve_omega(k, U, L, beta)
     lower = tuple(max_lower_threshold(i, k, U, L, beta, omega) for i in range(1, k + 1))
     upper = tuple(l + 2 * beta for l in lower)
-    return ThresholdFamily(
-        variant=Variant.MAX, k=k, lower=lower, upper=upper, ratio=omega, params=(L, U, beta)
-    )
+    return ThresholdFamily(variant=Variant.MAX, k=k, lower=lower, upper=upper, ratio=omega)
 
 
 def ksearch_thresholds(k: int, U: float, L: float, variant: Variant) -> ThresholdFamily:

@@ -181,13 +181,13 @@ def sample_segment_with_offset(
 def apply_noise(
     prices: Sequence[float] | Iterable[float], m: float, kind: TraceKind
 ) -> tuple[float, ...]:
-    """Amplify deviations from the segment mean by the noise factor m >= 1.
+    """Amplify deviations from the segment mean by a finite noise factor m >= 1.
 
     v -> mean + m*(v - mean), truncated below at 0; carbon-free percentages
     are additionally capped at 100.  m = 1 returns the sequence unchanged.
     """
-    if m < 1:
-        raise ParameterError(f"noise factor must be >= 1, got {m}")
+    if not (1 <= m < math.inf):
+        raise ParameterError(f"noise factor must be finite and >= 1, got {m}")
     vals = tuple(float(v) for v in prices)
     if not vals:
         raise ParameterError("cannot noise an empty segment")

@@ -187,11 +187,11 @@ def test_criterion_dtpr_upper_bound():
             U = L * theta
             if variant is Variant.MIN:
                 beta = float(rng.uniform(0.02, 0.95)) * (U - L) / 2
-                kind = PlayerKind.DTPR_MIN
+                kind = PlayerKind.DTPR
                 family = dtpr_min_thresholds(k, U, L, beta)
             else:
                 beta = float(rng.uniform(0.02, 0.9)) * min(k * L, U - L) / 2
-                kind = PlayerKind.DTPR_MAX
+                kind = PlayerKind.DTPR
                 family = dtpr_max_thresholds(k, U, L, beta)
             ratio_bound = family.ratio
             T = int(rng.integers(k, 3 * k + 12))
@@ -440,10 +440,10 @@ def test_criterion_lower_bound_tightness():
         alpha = solve_alpha(k, U, L, beta_min)
         omega = solve_omega(k, U, L, beta_max)
 
-        r = adversary_min(PlayerKind.DTPR_MIN, k, U, L, beta_min).ratio
+        r = adversary_min(PlayerKind.DTPR, k, U, L, beta_min).ratio
         if abs(r - alpha) > 1e-6:
             tight_bad.append(f"min dtpr draw {draw}: {r} vs {alpha}")
-        r = adversary_max(PlayerKind.DTPR_MAX, k, U, L, beta_max).ratio
+        r = adversary_max(PlayerKind.DTPR, k, U, L, beta_max).ratio
         if abs(r - omega) > 1e-6:
             tight_bad.append(f"max dtpr draw {draw}: {r} vs {omega}")
         r = adversary_min(_RejectUntilForced, k, U, L, beta_min).ratio
@@ -454,11 +454,11 @@ def test_criterion_lower_bound_tightness():
             tight_bad.append(f"max reject draw {draw}: {r} vs {omega}")
 
         for kind in (PlayerKind.CARBON_AGNOSTIC, PlayerKind.CONSTANT_THRESHOLD,
-                     PlayerKind.KSEARCH_MIN):
+                     PlayerKind.KSEARCH):
             r = adversary_min(kind, k, U, L, beta_min).ratio
             check_baseline(kind, Variant.MIN, draw, k, U, L, beta_min, alpha, r)
         for kind in (PlayerKind.CARBON_AGNOSTIC, PlayerKind.CONSTANT_THRESHOLD,
-                     PlayerKind.KSEARCH_MAX):
+                     PlayerKind.KSEARCH):
             r = adversary_max(kind, k, U, L, beta_max).ratio
             check_baseline(kind, Variant.MAX, draw, k, U, L, beta_max, omega, r)
     elapsed = time.perf_counter() - t0

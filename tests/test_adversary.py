@@ -45,13 +45,13 @@ class TestTightness:
     @pytest.mark.parametrize("k,U,L,beta", PARAMS)
     def test_dtpr_min_realizes_alpha(self, k, U, L, beta):
         alpha = solve_alpha(k, U, L, beta)
-        tr = adversary_min(PlayerKind.DTPR_MIN, k, U, L, beta)
+        tr = adversary_min(PlayerKind.DTPR, k, U, L, beta)
         assert tr.ratio == pytest.approx(alpha, abs=1e-6)
 
     @pytest.mark.parametrize("k,U,L,beta", PARAMS)
     def test_dtpr_max_realizes_omega(self, k, U, L, beta):
         omega = solve_omega(k, U, L, beta)
-        tr = adversary_max(PlayerKind.DTPR_MAX, k, U, L, beta)
+        tr = adversary_max(PlayerKind.DTPR, k, U, L, beta)
         assert tr.ratio == pytest.approx(omega, abs=1e-6)
 
     @pytest.mark.parametrize("k,U,L,beta", PARAMS)
@@ -102,9 +102,9 @@ class TestTranscript:
     def test_prices_inside_bounds_and_ratio_at_least_one(self):
         for k, U, L, beta in PARAMS:
             for tr in (
-                adversary_min(PlayerKind.DTPR_MIN, k, U, L, beta),
+                adversary_min(PlayerKind.DTPR, k, U, L, beta),
                 adversary_min(PlayerKind.CARBON_AGNOSTIC, k, U, L, beta),
-                adversary_max(PlayerKind.DTPR_MAX, k, U, L, beta),
+                adversary_max(PlayerKind.DTPR, k, U, L, beta),
             ):
                 assert all(L <= p <= U for p in tr.prices)
                 assert tr.ratio >= 1.0 - 1e-9
@@ -114,12 +114,12 @@ class TestTranscript:
         # a player stalling at probe j+1 leaves OPT at most k*l_{j+1} + 2b
         k, U, L, beta = 6, 40.0, 4.0, 3.0
         fam = dtpr_min_thresholds(k, U, L, beta)
-        tr = adversary_min(PlayerKind.DTPR_MIN, k, U, L, beta)  # stalls at probe 1
+        tr = adversary_min(PlayerKind.DTPR, k, U, L, beta)  # stalls at probe 1
         assert tr.opt_cost.total <= k * fam.lower[0] + 2 * beta + 1e-6
 
     def test_alg_cost_matches_schedule(self):
         k, U, L, beta = 5, 25.0, 2.0, 1.5
-        tr = adversary_min(PlayerKind.KSEARCH_MIN, k, U, L, beta)
+        tr = adversary_min(PlayerKind.KSEARCH, k, U, L, beta)
         assert sum(tr.alg_schedule.decisions) == k
         assert tr.alg_cost.total >= tr.opt_cost.total - 1e-9
 
@@ -199,21 +199,21 @@ class TestHostilePlayers:
         tr = adversary_min(ProbeGrabber, k, U, L, beta)
         expected = alpha - 2 * beta / (k * L + 2 * beta)
         assert tr.ratio == pytest.approx(expected, abs=1e-6)
-        assert adversary_min(PlayerKind.KSEARCH_MIN, k, U, L, beta).ratio >= alpha
+        assert adversary_min(PlayerKind.KSEARCH, k, U, L, beta).ratio >= alpha
 
 
 class TestErrors:
     def test_min_regime(self):
         with pytest.raises(RegimeError):
-            adversary_min(PlayerKind.DTPR_MIN, 3, 10.0, 5.0, 0.0)  # beta must be > 0
+            adversary_min(PlayerKind.DTPR, 3, 10.0, 5.0, 0.0)  # beta must be > 0
         with pytest.raises(RegimeError):
-            adversary_min(PlayerKind.DTPR_MIN, 3, 10.0, 5.0, 2.5)  # beta >= (U-L)/2
+            adversary_min(PlayerKind.DTPR, 3, 10.0, 5.0, 2.5)  # beta >= (U-L)/2
 
     def test_max_regime(self):
         with pytest.raises(RegimeError):
-            adversary_max(PlayerKind.DTPR_MAX, 3, 10.0, 5.0, 7.4)  # beta >= kL/2 or probes leave bounds
+            adversary_max(PlayerKind.DTPR, 3, 10.0, 5.0, 7.4)  # beta >= kL/2 or probes leave bounds
         with pytest.raises(RegimeError):
-            adversary_max(PlayerKind.DTPR_MAX, 3, 10.0, 8.0, 1.5)  # 2*beta > U-L
+            adversary_max(PlayerKind.DTPR, 3, 10.0, 8.0, 1.5)  # 2*beta > U-L
 
     def test_protocol_violation_detected(self):
         with pytest.raises(ProtocolError):

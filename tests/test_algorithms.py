@@ -10,7 +10,16 @@ from opr.algorithms import PlayerKind, hindsight_trace, new_player, player_famil
 from opr.core import Instance, Variant
 from opr.errors import ParameterError, ProtocolError
 from opr.offline import dp_optimal
-from opr.thresholds import dtpr_min_thresholds, solve_alpha, solve_omega
+from opr.experiment import resolve_player_kind
+from opr.thresholds import (
+    ThresholdFamily,
+    constant_threshold,
+    dtpr_max_thresholds,
+    dtpr_min_thresholds,
+    ksearch_thresholds,
+    solve_alpha,
+    solve_omega,
+)
 
 
 def min_inst(prices, k, L, U, beta):
@@ -27,7 +36,7 @@ def max_inst(prices, k, L, U, beta):
 
 class TestStep:
     def test_horizon_equals_k_forces_every_slot(self):
-        player = new_player(PlayerKind.DTPR_MIN, 3, 3, 5, 30, 3, Variant.MIN)
+        player = new_player(PlayerKind.DTPR, 3, 3, 5, 30, 3, Variant.MIN)
         assert [player.step(p) for p in (30, 30, 30)] == [1, 1, 1]
 
     def test_all_upper_bound_prices_forced_tail(self):
@@ -35,14 +44,14 @@ class TestStep:
         fam = dtpr_min_thresholds(k, U, L, beta)
         assert fam.lower[0] < U  # rejects are voluntary until the deadline
         inst = min_inst([U] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR_MIN, inst)
+        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
         assert sched.decisions == (0,) * 7 + (1,) * 3
         assert cost.total == pytest.approx(k * U + 2 * beta)
 
     def test_all_lower_bound_prices_accept_immediately(self):
         k, L, U, beta = 3, 5.0, 30.0, 3.0
         inst = min_inst([L] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR_MIN, inst)
+        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
         assert sched.decisions == (1, 1, 1) + (0,) * 7
         assert cost.total == pytest.approx(k * L + 2 * beta)
 
@@ -53,11 +62,11 @@ class TestStep:
         mid = (fam.lower[1] + fam.upper[1]) / 2
         assert fam.lower[1] < mid <= fam.upper[1]
 
-        on = new_player(PlayerKind.DTPR_MIN, k, 20, L, U, beta, Variant.MIN)
+        on = new_player(PlayerKind.DTPR, k, 20, L, U, beta, Variant.MIN)
         assert on.step(fam.lower[0]) == 1  # switch on at the resume rail
         assert on.step(mid) == 1  # stay rail tolerates it
 
-        off = new_player(PlayerKind.DTPR_MIN, k, 20, L, U, beta, Variant.MIN)
+        off = new_player(PlayerKind.DTPR, k, 20, L, U, beta, Variant.MIN)
         assert off.step(fam.lower[0]) == 1
         assert off.step(U) == 0  # switched away
         assert off.step(mid) == 0  # same price now needs the resume rail
@@ -68,7 +77,7 @@ class TestStep:
         # price exactly on the stay rail keeps it on; one ulp worse is refused
         k, L, U, beta = 3, 5.0, 30.0, 3.0
         worse = math.inf if variant is Variant.MIN else -math.inf
-        for kind in ALL_KINDS[variant]:
+        for kind in PlayerKind:
             fam = player_family(kind, k, U, L, beta, variant)
             on, off = (fam.upper, fam.lower) if variant is Variant.MIN else (fam.lower, fam.upper)
             prices = (off[0], on[1]) + ((U if variant is Variant.MIN else L),) * 8
@@ -85,22 +94,50 @@ class TestStep:
                     assert decisions == [1] * len(prefix) + [0]
 
     def test_exhausted_player_raises(self):
-        player = new_player(PlayerKind.DTPR_MIN, 1, 5, 5, 30, 3, Variant.MIN)
+        player = new_player(PlayerKind.DTPR, 1, 5, 5, 30, 3, Variant.MIN)
         player.step(5)
         assert player.exhausted
         with pytest.raises(ProtocolError):
             player.step(5)
 
     def test_step_past_horizon_raises(self):
-        player = new_player(PlayerKind.DTPR_MIN, 2, 2, 5, 30, 3, Variant.MIN)
+        player = new_player(PlayerKind.DTPR, 2, 2, 5, 30, 3, Variant.MIN)
         player.step(30)
         player.step(30)
         with pytest.raises(ProtocolError):
             player.step(30)
 
-    def test_kind_variant_mismatch(self):
+    def test_one_kind_serves_both_variants(self):
+        k, T, L, U, beta = 3, 8, 5.0, 30.0, 3.0
+
+        def rails(rail, variant):
+            return ThresholdFamily(
+                variant=variant, k=k, lower=(rail,) * k, upper=(rail,) * k,
+                ratio=max(rail / L, U / rail),
+            )
+
+        for variant, dtpr in (
+            (Variant.MIN, dtpr_min_thresholds),
+            (Variant.MAX, dtpr_max_thresholds),
+        ):
+            expected = {
+                PlayerKind.DTPR: dtpr(k, U, L, beta),
+                PlayerKind.KSEARCH: ksearch_thresholds(k, U, L, variant),
+                PlayerKind.CONSTANT_THRESHOLD: rails(constant_threshold(U, L), variant),
+                PlayerKind.CARBON_AGNOSTIC: rails(U if variant is Variant.MIN else L, variant),
+            }
+            assert set(expected) == set(PlayerKind)
+            for kind, family in expected.items():
+                player = new_player(kind, k, T, L, U, beta, variant)
+                assert player.family == family
+                assert player.family.variant is variant
         with pytest.raises(ParameterError):
-            new_player(PlayerKind.DTPR_MIN, 2, 5, 5, 30, 3, Variant.MAX)
+            resolve_player_kind("dtpr-min")
+
+    def test_family_variant_must_match_instance(self):
+        family = dtpr_min_thresholds(2, 30, 5, 3)
+        with pytest.raises(ParameterError):
+            new_player(PlayerKind.DTPR, 2, 5, 5, 30, 3, Variant.MAX, family)
 
 
 class TestRunOnline:
@@ -116,36 +153,33 @@ class TestRunOnline:
         fam = dtpr_min_thresholds(k, U, L, beta)
         prices = [fam.lower[0]] + [U] * 9
         inst = min_inst(prices, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR_MIN, inst)
+        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
         assert sched.decisions[0] == 1
         assert cost.total == pytest.approx(fam.lower[0] + (k - 1) * U + 4 * beta)
 
     def test_ksearch_equals_dtpr_at_beta_zero(self):
         prices = [17, 9, 25, 12, 7, 30, 11, 5]
-        for variant, kinds in (
-            (Variant.MIN, (PlayerKind.DTPR_MIN, PlayerKind.KSEARCH_MIN)),
-            (Variant.MAX, (PlayerKind.DTPR_MAX, PlayerKind.KSEARCH_MAX)),
-        ):
+        for variant in Variant:
             inst = Instance(
                 k=3, T=len(prices), L=5, U=30, beta=0.0, variant=variant,
                 prices=tuple(prices),
             )
-            a = run_online(kinds[0], inst)
-            b = run_online(kinds[1], inst)
+            a = run_online(PlayerKind.DTPR, inst)
+            b = run_online(PlayerKind.KSEARCH, inst)
             assert a.decisions == b.decisions
 
     def test_dtpr_max_all_upper(self):
         k, L, U, beta = 3, 5.0, 30.0, 3.0
         inst = max_inst([U] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR_MAX, inst)
+        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
         assert sched.decisions == (1, 1, 1) + (0,) * 7
         assert cost.total == pytest.approx(k * U - 2 * beta)
 
     def test_horizon_equals_k_any_kind(self):
         prices = (7.0, 11.0, 9.0)
         for kind in (
-            PlayerKind.DTPR_MIN,
-            PlayerKind.KSEARCH_MIN,
+            PlayerKind.DTPR,
+            PlayerKind.KSEARCH,
             PlayerKind.CONSTANT_THRESHOLD,
             PlayerKind.CARBON_AGNOSTIC,
         ):
@@ -174,27 +208,11 @@ def random_instances(draw):
     return Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=prices)
 
 
-ALL_KINDS = {
-    Variant.MIN: [
-        PlayerKind.DTPR_MIN,
-        PlayerKind.KSEARCH_MIN,
-        PlayerKind.CONSTANT_THRESHOLD,
-        PlayerKind.CARBON_AGNOSTIC,
-    ],
-    Variant.MAX: [
-        PlayerKind.DTPR_MAX,
-        PlayerKind.KSEARCH_MAX,
-        PlayerKind.CONSTANT_THRESHOLD,
-        PlayerKind.CARBON_AGNOSTIC,
-    ],
-}
-
-
 def _on_the_rails(inst, data):
     """The instance with every price moved onto a rail value of some player
     (or a price bound), so the comparisons hit their ties."""
     rails = {inst.L, inst.U}
-    for kind in ALL_KINDS[inst.variant]:
+    for kind in PlayerKind:
         fam = player_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant)
         rails.update(v for v in fam.lower + fam.upper if inst.L <= v <= inst.U)
     menu = sorted(rails)
@@ -207,7 +225,7 @@ class TestProperties:
     @given(random_instances())
     @settings(max_examples=150, deadline=None)
     def test_every_kind_is_feasible(self, inst):
-        for kind in ALL_KINDS[inst.variant]:
+        for kind in PlayerKind:
             sched = run_online(kind, inst)
             assert sched.num_accepted() == inst.k
             if kind is PlayerKind.CARBON_AGNOSTIC:
@@ -222,7 +240,7 @@ class TestProperties:
         # when prices sit exactly on some player's rail (ties accept)
         if data.draw(st.booleans()):
             inst = _on_the_rails(inst, data)
-        for kind in ALL_KINDS[inst.variant]:
+        for kind in PlayerKind:
             full = run_online(kind, inst)
             player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant)
             for t, price in enumerate(inst.prices):
@@ -240,17 +258,17 @@ class TestProperties:
         _, opt = dp_optimal(inst)
         if inst.variant is Variant.MIN:
             alpha = solve_alpha(inst.k, inst.U, inst.L, inst.beta)
-            _, cost = hindsight_trace(PlayerKind.DTPR_MIN, inst)
+            _, cost = hindsight_trace(PlayerKind.DTPR, inst)
             assert cost.total <= alpha * opt.total + 1e-6
         else:
             omega = solve_omega(inst.k, inst.U, inst.L, inst.beta)
-            _, cost = hindsight_trace(PlayerKind.DTPR_MAX, inst)
+            _, cost = hindsight_trace(PlayerKind.DTPR, inst)
             assert opt.total <= omega * cost.total + 1e-6
 
     @given(random_instances())
     @settings(max_examples=60, deadline=None)
     def test_dtpr_never_beats_exact_optimum(self, inst):
-        kind = PlayerKind.DTPR_MIN if inst.variant is Variant.MIN else PlayerKind.DTPR_MAX
+        kind = PlayerKind.DTPR
         _, cost = hindsight_trace(kind, inst)
         _, opt = dp_optimal(inst)
         if inst.variant is Variant.MIN:

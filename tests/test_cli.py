@@ -134,6 +134,17 @@ class TestSimulate:
         assert "must be finite" in err and "trial" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algs", ["dtpr,dtpr", ","])
+    def test_empty_or_repeated_algs_exit_2_before_trial_0(self, algs, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE),
+             "--beta", "1", "--trials", "3", "--algs", algs, "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "algs" in err and "trial" not in err
+        assert not out.exists()
+
     def test_missing_trace_exits_3(self, capsys):
         assert main(
             ["simulate", "--variant", "min", "--trace", "/nonexistent.csv",
@@ -168,3 +179,12 @@ class TestAdversary:
             ["adversary", "--variant", "min", "--k", "4", "--u", "30", "--l", "5",
              "--beta", "0", "--alg", "dtpr"]
         ) == 2
+
+    def test_variant_suffixed_name_exits_2_with_choices(self, capsys):
+        assert main(
+            ["adversary", "--variant", "min", "--k", "4", "--u", "30", "--l", "5",
+             "--beta", "2", "--alg", "dtpr-min"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "'dtpr-min'" in err
+        assert "('dtpr', 'ksearch', 'const', 'agnostic')" in err

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from opr.algorithms import PlayerKind
 from opr.core import CostBreakdown, Variant
 from opr.errors import DegenerateProfitError, ParameterError
 from opr.experiment import (
@@ -12,6 +13,7 @@ from opr.experiment import (
     default_k,
     derive_seed,
     empirical_cr,
+    resolve_player_kind,
     run_experiment,
     run_trial,
     summarize,
@@ -195,8 +197,16 @@ class TestRunExperiment:
                 ExperimentConfig(variant=Variant.MIN, T=48, **bad)
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48)
-        with pytest.raises(ParameterError):
-            ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, algs=("nope",))
+        for algs in (
+            ("nope",),
+            (),
+            ("dtpr", "dtpr"),
+            ("dtpr-min",),
+            (PlayerKind.DTPR,),
+            ("dtpr", PlayerKind.DTPR),
+        ):
+            with pytest.raises(ParameterError):
+                ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, algs=algs)
 
 
 SHIPPED_INTENSITY = resources.files("opr.data") / "synthetic_intensity.csv"
@@ -211,8 +221,9 @@ class TestFamilyMemo:
         res = run_experiment(cfg, ds)
         bounds = trace_bounds(ds)
         beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
+        kinds = [resolve_player_kind(name) for name in cfg.algs]
         for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, {})
+            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, kinds, {})
         return res.trials
 
     def test_records_equal_fresh_trials_as_bounds_repeat_and_change(self):

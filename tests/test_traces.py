@@ -153,6 +153,11 @@ class TestNoise:
         with pytest.raises(ParameterError):
             apply_noise((1, 2), 0.5, TraceKind.INTENSITY)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_rejects_non_finite_m(self, m):
+        with pytest.raises(ParameterError):
+            apply_noise((100.0, 200.0, 300.0), m, TraceKind.INTENSITY)
+
     def test_mean_preserved_without_clamping(self):
         vals = (10.0, 12.0, 14.0)
         out = apply_noise(vals, 1.5, TraceKind.INTENSITY)
