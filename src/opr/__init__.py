@@ -26,7 +26,7 @@ from .experiment import (
     summarize,
     sweep_ratios,
 )
-from .offline import brute_force_optimal, dp_optimal
+from .offline import brute_force_optimal, dp_optimal, dp_optimal_many
 from .thresholds import (
     AsymptoticRegime,
     ThresholdFamily,
@@ -77,6 +77,7 @@ __all__ = [
     "brute_force_optimal",
     "constant_threshold",
     "dp_optimal",
+    "dp_optimal_many",
     "dtpr_max_thresholds",
     "dtpr_min_thresholds",
     "empirical_cr",

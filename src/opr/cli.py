@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,15 +81,14 @@ def _cmd_sweep(args) -> int:
     variant = _variant(args.variant)
     if args.steps < 2:
         raise ParameterError(f"--steps must be >= 2, got {args.steps}")
-    l_grid = [
-        args.l_min + (args.l_max - args.l_min) * i / (args.steps - 1)
-        for i in range(args.steps)
-    ]
-    beta_grid = [
-        args.beta_min + (args.beta_max - args.beta_min) * i / (args.steps - 1)
-        for i in range(args.steps)
-    ]
-    rows = sweep_ratios(variant, args.k, args.u, beta_grid, l_grid)
+    grids = {}
+    for name in ("l", "beta"):
+        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{flag} must be finite, got {value}")
+        grids[name] = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
+    rows = sweep_ratios(variant, args.k, args.u, grids["beta"], grids["l"])
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("L,beta,ratio\n")
@@ -136,6 +136,9 @@ def _cmd_simulate(args) -> int:
         algs=algs,
         trace_source=source,
     )
+    for path in (args.out, args.cdf):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory to write {path} into")
     result = run_experiment(cfg, ds)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -28,7 +28,7 @@ from typing import Sequence
 from .algorithms import PlayerKind, hindsight_trace, player_family
 from .core import CostBreakdown, Instance, Variant
 from .errors import DegenerateProfitError, OprError, ParameterError
-from .offline import dp_optimal
+from .offline import dp_optimal, dp_optimal_many
 from .thresholds import ThresholdFamily, solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
@@ -40,6 +40,9 @@ from .traces import (
 
 #: clip factor applied to (U-L)/2 when the true beta leaves the min regime
 _BETA_CLIP = 0.999999
+
+#: byte budget of one DP batch's (n, T, k+1, 2) backpointers, >= 1 trial each
+_BACKPTR_BYTES = 64 * 1024
 
 #: short algorithm names used in configs, result files, and the CLI
 ALG_NAMES = tuple(kind.value for kind in PlayerKind)
@@ -196,50 +199,40 @@ def _trial_bounds(
     return prices, L, U, widened, floored
 
 
-def run_trial(
-    cfg: ExperimentConfig,
-    ds: TraceDataset,
-    bounds: TraceBounds,
-    trial: int,
-    beta_abs: float,
-    kinds: Sequence[PlayerKind],
-    families: dict[str, tuple[tuple[float, float], tuple[ThresholdFamily, bool]]],
-) -> dict:
-    """One trial's record.  ``kinds`` are the algorithms to run, each recorded
-    under its name ``kind.value``.  ``families`` holds, per name, the last
-    (L, U) seen and its ``_trial_family`` result; it is reused while (L, U)
-    repeats and replaced when it changes, so pass ``{}`` to build afresh."""
-    k = cfg.resolved_k()
+def sample_trial(
+    cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, trial: int, beta_abs: float
+) -> tuple[Instance, dict]:
+    """A trial's first phase: its bounded instance, and the record so far."""
     seed = derive_seed(cfg.seed, trial)
     segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
     noised = apply_noise(segment, cfg.noise, ds.kind)
     prices, L, U, widened, floored = _trial_bounds(noised, bounds)
     inst = Instance(
-        k=k, T=cfg.T, L=L, U=U, beta=beta_abs, variant=cfg.variant, prices=prices
+        k=cfg.resolved_k(), T=cfg.T, L=L, U=U, beta=beta_abs, variant=cfg.variant, prices=prices
     )
-    _, opt = dp_optimal(inst)
-    record: dict = {
-        "trial": trial,
-        "seed": seed,
-        "offset": offset,
-        "instance_l": L,
-        "instance_u": U,
-        "bounds_widened": widened,
-        "floored_values": floored,
-        "opt_total": opt.total,
-        "algs": {},
-    }
+    return inst, dict(trial=trial, seed=seed, offset=offset, instance_l=L, instance_u=U,
+                      bounds_widened=widened, floored_values=floored)
+
+
+def score_trial(
+    inst: Instance, record: dict, opt: CostBreakdown, kinds: Sequence[PlayerKind], families: dict
+) -> dict:
+    """A trial's last phase: run ``kinds`` against OPT and complete its
+    ``record``.  ``families`` holds, per name, the last (L, U) seen and its
+    ``_trial_family`` result; it is reused while (L, U) repeats and replaced
+    when it changes, so pass ``{}`` to build afresh."""
+    record.update(opt_total=opt.total, algs={})
     for kind in kinds:
         name = kind.value
         slot = families.get(name)
-        if slot is None or slot[0] != (L, U):
+        if slot is None or slot[0] != (inst.L, inst.U):
             slot = families[name] = (
-                (L, U),
-                _trial_family(kind, k, U, L, beta_abs, cfg.variant),
+                (inst.L, inst.U),
+                _trial_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant),
             )
         family, clipped = slot[1]
         _, cost = hindsight_trace(kind, inst, family)
-        ratio = empirical_cr(cost, opt, cfg.variant)
+        ratio = empirical_cr(cost, opt, inst.variant)
         record["algs"][name] = {
             "total": cost.total,
             "switches": cost.num_switches,
@@ -249,19 +242,45 @@ def run_trial(
     return record
 
 
+def run_trial(
+    cfg: ExperimentConfig,
+    ds: TraceDataset,
+    bounds: TraceBounds,
+    trial: int,
+    beta_abs: float,
+    kinds: Sequence[PlayerKind],
+    families: dict[str, tuple[tuple[float, float], tuple[ThresholdFamily, bool]]],
+) -> dict:
+    """One trial's record, by `run_experiment`'s three phases at one trial.
+    ``kinds`` run under their names ``kind.value``; see `score_trial`."""
+    inst, record = sample_trial(cfg, ds, bounds, trial, beta_abs)
+    return score_trial(inst, record, dp_optimal(inst)[1], kinds, families)
+
+
 def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
-    """Run all trials; a failing algorithm aborts with its trial index."""
+    """Run all trials in chunks (sample each, one DP batch, score each); the
+    first failing trial aborts the run with its index, as if run one by one."""
     bounds = trace_bounds(ds)
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
     kinds = [resolve_player_kind(name) for name in cfg.algs]
     # each algorithm's last (L, U) and its family; nothing outlives this run
     families: dict = {}
-    for trial in range(cfg.trials):
+    chunk = max(1, _BACKPTR_BYTES // (cfg.T * (cfg.resolved_k() + 1) * 2))
+    for start in range(0, cfg.trials, chunk):
+        batch, failure = [], None
         try:
-            records.append(run_trial(cfg, ds, bounds, trial, beta_abs, kinds, families))
+            for trial in range(start, min(start + chunk, cfg.trials)):
+                batch.append(sample_trial(cfg, ds, bounds, trial, beta_abs))
         except OprError as exc:
-            raise type(exc)(f"trial {trial}: {exc}") from exc
+            failure = exc
+        for (inst, record), (_, opt) in zip(batch, dp_optimal_many([b[0] for b in batch])):
+            try:
+                records.append(score_trial(inst, record, opt, kinds, families))
+            except OprError as exc:
+                raise type(exc)(f"trial {record['trial']}: {exc}") from exc
+        if failure is not None:
+            raise type(failure)(f"trial {start + len(batch)}: {failure}") from failure
     summary: dict[str, dict] = {}
     cdf: dict[str, tuple[tuple[float, float], ...]] = {}
     for name in cfg.algs:

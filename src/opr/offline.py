@@ -5,9 +5,10 @@ transitions that add the price on accept and beta on every 0<->1 flip,
 including the implicit boundary flips at t = 0 and t = T+1.  It is exact for
 every beta >= 0, both variants, in O(T*k) time and memory.
 
-The kernel loops in Python over the units only: layer j (every state with j
-units accepted) depends on layer j-1 and on itself through a running minimum,
-so each layer is a handful of numpy passes over all T slots.
+The kernel is batched over trials, chunked by backpointer bytes, and loops
+over the units only: layer j (every state with j units accepted) depends on
+layer j-1 and on itself through a running minimum, so each layer is a
+handful of numpy passes over all n*T slots of the batch.
 """
 
 from __future__ import annotations
@@ -18,53 +19,85 @@ from itertools import combinations
 import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
-from .errors import SizeError
+from .errors import ParameterError, SizeError
 
 _INF = np.inf
 
 
 def _dp_kernel(prices: np.ndarray, k: int, beta: float):
-    """Forward pass: final (k+1, 2) cost table and (T, k+1, 2) backpointers.
+    """(n, T) prices: final (k+1, 2, n) costs, (k+1, 2, n, T) backpointers.
 
-    O(T*k) work in k numpy passes over the slots.  With on_t(j) / off_t(j) the
-    cheapest cost after slot t with j units accepted and x_t = 1 / 0:
+    O(n*T*k) work in k rounds of numpy passes.  With on_t(j) / off_t(j) the
+    cheapest cost of a row after slot t with j units accepted and x_t = 1 / 0:
 
         on_t(j)  = min(on_{t-1}(j-1), off_{t-1}(j-1) + beta) + c_t
         off_t(j) = min(off_{t-1}(j), on_{t-1}(j) + beta)
 
-    The first reads only layer j-1, so a whole row is one select and one add.
-    The second unrolls to the running minimum of on_s(j) + beta over s < t,
-    one `np.minimum.accumulate`.  Every cost comes from the same IEEE adds as
-    when the recurrences are evaluated slot by slot, and min and compare
-    round nothing, so the table and the backpointers do not depend on the
-    evaluation order.  Ties stay (no switch).
+    The first reads only layer j-1, so a whole layer is one minimum and one
+    add.  The second unrolls to the running minimum of on_s(j) + beta over
+    s < t, one `np.minimum.accumulate` along the slots.  Every cost comes from
+    the same IEEE adds as slot by slot, and min and compare round nothing, so
+    the table and the backpointers depend neither on the evaluation order nor
+    on the other rows.  Ties stay (no switch).
     """
-    T = prices.shape[0]
-    cost = np.empty((k + 1, 2))
-    prev_choice = np.zeros((T, k + 1, 2), dtype=np.uint8)
-    # entry s of a layer is the state after slot s-1; entry 0 is the start,
+    n, T = prices.shape
+    cost = np.empty((k + 1, 2, n))
+    prev_choice = np.zeros((k + 1, 2, n, T), dtype=np.uint8)
+    back = prev_choice.view(bool)
+    # column s of a layer is the state after slot s-1; column 0 is the start,
     # where only (j=0, off) is reachable.  Layer 0 stays off at cost 0 and
-    # its backpointers stay 0.
-    on = np.full(T + 1, _INF)
-    off = np.zeros(T + 1)
-    cost[0] = off[-1], on[-1]
+    # its backpointers stay 0.  Each layer overwrites these buffers in place.
+    on = np.full((n, T + 1), _INF)
+    off = np.zeros((n, T + 1))
+    off_switch = np.full((n, T + 1), _INF)
+    best_on = np.empty((n, T))
+    on_prev, on_next = on[:, :-1], on[:, 1:]
+    off_prev, off_switch_next = off[:, :-1], off_switch[:, 1:]
+    cost[0] = off[:, -1], on[:, -1]
     for j in range(1, k + 1):
-        # x_t = 1: stay on vs switch on (+beta) from layer j-1; ties stay
-        on_stay = on[:-1]
-        on_switch = off[:-1] + beta
-        keep_on = on_stay <= on_switch
-        on = np.empty(T + 1)
-        on[0] = _INF
-        np.add(np.where(keep_on, on_stay, on_switch), prices, out=on[1:])
-        prev_choice[:, j, 1] = keep_on
+        # x_t = 1: stay on vs switch on (+beta) from layer j-1; ties stay.
+        # Costs are never NaN or -0.0, so the minimum is the chosen one.
+        np.add(off_prev, beta, out=best_on)
+        np.less_equal(on_prev, best_on, out=back[j, 1])
+        np.minimum(on_prev, best_on, out=best_on)
+        np.add(best_on, prices, out=on_next)
         # x_t = 0: switch off (+beta) only when strictly cheaper than staying
-        off_switch = np.empty(T + 1)
-        off_switch[0] = _INF
-        np.add(on[:-1], beta, out=off_switch[1:])
-        off = np.minimum.accumulate(off_switch)
-        prev_choice[:, j, 0] = off[:-1] > off_switch[1:]
-        cost[j] = off[-1], on[-1]
+        np.add(on_prev, beta, out=off_switch_next)
+        np.minimum.accumulate(off_switch, axis=1, out=off)
+        np.greater(off_prev, off_switch_next, out=back[j, 0])
+        cost[j] = off[:, -1], on[:, -1]
     return cost, prev_choice
+
+
+def dp_optimal_many(insts: list[Instance]) -> list[tuple[Schedule, CostBreakdown]]:
+    """`dp_optimal` of every instance, bit for bit, from one kernel call.
+
+    The instances may differ in prices and bounds only; k, T, beta and
+    variant must be shared (ParameterError otherwise).
+    """
+    if not insts:
+        return []
+    if len({(inst.k, inst.T, inst.beta, inst.variant) for inst in insts}) > 1:
+        raise ParameterError("a DP batch needs one (k, T, beta, variant) for all instances")
+    k, T, beta, variant = insts[0].k, insts[0].T, insts[0].beta, insts[0].variant
+    sign = 1.0 if variant is Variant.MIN else -1.0
+    prices = sign * np.array([inst.prices for inst in insts], dtype=np.float64)
+    cost, prev_choice = _dp_kernel(prices, k, float(beta))
+    # closing boundary: a final x_T = 1 pays one more flip
+    close_on = (cost[k, 0] > cost[k, 1] + beta).tolist()
+    back, n = memoryview(prev_choice.reshape(-1)), len(insts)
+    out = []
+    for i, inst in enumerate(insts):
+        decisions = [0] * T
+        j, p = k, int(close_on[i])
+        for t in range(T - 1, -1, -1):
+            decisions[t] = p
+            q = back[((j * 2 + p) * n + i) * T + t]
+            j -= p
+            p = q
+        sched = Schedule(tuple(decisions))
+        out.append((sched, evaluate_schedule(inst, sched)))
+    return out
 
 
 def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
@@ -76,24 +109,7 @@ def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     which lands accepted blocks as early as possible and makes the backtrace
     reproducible.
     """
-    sign = 1.0 if inst.variant is Variant.MIN else -1.0
-    prices = sign * np.asarray(inst.prices, dtype=np.float64)
-    cost, prev_choice = _dp_kernel(prices, inst.k, float(inst.beta))
-
-    # closing boundary: a final x_T = 1 pays one more flip
-    end_off = cost[inst.k, 0]
-    end_on = cost[inst.k, 1] + inst.beta
-    p = 0 if end_off <= end_on else 1
-
-    decisions = np.zeros(inst.T, dtype=np.int64)
-    j = inst.k
-    for t in range(inst.T - 1, -1, -1):
-        decisions[t] = p
-        q = int(prev_choice[t, j, p])
-        j -= p
-        p = q
-    sched = Schedule(tuple(int(x) for x in decisions))
-    return sched, evaluate_schedule(inst, sched)
+    return dp_optimal_many([inst])[0]
 
 
 def brute_force_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:

@@ -8,6 +8,7 @@ import pytest
 from opr.cli import main
 
 SHIPPED_TRACE = resources.files("opr.data") / "synthetic_intensity.csv"
+SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
 
 
 class TestSolve:
@@ -70,6 +71,21 @@ class TestSweepValidation:
              "--l-max", "4", "--beta-min", "0", "--beta-max", "1", "--steps", "1",
              "--out", "/tmp/never-grid.csv"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--l-min", "nan"), ("--l-max", "inf"), ("--beta-min", "-inf"), ("--beta-max", "inf")],
+    )
+    def test_non_finite_grid_bound_exits_2_naming_the_flag(self, flag, value, tmp_path, capsys):
+        grid = {"--l-min": "1", "--l-max": "4", "--beta-min": "0", "--beta-max": "1", flag: value}
+        out = tmp_path / "grid.csv"
+        assert main(
+            ["sweep", "--variant", "max", "--k", "2", "--u", "20", "--steps", "3",
+             "--out", str(out)] + [f"{name}={v}" for name, v in grid.items()]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite, got {value}" in err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -144,6 +160,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "algs" in err and "trial" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--out", "--cdf"])
+    def test_output_into_missing_directory_exits_3_before_trial_0(
+        self, missing, tmp_path, capsys
+    ):
+        paths = {"--out": tmp_path / "r.json", "--cdf": tmp_path / "cdf.csv"}
+        paths[missing] = tmp_path / "absent" / paths[missing].name
+        assert main(
+            ["simulate", "--variant", "max", "--trace", str(SHIPPED_CARBONFREE),
+             "--t-horizon", "48", "--noise", "2", "--beta-frac", "0.05", "--seed", "42",
+             "--trials", "10", "--out", str(paths["--out"]), "--cdf", str(paths["--cdf"])]
+        ) == 3
+        err = capsys.readouterr().err
+        # this run fails at trial 2 once trials start, so the error must come first
+        assert "absent" in err and "trial" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_trace_exits_3(self, capsys):
         assert main(

@@ -7,7 +7,8 @@ import pytest
 
 from opr.algorithms import PlayerKind
 from opr.core import CostBreakdown, Variant
-from opr.errors import DegenerateProfitError, ParameterError
+from opr import experiment
+from opr.errors import DegenerateProfitError, OprError, ParameterError
 from opr.experiment import (
     ExperimentConfig,
     default_k,
@@ -244,6 +245,89 @@ class TestFamilyMemo:
         trials = self._check_against_fresh_trials(cfg, ds)
         clipped = {rec["algs"]["dtpr"]["beta_clipped"] for rec in trials}
         assert clipped == {True, False}
+
+
+SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
+
+
+class TestChunkedTrials:
+    """run_experiment samples a chunk of trials, solves their optima in one DP
+    batch, then scores them; neither the records nor the reported failing
+    trial may show the chunking."""
+
+    @staticmethod
+    def _batch_sizes(monkeypatch):
+        """Record the size of every DP batch the run makes."""
+        sizes = []
+        batched = experiment.dp_optimal_many
+
+        def spy(insts):
+            sizes.append(len(insts))
+            return batched(insts)
+
+        monkeypatch.setattr(experiment, "dp_optimal_many", spy)
+        return sizes
+
+    def test_records_equal_fresh_trials_across_chunks(self, monkeypatch):
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, k=4, beta_frac=0.05, noise=2.0, trials=7, seed=3
+        )
+        # 24 slots * 5 unit layers * 2 states = 240 backpointer bytes a trial
+        monkeypatch.setattr(experiment, "_BACKPTR_BYTES", 3 * 240 - 1)
+        sizes = self._batch_sizes(monkeypatch)
+        assert TestFamilyMemo._check_against_fresh_trials(cfg, ds)
+        assert sizes == [2, 2, 2, 1]
+
+    def test_default_budget_chunks(self, monkeypatch):
+        sizes = self._batch_sizes(monkeypatch)
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        run_experiment(ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, trials=160), ds)
+        assert sizes == [75, 75, 10]  # 64 KiB over 48 * 9 * 2 bytes a trial
+        sizes.clear()
+        ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
+        run_experiment(
+            ExperimentConfig(variant=Variant.MAX, T=720, k=120, beta=1.0, trials=2), ds
+        )
+        assert sizes == [1, 1]  # a trial's 174 240 bytes exceed the budget
+
+    def test_noisy_max_run_still_aborts_at_trial_2(self):
+        # beta = 0.05 U = 4.948 >= kL/2 = 1.078 once trial 2's noised segment
+        # lowers L; trials 0 and 1 are fine and share its chunk
+        ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
+        cfg = ExperimentConfig(
+            variant=Variant.MAX, T=48, noise=2.0, beta_frac=0.05, trials=10, seed=42
+        )
+        with pytest.raises(ParameterError, match=r"^trial 2: beta=4\.9479"):
+            run_experiment(cfg, ds)
+
+    @pytest.mark.parametrize("fail_sample, fail_score, reported", [(3, None, 3), (3, 1, 1)])
+    def test_first_failing_trial_is_reported(
+        self, monkeypatch, fail_sample, fail_score, reported
+    ):
+        # a trial that fails to sample ends its chunk: the trials before it
+        # are still scored first, and an earlier failure wins
+        sample, score = experiment.sample_trial, experiment.score_trial
+        scored = []
+
+        def failing_sample(cfg, ds, bounds, trial, beta_abs):
+            if trial == fail_sample:
+                raise OprError("cannot sample")
+            return sample(cfg, ds, bounds, trial, beta_abs)
+
+        def failing_score(inst, record, *args):
+            scored.append(record["trial"])
+            if record["trial"] == fail_score:
+                raise OprError("cannot score")
+            return score(inst, record, *args)
+
+        monkeypatch.setattr(experiment, "sample_trial", failing_sample)
+        monkeypatch.setattr(experiment, "score_trial", failing_score)
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=24, beta=1.0, trials=10, seed=0)
+        with pytest.raises(OprError, match=f"^trial {reported}: cannot"):
+            run_experiment(cfg, ds)
+        assert scored == list(range(min(fail_sample, reported + 1)))
 
 
 class TestSweep:

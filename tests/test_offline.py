@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opr.core import Instance, Variant, evaluate_schedule, extreme_price
-from opr.errors import SizeError
-from opr.offline import brute_force_optimal, dp_optimal
+from opr.errors import ParameterError, SizeError
+from opr.offline import _dp_kernel, brute_force_optimal, dp_optimal, dp_optimal_many
 
 
 def inst(prices, k, beta, variant=Variant.MIN, L=None, U=None):
@@ -145,3 +146,70 @@ class TestTieBreaks:
         sched, cb = dp_optimal(instance)
         assert sched.decisions == slot_by_slot_decisions(instance)
         assert cb.total == brute_force_optimal(instance)[1].total
+
+
+@st.composite
+def tie_heavy_batches(draw):
+    """1..6 instances sharing (k, T, beta, variant), with small integer prices."""
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    T = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=T))
+    beta = draw(
+        st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(min_value=0, max_value=5))
+    )
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(min_value=1, max_value=4), min_size=T, max_size=T),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return [
+        Instance(k=k, T=T, L=1, U=4, beta=beta, variant=variant, prices=tuple(row))
+        for row in rows
+    ]
+
+
+class TestBatchedDP:
+    @given(tie_heavy_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_every_lane_equals_its_own_dp(self, batch):
+        results = dp_optimal_many(batch)
+        assert len(results) == len(batch)
+        for instance, (sched, cb) in zip(batch, results):
+            assert (sched, cb) == dp_optimal(instance)
+            assert sched.decisions == slot_by_slot_decisions(instance)
+
+    @given(tie_heavy_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_every_lane_of_the_kernel_equals_the_kernel_at_one_row(self, batch):
+        sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
+        prices = sign * np.array([inst.prices for inst in batch], dtype=np.float64)
+        k, beta = batch[0].k, float(batch[0].beta)
+        cost, back = _dp_kernel(prices, k, beta)
+        T = batch[0].T
+        assert cost.shape == (k + 1, 2, len(batch))
+        assert back.shape == (k + 1, 2, len(batch), T)
+        for i in range(len(batch)):
+            cost1, back1 = _dp_kernel(prices[i : i + 1], k, beta)
+            assert cost[:, :, i].tobytes() == cost1[:, :, 0].tobytes()
+            assert back[:, :, i].tobytes() == back1[:, :, 0].tobytes()
+
+    def test_empty_batch(self):
+        assert dp_optimal_many([]) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(k=3), dict(T=6, prices=(2, 1, 3, 2, 1, 1)), dict(beta=1.5),
+         dict(variant=Variant.MAX)],
+        ids=["k", "T", "beta", "variant"],
+    )
+    def test_instances_must_share_k_t_beta_variant(self, change):
+        base = dict(k=2, T=5, L=1, U=4, beta=1.0, variant=Variant.MIN, prices=(4, 1, 3, 1, 2))
+        other = Instance(**{**base, **change})
+        with pytest.raises(ParameterError):
+            dp_optimal_many([Instance(**base), other])
+        # prices and bounds may differ
+        same = Instance(**{**base, "U": 5, "prices": (5, 5, 1, 1, 1)})
+        assert len(dp_optimal_many([Instance(**base), same])) == 2
