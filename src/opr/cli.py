@@ -53,6 +53,15 @@ def _parse_synthetic_spec(spec: str) -> dict:
     return out
 
 
+def _check_out_paths(*paths: str | None) -> None:
+    """Before any work: each output path must name a file in an existing directory."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory to write {path} into")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_solve(args) -> int:
     variant = _variant(args.variant)
     family = player_family(PlayerKind.DTPR, args.k, args.u, args.l, args.beta, variant)
@@ -88,6 +97,7 @@ def _cmd_sweep(args) -> int:
             if not math.isfinite(value):
                 raise ParameterError(f"{flag} must be finite, got {value}")
         grids[name] = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
+    _check_out_paths(args.out)
     rows = sweep_ratios(variant, args.k, args.u, grids["beta"], grids["l"])
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -136,9 +146,7 @@ def _cmd_simulate(args) -> int:
         algs=algs,
         trace_source=source,
     )
-    for path in (args.out, args.cdf):
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"no directory to write {path} into")
+    _check_out_paths(args.out, args.cdf)
     result = run_experiment(cfg, ds)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -163,14 +171,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_adversary(args) -> int:
     variant = _variant(args.variant)
     kind = resolve_player_kind(args.alg)
+    _check_out_paths(args.dump_sequence)
     if variant is Variant.MIN:
-        transcript = adversary_min(kind, args.k, args.u, args.l, args.beta)
-        bound = solve_alpha(args.k, args.u, args.l, args.beta)
-        bound_name = "alpha"
+        adversary, solve, bound_name = adversary_min, solve_alpha, "alpha"
     else:
-        transcript = adversary_max(kind, args.k, args.u, args.l, args.beta)
-        bound = solve_omega(args.k, args.u, args.l, args.beta)
-        bound_name = "omega"
+        adversary, solve, bound_name = adversary_max, solve_omega, "omega"
+    transcript = adversary(kind, args.k, args.u, args.l, args.beta)
+    bound = solve(args.k, args.u, args.l, args.beta)
     print(f"player          : {kind.value}")
     print(f"realized slots  : {len(transcript.prices)}")
     print(f"alg total       : {transcript.alg_cost.total:.6f}")
@@ -254,10 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except FileNotFoundError as exc:
+    except (TraceError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA
     except OprError as exc:

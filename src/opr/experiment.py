@@ -317,11 +317,7 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
 
 
 def sweep_ratios(
-    variant: Variant,
-    k: int,
-    U: float,
-    beta_grid: Sequence[float],
-    l_grid: Sequence[float],
+    variant: Variant, k: int, U: float, beta_grid: Sequence[float], l_grid: Sequence[float]
 ) -> list[tuple[float, float, float | str]]:
     """Ratio over an (L, beta) grid; out-of-regime cells emit sentinels.
 
@@ -337,13 +333,8 @@ def sweep_ratios(
             if beta < 0:
                 raise ParameterError(f"grid beta={beta} negative")
             if variant is Variant.MIN:
-                if 2 * beta >= U - L:
-                    rows.append((L, beta, "degenerate"))
-                else:
-                    rows.append((L, beta, solve_alpha(k, U, L, beta)))
+                cell = "degenerate" if 2 * beta >= U - L else solve_alpha(k, U, L, beta)
             else:
-                if 2 * beta >= k * L:
-                    rows.append((L, beta, "inf"))
-                else:
-                    rows.append((L, beta, solve_omega(k, U, L, beta)))
+                cell = "inf" if 2 * beta >= k * L else solve_omega(k, U, L, beta)
+            rows.append((L, beta, cell))
     return rows

@@ -28,9 +28,6 @@ from enum import Enum
 from .core import Variant
 from .errors import DomainError, ParameterError, RegimeError
 
-#: Bisection floor for the ratio bracket; ratios are > 1 by construction.
-_RATIO_LO = 1.0 + 1e-12
-
 
 class AsymptoticRegime(Enum):
     """Which asymptotic approximation of the ratio to evaluate."""
@@ -84,31 +81,53 @@ def _max_residual(w: float, k: int, U: float, L: float, beta: float) -> float:
     return (U - L - 2 * beta) - lhs * growth
 
 
-def _bisect_ratio(residual, what: str) -> float:
-    """Bisection on [1+1e-12, hi], doubling hi from 2 until the sign flips.
+def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
+    """Regime checks, then bisection on [1+1e-12, hi], doubling hi from 2.
 
     The residual is positive at the left end for all in-regime parameters and
     eventually negative, and the underlying equation has a unique positive
     root, so plain bisection is robust without derivatives.  It runs to its
     fixed point: residual(lo) > 0 >= residual(hi) holds throughout, so once
     the midpoint rounds to lo or hi the bracket can never move again, and
-    that midpoint is returned.
+    that midpoint is returned.  The loop inlines ``_min_residual`` and
+    ``_max_residual`` with the same float operations in the same order.
     """
-    lo = _RATIO_LO
-    if residual(lo) <= 0:
+    _check_bounds(k, U, L, beta)
+    if U == L and beta == 0:
+        return 1.0
+    is_min = variant is Variant.MIN
+    if is_min and beta >= (U - L) / 2:
+        raise RegimeError(f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block regime, "
+                          "min ratio equation does not apply")
+    if not is_min and beta >= k * L / 2:
+        raise RegimeError(f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
+                          "nonpositive, max ratio is unbounded")
+    residual, what = (_min_residual, "alpha") if is_min else (_max_residual, "omega")
+    lo = 1.0 + 1e-12  # ratios are > 1 by construction
+    if residual(lo, k, U, L, beta) <= 0:
         raise RegimeError(f"no {what} root above 1 for these parameters")
     hi = 2.0
     doublings = 0
-    while residual(hi) > 0:
+    while residual(hi, k, U, L, beta) > 0:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
             raise RegimeError(f"{what} root bracket did not close; ratio diverges")
+    kf, b2 = float(k), 2 * beta
+    c0, c1 = U - L - b2, b2 * (1 - 1 / k)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if mid == lo or mid == hi:
             return mid
-        if residual(mid) > 0:
+        if is_min:
+            r = c0 - (U * (1 - 1 / mid) - c1 - b2 / (kf * mid)) * (1 + 1 / (kf * mid)) ** kf
+        else:
+            lhs = L * (mid - 1) - c1 - b2 * mid / kf
+            try:
+                r = c0 - lhs * (1 + mid / kf) ** kf
+            except OverflowError:
+                r = -math.inf if lhs > 0 else math.inf
+        if r > 0:
             lo = mid
         else:
             hi = mid
@@ -122,15 +141,7 @@ def solve_alpha(k: int, U: float, L: float, beta: float) -> float:
     ratio equation no longer characterizes the algorithm.  beta = 0 is
     accepted and recovers the k-min search ratio.
     """
-    _check_bounds(k, U, L, beta)
-    if U == L and beta == 0:
-        return 1.0
-    if beta >= (U - L) / 2:
-        raise RegimeError(
-            f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block regime, "
-            "min ratio equation does not apply"
-        )
-    return _bisect_ratio(lambda a: _min_residual(a, k, U, L, beta), "alpha")
+    return _solve_ratio(k, U, L, beta, Variant.MIN)
 
 
 def solve_omega(k: int, U: float, L: float, beta: float) -> float:
@@ -139,15 +150,7 @@ def solve_omega(k: int, U: float, L: float, beta: float) -> float:
     Requires beta < kL/2; beyond that an adversary can force nonpositive
     profit and the ratio is unbounded.  beta = 0 recovers k-max search.
     """
-    _check_bounds(k, U, L, beta)
-    if U == L and beta == 0:
-        return 1.0
-    if beta >= k * L / 2:
-        raise RegimeError(
-            f"beta={beta} >= kL/2={k * L / 2}: profit can be forced nonpositive, "
-            "max ratio is unbounded"
-        )
-    return _bisect_ratio(lambda w: _max_residual(w, k, U, L, beta), "omega")
+    return _solve_ratio(k, U, L, beta, Variant.MAX)
 
 
 def min_upper_threshold(i: int, k: int, U: float, L: float, beta: float, alpha: float) -> float:

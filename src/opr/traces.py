@@ -184,7 +184,7 @@ def apply_noise(
     """Amplify deviations from the segment mean by a finite noise factor m >= 1.
 
     v -> mean + m*(v - mean), truncated below at 0; carbon-free percentages
-    are additionally capped at 100.  m = 1 returns the sequence unchanged.
+    are additionally capped at 100.  m = 1 re-rounds, by up to 1 ulp of max(v, mean).
     """
     if not (1 <= m < math.inf):
         raise ParameterError(f"noise factor must be finite and >= 1, got {m}")

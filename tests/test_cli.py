@@ -5,10 +5,18 @@ from importlib import resources
 
 import pytest
 
+import opr.cli
 from opr.cli import main
 
 SHIPPED_TRACE = resources.files("opr.data") / "synthetic_intensity.csv"
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
+
+
+def _forbid(monkeypatch, name):
+    """Make ``opr.cli.<name>`` fail the test if the command reaches it."""
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the output path was checked")
+    monkeypatch.setattr(opr.cli, name, reached)
 
 
 class TestSolve:
@@ -62,6 +70,19 @@ class TestSweep:
         assert lines[0] == "L,beta,ratio"
         assert len(lines) == 26
         assert any(line.endswith(",inf") for line in lines[1:])
+
+    def test_out_into_missing_directory_exits_3_before_the_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _forbid(monkeypatch, "sweep_ratios")
+        assert main(
+            ["sweep", "--variant", "min", "--k", "10", "--u", "30", "--l-min", "1",
+             "--l-max", "10", "--beta-min", "0", "--beta-max", "5", "--steps", "50",
+             "--out", str(tmp_path / "missing" / "x.csv")]
+        ) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "missing" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepValidation:
@@ -177,6 +198,31 @@ class TestSimulate:
         assert "absent" in err and "trial" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--cdf"])
+    def test_output_naming_a_directory_exits_3_before_trial_0(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        _forbid(monkeypatch, "run_experiment")
+        (tmp_path / "dir").mkdir()
+        paths = {"--out": str(tmp_path / "r.json"), "--cdf": str(tmp_path / "cdf.csv")}
+        paths[flag] = str(tmp_path / "dir")
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE), "--beta", "1",
+             "--trials", "3", "--out", paths["--out"], "--cdf", paths["--cdf"]]
+        ) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "directory" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_trace_naming_a_directory_exits_3(self, tmp_path, capsys):
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(tmp_path), "--beta", "1",
+             "--out", str(tmp_path / "r.json")]
+        ) == 3
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_trace_exits_3(self, capsys):
         assert main(
             ["simulate", "--variant", "min", "--trace", "/nonexistent.csv",
@@ -205,6 +251,19 @@ class TestAdversary:
         lines = seq.read_text().strip().splitlines()
         assert lines[0] == "t,price,decision"
         assert len(lines) > 4
+
+    def test_dump_into_missing_directory_exits_3_before_the_adversary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _forbid(monkeypatch, "adversary_min")
+        assert main(
+            ["adversary", "--variant", "min", "--k", "4", "--u", "30", "--l", "5",
+             "--beta", "2", "--alg", "dtpr",
+             "--dump-sequence", str(tmp_path / "missing" / "a.csv")]
+        ) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "missing" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_regime_error_exit_2(self, capsys):
         assert main(

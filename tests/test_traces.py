@@ -2,6 +2,9 @@
 
 import io
 import math
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,34 @@ class TestParse:
         assert again.timestamps == ds.timestamps
         assert again.region == "rt"
 
+    @given(
+        st.text(
+            st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
+        ).map(str.strip),
+        st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]),
+        st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1)).map(
+            lambda ts: ts.replace(microsecond=0, tzinfo=timezone.utc)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_fuzz(self, region, kind, start, data):
+        top = 100.0 if kind is TraceKind.CARBON_FREE_PCT else 1e300
+        values = tuple(data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=50)))
+        ds = TraceDataset(
+            region=region,
+            timestamps=tuple(start + timedelta(hours=h) for h in range(len(values))),
+            values=values,
+            kind=kind,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace(ds, path)
+            again = parse_trace(path, kind)
+        assert [v.hex() for v in again.values] == [v.hex() for v in values]
+        assert again.timestamps == ds.timestamps
+        assert again.region == region
+
 
 class TestBounds:
     def test_constant(self):
@@ -138,6 +169,21 @@ class TestNoise:
     def test_identity_at_one(self):
         vals = (2.0, 4.0, 6.0)
         assert apply_noise(vals, 1.0, TraceKind.INTENSITY) == vals
+
+    def test_one_re_rounds(self):
+        # 104.2 - mu rounds, and adding mu back does not undo it
+        out = apply_noise((341.5, 264.6, 104.2), 1.0, TraceKind.INTENSITY)
+        assert out == (341.5, 264.6, 104.20000000000002)
+
+    @given(
+        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=40),
+        st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_moves_each_value_at_most_one_ulp(self, vals, kind):
+        mu = math.fsum(vals) / len(vals)
+        for v, nv in zip(vals, apply_noise(vals, 1.0, kind)):
+            assert abs(nv - v) <= math.ulp(max(v, mu))
 
     def test_doubling_deviations(self):
         assert apply_noise((2, 4, 6), 2.0, TraceKind.INTENSITY) == (0.0, 4.0, 8.0)
