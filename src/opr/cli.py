@@ -49,7 +49,15 @@ def _parse_synthetic_spec(spec: str) -> dict:
         key = key.strip().lower()
         if key not in ("period", "amp", "mean", "seed", "hours", "jitter"):
             raise ParameterError(f"unknown synthetic key {key!r}")
-        out[key] = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParameterError(f"synthetic {key} must be a number, got {raw.strip()!r}") from None
+        if not math.isfinite(value):
+            raise ParameterError(f"synthetic {key} must be finite, got {value}")
+        if key in ("hours", "seed") and not (value.is_integer() and value >= 0):
+            raise ParameterError(f"synthetic {key} must be a nonnegative integer, got {value}")
+        out[key] = value
     return out
 
 

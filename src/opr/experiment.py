@@ -28,7 +28,7 @@ from typing import Sequence
 from .algorithms import PlayerKind, hindsight_trace, player_family
 from .core import CostBreakdown, Instance, Variant
 from .errors import DegenerateProfitError, OprError, ParameterError
-from .offline import dp_optimal, dp_optimal_many
+from .offline import dp_batch_len, dp_optimal, dp_optimal_many
 from .thresholds import ThresholdFamily, solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
@@ -40,9 +40,6 @@ from .traces import (
 
 #: clip factor applied to (U-L)/2 when the true beta leaves the min regime
 _BETA_CLIP = 0.999999
-
-#: byte budget of one DP batch's (n, T, k+1, 2) backpointers, >= 1 trial each
-_BACKPTR_BYTES = 64 * 1024
 
 #: short algorithm names used in configs, result files, and the CLI
 ALG_NAMES = tuple(kind.value for kind in PlayerKind)
@@ -266,7 +263,7 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     kinds = [resolve_player_kind(name) for name in cfg.algs]
     # each algorithm's last (L, U) and its family; nothing outlives this run
     families: dict = {}
-    chunk = max(1, _BACKPTR_BYTES // (cfg.T * (cfg.resolved_k() + 1) * 2))
+    chunk = dp_batch_len(cfg.T, cfg.resolved_k())
     for start in range(0, cfg.trials, chunk):
         batch, failure = [], None
         try:

@@ -78,6 +78,11 @@ def _parse_timestamp(raw: str, row: int) -> datetime:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise TraceError(f"row {row}: bad timestamp {raw!r}") from exc
+    return _as_utc(ts)
+
+
+def _as_utc(ts: datetime) -> datetime:
+    """The same instant in UTC; a naive timestamp is taken as UTC."""
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -129,14 +134,24 @@ def parse_trace(
 
 
 def write_trace(ds: TraceDataset, path: str | Path) -> None:
-    """Serialize a dataset back to the CSV contract; values round-trip
-    bit-identically via repr."""
+    """Serialize a dataset back to the CSV contract, so that `parse_trace`
+    reads back the same dataset.
+
+    Values round-trip bit-identically via repr.  Timestamps are written in
+    UTC with any sub-second part, a naive one taken as UTC as `parse_trace`
+    takes it.  A region with a line break or edge whitespace cannot round-trip
+    and raises TraceError before the file is opened.
+    """
+    if "\n" in ds.region or "\r" in ds.region or ds.region != ds.region.strip():
+        raise TraceError(
+            f"region {ds.region!r} cannot be written: no line breaks or edge whitespace"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if ds.region:
             fh.write(f"# region: {ds.region}\n")
         fh.write("timestamp,value\n")
         for ts, v in zip(ds.timestamps, ds.values):
-            fh.write(f"{ts.strftime('%Y-%m-%dT%H:%M:%S+00:00')},{v!r}\n")
+            fh.write(f"{_as_utc(ts).isoformat()},{v!r}\n")
 
 
 def trace_bounds(ds: TraceDataset) -> TraceBounds:
@@ -192,14 +207,13 @@ def apply_noise(
     if not vals:
         raise ParameterError("cannot noise an empty segment")
     mu = math.fsum(vals) / len(vals)
-    out = []
-    for v in vals:
-        nv = mu + m * (v - mu)
-        nv = max(nv, 0.0)
-        if kind is TraceKind.CARBON_FREE_PCT:
-            nv = min(nv, 100.0)
-        out.append(nv)
-    return tuple(out)
+    # elementwise IEEE ops: the same bits as the scalar expression per value,
+    # overflow to inf included (so numpy's overflow warning is off)
+    with np.errstate(over="ignore"):
+        out = np.maximum(mu + float(m) * (np.array(vals) - mu), 0.0)
+    if kind is TraceKind.CARBON_FREE_PCT:
+        out = np.minimum(out, 100.0)
+    return tuple(out.tolist())
 
 
 def synthetic_diurnal(

@@ -15,7 +15,7 @@ SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
 def _forbid(monkeypatch, name):
     """Make ``opr.cli.<name>`` fail the test if the command reaches it."""
     def reached(*args, **kwargs):
-        raise AssertionError(f"{name} ran before the output path was checked")
+        raise AssertionError(f"{name} ran before the command's checks")
     monkeypatch.setattr(opr.cli, name, reached)
 
 
@@ -156,6 +156,30 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out.read_text())["config"]["trace_kind"] == "carbon-free"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("seed=nan", "synthetic seed must be finite, got nan"),
+            ("hours=inf", "synthetic hours must be finite, got inf"),
+            ("amp=-inf", "synthetic amp must be finite, got -inf"),
+            ("hours=2.7", "synthetic hours must be a nonnegative integer, got 2.7"),
+            ("seed=1.5", "synthetic seed must be a nonnegative integer, got 1.5"),
+            ("seed=-1", "synthetic seed must be a nonnegative integer, got -1.0"),
+            ("seed=abc", "synthetic seed must be a number, got 'abc'"),
+        ],
+    )
+    def test_bad_synthetic_spec_exits_2_before_any_work(
+        self, spec, message, monkeypatch, tmp_path, capsys
+    ):
+        _forbid(monkeypatch, "synthetic_diurnal")
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--synthetic", spec, "--t-horizon", "24",
+             "--beta-frac", "0.05", "--trials", "2", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -7,7 +7,7 @@ import pytest
 
 from opr.algorithms import PlayerKind
 from opr.core import CostBreakdown, Variant
-from opr import experiment
+from opr import experiment, offline
 from opr.errors import DegenerateProfitError, OprError, ParameterError
 from opr.experiment import (
     ExperimentConfig,
@@ -273,8 +273,9 @@ class TestChunkedTrials:
         cfg = ExperimentConfig(
             variant=Variant.MIN, T=24, k=4, beta_frac=0.05, noise=2.0, trials=7, seed=3
         )
-        # 24 slots * 5 unit layers * 2 states = 240 backpointer bytes a trial
-        monkeypatch.setattr(experiment, "_BACKPTR_BYTES", 3 * 240 - 1)
+        # 24 slots, 5 unit layers: 5 * 2 * 3 packed backpointer bytes plus
+        # 42 * 25 row bytes = 1080 bytes a trial
+        monkeypatch.setattr(offline, "_DP_BATCH_BYTES", 3 * 1080 - 1)
         sizes = self._batch_sizes(monkeypatch)
         assert TestFamilyMemo._check_against_fresh_trials(cfg, ds)
         assert sizes == [2, 2, 2, 1]
@@ -282,14 +283,15 @@ class TestChunkedTrials:
     def test_default_budget_chunks(self, monkeypatch):
         sizes = self._batch_sizes(monkeypatch)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
-        run_experiment(ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, trials=160), ds)
-        assert sizes == [75, 75, 10]  # 64 KiB over 48 * 9 * 2 bytes a trial
+        run_experiment(ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, trials=250), ds)
+        # 512 KiB over 9 * 2 * 6 packed bytes plus 42 * 49 row bytes a trial
+        assert sizes == [242, 8]
         sizes.clear()
         ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
         run_experiment(
-            ExperimentConfig(variant=Variant.MAX, T=720, k=120, beta=1.0, trials=2), ds
+            ExperimentConfig(variant=Variant.MAX, T=720, k=120, beta=1.0, trials=11), ds
         )
-        assert sizes == [1, 1]  # a trial's 174 240 bytes exceed the budget
+        assert sizes == [10, 1]  # 121 * 2 * 90 packed bytes plus 42 * 721 a trial
 
     def test_noisy_max_run_still_aborts_at_trial_2(self):
         # beta = 0.05 U = 4.948 >= kL/2 = 1.078 once trial 2's noised segment

@@ -148,6 +148,32 @@ class TestTieBreaks:
         assert cb.total == brute_force_optimal(instance)[1].total
 
 
+def byte_per_state_kernel(prices, k, beta):
+    """The batched kernel with one backpointer byte a state: (k+1, 2, n)
+    costs of every layer and (k+1, 2, n, T) uint8 backpointers."""
+    n, T = prices.shape
+    cost = np.empty((k + 1, 2, n))
+    prev_choice = np.zeros((k + 1, 2, n, T), dtype=np.uint8)
+    back = prev_choice.view(bool)
+    on = np.full((n, T + 1), np.inf)
+    off = np.zeros((n, T + 1))
+    off_switch = np.full((n, T + 1), np.inf)
+    best_on = np.empty((n, T))
+    on_prev, on_next = on[:, :-1], on[:, 1:]
+    off_prev, off_switch_next = off[:, :-1], off_switch[:, 1:]
+    cost[0] = off[:, -1], on[:, -1]
+    for j in range(1, k + 1):
+        np.add(off_prev, beta, out=best_on)
+        np.less_equal(on_prev, best_on, out=back[j, 1])
+        np.minimum(on_prev, best_on, out=best_on)
+        np.add(best_on, prices, out=on_next)
+        np.add(on_prev, beta, out=off_switch_next)
+        np.minimum.accumulate(off_switch, axis=1, out=off)
+        np.greater(off_prev, off_switch_next, out=back[j, 0])
+        cost[j] = off[:, -1], on[:, -1]
+    return cost, prev_choice
+
+
 @st.composite
 def tie_heavy_batches(draw):
     """1..6 instances sharing (k, T, beta, variant), with small integer prices."""
@@ -187,14 +213,30 @@ class TestBatchedDP:
         sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
         prices = sign * np.array([inst.prices for inst in batch], dtype=np.float64)
         k, beta = batch[0].k, float(batch[0].beta)
-        cost, back = _dp_kernel(prices, k, beta)
+        cost, packed = _dp_kernel(prices, k, beta)
         T = batch[0].T
-        assert cost.shape == (k + 1, 2, len(batch))
-        assert back.shape == (k + 1, 2, len(batch), T)
+        assert cost.shape == (2, len(batch))
+        assert packed.shape == (k + 1, 2, len(batch), (T + 7) // 8)
         for i in range(len(batch)):
-            cost1, back1 = _dp_kernel(prices[i : i + 1], k, beta)
-            assert cost[:, :, i].tobytes() == cost1[:, :, 0].tobytes()
-            assert back[:, :, i].tobytes() == back1[:, :, 0].tobytes()
+            cost1, packed1 = _dp_kernel(prices[i : i + 1], k, beta)
+            assert cost[:, i].tobytes() == cost1[:, 0].tobytes()
+            assert packed[:, :, i].tobytes() == packed1[:, :, 0].tobytes()
+
+    @given(tie_heavy_batches(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_bits_equal_the_byte_per_state_kernel(self, batch, zero_beta):
+        sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
+        prices = sign * np.array([inst.prices for inst in batch], dtype=np.float64)
+        k, beta = batch[0].k, 0.0 if zero_beta else float(batch[0].beta)
+        cost, packed = _dp_kernel(prices, k, beta)
+        ref_cost, ref_back = byte_per_state_kernel(prices, k, beta)
+        assert cost.tobytes() == ref_cost[k].tobytes()
+        T = batch[0].T
+        assert np.unpackbits(packed, axis=-1, count=T, bitorder="little").tobytes() == (
+            ref_back.tobytes()
+        )
+        # the pad bits past slot T-1 are zero
+        assert packed.tobytes() == np.packbits(ref_back, axis=-1, bitorder="little").tobytes()
 
     def test_empty_batch(self):
         assert dp_optimal_many([]) == []

@@ -87,19 +87,22 @@ class TestParse:
         assert again.region == "rt"
 
     @given(
-        st.text(
-            st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
-        ).map(str.strip),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
         st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]),
-        st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1)).map(
-            lambda ts: ts.replace(microsecond=0, tzinfo=timezone.utc)
+        st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1)),
+        st.one_of(
+            st.none(),
+            st.integers(-24 * 60 + 1, 24 * 60 - 1).map(
+                lambda minutes: timezone(timedelta(minutes=minutes))
+            ),
         ),
         st.data(),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_fuzz(self, region, kind, start, data):
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_fuzz(self, region, kind, start, tz, data):
         top = 100.0 if kind is TraceKind.CARBON_FREE_PCT else 1e300
         values = tuple(data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=50)))
+        start = start.replace(tzinfo=tz)
         ds = TraceDataset(
             region=region,
             timestamps=tuple(start + timedelta(hours=h) for h in range(len(values))),
@@ -108,11 +111,45 @@ class TestParse:
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
+            if "\n" in region or "\r" in region or region != region.strip():
+                with pytest.raises(TraceError, match="cannot be written"):
+                    write_trace(ds, path)
+                assert not path.exists()
+                return
             write_trace(ds, path)
             again = parse_trace(path, kind)
         assert [v.hex() for v in again.values] == [v.hex() for v in values]
-        assert again.timestamps == ds.timestamps
+        # a naive start is UTC; an aware one comes back as the same instant in UTC
+        utc = start.replace(tzinfo=timezone.utc) if tz is None else start.astimezone(timezone.utc)
+        expected = tuple(utc + timedelta(hours=h) for h in range(len(values)))
+        assert [ts.isoformat() for ts in again.timestamps] == [ts.isoformat() for ts in expected]
         assert again.region == region
+
+    def test_offset_timestamps_are_written_as_the_same_instant(self, tmp_path):
+        noon = datetime(2021, 6, 1, 12, tzinfo=timezone(timedelta(hours=2)))
+        ds = TraceDataset(
+            region="x",
+            timestamps=(noon, noon + timedelta(hours=1)),
+            values=(1.0, 2.0),
+            kind=TraceKind.INTENSITY,
+        )
+        path = tmp_path / "t.csv"
+        write_trace(ds, path)
+        assert path.read_text().splitlines()[2] == "2021-06-01T10:00:00+00:00,1.0"
+        assert parse_trace(path).timestamps[0] == datetime(2021, 6, 1, 10, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("region", ["a\nb", "a\rb", " a", "a ", "a\t", "\n"])
+    def test_unwritable_region_is_rejected_before_the_file_opens(self, tmp_path, region):
+        ds = TraceDataset(
+            region=region,
+            timestamps=(datetime(2021, 1, 1, tzinfo=timezone.utc),),
+            values=(1.0,),
+            kind=TraceKind.INTENSITY,
+        )
+        path = tmp_path / "t.csv"
+        with pytest.raises(TraceError, match="cannot be written"):
+            write_trace(ds, path)
+        assert not path.exists()
 
 
 class TestBounds:
@@ -184,6 +221,37 @@ class TestNoise:
         mu = math.fsum(vals) / len(vals)
         for v, nv in zip(vals, apply_noise(vals, 1.0, kind)):
             assert abs(nv - v) <= math.ulp(max(v, mu))
+
+    @given(
+        st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]),
+        st.one_of(
+            st.sampled_from([1, 1.0, 1.5, 3]),
+            st.floats(min_value=1, max_value=1e6),
+            st.floats(min_value=1, max_value=1e300),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_scalar_loop(self, kind, m, data):
+        top = 100.0 if kind is TraceKind.CARBON_FREE_PCT else 1e300
+        vals = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, top)), min_size=1, max_size=60)
+        )
+
+        def scalar_loop(prices, m, kind):
+            vals = tuple(float(v) for v in prices)
+            mu = math.fsum(vals) / len(vals)
+            out = []
+            for v in vals:
+                nv = max(mu + m * (v - mu), 0.0)
+                if kind is TraceKind.CARBON_FREE_PCT:
+                    nv = min(nv, 100.0)
+                out.append(nv)
+            return tuple(out)
+
+        out = apply_noise(vals, m, kind)
+        assert all(type(v) is float for v in out)
+        assert [v.hex() for v in out] == [v.hex() for v in scalar_loop(vals, m, kind)]
 
     def test_doubling_deviations(self):
         assert apply_noise((2, 4, 6), 2.0, TraceKind.INTENSITY) == (0.0, 4.0, 8.0)
