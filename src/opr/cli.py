@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 parameter/regime error, 3 input-data error.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401  (perfbench/tracer.py resolves its `cli:json.dump` target here)
 import math
 import sys
 from pathlib import Path
@@ -22,6 +22,7 @@ from .experiment import (
     run_experiment,
     sweep_ratios,
 )
+from .jsonout import write_json
 from .thresholds import solve_alpha, solve_omega
 from .traces import TraceKind, parse_trace, synthetic_diurnal
 
@@ -61,13 +62,20 @@ def _parse_synthetic_spec(spec: str) -> dict:
     return out
 
 
-def _check_out_paths(*paths: str | None) -> None:
-    """Before any work: each output path must name a file in an existing directory."""
+def _check_out_paths(*paths: str | None, reads: str | None = None) -> None:
+    """Before any work: each output path must name a file in an existing
+    directory, and no two of the outputs and the input `reads` may resolve
+    to the same file."""
+    seen = {Path(reads).resolve(): f"the input {reads}"} if reads else {}
     for path in filter(None, paths):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"no directory to write {path} into")
         if Path(path).is_dir():
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ParameterError(f"cannot write {path}: it is the same file as {seen[resolved]}")
+        seen[resolved] = path
 
 
 def _cmd_solve(args) -> int:
@@ -84,7 +92,8 @@ def _cmd_solve(args) -> int:
             "lower": list(family.lower),
             "upper": list(family.upper),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        write_json(payload, sys.stdout.write)
+        print()
     else:
         name = "alpha" if variant is Variant.MIN else "omega"
         print(f"{name} = {family.ratio:.12g}")
@@ -154,11 +163,11 @@ def _cmd_simulate(args) -> int:
         algs=algs,
         trace_source=source,
     )
-    _check_out_paths(args.out, args.cdf)
+    _check_out_paths(args.out, args.cdf, reads=args.trace)
     result = run_experiment(cfg, ds)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(result.to_dict(), fh.write)
         fh.write("\n")
     print(f"wrote results for {cfg.trials} trials to {out}")
     if args.cdf:

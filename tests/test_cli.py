@@ -33,7 +33,9 @@ class TestSolve:
             ["solve", "--variant", "max", "--k", "4", "--u", "30", "--l", "5",
              "--beta", "3", "--json"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["ratio"] > 1
         assert len(payload["lower"]) == 4
         assert all(
@@ -238,6 +240,37 @@ class TestSimulate:
         assert captured.out == "" and "directory" in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
         assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--cdf"])
+    def test_output_naming_the_trace_exits_2_before_trial_0(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        _forbid(monkeypatch, "run_experiment")
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(SHIPPED_TRACE.read_bytes())
+        paths = {"--out": str(tmp_path / "r.json"), "--cdf": str(tmp_path / "cdf.csv")}
+        paths[flag] = str(trace)
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(trace), "--beta", "1",
+             "--trials", "3", "--out", paths["--out"], "--cdf", paths["--cdf"]]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "same file as the input" in captured.err
+        assert trace.read_bytes() == SHIPPED_TRACE.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+    def test_out_and_cdf_naming_one_file_exit_2_before_trial_0(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _forbid(monkeypatch, "run_experiment")
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE), "--beta", "1",
+             "--trials", "3", "--out", "r.json", "--cdf", "./r.json"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "same file" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_naming_a_directory_exits_3(self, tmp_path, capsys):
         assert main(

@@ -2,12 +2,17 @@
 and the ratio grid of ``opr sweep``.
 
 A performance change must leave every byte of ``results.json`` unchanged.
-These digests are sha256 of ``json.dumps(result.to_dict(), sort_keys=True)``
-on the shipped traces; they were computed before the offline DP moved from a
-loop over the slots to a loop over the units, and must never be regenerated
-to make a change pass.  The sweep digests cover the ``repr`` of every cell
-of the theory grid; they were computed before the ratio bisection inlined
-its residuals.
+``GOLDENS`` digests are sha256 of the compact
+``json.dumps(result.to_dict(), sort_keys=True)`` on the shipped traces, so
+they pin the result values; they were computed before the offline DP moved
+from a loop over the slots to a loop over the units.  ``FILE_GOLDENS`` are
+sha256 of the ``results.json`` and ``cdf.csv`` files that ``opr simulate``
+writes for the same configs, so they pin the bytes on disk (indentation,
+separators, escapes, trailing newline); they were computed while the CLI
+still wrote through ``json.dump(..., indent=2)``.  The sweep digests cover
+the ``repr`` of every cell of the theory grid; they were computed before the
+ratio bisection inlined its residuals.  No digest may be regenerated to make
+a change pass.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from importlib import resources
 
 import pytest
 
+import opr.cli
 from opr.core import Variant
 from opr.errors import RegimeError
 from opr.experiment import ExperimentConfig, run_experiment, sweep_ratios
@@ -48,6 +54,35 @@ def test_results_bytes_are_unchanged(trace, kind, params, digest):
     cfg = ExperimentConfig(beta_frac=0.05, seed=42, **params)
     blob = json.dumps(run_experiment(cfg, ds).to_dict(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+#: (results.json, cdf.csv) sha256 of `opr simulate` for each GOLDENS config
+FILE_GOLDENS = [
+    ("dd48a7c0a10cc2e9601932a1bcd4e8a2c004be921b86f13da9606cd92222ee5b",
+     "706cf86ac392304feff208ddb369f2f0cc0d4593e6d9bc7c9666e8483b7ff626"),
+    ("d9883f563817d18dc2a42649fefd84eb23407aaead38fc425633626f9d99c7e9",
+     "3dba0db36c1b1f40de3442cb28a49afc4daee59c60e06ad6895164c55d3cc16a"),
+    ("30330fb829e01c9e91d4a506fb2b558d4a8feda73fef3addf3208324467fcd4f",
+     "6a29a88a7520eca771892c2bb5b684c8457b4937395023331feac17cf777ceb9"),
+]
+
+
+@pytest.mark.parametrize(
+    "golden, files", zip(GOLDENS, FILE_GOLDENS), ids=["min-noise1", "min-noise3", "max-T720"]
+)
+def test_simulate_file_bytes_are_unchanged(golden, files, tmp_path, monkeypatch):
+    trace, _, params, _ = golden
+    # the bare file name makes the echoed trace_source the same on every machine
+    monkeypatch.chdir(resources.files("opr") / "data")
+    out, cdf = tmp_path / "results.json", tmp_path / "cdf.csv"
+    assert opr.cli.main(
+        ["simulate", "--variant", params["variant"].value, "--trace", trace,
+         "--t-horizon", str(params["T"]), "--k", str(params["k"]),
+         "--noise", str(params["noise"]), "--trials", str(params["trials"]),
+         "--beta-frac", "0.05", "--seed", "42", "--out", str(out), "--cdf", str(cdf)]
+    ) == 0
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, cdf))
+    assert got == files
 
 
 # --- ratio solves -----------------------------------------------------------
