@@ -26,7 +26,7 @@ from .experiment import (
     summarize,
     sweep_ratios,
 )
-from .offline import brute_force_optimal, dp_optimal, dp_optimal_many
+from .offline import dp_optimal, dp_optimal_many
 from .thresholds import (
     AsymptoticRegime,
     ThresholdFamily,
@@ -46,7 +46,6 @@ from .traces import (
     TraceKind,
     apply_noise,
     parse_trace,
-    sample_segment,
     synthetic_diurnal,
     trace_bounds,
     write_trace,
@@ -74,7 +73,6 @@ __all__ = [
     "apply_noise",
     "asymptotic_alpha",
     "asymptotic_omega",
-    "brute_force_optimal",
     "constant_threshold",
     "dp_optimal",
     "dp_optimal_many",
@@ -90,7 +88,6 @@ __all__ = [
     "parse_trace",
     "run_experiment",
     "run_online",
-    "sample_segment",
     "solve_alpha",
     "solve_omega",
     "summarize",

@@ -14,8 +14,11 @@ the first k slots.
 
 The state machine is one loop, ``PlayerState.feed``: ``run_online`` feeds it
 the whole price sequence, and ``step``, the protocol the adversary drives,
-is that same loop on one price.  ``player_family`` is the one place the
-per-kind threshold family is built.
+is that same loop on one price.  ``play_lanes`` is the same machine over
+many lanes at once, for the experiment pipeline: its loop runs over the
+slots, and each step is a few numpy passes over every (algorithm, trial)
+lane.  ``player_family`` is the one place the per-kind threshold family is
+built.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -26,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
 from .errors import ParameterError, ProtocolError
@@ -206,3 +211,57 @@ def hindsight_trace(
     """Run a player and evaluate its schedule in one call."""
     sched = run_online(kind, inst, family)
     return sched, evaluate_schedule(inst, sched)
+
+
+def play_lanes(
+    prices: np.ndarray, rails: np.ndarray, lanes: np.ndarray, variant: Variant
+) -> np.ndarray:
+    """`PlayerState.feed` of many players at once, decision for decision.
+
+    ``prices`` is (n, T), one trial a row.  ``rails`` is (F, 2, k+1): row f
+    holds a family's lower rail in ``rails[f, 0, :k]`` and its upper rail in
+    ``rails[f, 1, :k]``.  ``lanes`` is (n, m) row numbers: lane (i, a) plays
+    price row i on rail row ``lanes[i, a]``, and reads the rails as ``feed``
+    does.  Column k is scratch: it is set here to a price no lane accepts,
+    so a lane that has filled its k units declines from then on.  Returns
+    the (n, m, T) int8 decisions.
+
+    Each slot gathers every lane's rail for its next unit and previous
+    decision, compares (ties accept), and forces acceptance once the units
+    left reach the slots left.  Decisions come from compares only, so they
+    are ``feed``'s bit for bit.  The loop stops once every lane has filled
+    its k units.
+    """
+    n, T = prices.shape
+    m, width = lanes.shape[1], rails.shape[-1]
+    k = width - 1
+    is_min = variant is _VARIANT_MIN
+    accepts = np.less_equal if is_min else np.greater_equal
+    rails[..., k] = -np.inf if is_min else np.inf
+    flat = rails.reshape(-1)
+    # the flat index of each lane's rail after a reject (resume: lower on
+    # the min side, upper on the max side) for its next unit; the rail after
+    # an accept (stay) is `width` away, in the direction `onto_stay`
+    resume, onto_stay = (0, width) if is_min else (width, -width)
+    filled = lanes * (2 * width) + resume
+    # a lane is forced at slot t (0-based) while filled <= forced_at + t
+    forced_at = filled - (T - k)
+    idx, rail = filled.copy(), np.empty((n, m))
+    forced, scratch = np.empty((n, m), dtype=bool), np.empty_like(filled)
+    decided = np.zeros((T, n, m), dtype=bool)
+    cols, left = prices.T[:, :, None], n * m * k
+    for t in range(T):
+        x = decided[t]
+        np.take(flat, idx, out=rail)
+        accepts(cols[t], rail, out=x)
+        if t >= T - k:
+            np.add(forced_at, t, out=scratch)
+            np.less_equal(filled, scratch, out=forced)
+            x |= forced
+        filled += x
+        left -= np.count_nonzero(x)
+        if not left:
+            break
+        np.multiply(x, onto_stay, out=idx)
+        idx += filled
+    return decided.view(np.int8).transpose(1, 2, 0)

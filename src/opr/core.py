@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import FeasibilityError, ParameterError, StructuralError
 
 
@@ -137,6 +139,23 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> CostBreakdown:
         total=total,
         num_switches=flips,
     )
+
+
+def lane_flips(decisions: np.ndarray) -> np.ndarray:
+    """`evaluate_schedule`'s flip count of every 0/1 row along the last axis."""
+    d = decisions
+    return d[..., 0] + d[..., -1] + np.count_nonzero(d[..., 1:] != d[..., :-1], axis=-1)
+
+
+def lane_total(
+    prices: list[float], decisions: bytes, flips: int, beta: float, variant: Variant
+) -> float:
+    """`evaluate_schedule`'s total of one feasible schedule, bit for bit,
+    from its prices, its decisions as 0/1 bytes and its `lane_flips` count."""
+    accepted = math.fsum(itertools.compress(prices, decisions))
+    if variant is Variant.MIN:
+        return accepted + beta * flips
+    return accepted - beta * flips
 
 
 def extreme_price(prices: Sequence[float] | Iterable[float], variant: Variant) -> float:

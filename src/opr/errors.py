@@ -33,10 +33,6 @@ class ProtocolError(OprError):
     stepping past the horizon, or a player that fails to fill its units."""
 
 
-class SizeError(OprError):
-    """Exhaustive enumeration guard exceeded."""
-
-
 class DomainError(ParameterError):
     """Argument outside a numeric kernel's domain (e.g. Lambert W below -1/e)."""
 

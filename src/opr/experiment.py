@@ -14,8 +14,11 @@ keep the trace-wide L floored at the segment minimum, and lift truncated
 zeros to the smallest positive segment value; every adjustment is recorded
 in the trial record rather than silently applied.
 
+A run goes in lane passes: it samples a pass of trials into one (n, T)
+price array, solves OPT for every row, plays every (trial, algorithm) lane
+in one `play_lanes` call, then completes the records in trial order.
 Threshold families depend on a trial only through its (L, U), so a run keeps
-each algorithm's last family and reuses it while consecutive trials repeat
+each algorithm's last rails and reuses them while consecutive trials repeat
 (L, U); the records are the same as if every trial built its own.
 """
 
@@ -25,11 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algorithms import PlayerKind, hindsight_trace, player_family
-from .core import CostBreakdown, Instance, Variant
+import numpy as np
+
+from .algorithms import PlayerKind, play_lanes, player_family
+from .core import CostBreakdown, Instance, Variant, lane_flips, lane_total
 from .errors import DegenerateProfitError, OprError, ParameterError
-from .offline import dp_batch_len, dp_optimal, dp_optimal_many
-from .thresholds import ThresholdFamily, solve_alpha, solve_omega
+from .offline import dp_decisions
+from .thresholds import solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -40,6 +45,10 @@ from .traces import (
 
 #: clip factor applied to (U-L)/2 when the true beta leaves the min regime
 _BETA_CLIP = 0.999999
+
+#: byte budget of one lane pass's arrays; the offline DP keeps its own budget
+#: inside each pass
+_PASS_BYTES = 2 * 1024 * 1024
 
 #: short algorithm names used in configs, result files, and the CLI
 ALG_NAMES = tuple(kind.value for kind in PlayerKind)
@@ -127,16 +136,19 @@ class ExperimentResult:
 
 def empirical_cr(alg: CostBreakdown, opt: CostBreakdown, variant: Variant) -> float:
     """ALG/OPT for min, OPT/ALG for max; both >= 1 when OPT is exact."""
+    return _ratio(alg.total, opt.total, variant)
+
+
+def _ratio(alg: float, opt: float, variant: Variant) -> float:
     if variant is Variant.MIN:
-        if opt.total <= 0:
-            raise ParameterError(f"min ratio needs opt.total > 0, got {opt.total}")
-        return alg.total / opt.total
-    if alg.total <= 0:
+        if opt <= 0:
+            raise ParameterError(f"min ratio needs opt.total > 0, got {opt}")
+        return alg / opt
+    if alg <= 0:
         raise DegenerateProfitError(
-            f"nonpositive profit {alg.total}: beta too large relative to kL, "
-            "ratio undefined"
+            f"nonpositive profit {alg}: beta too large relative to kL, ratio undefined"
         )
-    return opt.total / alg.total
+    return opt / alg
 
 
 def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple[float, float], ...]]:
@@ -155,23 +167,43 @@ def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple
     return math.fsum(ordered) / n, p95, ordered[-1], cdf
 
 
-def _trial_family(
-    kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
-) -> tuple[ThresholdFamily, bool]:
-    """Threshold family a trial runs, and whether beta was clipped for it.
+def _trial_rails(
+    kind: PlayerKind, k: int, L: float, U: float, beta: float, variant: Variant, families: dict
+) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+    """A kind's (lower, upper) rails at (L, U), and whether beta was clipped
+    for them.
 
     When beta >= (U-L)/2, the min algorithm degenerates to one contiguous
     block; DTPR's min thresholds are then built from a clipped beta while the
-    instance still charges the true one.
+    instance still charges the true one.  ``families`` holds, per kind name,
+    the last (L, U) seen and its rails, reused while (L, U) repeats and
+    replaced when it changes; pass ``{}`` to build afresh.  Only the rails
+    are kept, never the family.
     """
-    clipped = (
-        kind is PlayerKind.DTPR
-        and variant is Variant.MIN
-        and not (U > L and beta < (U - L) / 2)
-    )
-    if clipped:
-        beta = _BETA_CLIP * (U - L) / 2
-    return player_family(kind, k, U, L, beta, variant), clipped
+    slot = families.get(kind.value)
+    if slot is None or slot[0] != (L, U):
+        clipped = (
+            kind is PlayerKind.DTPR
+            and variant is Variant.MIN
+            and not (U > L and beta < (U - L) / 2)
+        )
+        family = player_family(
+            kind, k, U, L, _BETA_CLIP * (U - L) / 2 if clipped else beta, variant
+        )
+        slot = families[kind.value] = ((L, U), (family.lower, family.upper, clipped))
+    return slot[1]
+
+
+def pass_len(T: int, k: int, m: int) -> int:
+    """How many trials one lane pass of m algorithms holds within
+    `_PASS_BYTES` (at least one).
+
+    A trial costs its float64 price row and int8 OPT row, and each of its m
+    lanes at most one rail row of 2(k+1) float64 values and two bytes a slot
+    of decisions (`play_lanes`'s booleans and the bytes they are scored
+    from).
+    """
+    return max(1, _PASS_BYTES // (9 * T + m * (16 * (k + 1) + 2 * T)))
 
 
 def _trial_bounds(
@@ -211,32 +243,96 @@ def sample_trial(
                       bounds_widened=widened, floored_values=floored)
 
 
-def score_trial(
-    inst: Instance, record: dict, opt: CostBreakdown, kinds: Sequence[PlayerKind], families: dict
+def _complete_record(
+    record: dict,
+    prices: list[float],
+    opt: tuple[bytes, int],
+    lanes: list[tuple[bytes, int, bool]],
+    names: Sequence[str],
+    beta: float,
+    variant: Variant,
 ) -> dict:
-    """A trial's last phase: run ``kinds`` against OPT and complete its
-    ``record``.  ``families`` holds, per name, the last (L, U) seen and its
-    ``_trial_family`` result; it is reused while (L, U) repeats and replaced
-    when it changes, so pass ``{}`` to build afresh."""
-    record.update(opt_total=opt.total, algs={})
-    for kind in kinds:
-        name = kind.value
-        slot = families.get(name)
-        if slot is None or slot[0] != (inst.L, inst.U):
-            slot = families[name] = (
-                (inst.L, inst.U),
-                _trial_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant),
-            )
-        family, clipped = slot[1]
-        _, cost = hindsight_trace(kind, inst, family)
-        ratio = empirical_cr(cost, opt, inst.variant)
+    """A trial's last phase: its OPT total, then the total, switches, ratio
+    and clipped flag of each algorithm in ``names`` order.  ``opt`` and each
+    of ``lanes`` hold the decision bytes and flip count of one schedule; a
+    lane also holds its clipped flag."""
+    opt_total = lane_total(prices, *opt, beta, variant)
+    record.update(opt_total=opt_total, algs={})
+    for name, (decisions, flips, clipped) in zip(names, lanes):
+        total = lane_total(prices, decisions, flips, beta, variant)
         record["algs"][name] = {
-            "total": cost.total,
-            "switches": cost.num_switches,
-            "ratio": ratio,
+            "total": total,
+            "switches": flips,
+            "ratio": _ratio(total, opt_total, variant),
             "beta_clipped": clipped,
         }
     return record
+
+
+def _run_trials(
+    cfg: ExperimentConfig,
+    ds: TraceDataset,
+    bounds: TraceBounds,
+    beta_abs: float,
+    kinds: Sequence[PlayerKind],
+    families: dict,
+    start: int,
+    stop: int,
+) -> list[dict]:
+    """The records of trials [start, stop), from one lane pass.
+
+    Each trial is sampled into a row of one price array and each of its
+    algorithms' rails into its lane; OPT is solved for every row and every
+    lane is played in one `play_lanes` call.  Sampling and rail building
+    stop at the first error, which is raised as ``trial i: ...`` once every
+    trial before it, and every algorithm before it in its trial, is scored.
+    """
+    T, k, variant, m = cfg.T, cfg.resolved_k(), cfg.variant, len(kinds)
+    prices = np.empty((stop - start, T))
+    # each rail pair the memo hands out, copied once; `lane_rows` says which
+    # row each lane plays.  Lanes past a failure play row 0, which exists
+    # even when never written, and are never scored.
+    table = np.zeros((m * (stop - start), 2, k + 1))
+    lane_rows = np.zeros((stop - start, m), dtype=np.intp)
+    records, clipped, failure, used = [], [], None, 0
+    last = [(None, 0)] * m  # each kind's last rails and their row
+    for trial in range(start, stop):
+        try:
+            inst, record = sample_trial(cfg, ds, bounds, trial, beta_abs)
+            row = len(records)
+            prices[row] = inst.prices
+            records.append(record)
+            for a, kind in enumerate(kinds):
+                rails = _trial_rails(kind, k, inst.L, inst.U, beta_abs, variant, families)
+                if rails is not last[a][0]:
+                    table[used, :, :k] = rails[:2]
+                    last[a], used = (rails, used), used + 1
+                lane_rows[row, a] = last[a][1]
+                clipped.append(rails[2])
+        except OprError as exc:
+            failure = trial, exc
+            break
+    n = len(records)
+    if n:
+        opt_rows = dp_decisions(prices[:n], k, float(beta_abs), variant)
+        alg_rows = play_lanes(prices[:n], table[: max(used, 1)], lane_rows[:n], variant)
+        opt_flips, alg_flips = lane_flips(opt_rows).tolist(), lane_flips(alg_rows).tolist()
+        opt_bytes, alg_bytes = opt_rows.tobytes(), alg_rows.tobytes()
+    names = [kind.value for kind in kinds]
+    for i, record in enumerate(records):
+        opt = opt_bytes[i * T : (i + 1) * T], opt_flips[i]
+        lanes = [
+            (alg_bytes[(i * m + a) * T : (i * m + a + 1) * T], alg_flips[i][a], clipped[i * m + a])
+            for a in range(min(m, len(clipped) - i * m))
+        ]
+        try:
+            _complete_record(record, prices[i].tolist(), opt, lanes, names, beta_abs, variant)
+        except OprError as exc:
+            raise type(exc)(f"trial {record['trial']}: {exc}") from exc
+    if failure is not None:
+        trial, exc = failure
+        raise type(exc)(f"trial {trial}: {exc}") from exc
+    return records
 
 
 def run_trial(
@@ -246,38 +342,27 @@ def run_trial(
     trial: int,
     beta_abs: float,
     kinds: Sequence[PlayerKind],
-    families: dict[str, tuple[tuple[float, float], tuple[ThresholdFamily, bool]]],
+    families: dict,
 ) -> dict:
-    """One trial's record, by `run_experiment`'s three phases at one trial.
-    ``kinds`` run under their names ``kind.value``; see `score_trial`."""
-    inst, record = sample_trial(cfg, ds, bounds, trial, beta_abs)
-    return score_trial(inst, record, dp_optimal(inst)[1], kinds, families)
+    """One trial's record, by `run_experiment`'s lane pass at one trial.
+    ``kinds`` run under their names ``kind.value``; see `_trial_rails` for
+    ``families``."""
+    return _run_trials(cfg, ds, bounds, beta_abs, kinds, families, trial, trial + 1)[0]
 
 
 def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
-    """Run all trials in chunks (sample each, one DP batch, score each); the
-    first failing trial aborts the run with its index, as if run one by one."""
+    """Run all trials in lane passes of `pass_len` trials; the first failing
+    trial aborts the run with its index, as if run one by one."""
     bounds = trace_bounds(ds)
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
     kinds = [resolve_player_kind(name) for name in cfg.algs]
-    # each algorithm's last (L, U) and its family; nothing outlives this run
+    # each algorithm's last (L, U) and its rails; nothing outlives this run
     families: dict = {}
-    chunk = dp_batch_len(cfg.T, cfg.resolved_k())
-    for start in range(0, cfg.trials, chunk):
-        batch, failure = [], None
-        try:
-            for trial in range(start, min(start + chunk, cfg.trials)):
-                batch.append(sample_trial(cfg, ds, bounds, trial, beta_abs))
-        except OprError as exc:
-            failure = exc
-        for (inst, record), (_, opt) in zip(batch, dp_optimal_many([b[0] for b in batch])):
-            try:
-                records.append(score_trial(inst, record, opt, kinds, families))
-            except OprError as exc:
-                raise type(exc)(f"trial {record['trial']}: {exc}") from exc
-        if failure is not None:
-            raise type(failure)(f"trial {start + len(batch)}: {failure}") from failure
+    step = pass_len(cfg.T, cfg.resolved_k(), len(kinds))
+    for start in range(0, cfg.trials, step):
+        stop = min(start + step, cfg.trials)
+        records += _run_trials(cfg, ds, bounds, beta_abs, kinds, families, start, stop)
     summary: dict[str, dict] = {}
     cdf: dict[str, tuple[tuple[float, float], ...]] = {}
     for name in cfg.algs:

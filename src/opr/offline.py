@@ -1,4 +1,4 @@
-"""Exact offline optima: dynamic program plus a brute-force oracle.
+"""Exact offline optima: a dynamic program and its backtrace.
 
 The DP runs over states (slot t, units used j, previous decision p) with
 transitions that add the price on accept and beta on every 0<->1 flip,
@@ -14,13 +14,10 @@ byte, and `dp_batch_len` sizes a batch by the kernel's whole working set.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-
 import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
-from .errors import ParameterError, SizeError
+from .errors import ParameterError
 
 _INF = np.inf
 
@@ -89,34 +86,50 @@ def _dp_kernel(prices: np.ndarray, k: int, beta: float):
     return np.stack((off[:, -1], on[:, -1])), packed
 
 
+def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> np.ndarray:
+    """The optimal decisions of every row of (n, T) prices, as (n, T) int8.
+
+    The rows share k, beta and the variant.  The kernel solves `dp_batch_len`
+    rows a call, and one scalar backtrace per row writes its decisions.
+    Left of a row's first accepted slot every decision is 0, so the
+    backtrace stops there.
+    """
+    n, T = prices.shape
+    out = bytearray(n * T)
+    step = dp_batch_len(T, k)
+    for start in range(0, n, step):
+        rows = prices[start : start + step]
+        cost, packed = _dp_kernel(rows if variant is Variant.MIN else -rows, k, beta)
+        # closing boundary: a final x_T = 1 pays one more flip
+        close_on = (cost[0] > cost[1] + beta).tolist()
+        back, batch, width = memoryview(packed.reshape(-1)), len(rows), packed.shape[-1]
+        for i, p in enumerate(close_on):
+            j, p, row = k, int(p), (start + i) * T
+            for t in range(T - 1, -1, -1):
+                out[row + t] = p
+                q = (back[((j * 2 + p) * batch + i) * width + (t >> 3)] >> (t & 7)) & 1
+                j -= p
+                if not j:
+                    break
+                p = q
+    return np.frombuffer(out, dtype=np.int8).reshape(n, T)
+
+
 def dp_optimal_many(insts: list[Instance]) -> list[tuple[Schedule, CostBreakdown]]:
-    """`dp_optimal` of every instance, bit for bit, from one kernel call.
+    """`dp_optimal` of every instance, bit for bit, through `dp_decisions`.
 
     The instances may differ in prices and bounds only; k, T, beta and
-    variant must be shared (ParameterError otherwise).  `dp_batch_len` says
-    how many to pass at once.
+    variant must be shared (ParameterError otherwise).
     """
     if not insts:
         return []
     if len({(inst.k, inst.T, inst.beta, inst.variant) for inst in insts}) > 1:
         raise ParameterError("a DP batch needs one (k, T, beta, variant) for all instances")
-    k, T, beta, variant = insts[0].k, insts[0].T, insts[0].beta, insts[0].variant
-    sign = 1.0 if variant is Variant.MIN else -1.0
-    prices = sign * np.array([inst.prices for inst in insts], dtype=np.float64)
-    cost, packed = _dp_kernel(prices, k, float(beta))
-    # closing boundary: a final x_T = 1 pays one more flip
-    close_on = (cost[0] > cost[1] + beta).tolist()
-    back, n, width = memoryview(packed.reshape(-1)), len(insts), packed.shape[-1]
+    k, beta, variant = insts[0].k, insts[0].beta, insts[0].variant
+    prices = np.array([inst.prices for inst in insts], dtype=np.float64)
     out = []
-    for i, inst in enumerate(insts):
-        decisions = [0] * T
-        j, p = k, int(close_on[i])
-        for t in range(T - 1, -1, -1):
-            decisions[t] = p
-            q = (back[((j * 2 + p) * n + i) * width + (t >> 3)] >> (t & 7)) & 1
-            j -= p
-            p = q
-        sched = Schedule(tuple(decisions))
+    for inst, row in zip(insts, dp_decisions(prices, k, float(beta), variant).tolist()):
+        sched = Schedule(tuple(row))
         out.append((sched, evaluate_schedule(inst, sched)))
     return out
 
@@ -131,31 +144,3 @@ def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     reproducible.
     """
     return dp_optimal_many([inst])[0]
-
-
-def brute_force_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
-    """Independent oracle: enumerate every k-subset of slots.
-
-    Guarded at C(T, k) <= 10^6.  Ties break toward the lexicographically
-    smallest decision vector.
-    """
-    n_subsets = math.comb(inst.T, inst.k)
-    if n_subsets > 10**6:
-        raise SizeError(f"C({inst.T},{inst.k})={n_subsets} exceeds the 1e6 guard")
-    best_sched: Schedule | None = None
-    best_cost: CostBreakdown | None = None
-    minimizing = inst.variant is Variant.MIN
-    for subset in combinations(range(inst.T), inst.k):
-        decisions = [0] * inst.T
-        for idx in subset:
-            decisions[idx] = 1
-        sched = Schedule(tuple(decisions))
-        cb = evaluate_schedule(inst, sched)
-        if best_cost is None:
-            best_sched, best_cost = sched, cb
-            continue
-        better = cb.total < best_cost.total if minimizing else cb.total > best_cost.total
-        if better or (cb.total == best_cost.total and sched.decisions < best_sched.decisions):
-            best_sched, best_cost = sched, cb
-    assert best_sched is not None and best_cost is not None
-    return best_sched, best_cost

@@ -174,15 +174,10 @@ def trace_bounds(ds: TraceDataset) -> TraceBounds:
     return TraceBounds(L=lo, U=hi)
 
 
-def sample_segment(ds: TraceDataset, T: int, seed: int) -> tuple[float, ...]:
-    """Contiguous window of length T, offset uniform over valid starts."""
-    segment, _ = sample_segment_with_offset(ds, T, seed)
-    return segment
-
-
 def sample_segment_with_offset(
     ds: TraceDataset, T: int, seed: int
 ) -> tuple[tuple[float, ...], int]:
+    """Contiguous window of length T and its offset, uniform over valid starts."""
     if T < 1:
         raise ParameterError(f"segment length must be >= 1, got {T}")
     if T > len(ds):

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from brute_force import brute_force_optimal
 from opr.adversary import adversary_max, adversary_min
 from opr.algorithms import PlayerKind, hindsight_trace
 from opr.core import Instance, Variant
 from opr.experiment import ExperimentConfig, empirical_cr, run_experiment
-from opr.offline import brute_force_optimal, dp_optimal
+from opr.offline import dp_optimal
 from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,

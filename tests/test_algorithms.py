@@ -2,11 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opr.algorithms import PlayerKind, hindsight_trace, new_player, player_family, run_online
+from opr.algorithms import (
+    PlayerKind,
+    hindsight_trace,
+    new_player,
+    play_lanes,
+    player_family,
+    run_online,
+)
 from opr.core import Instance, Variant
 from opr.errors import ParameterError, ProtocolError
 from opr.offline import dp_optimal
@@ -275,3 +283,111 @@ class TestProperties:
             assert cost.total >= opt.total - 1e-9
         else:
             assert cost.total <= opt.total + 1e-9
+
+
+def _rails(family):
+    """(resume, stay) rails of a family, as `PlayerState.feed` picks them."""
+    if family.variant is Variant.MIN:
+        return family.lower, family.upper
+    return family.upper, family.lower
+
+
+def _check_lanes(insts):
+    """play_lanes over every (instance, kind) lane equals `feed` and `step`
+    of that lane's own player, decision for decision.  Lanes whose families
+    are equal share one rail row."""
+    k, T, variant = insts[0].k, insts[0].T, insts[0].variant
+    kinds = list(PlayerKind)
+    families = [
+        [player_family(kind, k, inst.U, inst.L, inst.beta, variant) for kind in kinds]
+        for inst in insts
+    ]
+    distinct = list(dict.fromkeys(f for row in families for f in row))
+    rails = np.empty((len(distinct), 2, k + 1))
+    for f, family in enumerate(distinct):
+        rails[f, 0, :k], rails[f, 1, :k] = family.lower, family.upper
+    lanes = np.array([[distinct.index(f) for f in row] for row in families])
+    prices = np.array([inst.prices for inst in insts])
+    decisions = play_lanes(prices, rails, lanes, variant)
+    assert decisions.dtype == np.int8 and decisions.shape == (len(insts), len(kinds), T)
+    for i, inst in enumerate(insts):
+        for a, kind in enumerate(kinds):
+            player = new_player(kind, k, T, inst.L, inst.U, inst.beta, variant, families[i][a])
+            fed = player.feed(inst.prices)
+            fed += [0] * (T - len(fed))
+            player = new_player(kind, k, T, inst.L, inst.U, inst.beta, variant, families[i][a])
+            stepped = [0 if player.exhausted else player.step(p) for p in inst.prices]
+            assert decisions[i, a].tolist() == fed == stepped
+    return decisions
+
+
+@st.composite
+def lane_batches(draw):
+    """1..5 instances sharing (k, T, variant), each with its own bounds,
+    beta and prices; some rows put every price on a rail or a bound."""
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    T = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=T))
+    insts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        L = draw(st.floats(min_value=1, max_value=10))
+        U = L * draw(st.floats(min_value=1.2, max_value=30))
+        frac = draw(st.sampled_from([0.0, 1e-4, 0.2, 0.45]))
+        beta = frac * ((U - L) if variant is Variant.MIN else min(k * L, U - L))
+        raw = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=T, max_size=T))
+        prices = tuple(min(max(L + r * (U - L), L), U) for r in raw)
+        inst = Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=prices)
+        if draw(st.booleans()):
+            inst = _on_the_rails(inst, draw(st.data()))
+        insts.append(inst)
+    return insts
+
+
+class TestPlayLanes:
+    @given(lane_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_lanes_equal_feed_and_step(self, insts):
+        _check_lanes(insts)
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_ties_accept_on_both_rails(self, variant):
+        # each row puts unit 1 exactly on a kind's resume rail and unit 2
+        # exactly on its stay rail, or one ulp worse on either
+        k, L, U, beta = 3, 5.0, 30.0, 3.0
+        worse = math.inf if variant is Variant.MIN else -math.inf
+        far = U if variant is Variant.MIN else L
+        insts, expected = [], []
+        for kind in PlayerKind:
+            resume, stay = _rails(player_family(kind, k, U, L, beta, variant))
+            for first, second, want in (
+                (resume[0], stay[1], [1, 1]),
+                (math.nextafter(resume[0], worse), stay[1], [0]),
+                (resume[0], math.nextafter(stay[1], worse), [1, 0]),
+            ):
+                if not (L <= first <= U and L <= second <= U):
+                    continue
+                prices = (first, second) + (far,) * 8
+                insts.append(Instance(k=k, T=10, L=L, U=U, beta=beta, variant=variant,
+                                      prices=prices))
+                expected.append((len(insts) - 1, list(PlayerKind).index(kind), want))
+        decisions = _check_lanes(insts)
+        for i, a, want in expected:
+            assert decisions[i, a, : len(want)].tolist() == want
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    @pytest.mark.parametrize("k, T", [(1, 1), (1, 9), (4, 4), (3, 9)])
+    def test_forced_and_early_lanes(self, variant, k, T):
+        # the worst bound every slot forces every lane into the last k
+        # slots (the agnostic player takes the first k); the best bound
+        # fills every lane early, and the lanes decline from then on
+        L, U, beta = 5.0, 30.0, 2.0
+        worst, best = (U, L) if variant is Variant.MIN else (L, U)
+        rows = [
+            Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=(p,) * T)
+            for p in (worst, best)
+        ]
+        decisions = _check_lanes(rows)
+        first, last = [1] * k + [0] * (T - k), [0] * (T - k) + [1] * k
+        for a, kind in enumerate(PlayerKind):
+            assert decisions[0, a].tolist() == (first if kind is PlayerKind.CARBON_AGNOSTIC else last)
+            assert decisions[1, a].tolist() == first

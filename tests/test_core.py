@@ -13,6 +13,8 @@ from opr.core import (
     Variant,
     evaluate_schedule,
     extreme_price,
+    lane_flips,
+    lane_total,
     validate_schedule,
 )
 from opr.errors import FeasibilityError, ParameterError, StructuralError
@@ -246,3 +248,60 @@ class TestInvariants:
         else:
             assert cb.total <= inst.k * inst.U - 2 * inst.beta + 1e-9
         assert 2 * inst.beta - 1e-9 <= cb.switching_cost <= 2 * inst.k * inst.beta + 1e-9
+
+
+@st.composite
+def schedule_batches(draw):
+    """1..6 feasible schedules sharing (k, T, beta, variant); beta may be 0,
+    and large enough that max-side totals reach 0 and below."""
+    T = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=T))
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    beta = draw(st.one_of(st.just(0.0), st.floats(min_value=0, max_value=200)))
+    cases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        prices = draw(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=T, max_size=T))
+        accept = set(draw(st.permutations(list(range(T))))[:k])
+        inst = Instance(k=k, T=T, L=min(prices), U=max(prices), beta=beta, variant=variant,
+                        prices=tuple(prices))
+        cases.append((inst, Schedule(tuple(int(t in accept) for t in range(T)))))
+    return cases
+
+
+class TestLaneTotals:
+    """lane_flips and lane_total score many schedules at once; they must
+    equal evaluate_schedule bit for bit."""
+
+    @staticmethod
+    def _check(cases):
+        decisions = np.array([sched.decisions for _, sched in cases], dtype=np.int8)
+        flips = lane_flips(decisions).tolist()
+        for (inst, sched), row, f in zip(cases, decisions, flips):
+            cb = evaluate_schedule(inst, sched)
+            assert type(f) is int and f == cb.num_switches
+            total = lane_total(list(inst.prices), row.tobytes(), f, inst.beta, inst.variant)
+            assert total.hex() == cb.total.hex()
+        return flips
+
+    @given(schedule_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_evaluate_schedule(self, cases):
+        self._check(cases)
+
+    def test_max_side_totals_at_and_below_zero(self):
+        prices = (1.0, 2.0, 1.0, 2.0)
+        cases = [
+            (Instance(k=2, T=4, L=1.0, U=2.0, beta=beta, variant=Variant.MAX, prices=prices),
+             Schedule(decisions))
+            for beta in (0.0, 0.75, 1.5, 5.0)
+            for decisions in ((1, 0, 1, 0), (0, 1, 1, 0))
+        ]
+        assert self._check(cases) == [4, 2] * 4
+        totals = [evaluate_schedule(inst, sched).total for inst, sched in cases]
+        assert totals == [2.0, 3.0, -1.0, 1.5, -4.0, 0.0, -18.0, -7.0]
+
+    def test_stacked_rows_and_edges(self):
+        # lane_flips takes any leading shape; T = 1 has no interior flips
+        d = np.array([[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [0, 0, 0]]], dtype=np.int8)
+        assert lane_flips(d).tolist() == [[2, 2], [4, 0]]
+        assert lane_flips(np.ones((2, 1), dtype=np.int8)).tolist() == [2, 2]

@@ -8,7 +8,7 @@ import pytest
 from opr.algorithms import PlayerKind
 from opr.core import CostBreakdown, Variant
 from opr import experiment, offline
-from opr.errors import DegenerateProfitError, OprError, ParameterError
+from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
     default_k,
@@ -251,22 +251,38 @@ SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
 
 
 class TestChunkedTrials:
-    """run_experiment samples a chunk of trials, solves their optima in one DP
-    batch, then scores them; neither the records nor the reported failing
-    trial may show the chunking."""
+    """run_experiment samples a pass of trials, solves their optima in DP
+    batches of `dp_batch_len` trials, plays every lane at once, then scores
+    the trials in order; neither the records nor the reported failing trial
+    may show the batching."""
 
     @staticmethod
     def _batch_sizes(monkeypatch):
-        """Record the size of every DP batch the run makes."""
+        """Record the size of every DP kernel call the run makes."""
         sizes = []
-        batched = experiment.dp_optimal_many
+        kernel = offline._dp_kernel
 
-        def spy(insts):
-            sizes.append(len(insts))
-            return batched(insts)
+        def spy(prices, k, beta):
+            sizes.append(len(prices))
+            return kernel(prices, k, beta)
 
-        monkeypatch.setattr(experiment, "dp_optimal_many", spy)
+        monkeypatch.setattr(offline, "_dp_kernel", spy)
         return sizes
+
+    @staticmethod
+    def _scored_trials(monkeypatch, fail_score=None):
+        """Record the trial of every record the run completes; the record of
+        trial `fail_score` raises instead."""
+        scored, complete = [], experiment._complete_record
+
+        def spy(record, *args):
+            scored.append(record["trial"])
+            if record["trial"] == fail_score:
+                raise OprError("cannot score")
+            return complete(record, *args)
+
+        monkeypatch.setattr(experiment, "_complete_record", spy)
+        return scored
 
     def test_records_equal_fresh_trials_across_chunks(self, monkeypatch):
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
@@ -277,8 +293,12 @@ class TestChunkedTrials:
         # 42 * 25 row bytes = 1080 bytes a trial
         monkeypatch.setattr(offline, "_DP_BATCH_BYTES", 3 * 1080 - 1)
         sizes = self._batch_sizes(monkeypatch)
-        assert TestFamilyMemo._check_against_fresh_trials(cfg, ds)
+        res = run_experiment(cfg, ds)
         assert sizes == [2, 2, 2, 1]
+        bounds = trace_bounds(ds)
+        kinds = [resolve_player_kind(name) for name in cfg.algs]
+        for trial, rec in enumerate(res.trials):
+            assert rec == run_trial(cfg, ds, bounds, trial, cfg.beta_frac * bounds.U, kinds, {})
 
     def test_default_budget_chunks(self, monkeypatch):
         sizes = self._batch_sizes(monkeypatch)
@@ -293,43 +313,102 @@ class TestChunkedTrials:
         )
         assert sizes == [10, 1]  # 121 * 2 * 90 packed bytes plus 42 * 721 a trial
 
-    def test_noisy_max_run_still_aborts_at_trial_2(self):
+    def test_lane_passes_split_the_trials(self, monkeypatch):
+        # a budget of 3 trials a pass: the records equal one big pass
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, k=4, beta_frac=0.05, noise=2.0, trials=7, seed=3
+        )
+        whole = run_experiment(cfg, ds).to_dict()
+        trial_bytes = 9 * 24 + 4 * (16 * 5 + 2 * 24)
+        monkeypatch.setattr(experiment, "_PASS_BYTES", 3 * trial_bytes + trial_bytes - 1)
+        assert experiment.pass_len(24, 4, 4) == 3
+        sizes = self._batch_sizes(monkeypatch)
+        assert run_experiment(cfg, ds).to_dict() == whole
+        assert sizes == [3, 3, 1]
+
+    @pytest.mark.parametrize("T, k", [(720, 1), (720, 120), (720, 720), (48, 8)])
+    def test_pass_size_is_bounded_by_its_budget(self, T, k):
+        # sized without running: a 100 000-trial run still goes in passes
+        # whose arrays fit the byte budget
+        for m in (1, 4):
+            n = experiment.pass_len(T, k, m)
+            assert 1 <= n < 100_000
+            assert n * (9 * T + m * (16 * (k + 1) + 2 * T)) <= experiment._PASS_BYTES
+
+    def test_noisy_max_run_still_aborts_at_trial_2(self, monkeypatch):
         # beta = 0.05 U = 4.948 >= kL/2 = 1.078 once trial 2's noised segment
-        # lowers L; trials 0 and 1 are fine and share its chunk
+        # lowers L: DTPR's max family cannot be built.  Trials 0 and 1 are
+        # fine, share its pass and are scored first.
+        scored = self._scored_trials(monkeypatch)
         ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
         cfg = ExperimentConfig(
             variant=Variant.MAX, T=48, noise=2.0, beta_frac=0.05, trials=10, seed=42
         )
         with pytest.raises(ParameterError, match=r"^trial 2: beta=4\.9479"):
             run_experiment(cfg, ds)
+        assert scored == [0, 1, 2]
 
     @pytest.mark.parametrize("fail_sample, fail_score, reported", [(3, None, 3), (3, 1, 1)])
     def test_first_failing_trial_is_reported(
         self, monkeypatch, fail_sample, fail_score, reported
     ):
-        # a trial that fails to sample ends its chunk: the trials before it
+        # a trial that fails to sample ends its pass: the trials before it
         # are still scored first, and an earlier failure wins
-        sample, score = experiment.sample_trial, experiment.score_trial
-        scored = []
+        sample = experiment.sample_trial
 
         def failing_sample(cfg, ds, bounds, trial, beta_abs):
             if trial == fail_sample:
                 raise OprError("cannot sample")
             return sample(cfg, ds, bounds, trial, beta_abs)
 
-        def failing_score(inst, record, *args):
-            scored.append(record["trial"])
-            if record["trial"] == fail_score:
-                raise OprError("cannot score")
-            return score(inst, record, *args)
-
         monkeypatch.setattr(experiment, "sample_trial", failing_sample)
-        monkeypatch.setattr(experiment, "score_trial", failing_score)
+        scored = self._scored_trials(monkeypatch, fail_score)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=24, beta=1.0, trials=10, seed=0)
         with pytest.raises(OprError, match=f"^trial {reported}: cannot"):
             run_experiment(cfg, ds)
         assert scored == list(range(min(fail_sample, reported + 1)))
+
+    @pytest.mark.parametrize("fail_score", [None, 1, 4])
+    def test_family_failure_is_its_trials_scoring_failure(self, monkeypatch, fail_score):
+        # ksearch's family fails at trial 4 (the third (L, U) of this run):
+        # the trials before it are scored first, and so is dtpr, which comes
+        # before ksearch in trial 4; an earlier scoring failure wins
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, beta=1.0, noise=3.0, trials=8, seed=0,
+            algs=("dtpr", "ksearch", "const"),
+        )
+        bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
+        assert bounds[3] != bounds[4]
+        build, built = experiment.player_family, []
+
+        def failing_family(kind, k, U, L, beta, variant):
+            if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]:
+                raise RegimeError("cannot build")
+            built.append(kind)
+            return build(kind, k, U, L, beta, variant)
+
+        monkeypatch.setattr(experiment, "player_family", failing_family)
+        lanes, complete = [], experiment._complete_record
+
+        def spy(record, prices, opt, trial_lanes, *args):
+            lanes.append((record["trial"], len(trial_lanes)))
+            if record["trial"] == fail_score:
+                raise OprError("cannot score")
+            return complete(record, prices, opt, trial_lanes, *args)
+
+        monkeypatch.setattr(experiment, "_complete_record", spy)
+        reported = 4 if fail_score is None else fail_score
+        message = "cannot build" if fail_score is None else "cannot score"
+        with pytest.raises(OprError, match=f"^trial {reported}: {message}$"):
+            run_experiment(cfg, ds)
+        # trial 4 is played for dtpr only; const is never built there
+        assert lanes == [(t, 3) for t in range(min(reported + 1, 4))] + (
+            [(4, 1)] if reported == 4 else []
+        )
+        assert built[-1] is PlayerKind.DTPR
 
 
 class TestSweep:

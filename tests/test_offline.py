@@ -1,4 +1,4 @@
-"""Offline optimum: DP against the exhaustive oracle."""
+"""Offline optimum: DP against the exhaustive oracle (``tests/brute_force.py``)."""
 
 import math
 
@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import SizeError, brute_force_optimal
 from opr.core import Instance, Variant, evaluate_schedule, extreme_price
-from opr.errors import ParameterError, SizeError
-from opr.offline import _dp_kernel, brute_force_optimal, dp_optimal, dp_optimal_many
+from opr.errors import ParameterError
+from opr import offline
+from opr.offline import _dp_kernel, dp_decisions, dp_optimal, dp_optimal_many
 
 
 def inst(prices, k, beta, variant=Variant.MIN, L=None, U=None):
@@ -195,6 +197,68 @@ def tie_heavy_batches(draw):
         Instance(k=k, T=T, L=1, U=4, beta=beta, variant=variant, prices=tuple(row))
         for row in rows
     ]
+
+
+def parent_backtrace(batch):
+    """The decision rows of the backtrace `dp_optimal_many` ran before the
+    shared `dp_decisions`: one kernel call for the whole batch, and every
+    slot walked from T down to 1."""
+    k, T, beta = batch[0].k, batch[0].T, float(batch[0].beta)
+    sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
+    cost, packed = _dp_kernel(sign * np.array([inst.prices for inst in batch]), k, beta)
+    close_on = (cost[0] > cost[1] + beta).tolist()
+    back, n, width = memoryview(packed.reshape(-1)), len(batch), packed.shape[-1]
+    rows = []
+    for i in range(n):
+        decisions = [0] * T
+        j, p = k, int(close_on[i])
+        for t in range(T - 1, -1, -1):
+            decisions[t] = p
+            q = (back[((j * 2 + p) * n + i) * width + (t >> 3)] >> (t & 7)) & 1
+            j -= p
+            p = q
+        rows.append(decisions)
+    return rows
+
+
+@st.composite
+def random_batches(draw):
+    """1..8 instances sharing (k, T, beta, variant): float or tie-heavy
+    integer prices, beta 0 or drawn, and a DP byte budget that may split
+    the batch into kernel calls of a few rows."""
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    T = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=T))
+    beta = draw(st.one_of(st.just(0.0), st.floats(min_value=0, max_value=50)))
+    ints = draw(st.booleans())
+    value = st.integers(min_value=1, max_value=4) if ints else st.floats(min_value=1, max_value=40)
+    batch = [
+        Instance(k=k, T=T, L=1, U=40, beta=beta, variant=variant,
+                 prices=tuple(draw(st.lists(value, min_size=T, max_size=T))))
+        for _ in range(draw(st.integers(min_value=1, max_value=8)))
+    ]
+    return batch, draw(st.integers(min_value=1, max_value=4))
+
+
+class TestSharedBacktrace:
+    @given(random_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_parent_backtrace(self, case):
+        batch, rows_a_call = case
+        inst = batch[0]
+        prices = np.array([b.prices for b in batch])
+        expected = parent_backtrace(batch)
+        # a budget of `rows_a_call` rows a kernel call (the row bytes of
+        # `dp_batch_len`)
+        row_bytes = (inst.k + 1) * 2 * ((inst.T + 7) // 8) + 42 * (inst.T + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(offline, "_DP_BATCH_BYTES", rows_a_call * row_bytes)
+            assert offline.dp_batch_len(inst.T, inst.k) == rows_a_call
+            decisions = dp_decisions(prices, inst.k, float(inst.beta), inst.variant)
+            many = dp_optimal_many(batch)
+        assert decisions.dtype == np.int8 and decisions.shape == (len(batch), inst.T)
+        assert decisions.tolist() == expected
+        assert [list(sched.decisions) for sched, _ in many] == expected
 
 
 class TestBatchedDP:

@@ -16,7 +16,7 @@ from opr.traces import (
     TraceKind,
     apply_noise,
     parse_trace,
-    sample_segment,
+    sample_segment_with_offset,
     synthetic_diurnal,
     trace_bounds,
     write_trace,
@@ -184,22 +184,26 @@ class TestBounds:
 class TestSampling:
     def test_whole_trace_when_lengths_match(self):
         ds = synthetic_diurnal(hours=24, seed=1)
-        assert sample_segment(ds, 24, seed=99) == ds.values
+        assert sample_segment_with_offset(ds, 24, seed=99) == (ds.values, 0)
 
     def test_same_seed_same_segment(self):
         ds = synthetic_diurnal(hours=100, seed=1)
-        assert sample_segment(ds, 10, seed=5) == sample_segment(ds, 10, seed=5)
+        assert sample_segment_with_offset(ds, 10, seed=5) == sample_segment_with_offset(
+            ds, 10, seed=5
+        )
 
     def test_sequential_seeds_hit_every_offset(self):
         T, N = 6, 5
         ds = synthetic_diurnal(hours=T + N - 1, seed=2)
-        starts = {sample_segment(ds, T, seed=s)[0] for s in range(N)}
-        assert starts == {ds.values[i] for i in range(N)}
+        windows = [sample_segment_with_offset(ds, T, seed=s) for s in range(N)]
+        assert {offset for _, offset in windows} == set(range(N))
+        for segment, offset in windows:
+            assert segment == ds.values[offset : offset + T]
 
     def test_too_long(self):
         ds = synthetic_diurnal(hours=5, seed=0)
         with pytest.raises(ParameterError):
-            sample_segment(ds, 6, seed=0)
+            sample_segment_with_offset(ds, 6, seed=0)
 
 
 class TestNoise:
