@@ -1,7 +1,7 @@
 """Trace-driven experiment pipeline: sample, noise, run, compare to OPT.
 
 Each trial samples a contiguous T-hour segment from the trace, amplifies its
-deviations by the noise factor, builds an instance, runs every requested
+deviations by the noise factor, bounds its prices, runs every requested
 algorithm, and computes the exact DP optimum once.  Trial i derives its RNG
 seed purely from (master seed, i), so removing an algorithm from the list
 never changes any other algorithm's recorded ratios, and a fixed master seed
@@ -14,9 +14,10 @@ keep the trace-wide L floored at the segment minimum, and lift truncated
 zeros to the smallest positive segment value; every adjustment is recorded
 in the trial record rather than silently applied.
 
-A run goes in lane passes: it samples a pass of trials into one (n, T)
-price array, solves OPT for every row, plays every (trial, algorithm) lane
-in one `play_lanes` call, then completes the records in trial order.
+A run goes in lane passes: `sample_pass` samples a pass of trials into one
+(n, T) price array, OPT is solved for every row, every (trial, algorithm)
+lane is played in one `play_lanes` call, and the records are completed in
+trial order.
 Threshold families depend on a trial only through its (L, U), so a run keeps
 each algorithm's last rails and reuses them while consecutive trials repeat
 (L, U); the records are the same as if every trial built its own.
@@ -31,14 +32,14 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import PlayerKind, play_lanes, player_family
-from .core import CostBreakdown, Instance, Variant, lane_flips, lane_total
+from .core import CostBreakdown, Variant, lane_flips, lane_total
 from .errors import DegenerateProfitError, OprError, ParameterError
 from .offline import dp_decisions
 from .thresholds import solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
     TraceDataset,
-    apply_noise,
+    noise_rows,
     sample_segment_with_offset,
     trace_bounds,
 )
@@ -206,41 +207,46 @@ def pass_len(T: int, k: int, m: int) -> int:
     return max(1, _PASS_BYTES // (9 * T + m * (16 * (k + 1) + 2 * T)))
 
 
-def _trial_bounds(
-    segment: Sequence[float], bounds: TraceBounds
-) -> tuple[tuple[float, ...], float, float, bool, int]:
-    """Apply the widening/flooring rule; returns (prices, L, U, widened, floored)."""
-    seg_min = min(segment)
-    seg_max = max(segment)
-    floored = 0
-    prices = tuple(segment)
-    if seg_min <= 0:
-        positive = [v for v in segment if v > 0]
-        if not positive:
-            raise OprError("noised segment is identically zero; instance undefined")
-        floor = min(positive)
-        prices = tuple(v if v > 0 else floor for v in segment)
-        floored = sum(1 for v in segment if v <= 0)
-        seg_min = floor
-    L = min(bounds.L, seg_min)
-    U = max(bounds.U, seg_max)
-    widened = L < bounds.L or U > bounds.U
-    return prices, L, U, widened, floored
+def sample_pass(
+    cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, start: int, prices: np.ndarray
+) -> tuple[list[dict], tuple[int, OprError] | None]:
+    """Sample trials [start, start + len(prices)) into the rows of ``prices``:
+    each trial's window, noised, its zeros lifted to the row's smallest
+    positive value.
 
-
-def sample_trial(
-    cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, trial: int, beta_abs: float
-) -> tuple[Instance, dict]:
-    """A trial's first phase: its bounded instance, and the record so far."""
-    seed = derive_seed(cfg.seed, trial)
-    segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
-    noised = apply_noise(segment, cfg.noise, ds.kind)
-    prices, L, U, widened, floored = _trial_bounds(noised, bounds)
-    inst = Instance(
-        k=cfg.resolved_k(), T=cfg.T, L=L, U=U, beta=beta_abs, variant=cfg.variant, prices=prices
-    )
-    return inst, dict(trial=trial, seed=seed, offset=offset, instance_l=L, instance_u=U,
-                      bounds_widened=widened, floored_values=floored)
+    Returns the records so far of the trials before the first whose prices
+    admit no instance (all zeros, or U overflowing to inf), and that trial
+    with its error, or None.  Every other instance check holds by
+    construction: L <= every price <= U.
+    """
+    T, values, means, records = cfg.T, np.fromiter(ds.values, float, len(ds)), [], []
+    for row, trial in enumerate(range(start, start + len(prices))):
+        seed = derive_seed(cfg.seed, trial)
+        segment, offset = sample_segment_with_offset(ds, T, seed)
+        prices[row] = values[offset : offset + T]
+        means.append(math.fsum(segment) / T)
+        records.append(dict(trial=trial, seed=seed, offset=offset))
+    noise_rows(prices, means, cfg.noise, ds.kind)
+    highs, zeros = prices.max(axis=1), prices <= 0
+    np.copyto(prices, math.inf, where=zeros)
+    lows = prices.min(axis=1)
+    np.copyto(prices, lows[:, None], where=zeros)
+    # Python's min and max keep the trace-wide bound objects on most rows
+    L = [min(bounds.L, lo) for lo in lows.tolist()]
+    U = [max(bounds.U, hi) for hi in highs.tolist()]
+    failure = None
+    bad = np.flatnonzero((highs <= 0) | (highs == math.inf)).tolist()
+    if bad:
+        row = bad[0]
+        if U[row] == math.inf:
+            exc = ParameterError(f"need 0 < L <= U < inf, got L={L[row]}, U={U[row]}")
+        else:
+            exc = OprError("noised segment is identically zero; instance undefined")
+        failure, records[row:] = (start + row, exc), []
+    for record, l, u, f in zip(records, L, U, np.count_nonzero(zeros, axis=1).tolist()):
+        record.update(instance_l=l, instance_u=u, bounds_widened=l < bounds.L or u > bounds.U,
+                      floored_values=f)
+    return records, failure
 
 
 def _complete_record(
@@ -281,36 +287,41 @@ def _run_trials(
 ) -> list[dict]:
     """The records of trials [start, stop), from one lane pass.
 
-    Each trial is sampled into a row of one price array and each of its
-    algorithms' rails into its lane; OPT is solved for every row and every
-    lane is played in one `play_lanes` call.  Sampling and rail building
-    stop at the first error, which is raised as ``trial i: ...`` once every
-    trial before it, and every algorithm before it in its trial, is scored.
+    `sample_pass` samples the trials into the rows of one price array, and
+    each trial's algorithms' rails go into its lanes; OPT is solved for every
+    row and every lane is played in one `play_lanes` call.  Sampling and rail
+    building stop at the first error, which is raised as ``trial i: ...``
+    once every trial before it, and every algorithm before it in its trial,
+    is scored.  A T longer than the trace or an infinite beta fails first,
+    naming no trial.
     """
     T, k, variant, m = cfg.T, cfg.resolved_k(), cfg.variant, len(kinds)
+    if T > len(ds):
+        raise ParameterError(f"segment length {T} exceeds trace length {len(ds)}")
+    if not (0 <= beta_abs < math.inf):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta_abs}")
     prices = np.empty((stop - start, T))
+    records, failure = sample_pass(cfg, ds, bounds, start, prices)
     # each rail pair the memo hands out, copied once; `lane_rows` says which
     # row each lane plays.  Lanes past a failure play row 0, which exists
     # even when never written, and are never scored.
-    table = np.zeros((m * (stop - start), 2, k + 1))
-    lane_rows = np.zeros((stop - start, m), dtype=np.intp)
-    records, clipped, failure, used = [], [], None, 0
+    table = np.zeros((m * len(records), 2, k + 1))
+    lane_rows = np.zeros((len(records), m), dtype=np.intp)
+    clipped, used = [], 0
     last = [(None, 0)] * m  # each kind's last rails and their row
-    for trial in range(start, stop):
+    for row, record in enumerate(records):
+        L, U = record["instance_l"], record["instance_u"]
         try:
-            inst, record = sample_trial(cfg, ds, bounds, trial, beta_abs)
-            row = len(records)
-            prices[row] = inst.prices
-            records.append(record)
             for a, kind in enumerate(kinds):
-                rails = _trial_rails(kind, k, inst.L, inst.U, beta_abs, variant, families)
+                rails = _trial_rails(kind, k, L, U, beta_abs, variant, families)
                 if rails is not last[a][0]:
                     table[used, :, :k] = rails[:2]
                     last[a], used = (rails, used), used + 1
                 lane_rows[row, a] = last[a][1]
                 clipped.append(rails[2])
         except OprError as exc:
-            failure = trial, exc
+            failure = record["trial"], exc
+            del records[row + 1 :]
             break
     n = len(records)
     if n:

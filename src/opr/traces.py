@@ -195,20 +195,31 @@ def apply_noise(
 
     v -> mean + m*(v - mean), truncated below at 0; carbon-free percentages
     are additionally capped at 100.  m = 1 re-rounds, by up to 1 ulp of max(v, mean).
+    The one-row case of `noise_rows`.
     """
     if not (1 <= m < math.inf):
         raise ParameterError(f"noise factor must be finite and >= 1, got {m}")
     vals = tuple(float(v) for v in prices)
     if not vals:
         raise ParameterError("cannot noise an empty segment")
-    mu = math.fsum(vals) / len(vals)
-    # elementwise IEEE ops: the same bits as the scalar expression per value,
-    # overflow to inf included (so numpy's overflow warning is off)
+    row = np.array([vals])
+    noise_rows(row, [math.fsum(vals) / len(vals)], m, kind)
+    return tuple(row[0].tolist())
+
+
+def noise_rows(rows: np.ndarray, means: Sequence[float], m: float, kind: TraceKind) -> None:
+    """`apply_noise` in place on each row of a float64 array, around that
+    row's mean in ``means``.  Elementwise IEEE ops: the same bits as the
+    scalar expression per value, overflow to inf included (so numpy's
+    overflow warning is off)."""
+    mu = np.asarray(means, dtype=float)[:, None]
     with np.errstate(over="ignore"):
-        out = np.maximum(mu + float(m) * (np.array(vals) - mu), 0.0)
+        np.subtract(rows, mu, out=rows)
+        np.multiply(rows, float(m), out=rows)
+        np.add(rows, mu, out=rows)
+    np.maximum(rows, 0.0, out=rows)
     if kind is TraceKind.CARBON_FREE_PCT:
-        out = np.minimum(out, 100.0)
-    return tuple(out.tolist())
+        np.minimum(rows, 100.0, out=rows)
 
 
 def synthetic_diurnal(

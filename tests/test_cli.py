@@ -197,6 +197,20 @@ class TestSimulate:
         assert "must be finite" in err and "trial" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-horizon", "5000", "--beta", "1"], "segment length 5000 exceeds trace length 2160"),
+        (["--beta-frac", "1e307"], "beta must be finite and nonnegative, got inf"),
+    ])
+    def test_run_wide_errors_exit_2_before_trial_0(self, flags, message, tmp_path, capsys):
+        # decided by the config and the trace alone: no trial is named
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE),
+             "--trials", "3", "--out", str(out)] + flags
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("algs", ["dtpr,dtpr", ","])
     def test_empty_or_repeated_algs_exit_2_before_trial_0(self, algs, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -1,12 +1,18 @@
 """Experiment runner, statistics, and the ratio sweep."""
 
 import math
+import tracemalloc
+import warnings
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opr.algorithms import PlayerKind
-from opr.core import CostBreakdown, Variant
+from opr.core import CostBreakdown, Instance, Variant
 from opr import experiment, offline
 from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
 from opr.experiment import (
@@ -21,7 +27,14 @@ from opr.experiment import (
     sweep_ratios,
 )
 from opr.thresholds import ksearch_thresholds, solve_alpha
-from opr.traces import TraceKind, parse_trace, synthetic_diurnal, trace_bounds
+from opr.traces import (
+    TraceDataset,
+    TraceKind,
+    parse_trace,
+    sample_segment_with_offset,
+    synthetic_diurnal,
+    trace_bounds,
+)
 
 
 def cb(total):
@@ -349,20 +362,54 @@ class TestChunkedTrials:
             run_experiment(cfg, ds)
         assert scored == [0, 1, 2]
 
+    def test_identically_zero_segment_fails_its_own_trial(self, monkeypatch):
+        # a run of 4 zero hours: the only window of T=4 inside it stays zero
+        # under noise, so its trial fails after every earlier trial is scored
+        values = [100.0 + i % 7 for i in range(40)]
+        values[10:14] = [0.0] * 4
+        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+        ds = TraceDataset(
+            region="zeros", timestamps=tuple(start + timedelta(hours=i) for i in range(40)),
+            values=tuple(values), kind=TraceKind.INTENSITY,
+        )
+        cfg = ExperimentConfig(variant=Variant.MIN, T=4, k=2, beta=1.0, trials=30, seed=9)
+        first = next(i for i in range(cfg.trials) if derive_seed(cfg.seed, i) % 37 == 10)
+        assert first == 17
+        scored = self._scored_trials(monkeypatch)
+        with pytest.warns(UserWarning, match="trace minimum is 0"):
+            with pytest.raises(
+                OprError, match=f"^trial {first}: noised segment is identically zero"
+            ):
+                run_experiment(cfg, ds)
+        assert scored == list(range(first))
+
+    def test_overflowing_noise_fails_trial_0(self, monkeypatch):
+        scored = self._scored_trials(monkeypatch)
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, noise=1e306, trials=3)
+        with pytest.raises(ParameterError) as info:
+            run_experiment(cfg, ds)
+        assert str(info.value) == (
+            "trial 0: need 0 < L <= U < inf, got L=23.083920056346066, U=inf"
+        )
+        assert scored == []
+
     @pytest.mark.parametrize("fail_sample, fail_score, reported", [(3, None, 3), (3, 1, 1)])
     def test_first_failing_trial_is_reported(
         self, monkeypatch, fail_sample, fail_score, reported
     ):
         # a trial that fails to sample ends its pass: the trials before it
         # are still scored first, and an earlier failure wins
-        sample = experiment.sample_trial
+        sample = experiment.sample_pass
 
-        def failing_sample(cfg, ds, bounds, trial, beta_abs):
-            if trial == fail_sample:
-                raise OprError("cannot sample")
-            return sample(cfg, ds, bounds, trial, beta_abs)
+        def failing_sample(cfg, ds, bounds, start, prices):
+            records, failure = sample(cfg, ds, bounds, start, prices)
+            row = fail_sample - start
+            if 0 <= row < len(records):
+                records, failure = records[:row], (fail_sample, OprError("cannot sample"))
+            return records, failure
 
-        monkeypatch.setattr(experiment, "sample_trial", failing_sample)
+        monkeypatch.setattr(experiment, "sample_pass", failing_sample)
         scored = self._scored_trials(monkeypatch, fail_score)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=24, beta=1.0, trials=10, seed=0)
@@ -409,6 +456,139 @@ class TestChunkedTrials:
             [(4, 1)] if reported == 4 else []
         )
         assert built[-1] is PlayerKind.DTPR
+
+
+def _parent_trial_bounds(segment, bounds):
+    """The per-trial widening/flooring rule that `sample_pass` replaced."""
+    seg_min = min(segment)
+    seg_max = max(segment)
+    floored = 0
+    prices = tuple(segment)
+    if seg_min <= 0:
+        positive = [v for v in segment if v > 0]
+        if not positive:
+            raise OprError("noised segment is identically zero; instance undefined")
+        floor = min(positive)
+        prices = tuple(v if v > 0 else floor for v in segment)
+        floored = sum(1 for v in segment if v <= 0)
+        seg_min = floor
+    L = min(bounds.L, seg_min)
+    U = max(bounds.U, seg_max)
+    widened = L < bounds.L or U > bounds.U
+    return prices, L, U, widened, floored
+
+
+def _parent_sample_trial(cfg, ds, bounds, trial, beta_abs):
+    """One trial's instance and record, as sampled before `sample_pass`:
+    window, tuple noise, bounds rule, then a checked `Instance`."""
+    seed = derive_seed(cfg.seed, trial)
+    segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
+    vals = tuple(float(v) for v in segment)
+    mu = math.fsum(vals) / len(vals)
+    with np.errstate(over="ignore"):
+        out = np.maximum(mu + float(cfg.noise) * (np.array(vals) - mu), 0.0)
+    if ds.kind is TraceKind.CARBON_FREE_PCT:
+        out = np.minimum(out, 100.0)
+    prices, L, U, widened, floored = _parent_trial_bounds(tuple(out.tolist()), bounds)
+    inst = Instance(
+        k=cfg.resolved_k(), T=cfg.T, L=L, U=U, beta=beta_abs, variant=cfg.variant, prices=prices
+    )
+    return inst, dict(trial=trial, seed=seed, offset=offset, instance_l=L, instance_u=U,
+                      bounds_widened=widened, floored_values=floored)
+
+
+@st.composite
+def _sampling_runs(draw):
+    kind = draw(st.sampled_from(TraceKind))
+    cap = 100.0 if kind is TraceKind.CARBON_FREE_PCT else 1e9
+    values = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, cap)), min_size=1, max_size=40
+    ).filter(lambda vals: max(vals) > 0))
+    noise = draw(st.one_of(st.sampled_from([1.0, 1.5, 3.0]), st.floats(1.0, 1e300)))
+    trials = draw(st.integers(1, 12))
+    cfg = ExperimentConfig(
+        variant=Variant.MIN, T=draw(st.integers(1, len(values))), k=1, beta=1.0, noise=noise,
+        trials=trials, seed=draw(st.integers(0, 2**40)),
+    )
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    ds = TraceDataset(
+        region="", timestamps=tuple(start + timedelta(hours=i) for i in range(len(values))),
+        values=tuple(values), kind=kind,
+    )
+    return cfg, ds, draw(st.integers(1, trials))
+
+
+class TestSamplePass:
+    """`sample_pass` gives, row by row, the bits, records and errors of the
+    per-trial sampler it replaced."""
+
+    @given(_sampling_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_records_equal_the_per_trial_sampler(self, run):
+        cfg, ds, step = run
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a zero trace minimum is floored
+            bounds = trace_bounds(ds)
+        expected = []
+        for trial in range(cfg.trials):
+            try:
+                inst, record = _parent_sample_trial(cfg, ds, bounds, trial, cfg.beta)
+                expected.append(([p.hex() for p in inst.prices], record))
+            except OprError as exc:
+                expected.append((type(exc), str(exc)))
+        for start in range(0, cfg.trials, step):
+            prices = np.full((min(step, cfg.trials - start), cfg.T), np.nan)
+            records, failure = experiment.sample_pass(cfg, ds, bounds, start, prices)
+            for row, record in enumerate(records):
+                hexes, want = expected[start + row]
+                assert [p.hex() for p in prices[row].tolist()] == hexes
+                assert record == want
+                assert [type(v) for v in record.values()] == [type(v) for v in want.values()]
+            stop = start + len(prices)
+            if failure is None:
+                assert start + len(records) == stop
+            else:
+                trial, exc = failure
+                assert trial == start + len(records) < stop
+                assert expected[trial] == (type(exc), str(exc))
+
+    @pytest.mark.parametrize("noise", [1.0, 3.0])
+    def test_long_pass_allocates_no_window_matrix(self, noise):
+        # a long-max-shaped pass samples in place: gathering the windows
+        # through a view of every window would allocate ~8 MB here
+        ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
+        assert len(ds) == 2160
+        cfg = ExperimentConfig(
+            variant=Variant.MAX, T=720, k=120, beta_frac=0.05, noise=noise, trials=50, seed=42
+        )
+        bounds = trace_bounds(ds)
+        prices = np.empty((cfg.trials, cfg.T))
+        tracemalloc.start()
+        try:
+            records, failure = experiment.sample_pass(cfg, ds, bounds, 0, prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failure is None and len(records) == cfg.trials
+        if noise > 1:
+            assert any(record["floored_values"] for record in records)
+        assert peak < 2 * prices.nbytes
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(T=5000), "segment length 5000 exceeds trace length 2160"),
+        (dict(beta_frac=1e307), "beta must be finite and nonnegative, got inf"),
+    ])
+    def test_run_wide_errors_raise_before_trial_0(self, monkeypatch, change, message):
+        def reached(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(experiment, "sample_pass", reached)
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(**{**dict(variant=Variant.MIN, T=48, beta=None, beta_frac=0.05,
+                                         trials=3), **change})
+        with pytest.raises(ParameterError) as info:
+            run_experiment(cfg, ds)
+        assert str(info.value) == message
 
 
 class TestSweep:
