@@ -15,7 +15,6 @@ from .core import (
     Schedule,
     Variant,
     evaluate_schedule,
-    extreme_price,
     validate_schedule,
 )
 from .experiment import (
@@ -26,7 +25,7 @@ from .experiment import (
     summarize,
     sweep_ratios,
 )
-from .offline import dp_optimal, dp_optimal_many
+from .offline import dp_optimal
 from .thresholds import (
     AsymptoticRegime,
     ThresholdFamily,
@@ -75,12 +74,10 @@ __all__ = [
     "asymptotic_omega",
     "constant_threshold",
     "dp_optimal",
-    "dp_optimal_many",
     "dtpr_max_thresholds",
     "dtpr_min_thresholds",
     "empirical_cr",
     "evaluate_schedule",
-    "extreme_price",
     "hindsight_trace",
     "ksearch_thresholds",
     "lambert_w",

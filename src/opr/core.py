@@ -14,7 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,10 +156,3 @@ def lane_total(
         return accepted + beta * flips
     return accepted - beta * flips
 
-
-def extreme_price(prices: Sequence[float] | Iterable[float], variant: Variant) -> float:
-    """c_min of the sequence for the min variant, c_max for the max variant."""
-    prices = tuple(prices)
-    if not prices:
-        raise StructuralError("price sequence is empty")
-    return min(prices) if variant is Variant.MIN else max(prices)

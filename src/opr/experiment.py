@@ -18,9 +18,11 @@ A run goes in lane passes: `sample_pass` samples a pass of trials into one
 (n, T) price array, OPT is solved for every row, every (trial, algorithm)
 lane is played in one `play_lanes` call, and the records are completed in
 trial order.
-Threshold families depend on a trial only through its (L, U), so a run keeps
-each algorithm's last rails and reuses them while consecutive trials repeat
-(L, U); the records are the same as if every trial built its own.
+Threshold families depend on a trial only through its (L, U), so a pass
+keeps one memo per algorithm: the last (L, U), the row of the pass's rail
+table that holds its rails, and its clipped flag.  The rails are built only
+when consecutive trials change (L, U); the records are the same as if every
+trial built its own.
 """
 
 from __future__ import annotations
@@ -169,30 +171,24 @@ def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple
 
 
 def _trial_rails(
-    kind: PlayerKind, k: int, L: float, U: float, beta: float, variant: Variant, families: dict
+    kind: PlayerKind, k: int, L: float, U: float, beta: float, variant: Variant
 ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
     """A kind's (lower, upper) rails at (L, U), and whether beta was clipped
     for them.
 
     When beta >= (U-L)/2, the min algorithm degenerates to one contiguous
     block; DTPR's min thresholds are then built from a clipped beta while the
-    instance still charges the true one.  ``families`` holds, per kind name,
-    the last (L, U) seen and its rails, reused while (L, U) repeats and
-    replaced when it changes; pass ``{}`` to build afresh.  Only the rails
-    are kept, never the family.
+    instance still charges the true one.
     """
-    slot = families.get(kind.value)
-    if slot is None or slot[0] != (L, U):
-        clipped = (
-            kind is PlayerKind.DTPR
-            and variant is Variant.MIN
-            and not (U > L and beta < (U - L) / 2)
-        )
-        family = player_family(
-            kind, k, U, L, _BETA_CLIP * (U - L) / 2 if clipped else beta, variant
-        )
-        slot = families[kind.value] = ((L, U), (family.lower, family.upper, clipped))
-    return slot[1]
+    clipped = (
+        kind is PlayerKind.DTPR
+        and variant is Variant.MIN
+        and not (U > L and beta < (U - L) / 2)
+    )
+    family = player_family(
+        kind, k, U, L, _BETA_CLIP * (U - L) / 2 if clipped else beta, variant
+    )
+    return family.lower, family.upper, clipped
 
 
 def pass_len(T: int, k: int, m: int) -> int:
@@ -281,7 +277,6 @@ def _run_trials(
     bounds: TraceBounds,
     beta_abs: float,
     kinds: Sequence[PlayerKind],
-    families: dict,
     start: int,
     stop: int,
 ) -> list[dict]:
@@ -302,23 +297,23 @@ def _run_trials(
         raise ParameterError(f"beta must be finite and nonnegative, got {beta_abs}")
     prices = np.empty((stop - start, T))
     records, failure = sample_pass(cfg, ds, bounds, start, prices)
-    # each rail pair the memo hands out, copied once; `lane_rows` says which
-    # row each lane plays.  Lanes past a failure play row 0, which exists
-    # even when never written, and are never scored.
+    # each rail pair built, copied once; `lane_rows` says which row each
+    # lane plays.  Lanes past a failure play row 0, which exists even when
+    # never written, and are never scored.
     table = np.zeros((m * len(records), 2, k + 1))
     lane_rows = np.zeros((len(records), m), dtype=np.intp)
     clipped, used = [], 0
-    last = [(None, 0)] * m  # each kind's last rails and their row
+    memo = [(None, 0, False)] * m  # each kind's last (L, U), its row, its clipped flag
     for row, record in enumerate(records):
         L, U = record["instance_l"], record["instance_u"]
         try:
             for a, kind in enumerate(kinds):
-                rails = _trial_rails(kind, k, L, U, beta_abs, variant, families)
-                if rails is not last[a][0]:
+                if memo[a][0] != (L, U):
+                    rails = _trial_rails(kind, k, L, U, beta_abs, variant)
                     table[used, :, :k] = rails[:2]
-                    last[a], used = (rails, used), used + 1
-                lane_rows[row, a] = last[a][1]
-                clipped.append(rails[2])
+                    memo[a], used = ((L, U), used, rails[2]), used + 1
+                lane_rows[row, a] = memo[a][1]
+                clipped.append(memo[a][2])
         except OprError as exc:
             failure = record["trial"], exc
             del records[row + 1 :]
@@ -353,12 +348,10 @@ def run_trial(
     trial: int,
     beta_abs: float,
     kinds: Sequence[PlayerKind],
-    families: dict,
 ) -> dict:
     """One trial's record, by `run_experiment`'s lane pass at one trial.
-    ``kinds`` run under their names ``kind.value``; see `_trial_rails` for
-    ``families``."""
-    return _run_trials(cfg, ds, bounds, beta_abs, kinds, families, trial, trial + 1)[0]
+    ``kinds`` run under their names ``kind.value``."""
+    return _run_trials(cfg, ds, bounds, beta_abs, kinds, trial, trial + 1)[0]
 
 
 def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
@@ -368,12 +361,10 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
     kinds = [resolve_player_kind(name) for name in cfg.algs]
-    # each algorithm's last (L, U) and its rails; nothing outlives this run
-    families: dict = {}
     step = pass_len(cfg.T, cfg.resolved_k(), len(kinds))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
-        records += _run_trials(cfg, ds, bounds, beta_abs, kinds, families, start, stop)
+        records += _run_trials(cfg, ds, bounds, beta_abs, kinds, start, stop)
     summary: dict[str, dict] = {}
     cdf: dict[str, tuple[tuple[float, float], ...]] = {}
     for name in cfg.algs:
@@ -416,8 +407,13 @@ def sweep_ratios(
 
     Min cells with 2*beta >= U - L degenerate to a single contiguous block
     and emit ``degenerate``; max cells with 2*beta >= kL have unbounded
-    ratio and emit ``inf``.
+    ratio and emit ``inf``.  A k or U that no cell could use fails before
+    any cell is built.
     """
+    if not (k >= 1 and k % 1 == 0):
+        raise ParameterError(f"k must be a positive integer, got {k}")
+    if not (0 < U < math.inf):
+        raise ParameterError(f"need 0 < U < inf, got U={U}")
     rows: list[tuple[float, float, float | str]] = []
     for L in l_grid:
         if not (0 < L <= U):

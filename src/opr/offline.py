@@ -10,6 +10,8 @@ The kernel is batched over trials and loops over the units only: layer j
 through a running minimum, so each layer is a handful of numpy passes over
 all n*T slots of the batch.  Its backpointers are bits, packed 8 slots a
 byte, and `dp_batch_len` sizes a batch by the kernel's whole working set.
+`dp_decisions` is the one entry point: `run_experiment` calls it on a lane
+pass's (n, T) prices, and `dp_optimal` on the one row of an instance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
-from .errors import ParameterError
 
 _INF = np.inf
 
@@ -115,27 +116,9 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
     return np.frombuffer(out, dtype=np.int8).reshape(n, T)
 
 
-def dp_optimal_many(insts: list[Instance]) -> list[tuple[Schedule, CostBreakdown]]:
-    """`dp_optimal` of every instance, bit for bit, through `dp_decisions`.
-
-    The instances may differ in prices and bounds only; k, T, beta and
-    variant must be shared (ParameterError otherwise).
-    """
-    if not insts:
-        return []
-    if len({(inst.k, inst.T, inst.beta, inst.variant) for inst in insts}) > 1:
-        raise ParameterError("a DP batch needs one (k, T, beta, variant) for all instances")
-    k, beta, variant = insts[0].k, insts[0].beta, insts[0].variant
-    prices = np.array([inst.prices for inst in insts], dtype=np.float64)
-    out = []
-    for inst, row in zip(insts, dp_decisions(prices, k, float(beta), variant).tolist()):
-        sched = Schedule(tuple(row))
-        out.append((sched, evaluate_schedule(inst, sched)))
-    return out
-
-
 def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
-    """Exact optimum over all feasible schedules.
+    """Exact optimum over all feasible schedules: `dp_decisions` on the one
+    row of its prices, scored by `evaluate_schedule`.
 
     The max variant runs the same kernel on negated prices: maximizing
     sum(c x) - beta*switches is minimizing sum(-c x) + beta*switches.
@@ -143,4 +126,7 @@ def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     which lands accepted blocks as early as possible and makes the backtrace
     reproducible.
     """
-    return dp_optimal_many([inst])[0]
+    prices = np.array([inst.prices], dtype=np.float64)
+    [row] = dp_decisions(prices, inst.k, float(inst.beta), inst.variant).tolist()
+    sched = Schedule(tuple(row))
+    return sched, evaluate_schedule(inst, sched)

@@ -64,23 +64,6 @@ def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
         raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
 
 
-def _min_residual(a: float, k: int, U: float, L: float, beta: float) -> float:
-    """Pole-free residual of the min-ratio equation; positive below the root."""
-    lhs = U * (1 - 1 / a) - 2 * beta * (1 - 1 / k) - 2 * beta / (k * a)
-    return (U - L - 2 * beta) - lhs * (1 + 1 / (k * a)) ** k
-
-
-def _max_residual(w: float, k: int, U: float, L: float, beta: float) -> float:
-    lhs = L * (w - 1) - 2 * beta * (1 - 1 / k) - 2 * beta * w / k
-    try:
-        growth = (1 + w / k) ** k
-    except OverflowError:
-        # reached while doubling the bracket: the power is past 1.8e308 and
-        # U - L - 2b is finite and positive, so the product decides the sign
-        return -math.inf if lhs > 0 else math.inf
-    return (U - L - 2 * beta) - lhs * growth
-
-
 def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
     """Regime checks, then bisection on [1+1e-12, hi], doubling hi from 2.
 
@@ -89,8 +72,14 @@ def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> f
     root, so plain bisection is robust without derivatives.  It runs to its
     fixed point: residual(lo) > 0 >= residual(hi) holds throughout, so once
     the midpoint rounds to lo or hi the bracket can never move again, and
-    that midpoint is returned.  The loop inlines ``_min_residual`` and
-    ``_max_residual`` with the same float operations in the same order.
+    that midpoint is returned.
+
+    One inline residual, positive below the root, serves every point.  The
+    bracket ends are evaluated as the degenerate bracket lo == hi: the left
+    end 1+1e-12 first (a residual <= 0 there means no root), then hi = 2, 4,
+    ... while its residual stays positive, with lo back at the left end.  A
+    bisection midpoint never equals lo or hi, so only a bracket end or the
+    fixed point reaches that branch.
     """
     _check_bounds(k, U, L, beta)
     if U == L and beta == 0:
@@ -102,35 +91,37 @@ def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> f
     if not is_min and beta >= k * L / 2:
         raise RegimeError(f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
                           "nonpositive, max ratio is unbounded")
-    residual, what = (_min_residual, "alpha") if is_min else (_max_residual, "omega")
-    lo = 1.0 + 1e-12  # ratios are > 1 by construction
-    if residual(lo, k, U, L, beta) <= 0:
-        raise RegimeError(f"no {what} root above 1 for these parameters")
-    hi = 2.0
-    doublings = 0
-    while residual(hi, k, U, L, beta) > 0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise RegimeError(f"{what} root bracket did not close; ratio diverges")
+    what = "alpha" if is_min else "omega"
     kf, b2 = float(k), 2 * beta
     c0, c1 = U - L - b2, b2 * (1 - 1 / k)
+    x = lo = hi = 1.0 + 1e-12  # ratios are > 1 by construction
+    doublings = -1  # the first degenerate bracket is the left end, not a doubling
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
         if is_min:
-            r = c0 - (U * (1 - 1 / mid) - c1 - b2 / (kf * mid)) * (1 + 1 / (kf * mid)) ** kf
+            r = c0 - (U * (1 - 1 / x) - c1 - b2 / (kf * x)) * (1 + 1 / (kf * x)) ** kf
         else:
-            lhs = L * (mid - 1) - c1 - b2 * mid / kf
+            lhs = L * (x - 1) - c1 - b2 * x / kf
             try:
-                r = c0 - lhs * (1 + mid / kf) ** kf
+                r = c0 - lhs * (1 + x / kf) ** kf
             except OverflowError:
+                # reached while doubling the bracket: the power is past
+                # 1.8e308 and c0 is finite and positive, so lhs decides
                 r = -math.inf if lhs > 0 else math.inf
         if r > 0:
-            lo = mid
+            lo = x
         else:
-            hi = mid
+            hi = x
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            if lo < hi:
+                return x
+            if r <= 0:
+                raise RegimeError(f"no {what} root above 1 for these parameters")
+            doublings += 1
+            if doublings > 200:
+                raise RegimeError(f"{what} root bracket did not close; ratio diverges")
+            lo, hi = 1.0 + 1e-12, (2.0 * hi if doublings else 2.0)
+            x = hi
 
 
 def solve_alpha(k: int, U: float, L: float, beta: float) -> float:

@@ -110,6 +110,28 @@ class TestSweepValidation:
         assert f"{flag} must be finite, got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "variant, k, u, message",
+        [
+            ("max", "0", "30", "k must be a positive integer, got 0"),
+            ("min", "-2", "30", "k must be a positive integer, got -2"),
+            ("max", "1", "inf", "need 0 < U < inf, got U=inf"),
+            ("min", "3", "inf", "need 0 < U < inf, got U=inf"),
+        ],
+    )
+    def test_k_or_u_no_cell_can_use_exits_2(self, variant, k, u, message, tmp_path, capsys):
+        # at a finite U every cell of these grids is a sentinel, so no
+        # cell's solve sees k; both fail before the first cell
+        out = tmp_path / "grid.csv"
+        assert main(
+            ["sweep", "--variant", variant, "--k", k, "--u", u, "--l-min", "1",
+             "--l-max", "10", "--beta-min", "15", "--beta-max", "60", "--steps", "3",
+             "--out", str(out)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_intensity_file_rejected_for_max_variant(self, capsys):

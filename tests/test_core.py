@@ -12,7 +12,6 @@ from opr.core import (
     Schedule,
     Variant,
     evaluate_schedule,
-    extreme_price,
     lane_flips,
     lane_total,
     validate_schedule,
@@ -150,21 +149,6 @@ class TestEvaluateSchedule:
             assert cb.num_switches == flips == _loop_flips(decisions)
             assert cb.accepted_sum == sum(p for p, x in zip(prices, decisions) if x)
             assert cb.total == cb.accepted_sum + 0.5 * flips
-
-
-class TestExtremePrice:
-    def test_min(self):
-        assert extreme_price([3, 1, 2], Variant.MIN) == 1
-
-    def test_max(self):
-        assert extreme_price([3, 1, 2], Variant.MAX) == 3
-
-    def test_singleton(self):
-        assert extreme_price([7], Variant.MIN) == 7
-
-    def test_empty(self):
-        with pytest.raises(StructuralError):
-            extreme_price([], Variant.MIN)
 
 
 @st.composite

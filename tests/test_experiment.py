@@ -237,7 +237,7 @@ class TestFamilyMemo:
         beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
         kinds = [resolve_player_kind(name) for name in cfg.algs]
         for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, kinds, {})
+            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, kinds)
         return res.trials
 
     def test_records_equal_fresh_trials_as_bounds_repeat_and_change(self):
@@ -258,6 +258,46 @@ class TestFamilyMemo:
         trials = self._check_against_fresh_trials(cfg, ds)
         clipped = {rec["algs"]["dtpr"]["beta_clipped"] for rec in trials}
         assert clipped == {True, False}
+
+    @pytest.mark.parametrize("per_pass, builds", [(4, 3), (3, 3), (2, 3), (1, 4)])
+    def test_rails_are_built_when_bounds_change_within_a_pass(
+        self, monkeypatch, per_pass, builds
+    ):
+        # at noise 1 every trial keeps the trace-wide (L, U); widening trial
+        # 2's U makes trials 0..3 meet (L, U) as A, A, B, A.  The memo lives
+        # for one pass, so a pass boundary builds the rails again.
+        sample = experiment.sample_pass
+
+        def widened(cfg, ds, bounds, start, prices):
+            records, failure = sample(cfg, ds, bounds, start, prices)
+            for rec in records:
+                if rec["trial"] == 2:
+                    rec.update(instance_u=rec["instance_u"] + 1.0, bounds_widened=True)
+            return records, failure
+
+        built, family = [], experiment.player_family
+
+        def spy(kind, *args):
+            built.append(kind)
+            return family(kind, *args)
+
+        monkeypatch.setattr(experiment, "sample_pass", widened)
+        monkeypatch.setattr(experiment, "player_family", spy)
+        trial_bytes = 9 * 24 + 4 * (16 * 5 + 2 * 24)
+        monkeypatch.setattr(experiment, "_PASS_BYTES", per_pass * trial_bytes + trial_bytes - 1)
+        assert experiment.pass_len(24, 4, 4) == per_pass
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, k=4, beta_frac=0.05, noise=1.0, trials=4, seed=1
+        )
+        res = run_experiment(cfg, ds)
+        bounds = [(rec["instance_l"], rec["instance_u"]) for rec in res.trials]
+        assert bounds[0] == bounds[1] == bounds[3] != bounds[2]
+        kinds = [resolve_player_kind(name) for name in cfg.algs]
+        assert built == [kind for _ in range(builds) for kind in kinds]
+        trace = trace_bounds(ds)
+        for trial, rec in enumerate(res.trials):
+            assert rec == run_trial(cfg, ds, trace, trial, cfg.beta_frac * trace.U, kinds)
 
 
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
@@ -311,7 +351,7 @@ class TestChunkedTrials:
         bounds = trace_bounds(ds)
         kinds = [resolve_player_kind(name) for name in cfg.algs]
         for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, bounds, trial, cfg.beta_frac * bounds.U, kinds, {})
+            assert rec == run_trial(cfg, ds, bounds, trial, cfg.beta_frac * bounds.U, kinds)
 
     def test_default_budget_chunks(self, monkeypatch):
         sizes = self._batch_sizes(monkeypatch)
@@ -615,6 +655,14 @@ class TestSweep:
                 assert ratio == "degenerate"
             else:
                 assert isinstance(ratio, float)
+
+    @pytest.mark.parametrize(
+        "k, U", [(0, 30.0), (2.5, 30.0), (math.nan, 30.0), (math.inf, 30.0), (1, math.inf)]
+    )
+    def test_k_and_u_are_checked_before_any_cell(self, k, U):
+        # 2 * beta >= kL on every finite-k cell, so each would be a sentinel
+        with pytest.raises(ParameterError, match="k must be a positive integer|need 0 < U < inf"):
+            sweep_ratios(Variant.MAX, k, U, [40.0], [1.0, 2.0])
 
     def test_alpha_nonincreasing_in_l(self):
         l_grid = [1.0, 2.0, 4.0, 8.0]

@@ -17,13 +17,13 @@ a change pass.
 
 import hashlib
 import json
-import math
 import random
 from importlib import resources
 
 import pytest
 
 import opr.cli
+import ratio_reference
 from opr.core import Variant
 from opr.errors import RegimeError
 from opr.experiment import ExperimentConfig, run_experiment, sweep_ratios
@@ -89,42 +89,7 @@ def test_simulate_file_bytes_are_unchanged(golden, files, tmp_path, monkeypatch)
 #
 # The bisection in opr.thresholds evaluates the ratio residuals inline.  Its
 # roots must be bit-identical to a plain bisection that calls the reference
-# residuals, copied here as the reference.
-
-
-def _ref_min_residual(a, k, U, L, beta):
-    lhs = U * (1 - 1 / a) - 2 * beta * (1 - 1 / k) - 2 * beta / (k * a)
-    return (U - L - 2 * beta) - lhs * (1 + 1 / (k * a)) ** k
-
-
-def _ref_max_residual(w, k, U, L, beta):
-    lhs = L * (w - 1) - 2 * beta * (1 - 1 / k) - 2 * beta * w / k
-    try:
-        growth = (1 + w / k) ** k
-    except OverflowError:
-        return -math.inf if lhs > 0 else math.inf
-    return (U - L - 2 * beta) - lhs * growth
-
-
-def _ref_bisect_ratio(residual):
-    lo = 1.0 + 1e-12
-    if residual(lo) <= 0:
-        raise RegimeError("no root above 1")
-    hi = 2.0
-    doublings = 0
-    while residual(hi) > 0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise RegimeError("bracket did not close")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if residual(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+# residuals of ``tests/ratio_reference.py``.
 
 
 def _outcome(solve, *args):
@@ -132,11 +97,6 @@ def _outcome(solve, *args):
         return repr(solve(*args))
     except RegimeError:
         return "RegimeError"
-
-
-def _ref_solve(variant, k, U, L, beta):
-    residual = _ref_min_residual if variant is Variant.MIN else _ref_max_residual
-    return _ref_bisect_ratio(lambda x: residual(x, k, U, L, beta))
 
 
 def _draws(n, seed):
@@ -160,7 +120,7 @@ def test_solves_match_reference_bisection_bit_for_bit():
     for variant, k, U, L, beta in cases:
         solve = solve_alpha if variant is Variant.MIN else solve_omega
         got = _outcome(solve, k, U, L, beta)
-        want = _outcome(_ref_solve, variant, k, U, L, beta)
+        want = _outcome(ratio_reference.solve, variant, k, U, L, beta)
         if got != want:
             mismatches.append((variant, k, U, L, beta, got, want))
     assert mismatches == []

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import SizeError, brute_force_optimal
-from opr.core import Instance, Variant, evaluate_schedule, extreme_price
-from opr.errors import ParameterError
+from opr.core import Instance, Variant, evaluate_schedule
 from opr import offline
-from opr.offline import _dp_kernel, dp_decisions, dp_optimal, dp_optimal_many
+from opr.offline import _dp_kernel, dp_decisions, dp_optimal
 
 
 def inst(prices, k, beta, variant=Variant.MIN, L=None, U=None):
@@ -91,8 +90,7 @@ class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_optimal_total_bounds(self, instance):
         _, cb = dp_optimal(instance)
-        lo_price = extreme_price(instance.prices, Variant.MIN)
-        hi_price = extreme_price(instance.prices, Variant.MAX)
+        lo_price, hi_price = min(instance.prices), max(instance.prices)
         if instance.variant is Variant.MIN:
             assert instance.k * lo_price + 2 * instance.beta - 1e-9 <= cb.total
             assert cb.total <= instance.k * hi_price + 2 * instance.k * instance.beta + 1e-9
@@ -200,9 +198,9 @@ def tie_heavy_batches(draw):
 
 
 def parent_backtrace(batch):
-    """The decision rows of the backtrace `dp_optimal_many` ran before the
-    shared `dp_decisions`: one kernel call for the whole batch, and every
-    slot walked from T down to 1."""
+    """The decision rows of the backtrace the DP ran before `dp_decisions`:
+    one kernel call for the whole batch, and every slot walked from T down
+    to 1."""
     k, T, beta = batch[0].k, batch[0].T, float(batch[0].beta)
     sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
     cost, packed = _dp_kernel(sign * np.array([inst.prices for inst in batch]), k, beta)
@@ -255,21 +253,21 @@ class TestSharedBacktrace:
             mp.setattr(offline, "_DP_BATCH_BYTES", rows_a_call * row_bytes)
             assert offline.dp_batch_len(inst.T, inst.k) == rows_a_call
             decisions = dp_decisions(prices, inst.k, float(inst.beta), inst.variant)
-            many = dp_optimal_many(batch)
         assert decisions.dtype == np.int8 and decisions.shape == (len(batch), inst.T)
         assert decisions.tolist() == expected
-        assert [list(sched.decisions) for sched, _ in many] == expected
 
 
 class TestBatchedDP:
     @given(tie_heavy_batches())
     @settings(max_examples=200, deadline=None)
     def test_every_lane_equals_its_own_dp(self, batch):
-        results = dp_optimal_many(batch)
-        assert len(results) == len(batch)
-        for instance, (sched, cb) in zip(batch, results):
-            assert (sched, cb) == dp_optimal(instance)
-            assert sched.decisions == slot_by_slot_decisions(instance)
+        first = batch[0]
+        prices = np.array([inst.prices for inst in batch], dtype=np.float64)
+        rows = dp_decisions(prices, first.k, float(first.beta), first.variant).tolist()
+        assert len(rows) == len(batch)
+        for instance, row in zip(batch, rows):
+            sched, _ = dp_optimal(instance)
+            assert tuple(row) == sched.decisions == slot_by_slot_decisions(instance)
 
     @given(tie_heavy_batches())
     @settings(max_examples=200, deadline=None)
@@ -303,19 +301,5 @@ class TestBatchedDP:
         assert packed.tobytes() == np.packbits(ref_back, axis=-1, bitorder="little").tobytes()
 
     def test_empty_batch(self):
-        assert dp_optimal_many([]) == []
-
-    @pytest.mark.parametrize(
-        "change",
-        [dict(k=3), dict(T=6, prices=(2, 1, 3, 2, 1, 1)), dict(beta=1.5),
-         dict(variant=Variant.MAX)],
-        ids=["k", "T", "beta", "variant"],
-    )
-    def test_instances_must_share_k_t_beta_variant(self, change):
-        base = dict(k=2, T=5, L=1, U=4, beta=1.0, variant=Variant.MIN, prices=(4, 1, 3, 1, 2))
-        other = Instance(**{**base, **change})
-        with pytest.raises(ParameterError):
-            dp_optimal_many([Instance(**base), other])
-        # prices and bounds may differ
-        same = Instance(**{**base, "U": 5, "prices": (5, 5, 1, 1, 1)})
-        assert len(dp_optimal_many([Instance(**base), same])) == 2
+        decisions = dp_decisions(np.empty((0, 5)), 2, 1.0, Variant.MIN)
+        assert decisions.dtype == np.int8 and decisions.shape == (0, 5)

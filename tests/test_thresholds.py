@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratio_reference import max_residual, min_residual
 from opr.core import Variant
 from opr.errors import DomainError, ParameterError, RegimeError
 from opr.thresholds import (
@@ -111,11 +112,9 @@ class TestSolvers:
 
     def test_root_bracket_has_single_sign_change(self):
         # sign scan across the bracketing interval used by the solver
-        from opr.thresholds import _max_residual, _min_residual
-
         for resid, root in (
-            (lambda x: _min_residual(x, 10, 30, 5, 3), solve_alpha(10, 30, 5, 3)),
-            (lambda x: _max_residual(x, 10, 30, 5, 3), solve_omega(10, 30, 5, 3)),
+            (lambda x: min_residual(x, 10, 30, 5, 3), solve_alpha(10, 30, 5, 3)),
+            (lambda x: max_residual(x, 10, 30, 5, 3), solve_omega(10, 30, 5, 3)),
         ):
             hi = 2.0
             while resid(hi) > 0:
@@ -130,13 +129,12 @@ class TestSolvers:
         # 2b sits just below kL, so the root is near 1.2e8 and doubling the
         # bracket takes (1 + w/k)**k past the float range on the way there
         from opr.experiment import sweep_ratios
-        from opr.thresholds import _max_residual
 
         k, U, L, beta = 120, 71263.04857916338, 6.3901825257597675, 383.4105681346345
         omega = solve_omega(k, U, L, beta)
         assert math.isfinite(omega) and omega > 1
-        assert _max_residual(omega * (1 - 1e-9), k, U, L, beta) > 0
-        assert _max_residual(omega * (1 + 1e-9), k, U, L, beta) <= 0
+        assert max_residual(omega * (1 - 1e-9), k, U, L, beta) > 0
+        assert max_residual(omega * (1 + 1e-9), k, U, L, beta) <= 0
         assert dtpr_max_thresholds(k, U, L, beta).ratio == omega
         [(_, _, cell)] = sweep_ratios(Variant.MAX, k, U, [beta], [L])
         assert cell == omega
