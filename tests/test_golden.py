@@ -1,5 +1,5 @@
 """Byte-for-byte goldens: the serialized results of fixed-seed experiments,
-and the ratio grid of ``opr sweep``.
+the ratio grid of ``opr sweep`` and the adversary's transcripts.
 
 A performance change must leave every byte of ``results.json`` unchanged.
 ``GOLDENS`` digests are sha256 of the compact
@@ -11,8 +11,9 @@ writes for the same configs, so they pin the bytes on disk (indentation,
 separators, escapes, trailing newline); they were computed while the CLI
 still wrote through ``json.dump(..., indent=2)``.  The sweep digests cover
 the ``repr`` of every cell of the theory grid; they were computed before the
-ratio bisection inlined its residuals.  No digest may be regenerated to make
-a change pass.
+ratio bisection inlined its residuals.  The adversary digests cover the
+``repr`` of each transcript.  No digest may be regenerated to make a change
+pass.
 """
 
 import hashlib
@@ -24,6 +25,9 @@ import pytest
 
 import opr.cli
 import ratio_reference
+from test_adversary import AcceptEveryOther, GreedyAcceptAll, ProbeGrabber, RejectUntilForced
+from opr.adversary import adversary_max, adversary_min
+from opr.algorithms import PlayerKind
 from opr.core import Variant
 from opr.errors import RegimeError
 from opr.experiment import ExperimentConfig, run_experiment, sweep_ratios
@@ -142,4 +146,44 @@ def test_sweep_bytes_are_unchanged(variant, digest):
     # --beta-min 0 --beta-max 5 --steps 50`
     rows = sweep_ratios(variant, 10, 30.0, _grid(0.0, 5.0, 50), _grid(1.0, 10.0, 50))
     blob = "\n".join(",".join(repr(cell) for cell in row) for row in rows)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# --- adversary transcripts --------------------------------------------------
+#
+# The sha256 of the ``repr`` of each transcript's prices, decisions, both
+# costs and ratio.  The shipped players run at theory's configuration
+# (``opr adversary --k 40 --u 30 --l 5 --beta 3``, four kinds, both
+# variants); the black-box players of ``tests/test_adversary.py`` at k=4.
+# They were computed while the shipped players still played a whole
+# sequence through their own loop.
+
+ADVERSARY_GOLDENS = [
+    ("min", PlayerKind.DTPR, 40, "22683e772b4ced318691827ff3e0a0b67c0cd9895373a08fa77673c64cd45937"),
+    ("max", PlayerKind.DTPR, 40, "aa10126d820ace293e47129275070fc9cd1b8c6d580e7343089935bc1c02a5bd"),
+    ("min", PlayerKind.KSEARCH, 40, "76c019753ee2654258a3a7e82632680ad4057ae3485cb4661c2c3979f76a3cdb"),
+    ("max", PlayerKind.KSEARCH, 40, "3d09cf39dc8f4f0d5e85dfa1df1987e6056f751855d1ae20298d110e8b0237c6"),
+    ("min", PlayerKind.CONSTANT_THRESHOLD, 40, "60e4c3b3ebad0c1a33e05d1e8492c4587146a7886dc5e472016838f172ac7a3c"),
+    ("max", PlayerKind.CONSTANT_THRESHOLD, 40, "3b6c5f5efa73e277e87113319735fb6935cc919ecfb96e5911baffbf406d3027"),
+    ("min", PlayerKind.CARBON_AGNOSTIC, 40, "46a036381f4bb2d5f2807166db355da51615e0b92c0a34efb71ff799e475751a"),
+    ("max", PlayerKind.CARBON_AGNOSTIC, 40, "5c756feb4b00cab913cf0fedc77ed7b33a9110d09504a605b29b81fd4249b0de"),
+    ("min", GreedyAcceptAll, 4, "11d02039ddb7fb9b08e5c1bffe80b500ae639c00177fbebe5f071c7ddc37804e"),
+    ("max", GreedyAcceptAll, 4, "670be73a9b88a49f9d914e7d5e2725ebcda95fd0b5b6e23e06af8501f79a9a27"),
+    ("min", AcceptEveryOther, 4, "556bbbcee9b86d992afbc7b88d353989891a5cf7eef2e60ce6cefcc951176a8d"),
+    ("max", AcceptEveryOther, 4, "e36a6238406aef3b99efc3d03e4467b526b7d1d99f31d02094ff84196a6d98bc"),
+    ("min", ProbeGrabber, 4, "1bf17ac414b275cdbf0efcf3dc256883777769d2c0276fc6bad995c86b1d26e4"),
+    ("max", ProbeGrabber, 4, "670be73a9b88a49f9d914e7d5e2725ebcda95fd0b5b6e23e06af8501f79a9a27"),
+    ("min", RejectUntilForced, 4, "48ea65fcce7279d2bac7b90ace66e48a9f2e0a2d3b364019a036a9627e0b7a62"),
+    ("max", RejectUntilForced, 4, "b305fa924f4afcd7c4bdf586490c2785658a06ab710f999d5bee6a6b1e1778ee"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, player, k, digest", ADVERSARY_GOLDENS,
+    ids=[f"{v}-{getattr(p, 'value', None) or p.__name__}" for v, p, _, _ in ADVERSARY_GOLDENS],
+)
+def test_adversary_transcripts_are_unchanged(variant, player, k, digest):
+    run = adversary_min if variant == "min" else adversary_max
+    tr = run(player, k, 30.0, 5.0, 3.0)
+    blob = repr((tr.prices, tr.alg_schedule.decisions, tr.alg_cost, tr.opt_cost, tr.ratio))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
