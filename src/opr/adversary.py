@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .algorithms import PlayerKind, PlayerState, new_player, run_online
-from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
+from .core import CostBreakdown, Instance, Schedule, Variant, cost_ratio, evaluate_schedule
 from .errors import ProtocolError, RegimeError
 from .offline import dp_optimal
 from .thresholds import dtpr_max_thresholds, dtpr_min_thresholds
@@ -159,16 +159,12 @@ def _nudged(price: float, L: float, U: float, up: bool) -> float:
 def _finish(inst: Instance, sched: Schedule) -> AdversaryTranscript:
     alg_cost = evaluate_schedule(inst, sched)
     _, opt_cost = dp_optimal(inst)
-    if inst.variant is Variant.MIN:
-        ratio = alg_cost.total / opt_cost.total
-    else:
-        ratio = opt_cost.total / alg_cost.total
     return AdversaryTranscript(
         prices=inst.prices,
         alg_schedule=sched,
         alg_cost=alg_cost,
         opt_cost=opt_cost,
-        ratio=ratio,
+        ratio=cost_ratio(alg_cost.total, opt_cost.total, inst.variant),
     )
 
 
@@ -272,7 +268,9 @@ def adversary_max(
     """Max-variant adversary; requires 0 < beta < kL/2 and 2*beta <= U - L.
 
     The second bound is a construction constraint: beyond it the stay
-    thresholds overshoot U and the probe prices would leave [L, U].
+    thresholds overshoot U and the probe prices would leave [L, U].  A
+    player whose transcript profit is nonpositive has no ratio; that raises
+    ``DegenerateProfitError``.
     """
     if not (0 < beta < k * L / 2):
         raise RegimeError(

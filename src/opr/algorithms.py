@@ -12,13 +12,13 @@ single price sqrt(L*U), and the carbon-agnostic player a rail on the price
 bound (U for min, L for max) that accepts every price, so it runs the job in
 the first k slots.
 
-The state machine is one loop, ``PlayerState.feed``: ``run_online`` feeds it
-the whole price sequence, and ``step``, the protocol the adversary drives,
-is that same loop on one price.  ``play_lanes`` is the same machine over
-many lanes at once, for the experiment pipeline: its loop runs over the
+The state machine is one loop, ``play_lanes``: its loop runs over the
 slots, and each step is a few numpy passes over every (algorithm, trial)
-lane.  ``player_family`` is the one place the per-kind threshold family is
-built.
+lane.  The experiment pipeline plays all its lanes in one call, and
+``run_online`` plays its one instance as one lane.  ``PlayerState.step`` is
+the same transition on one price, for the adversary, whose next price
+depends on the last decision.  ``player_family`` is the one place the
+per-kind threshold family is built.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -50,9 +49,8 @@ class PlayerKind(Enum):
     CARBON_AGNOSTIC = "agnostic"
 
 
-#: read once per ``feed`` call: on CPython 3.11 a member lookup on the enum
-#: class is several times slower than a module global, and ``step`` pays it
-#: on every price
+#: on CPython 3.11 a member lookup on the enum class is several times slower
+#: than a module global, and ``step`` pays it on every price
 _VARIANT_MIN = Variant.MIN
 
 
@@ -77,48 +75,32 @@ class PlayerState:
     def exhausted(self) -> bool:
         return self.i > self.k
 
-    def feed(self, prices: Iterable[float]) -> list[int]:
-        """Consume prices in order and emit one irrevocable decision each.
-
-        This is the only state-machine loop.  It stops early, without
-        consuming the rest, once all k units are filled; the caller pads the
-        remaining slots with 0.  The forced-acceptance rule makes every unit
-        filled by slot T, so the loop never passes the horizon.
-        """
-        k, T, i, prev, t = self.k, self.T, self.i, self.prev_decision, self.t
-        is_min = self.family.variant is _VARIANT_MIN
-        # "on" rail after an accept (stay), "off" rail otherwise (resume)
-        if is_min:
-            on, off = self.family.upper, self.family.lower
-        else:
-            on, off = self.family.lower, self.family.upper
-        out: list[int] = []
-        for price in prices:
-            if i > k:
-                break
-            t += 1
-            # Forced acceptance: units still needed are k - i + 1 and slots
-            # left including this one are T - t + 1, so the deadline binds
-            # exactly when (k - i) >= (T - t).
-            if k - i >= T - t:
-                x = 1
-            else:
-                rail = on[i - 1] if prev else off[i - 1]
-                # ties accept on both sides
-                x = 1 if (price <= rail if is_min else price >= rail) else 0
-            i += x
-            prev = x
-            out.append(x)
-        self.i, self.prev_decision, self.t = i, prev, t
-        return out
-
     def step(self, price: float) -> int:
-        """Consume the next price and emit the irrevocable decision."""
-        if self.i > self.k:
-            raise ProtocolError(f"player already filled all {self.k} units")
+        """Consume the next price and emit the irrevocable decision.
+
+        ``play_lanes``'s transition on one lane and one price.  Forced
+        acceptance: units still needed are k - i + 1 and slots left
+        including this one are T - t + 1, so the deadline binds exactly when
+        (k - i) >= (T - t).  Otherwise the price is compared with the stay
+        rail after an accept and the resume rail otherwise; ties accept.
+        """
+        k, i = self.k, self.i
+        if i > k:
+            raise ProtocolError(f"player already filled all {k} units")
         if self.t >= self.T:
             raise ProtocolError(f"step past horizon T={self.T}")
-        return self.feed((price,))[0]
+        self.t += 1
+        if k - i >= self.T - self.t:
+            x = 1
+        elif self.family.variant is _VARIANT_MIN:
+            rail = self.family.upper if self.prev_decision else self.family.lower
+            x = 1 if price <= rail[i - 1] else 0
+        else:
+            rail = self.family.lower if self.prev_decision else self.family.upper
+            x = 1 if price >= rail[i - 1] else 0
+        self.i = i + x
+        self.prev_decision = x
+        return x
 
 
 def _constant_family(
@@ -173,9 +155,9 @@ def new_player(
 
     ``kind`` names the algorithm; ``variant`` is the instance's, and the
     player reads it from its threshold family, so every kind plays both
-    sides.  ``family`` overrides the threshold construction; the experiment
-    layer uses this to reuse one family across trials and to run a player
-    built from a clipped beta while the instance still charges the true one.
+    sides.  ``family`` overrides the threshold construction, for a caller
+    that reuses one family or plays rails built from another beta than the
+    instance charges; its variant and k must be the player's.
     """
     if family is None:
         family = player_family(kind, k, U, L, beta, variant)
@@ -183,25 +165,25 @@ def new_player(
         raise ParameterError(
             f"a {family.variant.value} family cannot play a {variant.value} instance"
         )
+    elif family.k != k:
+        raise ParameterError(f"a family of k={family.k} cannot play k={k} units")
     return PlayerState(kind=kind, k=k, T=T, family=family)
 
 
 def run_online(
     kind: PlayerKind, inst: Instance, family: ThresholdFamily | None = None
 ) -> Schedule:
-    """Drive a player over c_1..c_T and return its (always feasible) schedule.
-
-    Once the player has filled its k units the remaining decisions are 0 by
-    protocol; the player is not fed further.
-    """
-    player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family)
-    decisions = player.feed(inst.prices)
-    decisions += [0] * (inst.T - len(decisions))
-    sched = Schedule(tuple(decisions))
-    if sched.num_accepted() != inst.k:
-        raise ProtocolError(
-            f"{kind.value} accepted {sched.num_accepted()} of k={inst.k} units"
-        )
+    """Play c_1..c_T as one lane of `play_lanes` and return the player's
+    (always feasible) schedule; decisions after the k-th accept are 0."""
+    k = inst.k
+    family = new_player(kind, k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family).family
+    rails = np.empty((1, 2, k + 1))
+    rails[0, 0, :k], rails[0, 1, :k] = family.lower, family.upper
+    lanes = np.zeros((1, 1), dtype=np.intp)
+    decisions = play_lanes(np.array([inst.prices]), rails, lanes, inst.variant)
+    sched = Schedule(tuple(decisions[0, 0].tolist()))
+    if sched.num_accepted() != k:
+        raise ProtocolError(f"{kind.value} accepted {sched.num_accepted()} of k={k} units")
     return sched
 
 
@@ -216,21 +198,20 @@ def hindsight_trace(
 def play_lanes(
     prices: np.ndarray, rails: np.ndarray, lanes: np.ndarray, variant: Variant
 ) -> np.ndarray:
-    """`PlayerState.feed` of many players at once, decision for decision.
+    """Many players at once, each on its own price row and rail row.
 
     ``prices`` is (n, T), one trial a row.  ``rails`` is (F, 2, k+1): row f
     holds a family's lower rail in ``rails[f, 0, :k]`` and its upper rail in
     ``rails[f, 1, :k]``.  ``lanes`` is (n, m) row numbers: lane (i, a) plays
-    price row i on rail row ``lanes[i, a]``, and reads the rails as ``feed``
-    does.  Column k is scratch: it is set here to a price no lane accepts,
-    so a lane that has filled its k units declines from then on.  Returns
-    the (n, m, T) int8 decisions.
+    price row i on rail row ``lanes[i, a]``.  Column k is scratch: it is set
+    here to a price no lane accepts, so a lane that has filled its k units
+    declines from then on.  Returns the (n, m, T) int8 decisions.
 
     Each slot gathers every lane's rail for its next unit and previous
     decision, compares (ties accept), and forces acceptance once the units
-    left reach the slots left.  Decisions come from compares only, so they
-    are ``feed``'s bit for bit.  The loop stops once every lane has filled
-    its k units.
+    left reach the slots left, as `PlayerState.step` does on one lane.  The
+    loop stops once every lane has filled its k units; the slots after that
+    stay 0.
     """
     n, T = prices.shape
     m, width = lanes.shape[1], rails.shape[-1]

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FeasibilityError, ParameterError, StructuralError
+from .errors import DegenerateProfitError, FeasibilityError, ParameterError, StructuralError
 
 
 class Variant(Enum):
@@ -156,3 +156,17 @@ def lane_total(
         return accepted + beta * flips
     return accepted - beta * flips
 
+
+def cost_ratio(alg: float, opt: float, variant: Variant) -> float:
+    """The competitive ratio of a player's total against the optimum's:
+    ALG/OPT for min, OPT/ALG for max, both >= 1 when OPT is exact.  A
+    nonpositive denominator leaves it undefined and raises."""
+    if variant is Variant.MIN:
+        if opt <= 0:
+            raise ParameterError(f"min ratio needs opt.total > 0, got {opt}")
+        return alg / opt
+    if alg <= 0:
+        raise DegenerateProfitError(
+            f"nonpositive profit {alg}: beta too large relative to kL, ratio undefined"
+        )
+    return opt / alg

@@ -34,10 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import PlayerKind, play_lanes, player_family
-from .core import CostBreakdown, Variant, lane_flips, lane_total
-from .errors import DegenerateProfitError, OprError, ParameterError
+from .core import CostBreakdown, Variant, cost_ratio, lane_flips, lane_total
+from .errors import OprError, ParameterError
 from .offline import dp_decisions
-from .thresholds import solve_alpha, solve_omega
+from .thresholds import check_k, solve_alpha, solve_omega
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -139,19 +139,7 @@ class ExperimentResult:
 
 def empirical_cr(alg: CostBreakdown, opt: CostBreakdown, variant: Variant) -> float:
     """ALG/OPT for min, OPT/ALG for max; both >= 1 when OPT is exact."""
-    return _ratio(alg.total, opt.total, variant)
-
-
-def _ratio(alg: float, opt: float, variant: Variant) -> float:
-    if variant is Variant.MIN:
-        if opt <= 0:
-            raise ParameterError(f"min ratio needs opt.total > 0, got {opt}")
-        return alg / opt
-    if alg <= 0:
-        raise DegenerateProfitError(
-            f"nonpositive profit {alg}: beta too large relative to kL, ratio undefined"
-        )
-    return opt / alg
+    return cost_ratio(alg.total, opt.total, variant)
 
 
 def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple[float, float], ...]]:
@@ -265,7 +253,7 @@ def _complete_record(
         record["algs"][name] = {
             "total": total,
             "switches": flips,
-            "ratio": _ratio(total, opt_total, variant),
+            "ratio": cost_ratio(total, opt_total, variant),
             "beta_clipped": clipped,
         }
     return record
@@ -410,8 +398,7 @@ def sweep_ratios(
     ratio and emit ``inf``.  A k or U that no cell could use fails before
     any cell is built.
     """
-    if not (k >= 1 and k % 1 == 0):
-        raise ParameterError(f"k must be a positive integer, got {k}")
+    check_k(k)
     if not (0 < U < math.inf):
         raise ParameterError(f"need 0 < U < inf, got U={U}")
     rows: list[tuple[float, float, float | str]] = []

@@ -55,9 +55,14 @@ class ThresholdFamily:
             raise ParameterError("threshold family must hold exactly k values per rail")
 
 
-def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
-    if int(k) != k or k < 1:
+def check_k(k: int) -> None:
+    """Reject a k that is not a positive integer, NaN and inf included."""
+    if not (k >= 1 and k % 1 == 0):
         raise ParameterError(f"k must be a positive integer, got {k}")
+
+
+def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
+    check_k(k)
     if not (0 < L <= U < math.inf):
         raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
     if not (0 <= beta < math.inf):

@@ -4,7 +4,7 @@ import pytest
 
 from opr.adversary import _nudged, adversary_max, adversary_min, declared_horizon
 from opr.algorithms import PlayerKind
-from opr.errors import ProtocolError, RegimeError
+from opr.errors import DegenerateProfitError, ProtocolError, RegimeError
 from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
@@ -177,6 +177,26 @@ class ProbeGrabber:
         return 0
 
 
+class CheapEveryOther:
+    """Refuses every price above L, and an L price right after an accept;
+    deadline-aware.  On the max side it sells its units one at a time at
+    the lowest price, so its profit can be nonpositive."""
+
+    def __init__(self, k, T, L, U, beta):
+        self.k, self.T, self.L = k, T, L
+        self.i, self.t, self.prev = 1, 0, 0
+
+    def step(self, price):
+        self.t += 1
+        if self.i > self.k:
+            return 0
+        forced = (self.k - self.i) >= (self.T - self.t)
+        x = 1 if forced or (price <= self.L and not self.prev) else 0
+        self.i += x
+        self.prev = x
+        return x
+
+
 class TestHostilePlayers:
     """Odd but protocol-honoring players must produce valid transcripts."""
 
@@ -214,6 +234,13 @@ class TestErrors:
             adversary_max(PlayerKind.DTPR, 3, 10.0, 5.0, 7.4)  # beta >= kL/2 or probes leave bounds
         with pytest.raises(RegimeError):
             adversary_max(PlayerKind.DTPR, 3, 10.0, 8.0, 1.5)  # 2*beta > U-L
+
+    @pytest.mark.parametrize("k, beta", [(2, 3.0), (4, 2.5)])
+    def test_nonpositive_profit_has_no_ratio(self, k, beta):
+        # profit 10 - 4*3 = -2 at k=2 (once a ratio of -9.635), and
+        # 20 - 8*2.5 = 0 at k=4 (once a ZeroDivisionError)
+        with pytest.raises(DegenerateProfitError, match="nonpositive profit"):
+            adversary_max(CheapEveryOther, k, 30.0, 5.0, beta)
 
     def test_protocol_violation_detected(self):
         with pytest.raises(ProtocolError):

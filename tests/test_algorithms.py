@@ -147,6 +147,17 @@ class TestStep:
         with pytest.raises(ParameterError):
             new_player(PlayerKind.DTPR, 2, 5, 5, 30, 3, Variant.MAX, family)
 
+    @pytest.mark.parametrize("family_k", [5, 2])
+    def test_family_k_must_match_instance(self, family_k):
+        # a longer family used to play on its first 3 rails, a shorter one
+        # to raise IndexError mid-run
+        family = dtpr_min_thresholds(family_k, 30, 5, 3)
+        with pytest.raises(ParameterError):
+            new_player(PlayerKind.DTPR, 3, 10, 5, 30, 3, Variant.MIN, family)
+        inst = min_inst([30.0] * 10, 3, 5, 30, 3)
+        with pytest.raises(ParameterError):
+            run_online(PlayerKind.DTPR, inst, family)
+
 
 class TestRunOnline:
     def test_carbon_agnostic_first_k(self):
@@ -243,7 +254,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_online_causality(self, inst, data):
         # the decision at slot t must be recomputable from the prefix alone:
-        # run_online feeds the whole sequence at once, step one price at a
+        # run_online plays the whole sequence as one lane, step one price at a
         # time, and both must agree for every kind on both variants, also
         # when prices sit exactly on some player's rail (ties accept)
         if data.draw(st.booleans()):
@@ -286,15 +297,15 @@ class TestProperties:
 
 
 def _rails(family):
-    """(resume, stay) rails of a family, as `PlayerState.feed` picks them."""
+    """(resume, stay) rails of a family, as `PlayerState.step` picks them."""
     if family.variant is Variant.MIN:
         return family.lower, family.upper
     return family.upper, family.lower
 
 
 def _check_lanes(insts):
-    """play_lanes over every (instance, kind) lane equals `feed` and `step`
-    of that lane's own player, decision for decision.  Lanes whose families
+    """play_lanes over every (instance, kind) lane equals `step` of that
+    lane's own player, decision for decision.  Lanes whose families
     are equal share one rail row."""
     k, T, variant = insts[0].k, insts[0].T, insts[0].variant
     kinds = list(PlayerKind)
@@ -313,11 +324,8 @@ def _check_lanes(insts):
     for i, inst in enumerate(insts):
         for a, kind in enumerate(kinds):
             player = new_player(kind, k, T, inst.L, inst.U, inst.beta, variant, families[i][a])
-            fed = player.feed(inst.prices)
-            fed += [0] * (T - len(fed))
-            player = new_player(kind, k, T, inst.L, inst.U, inst.beta, variant, families[i][a])
             stepped = [0 if player.exhausted else player.step(p) for p in inst.prices]
-            assert decisions[i, a].tolist() == fed == stepped
+            assert decisions[i, a].tolist() == stepped
     return decisions
 
 
@@ -346,7 +354,7 @@ def lane_batches(draw):
 class TestPlayLanes:
     @given(lane_batches())
     @settings(max_examples=200, deadline=None)
-    def test_lanes_equal_feed_and_step(self, insts):
+    def test_lanes_equal_step(self, insts):
         _check_lanes(insts)
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])

@@ -106,6 +106,21 @@ class TestSolvers:
             with pytest.raises(ParameterError):
                 build(4, U, 5.0, beta)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_k_rejected(self, k):
+        # `int(k)` used to raise ValueError for NaN and OverflowError for inf
+        for solve in (solve_alpha, solve_omega):
+            with pytest.raises(ParameterError):
+                solve(k, 30.0, 5.0, 1.0)
+
+    def test_bracket_doubles_at_most_200_times(self):
+        # k=1, beta=0: omega = sqrt(theta), so theta = 2**401 puts the root
+        # at 2**200.5, inside the bracket of the 200th doubling, and
+        # theta = 2**402.5 puts it past the last bracket the solver tries
+        assert math.log2(solve_omega(1, 2.0**401, 1.0, 0.0)) == 200.5
+        with pytest.raises(RegimeError, match="bracket did not close"):
+            solve_omega(1, 2.0**402.5, 1.0, 0.0)
+
     def test_degenerate_flat_bounds(self):
         assert solve_alpha(3, 4, 4, 0) == 1.0
         assert solve_omega(3, 4, 4, 0) == 1.0
