@@ -17,8 +17,8 @@ slots, and each step is a few numpy passes over every (algorithm, trial)
 lane.  The experiment pipeline plays all its lanes in one call, and
 ``run_online`` plays its one instance as one lane.  ``PlayerState.step`` is
 the same transition on one price, for the adversary, whose next price
-depends on the last decision.  ``player_family`` is the one place the
-per-kind threshold family is built.
+depends on the last decision.  ``player_families`` is the one place the
+per-kind threshold families are built, ``player_family`` its one-cell case.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -28,18 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection, Iterator
 
 import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
-from .errors import ParameterError, ProtocolError
-from .thresholds import (
-    ThresholdFamily,
-    constant_threshold,
-    dtpr_max_thresholds,
-    dtpr_min_thresholds,
-    ksearch_thresholds,
-)
+from .errors import OprError, ParameterError, ProtocolError
+from .thresholds import ThresholdFamily, constant_threshold, dtpr_family, solve_ratios
 
 
 class PlayerKind(Enum):
@@ -48,6 +43,9 @@ class PlayerKind(Enum):
     CONSTANT_THRESHOLD = "const"
     CARBON_AGNOSTIC = "agnostic"
 
+
+#: the kinds whose families are built from a solved ratio
+_SOLVED = (PlayerKind.DTPR, PlayerKind.KSEARCH)
 
 #: on CPython 3.11 a member lookup on the enum class is several times slower
 #: than a module global, and ``step`` pays it on every price
@@ -118,27 +116,41 @@ def _constant_family(
     )
 
 
+def player_families(
+    cells: Collection[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
+) -> Iterator[ThresholdFamily | OprError]:
+    """The family a player of each (kind, U, L, beta) cell runs on
+    ``variant``, or the `OprError` of its ratio solve, one cell at a time.
+
+    This is the one place the per-kind construction lives.  DTPR and
+    k-search (DTPR at beta = 0) are built from their ratios, which one
+    `solve_ratios` call finds for all such cells.
+    """
+    solving = [(k, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta)
+               for kind, U, L, beta in cells if kind in _SOLVED]
+    solved = zip(solving, solve_ratios(variant, solving))
+    for kind, U, L, beta in cells:
+        if kind in _SOLVED:
+            (_, _, _, beta), ratio = next(solved)
+            yield (ratio if isinstance(ratio, OprError)
+                   else dtpr_family(k, U, L, beta, ratio, variant))
+        elif kind is PlayerKind.CONSTANT_THRESHOLD:
+            yield _constant_family(k, constant_threshold(U, L), U, L, variant)
+        else:
+            # carbon-agnostic: a rail on the price bound accepts every price
+            yield _constant_family(k, U if variant is Variant.MIN else L, U, L, variant)
+
+
 def player_family(
     kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
 ) -> ThresholdFamily:
-    """The threshold family a player of this kind runs on ``variant``.
-
-    This is the one place the per-kind construction lives, and the one place
-    DTPR's min or max construction is picked by variant; a caller that runs
+    """`player_families` on one cell, raising its error.  A caller that runs
     many players on the same parameters can build the family once and hand
-    it to ``new_player``/``run_online``.
-    """
-    if kind is PlayerKind.DTPR:
-        if variant is Variant.MIN:
-            return dtpr_min_thresholds(k, U, L, beta)
-        return dtpr_max_thresholds(k, U, L, beta)
-    if kind is PlayerKind.KSEARCH:
-        return ksearch_thresholds(k, U, L, variant)
-    if kind is PlayerKind.CONSTANT_THRESHOLD:
-        return _constant_family(k, constant_threshold(U, L), U, L, variant)
-    # carbon-agnostic: a rail on the price bound accepts every price
-    rail = U if variant is Variant.MIN else L
-    return _constant_family(k, rail, U, L, variant)
+    it to ``new_player``/``run_online``."""
+    [family] = player_families([(kind, U, L, beta)], k, variant)
+    if isinstance(family, OprError):
+        raise family
+    return family
 
 
 def new_player(

@@ -19,10 +19,9 @@ A run goes in lane passes: `sample_pass` samples a pass of trials into one
 lane is played in one `play_lanes` call, and the records are completed in
 trial order.
 Threshold families depend on a trial only through its (L, U), so a pass
-keeps one memo per algorithm: the last (L, U), the row of the pass's rail
-table that holds its rails, and its clipped flag.  The rails are built only
-when consecutive trials change (L, U); the records are the same as if every
-trial built its own.
+builds each algorithm's family once for each distinct (L, U) it meets, with
+one `solve_ratios` call for all their ratios; the records are the same as if
+every trial built its own.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import PlayerKind, play_lanes, player_family
+from .algorithms import PlayerKind, play_lanes, player_families
 from .core import CostBreakdown, Variant, cost_ratio, lane_flips, lane_total
 from .errors import OprError, ParameterError
 from .offline import dp_decisions
-from .thresholds import check_k, solve_alpha, solve_omega
+from .thresholds import check_k, solve_ratios
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -158,27 +157,6 @@ def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple
     return math.fsum(ordered) / n, p95, ordered[-1], cdf
 
 
-def _trial_rails(
-    kind: PlayerKind, k: int, L: float, U: float, beta: float, variant: Variant
-) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
-    """A kind's (lower, upper) rails at (L, U), and whether beta was clipped
-    for them.
-
-    When beta >= (U-L)/2, the min algorithm degenerates to one contiguous
-    block; DTPR's min thresholds are then built from a clipped beta while the
-    instance still charges the true one.
-    """
-    clipped = (
-        kind is PlayerKind.DTPR
-        and variant is Variant.MIN
-        and not (U > L and beta < (U - L) / 2)
-    )
-    family = player_family(
-        kind, k, U, L, _BETA_CLIP * (U - L) / 2 if clipped else beta, variant
-    )
-    return family.lower, family.upper, clipped
-
-
 def pass_len(T: int, k: int, m: int) -> int:
     """How many trials one lane pass of m algorithms holds within
     `_PASS_BYTES` (at least one).
@@ -270,13 +248,15 @@ def _run_trials(
 ) -> list[dict]:
     """The records of trials [start, stop), from one lane pass.
 
-    `sample_pass` samples the trials into the rows of one price array, and
-    each trial's algorithms' rails go into its lanes; OPT is solved for every
-    row and every lane is played in one `play_lanes` call.  Sampling and rail
-    building stop at the first error, which is raised as ``trial i: ...``
-    once every trial before it, and every algorithm before it in its trial,
-    is scored.  A T longer than the trace or an infinite beta fails first,
-    naming no trial.
+    `sample_pass` samples the trials into the rows of one price array.  The
+    families of each distinct (L, U) are built by one `player_families`
+    call into the rows of one rail table, and each lane is pointed at its
+    row; OPT is solved for every row and every lane is played in one
+    `play_lanes` call.  The first sampling error, or the first family error
+    in trial and algorithm order, is raised as ``trial i: ...`` once every
+    trial before it, and every algorithm before it in its trial, is scored.
+    A T longer than the trace or an infinite beta fails first, naming no
+    trial.
     """
     T, k, variant, m = cfg.T, cfg.resolved_k(), cfg.variant, len(kinds)
     if T > len(ds):
@@ -285,31 +265,38 @@ def _run_trials(
         raise ParameterError(f"beta must be finite and nonnegative, got {beta_abs}")
     prices = np.empty((stop - start, T))
     records, failure = sample_pass(cfg, ds, bounds, start, prices)
-    # each rail pair built, copied once; `lane_rows` says which row each
-    # lane plays.  Lanes past a failure play row 0, which exists even when
-    # never written, and are never scored.
-    table = np.zeros((m * len(records), 2, k + 1))
-    lane_rows = np.zeros((len(records), m), dtype=np.intp)
-    clipped, used = [], 0
-    memo = [(None, 0, False)] * m  # each kind's last (L, U), its row, its clipped flag
-    for row, record in enumerate(records):
-        L, U = record["instance_l"], record["instance_u"]
-        try:
-            for a, kind in enumerate(kinds):
-                if memo[a][0] != (L, U):
-                    rails = _trial_rails(kind, k, L, U, beta_abs, variant)
-                    table[used, :, :k] = rails[:2]
-                    memo[a], used = ((L, U), used, rails[2]), used + 1
-                lane_rows[row, a] = memo[a][1]
-                clipped.append(memo[a][2])
-        except OprError as exc:
-            failure = record["trial"], exc
-            del records[row + 1 :]
-            break
+    # each distinct (L, U) gets a rail-table row per kind, and `lane_rows`
+    # says which row each lane plays
+    seen: dict[tuple[float, float], int] = {}
+    group = [seen.setdefault((r["instance_l"], r["instance_u"]), len(seen)) for r in records]
+    lane_rows = np.array(group, dtype=np.intp).reshape(-1, 1) * m + np.arange(m)
+    cells, clips = [], []
+    for L, U in seen:
+        for kind in kinds:
+            # once beta >= (U-L)/2 the min algorithm degenerates to one
+            # contiguous block; DTPR's min rails are then built from a
+            # clipped beta while the instance still charges the true one
+            clip = kind is PlayerKind.DTPR and variant is Variant.MIN and not (
+                U > L and beta_abs < (U - L) / 2)
+            cells.append((kind, U, L, _BETA_CLIP * (U - L) / 2 if clip else beta_abs))
+            clips.append(clip)
+    table, failed = np.zeros((max(len(cells), 1), 2, k + 1)), {}
+    for f, family in enumerate(player_families(cells, k, variant)):
+        if isinstance(family, OprError):
+            failed[f] = family
+        else:
+            table[f, :, :k] = family.lower, family.upper
+    clipped = [clips[f] for f in lane_rows.ravel().tolist()]
+    del seen, group, cells, clips  # freed before the DP and the players run
+    bad = np.flatnonzero(np.isin(lane_rows, list(failed))).tolist()
+    if bad:  # the first failing lane ends the pass there
+        row, a = divmod(bad[0], m)
+        failure = records[row]["trial"], failed[lane_rows[row, a]]
+        del records[row + 1 :], clipped[bad[0] :]
     n = len(records)
     if n:
         opt_rows = dp_decisions(prices[:n], k, float(beta_abs), variant)
-        alg_rows = play_lanes(prices[:n], table[: max(used, 1)], lane_rows[:n], variant)
+        alg_rows = play_lanes(prices[:n], table, lane_rows[:n], variant)
         opt_flips, alg_flips = lane_flips(opt_rows).tolist(), lane_flips(alg_rows).tolist()
         opt_bytes, alg_bytes = opt_rows.tobytes(), alg_rows.tobytes()
     names = [kind.value for kind in kinds]
@@ -395,22 +382,31 @@ def sweep_ratios(
 
     Min cells with 2*beta >= U - L degenerate to a single contiguous block
     and emit ``degenerate``; max cells with 2*beta >= kL have unbounded
-    ratio and emit ``inf``.  A k or U that no cell could use fails before
-    any cell is built.
+    ratio and emit ``inf``.  The k, the U, and then every L and beta in
+    grid order are checked before any cell is solved; every other cell is
+    solved in one `solve_ratios` call, and the first that fails raises.
     """
     check_k(k)
     if not (0 < U < math.inf):
         raise ParameterError(f"need 0 < U < inf, got U={U}")
-    rows: list[tuple[float, float, float | str]] = []
     for L in l_grid:
         if not (0 < L <= U):
             raise ParameterError(f"grid L={L} outside (0, U={U}]")
         for beta in beta_grid:
             if beta < 0:
                 raise ParameterError(f"grid beta={beta} negative")
-            if variant is Variant.MIN:
-                cell = "degenerate" if 2 * beta >= U - L else solve_alpha(k, U, L, beta)
-            else:
-                cell = "inf" if 2 * beta >= k * L else solve_omega(k, U, L, beta)
+    if variant is Variant.MIN:
+        sentinel, outside = "degenerate", lambda L, beta: 2 * beta >= U - L
+    else:
+        sentinel, outside = "inf", lambda L, beta: 2 * beta >= k * L
+    ratios = iter(solve_ratios(variant, (
+        (k, U, L, beta) for L in l_grid for beta in beta_grid if not outside(L, beta)
+    )))
+    rows: list[tuple[float, float, float | str]] = []
+    for L in l_grid:
+        for beta in beta_grid:
+            cell = sentinel if outside(L, beta) else next(ratios)
+            if isinstance(cell, OprError):
+                raise cell
             rows.append((L, beta, cell))
     return rows

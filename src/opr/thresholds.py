@@ -13,6 +13,9 @@ Both degenerate to the classic k-search ratios at b = 0:
     (1 - 1/theta) / (1 - 1/a) = (1 + 1/(a k))^k        (k-min search)
     (theta - 1) / (w - 1)     = (1 + w/k)^k            (k-max search)
 
+Both come from `solve_ratios`, one lane-wise bisection over a batch of
+cells; `solve_alpha`/`solve_omega` are its one-cell case.
+
 The double-threshold family pairs a resume threshold with a stay threshold
 exactly 2b apart: a player already accepting tolerates a slightly worse
 price (it would pay to switch away), while an idle player demands a price
@@ -22,11 +25,15 @@ good enough to justify switching on.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
+
+import numpy as np
 
 from .core import Variant
-from .errors import DomainError, ParameterError, RegimeError
+from .errors import DomainError, OprError, ParameterError, RegimeError
 
 
 class AsymptoticRegime(Enum):
@@ -69,64 +76,124 @@ def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
         raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
 
 
-def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
-    """Regime checks, then bisection on [1+1e-12, hi], doubling hi from 2.
+def _powers(base: np.ndarray, exps: list[float]) -> np.ndarray:
+    """Python's ``b ** e`` lane by lane, as `math.pow` (``np.power`` rounds
+    differently), and inf where ``**`` raises OverflowError (max side)."""
+    try:
+        return np.fromiter(map(math.pow, base.tolist(), exps), float, len(exps))
+    except OverflowError:  # some lane overflows: redo them one by one
+        pass
+    out = []
+    for b, e in zip(base.tolist(), exps):
+        try:
+            out.append(math.pow(b, e))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
-    The residual is positive at the left end for all in-regime parameters and
-    eventually negative, and the underlying equation has a unique positive
-    root, so plain bisection is robust without derivatives.  It runs to its
-    fixed point: residual(lo) > 0 >= residual(hi) holds throughout, so once
-    the midpoint rounds to lo or hi the bracket can never move again, and
-    that midpoint is returned.
 
-    One inline residual, positive below the root, serves every point.  The
-    bracket ends are evaluated as the degenerate bracket lo == hi: the left
-    end 1+1e-12 first (a residual <= 0 there means no root), then hi = 2, 4,
-    ... while its residual stays positive, with lo back at the left end.  A
-    bisection midpoint never equals lo or hi, so only a bracket end or the
-    fixed point reaches that branch.
+def solve_ratios(
+    variant: Variant, cells: Iterable[tuple[int, float, float, float]]
+) -> list[float | OprError]:
+    """The ratio (alpha for min, omega for max) of each (k, U, L, beta) cell,
+    or the `OprError` of its solve; none is raised here.
+
+    After the parameter checks, ratio 1 at U == L with beta == 0, and the
+    regime check, a cell is bisected on [1+1e-12, hi] to the fixed point
+    where the midpoint rounds to lo or hi.  The residual is positive below
+    the unique root.  The bracket ends are met as the degenerate bracket
+    lo == hi: the left end (no root if its residual is <= 0), then hi = 2,
+    4, ... while the residual there stays positive.  The cells are lanes of
+    one loop: numpy does the ``+ - * /`` in the scalar order, which rounds
+    as Python floats do, and `math.pow` the power, so each lane gives what
+    its cell gives alone.  As with Python floats, overflow is silent.
     """
-    _check_bounds(k, U, L, beta)
-    if U == L and beta == 0:
-        return 1.0
     is_min = variant is Variant.MIN
-    if is_min and beta >= (U - L) / 2:
-        raise RegimeError(f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block regime, "
-                          "min ratio equation does not apply")
-    if not is_min and beta >= k * L / 2:
-        raise RegimeError(f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
-                          "nonpositive, max ratio is unbounded")
     what = "alpha" if is_min else "omega"
-    kf, b2 = float(k), 2 * beta
-    c0, c1 = U - L - b2, b2 * (1 - 1 / k)
-    x = lo = hi = 1.0 + 1e-12  # ratios are > 1 by construction
-    doublings = -1  # the first degenerate bracket is the left end, not a doubling
-    while True:
-        if is_min:
-            r = c0 - (U * (1 - 1 / x) - c1 - b2 / (kf * x)) * (1 + 1 / (kf * x)) ** kf
+    errors = ("", f"no {what} root above 1 for these parameters",
+              f"{what} root bracket did not close; ratio diverges")
+    out: list[float | OprError] = []
+    cols = tuple(array("d") for _ in range(6))
+    for k, U, L, beta in cells:
+        try:
+            _check_bounds(k, U, L, beta)
+        except ParameterError as exc:
+            out.append(exc)
+            continue
+        if U == L and beta == 0:
+            out.append(1.0)
+        elif is_min and beta >= (U - L) / 2:
+            out.append(RegimeError(f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block "
+                                   "regime, min ratio equation does not apply"))
+        elif not is_min and beta >= k * L / 2:
+            out.append(RegimeError(f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
+                                   "nonpositive, max ratio is unbounded"))
         else:
-            lhs = L * (x - 1) - c1 - b2 * x / kf
-            try:
-                r = c0 - lhs * (1 + x / kf) ** kf
-            except OverflowError:
-                # reached while doubling the bracket: the power is past
-                # 1.8e308 and c0 is finite and positive, so lhs decides
-                r = -math.inf if lhs > 0 else math.inf
-        if r > 0:
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
-        if x == lo or x == hi:
-            if lo < hi:
-                return x
-            if r <= 0:
-                raise RegimeError(f"no {what} root above 1 for these parameters")
-            doublings += 1
-            if doublings > 200:
-                raise RegimeError(f"{what} root bracket did not close; ratio diverges")
-            lo, hi = 1.0 + 1e-12, (2.0 * hi if doublings else 2.0)
-            x = hi
+            for col, v in zip(cols, (len(out), k, U if is_min else L, U - L - 2 * beta,
+                                     2 * beta * (1 - 1 / k), 2 * beta)):
+                col.append(v)
+            out.append(1.0)  # until its root is found
+    # a row a field, a column a lane; leaving lanes are dropped by moving
+    # the others to the front of every row
+    state = np.empty((10, len(cols[0])))
+    for row, col in zip(state, cols):
+        row[:] = col
+    del cols
+    # lo = hi = x = the left end (ratios are > 1 by construction), and the
+    # doubling count at -1, since that first bracket end is no doubling
+    state[6:9], state[9] = 1.0 + 1e-12, -1.0
+    i, kf, s, c0, c1, b2, lo, hi, x, doublings = state
+    kfs = kf.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        while kfs:
+            if is_min:
+                kx = kf * x
+                r = c0 - (s * (1 - 1 / x) - c1 - b2 / kx) * _powers(1 + 1 / kx, kfs)
+            else:
+                lhs = s * (x - 1) - c1 - b2 * x / kf
+                p = _powers(1 + x / kf, kfs)
+                r = c0 - lhs * p
+                # past 1.8e308 the power is inf and c0 is finite and
+                # positive, so lhs decides, as when ``**`` raises
+                big = p == math.inf
+                r[big] = np.where(lhs[big] > 0, -math.inf, math.inf)
+            pos = r > 0
+            np.copyto(lo, x, where=pos)
+            np.copyto(hi, x, where=~pos)
+            np.add(lo, hi, out=x)
+            x *= 0.5
+            stop = (x == lo) | (x == hi)
+            if not np.count_nonzero(stop):
+                continue
+            # where lo < hi, x is the root; a bracket end with r <= 0 has no
+            # root, and one with r > 0 doubles hi, at most 200 times
+            ends = stop & (lo == hi)
+            no_root = ends & (r <= 0)
+            doublings += ends & ~no_root
+            diverged = ends & ~no_root & (doublings > 200)
+            grow = ends & ~no_root & ~diverged
+            keep = ~stop | grow
+            code = no_root + 2 * diverged
+            for j, v, c in zip(i[~keep].tolist(), x[~keep].tolist(), code[~keep].tolist()):
+                out[int(j)] = RegimeError(errors[c]) if c else v
+            hi[grow] = np.where(doublings[grow] > 0, 2.0 * hi[grow], 2.0)
+            lo[grow], x[grow] = 1.0 + 1e-12, hi[grow]
+            n = np.count_nonzero(keep)
+            if n < len(keep):
+                for row in state:
+                    row[:n] = row[keep]
+                state = state[:, :n]
+                i, kf, s, c0, c1, b2, lo, hi, x, doublings = state
+                kfs = kf.tolist()
+    return out
+
+
+def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
+    """`solve_ratios` on one cell, raising its error."""
+    [ratio] = solve_ratios(variant, [(k, U, L, beta)])
+    if isinstance(ratio, OprError):
+        raise ratio
+    return ratio
 
 
 def solve_alpha(k: int, U: float, L: float, beta: float) -> float:
@@ -169,26 +236,29 @@ def max_lower_threshold(i: int, k: int, U: float, L: float, beta: float, omega: 
     return L + (U - L - 2 * beta) * rho ** (i - 1 - k)
 
 
-def dtpr_min_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:
-    """Double-threshold family for the min variant.
+def dtpr_family(
+    k: int, U: float, L: float, beta: float, ratio: float, variant: Variant
+) -> ThresholdFamily:
+    """The double-threshold family at its solved ratio.  Min: u_i decreases
+    in i and l_{k+1} = L, so every threshold stays inside (L, U) for
+    in-regime beta.  Max: l_i increases in i with u_{k+1} = U."""
+    if variant is Variant.MIN:
+        upper = tuple(min_upper_threshold(i, k, U, L, beta, ratio) for i in range(1, k + 1))
+        lower = tuple(u - 2 * beta for u in upper)
+    else:
+        lower = tuple(max_lower_threshold(i, k, U, L, beta, ratio) for i in range(1, k + 1))
+        upper = tuple(l + 2 * beta for l in lower)
+    return ThresholdFamily(variant=variant, k=k, lower=lower, upper=upper, ratio=ratio)
 
-    u_i decreases in i (each later unit demands a better price) and the
-    extended index satisfies l_{k+1} = L, so every threshold stays inside
-    (L, U) for in-regime beta.
-    """
-    alpha = solve_alpha(k, U, L, beta)
-    upper = tuple(min_upper_threshold(i, k, U, L, beta, alpha) for i in range(1, k + 1))
-    lower = tuple(u - 2 * beta for u in upper)
-    return ThresholdFamily(variant=Variant.MIN, k=k, lower=lower, upper=upper, ratio=alpha)
+
+def dtpr_min_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:
+    """Double-threshold family for the min variant, at alpha."""
+    return dtpr_family(k, U, L, beta, solve_alpha(k, U, L, beta), Variant.MIN)
 
 
 def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:
-    """Double-threshold family for the max variant; l_i increases in i with
-    extended u_{k+1} = U."""
-    omega = solve_omega(k, U, L, beta)
-    lower = tuple(max_lower_threshold(i, k, U, L, beta, omega) for i in range(1, k + 1))
-    upper = tuple(l + 2 * beta for l in lower)
-    return ThresholdFamily(variant=Variant.MAX, k=k, lower=lower, upper=upper, ratio=omega)
+    """Double-threshold family for the max variant, at omega."""
+    return dtpr_family(k, U, L, beta, solve_omega(k, U, L, beta), Variant.MAX)
 
 
 def ksearch_thresholds(k: int, U: float, L: float, variant: Variant) -> ThresholdFamily:

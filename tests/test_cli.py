@@ -160,6 +160,23 @@ class TestSimulate:
         assert lines[0] == "algorithm,ratio,cum_prob"
         assert len(lines) == 1 + 2 * 5
 
+    def test_noisy_max_run_exits_2_with_trial_2s_full_message(self, tmp_path, capsys):
+        # the whole stderr line and the exit code, not only the prefix:
+        # trial 2's noised segment lowers L until beta >= kL/2
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "max", "--trace", str(SHIPPED_CARBONFREE),
+             "--t-horizon", "48", "--k", "8", "--beta-frac", "0.05", "--noise", "2",
+             "--trials", "500", "--seed", "42", "--out", str(out)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: trial 2: beta=4.947912397446897 >= kL/2=1.0776627445075633: "
+            "profit can be forced nonpositive, max ratio is unbounded\n"
+        )
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE),

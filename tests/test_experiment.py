@@ -227,8 +227,9 @@ SHIPPED_INTENSITY = resources.files("opr.data") / "synthetic_intensity.csv"
 
 
 class TestFamilyMemo:
-    """run_experiment reuses each algorithm's threshold family while (L, U)
-    repeats between consecutive trials; the records must not show it."""
+    """run_experiment builds each distinct (kind, L, U, beta) cell of a lane
+    pass once, and every lane of that cell plays its rails; the records must
+    not show it."""
 
     @staticmethod
     def _check_against_fresh_trials(cfg, ds):
@@ -239,6 +240,30 @@ class TestFamilyMemo:
         for trial, rec in enumerate(res.trials):
             assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, kinds)
         return res.trials
+
+    @staticmethod
+    def _widen_and_count(monkeypatch, widen):
+        """Raise trial t's U by ``widen[t]``; return the list of kinds of
+        every family the run builds."""
+        sample = experiment.sample_pass
+
+        def widened(cfg, ds, bounds, start, prices):
+            records, failure = sample(cfg, ds, bounds, start, prices)
+            for rec in records:
+                if widen.get(rec["trial"]):
+                    rec.update(instance_u=rec["instance_u"] + widen[rec["trial"]],
+                               bounds_widened=True)
+            return records, failure
+
+        built, families = [], experiment.player_families
+
+        def spy(cells, *args):
+            built.extend(kind for kind, *_ in cells)
+            return families(cells, *args)
+
+        monkeypatch.setattr(experiment, "sample_pass", widened)
+        monkeypatch.setattr(experiment, "player_families", spy)
+        return built
 
     def test_records_equal_fresh_trials_as_bounds_repeat_and_change(self):
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
@@ -263,26 +288,10 @@ class TestFamilyMemo:
     def test_rails_are_built_when_bounds_change_within_a_pass(
         self, monkeypatch, per_pass, builds
     ):
-        # at noise 1 every trial keeps the trace-wide (L, U); widening trial
-        # 2's U makes trials 0..3 meet (L, U) as A, A, B, A.  The memo lives
+        # at noise 1 every trial keeps the trace-wide (L, U); widening trials
+        # 2 and 3 makes trials 0..3 meet (L, U) as A, A, B, C.  Cells live
         # for one pass, so a pass boundary builds the rails again.
-        sample = experiment.sample_pass
-
-        def widened(cfg, ds, bounds, start, prices):
-            records, failure = sample(cfg, ds, bounds, start, prices)
-            for rec in records:
-                if rec["trial"] == 2:
-                    rec.update(instance_u=rec["instance_u"] + 1.0, bounds_widened=True)
-            return records, failure
-
-        built, family = [], experiment.player_family
-
-        def spy(kind, *args):
-            built.append(kind)
-            return family(kind, *args)
-
-        monkeypatch.setattr(experiment, "sample_pass", widened)
-        monkeypatch.setattr(experiment, "player_family", spy)
+        built = self._widen_and_count(monkeypatch, {2: 1.0, 3: 2.0})
         trial_bytes = 9 * 24 + 4 * (16 * 5 + 2 * 24)
         monkeypatch.setattr(experiment, "_PASS_BYTES", per_pass * trial_bytes + trial_bytes - 1)
         assert experiment.pass_len(24, 4, 4) == per_pass
@@ -292,12 +301,27 @@ class TestFamilyMemo:
         )
         res = run_experiment(cfg, ds)
         bounds = [(rec["instance_l"], rec["instance_u"]) for rec in res.trials]
-        assert bounds[0] == bounds[1] == bounds[3] != bounds[2]
+        assert bounds[0] == bounds[1] and len(set(bounds)) == 3
         kinds = [resolve_player_kind(name) for name in cfg.algs]
         assert built == [kind for _ in range(builds) for kind in kinds]
         trace = trace_bounds(ds)
         for trial, rec in enumerate(res.trials):
             assert rec == run_trial(cfg, ds, trace, trial, cfg.beta_frac * trace.U, kinds)
+
+    def test_a_cell_met_again_later_in_its_pass_is_built_once(self, monkeypatch):
+        # A, B, A, B in one pass: two cells a kind, solved in one call
+        built = self._widen_and_count(monkeypatch, {1: 1.0, 3: 1.0})
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, k=4, beta_frac=0.05, noise=1.0, trials=4, seed=1
+        )
+        trials = self._check_against_fresh_trials(cfg, ds)
+        bounds = [(rec["instance_l"], rec["instance_u"]) for rec in trials]
+        assert bounds[0] == bounds[2] != bounds[1] == bounds[3]
+        kinds = [resolve_player_kind(name) for name in cfg.algs]
+        # the run builds two cells a kind; each fresh trial builds its own
+        assert built[: 2 * len(kinds)] == kinds * 2
+        assert len(built) == 2 * len(kinds) + len(trials) * len(kinds)
 
 
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
@@ -398,8 +422,13 @@ class TestChunkedTrials:
         cfg = ExperimentConfig(
             variant=Variant.MAX, T=48, noise=2.0, beta_frac=0.05, trials=10, seed=42
         )
-        with pytest.raises(ParameterError, match=r"^trial 2: beta=4\.9479"):
+        with pytest.raises(RegimeError) as excinfo:
             run_experiment(cfg, ds)
+        assert excinfo.type is RegimeError
+        assert str(excinfo.value) == (
+            "trial 2: beta=4.947912397446897 >= kL/2=1.0776627445075633: "
+            "profit can be forced nonpositive, max ratio is unbounded"
+        )
         assert scored == [0, 1, 2]
 
     def test_identically_zero_segment_fails_its_own_trial(self, monkeypatch):
@@ -461,7 +490,8 @@ class TestChunkedTrials:
     def test_family_failure_is_its_trials_scoring_failure(self, monkeypatch, fail_score):
         # ksearch's family fails at trial 4 (the third (L, U) of this run):
         # the trials before it are scored first, and so is dtpr, which comes
-        # before ksearch in trial 4; an earlier scoring failure wins
+        # before ksearch in trial 4; an earlier scoring failure wins.  Every
+        # cell of the pass is built, in one call, before any trial is scored.
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(
             variant=Variant.MIN, T=24, beta=1.0, noise=3.0, trials=8, seed=0,
@@ -469,15 +499,16 @@ class TestChunkedTrials:
         )
         bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
         assert bounds[3] != bounds[4]
-        build, built = experiment.player_family, []
+        build = experiment.player_families
 
-        def failing_family(kind, k, U, L, beta, variant):
-            if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]:
-                raise RegimeError("cannot build")
-            built.append(kind)
-            return build(kind, k, U, L, beta, variant)
+        def failing_families(cells, k, variant):
+            return [
+                RegimeError("cannot build")
+                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4] else family
+                for (kind, U, L, _), family in zip(cells, build(cells, k, variant))
+            ]
 
-        monkeypatch.setattr(experiment, "player_family", failing_family)
+        monkeypatch.setattr(experiment, "player_families", failing_families)
         lanes, complete = [], experiment._complete_record
 
         def spy(record, prices, opt, trial_lanes, *args):
@@ -491,11 +522,10 @@ class TestChunkedTrials:
         message = "cannot build" if fail_score is None else "cannot score"
         with pytest.raises(OprError, match=f"^trial {reported}: {message}$"):
             run_experiment(cfg, ds)
-        # trial 4 is played for dtpr only; const is never built there
+        # trial 4 is scored for dtpr only
         assert lanes == [(t, 3) for t in range(min(reported + 1, 4))] + (
             [(4, 1)] if reported == 4 else []
         )
-        assert built[-1] is PlayerKind.DTPR
 
 
 def _parent_trial_bounds(segment, bounds):
@@ -663,6 +693,29 @@ class TestSweep:
         # 2 * beta >= kL on every finite-k cell, so each would be a sentinel
         with pytest.raises(ParameterError, match="k must be a positive integer|need 0 < U < inf"):
             sweep_ratios(Variant.MAX, k, U, [40.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    @pytest.mark.parametrize(
+        "beta_grid, l_grid, message",
+        [
+            ([0.0, 1.0], [2.0, 5.0, 25.0], "grid L=25.0 outside (0, U=20.0]"),
+            ([0.0, 1.0], [2.0, 0.0], "grid L=0.0 outside (0, U=20.0]"),
+            ([0.0, 1.0, -0.5], [2.0, 5.0], "grid beta=-0.5 negative"),
+        ],
+    )
+    def test_bad_cell_after_valid_cells_raises_its_parameter_error(
+        self, variant, beta_grid, l_grid, message, monkeypatch
+    ):
+        # the first bad L or beta in grid order names itself, even with
+        # solvable cells before it, and no cell is solved first
+        def solved(*args):
+            raise AssertionError("a cell was solved before the grid was checked")
+
+        monkeypatch.setattr(experiment, "solve_ratios", solved)
+        with pytest.raises(ParameterError) as excinfo:
+            sweep_ratios(variant, 4, 20.0, beta_grid, l_grid)
+        assert excinfo.type is ParameterError
+        assert str(excinfo.value) == message
 
     def test_alpha_nonincreasing_in_l(self):
         l_grid = [1.0, 2.0, 4.0, 8.0]

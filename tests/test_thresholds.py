@@ -6,11 +6,14 @@ special cases are noted inline.
 """
 
 import math
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratio_reference
 from ratio_reference import max_residual, min_residual
 from opr.core import Variant
 from opr.errors import DomainError, ParameterError, RegimeError
@@ -27,6 +30,7 @@ from opr.thresholds import (
     min_upper_threshold,
     solve_alpha,
     solve_omega,
+    solve_ratios,
 )
 
 # grid-scan goldens for the k=10, U=30, L=5, beta=3 example parameters
@@ -367,3 +371,143 @@ class TestBalancingIdentities:
             return
         fam = dtpr_max_thresholds(k, U, L, beta)
         assert all(a <= b + 1e-12 for a, b in zip(fam.lower, fam.lower[1:]))
+
+
+# --- the lane solver ----------------------------------------------------------
+#
+# `solve_ratios` bisects every cell of a batch as one lane.  Each lane must
+# give what the cell alone gives: the regime checks, then the plain
+# bisection of ``tests/ratio_reference.py``, root for root by ``repr`` and
+# error for error by type and message.
+
+
+def _expected(variant, k, U, L, beta):
+    """A cell's outcome from the checks and the reference bisection."""
+    is_min = variant is Variant.MIN
+    what = "alpha" if is_min else "omega"
+    if U == L and beta == 0:
+        return repr(1.0)
+    if is_min and beta >= (U - L) / 2:
+        return ("RegimeError", f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block "
+                "regime, min ratio equation does not apply")
+    if not is_min and beta >= k * L / 2:
+        return ("RegimeError", f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
+                "nonpositive, max ratio is unbounded")
+    try:
+        return repr(ratio_reference.solve(variant, k, U, L, beta))
+    except RegimeError as exc:
+        message = {
+            "no root above 1": f"no {what} root above 1 for these parameters",
+            "bracket did not close": f"{what} root bracket did not close; ratio diverges",
+        }[str(exc)]
+        return ("RegimeError", message)
+
+
+def _outcome(result):
+    if isinstance(result, Exception):
+        return (type(result).__name__, str(result))
+    return repr(result)
+
+
+@st.composite
+def _cell(draw, variant):
+    """k 1..200, theta up to 1e300 (or exactly 1), and beta at zero, inside
+    the regime, at its edge, or one ulp either side of it."""
+    k = draw(st.integers(min_value=1, max_value=200))
+    L = 10 ** draw(st.floats(min_value=-3, max_value=3))
+    theta = draw(st.one_of(st.just(1.0), st.floats(min_value=0, max_value=300).map(
+        lambda e: 10**e)))
+    U = L * theta
+    edge = (U - L) / 2 if variant is Variant.MIN else k * L / 2
+    place = draw(st.sampled_from(["zero", "inside", "near", "below", "at", "past"]))
+    if place == "zero":
+        beta = 0.0
+    elif place == "inside":
+        beta = edge * draw(st.floats(min_value=0, max_value=1, exclude_max=True))
+    elif place == "near":
+        beta = edge * (1 - 10 ** -draw(st.floats(min_value=1, max_value=12)))
+    elif place == "below":
+        beta = math.nextafter(edge, 0.0)
+    elif place == "at":
+        beta = edge
+    else:
+        beta = math.nextafter(edge, math.inf)
+    return k, U, L, max(beta, 0.0)
+
+
+@st.composite
+def _batch(draw):
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    cells = draw(st.lists(_cell(variant), min_size=1, max_size=24))
+    return variant, cells
+
+
+# k=200, U=1e300: doubling the max-side bracket takes the product of lhs and
+# (1 + w/k)**k past the float range before the power itself overflows
+OVERFLOW_CELLS = [(200, 1e300, L, beta) for L in (1.0, 1e3, 1e6, 1e9) for beta in (0.0, 50.0, 99.0)]
+
+
+class TestLaneSolver:
+    @given(_batch())
+    @settings(max_examples=120, deadline=None)
+    def test_each_lane_is_the_reference_cell(self, batch):
+        variant, cells = batch
+        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        assert got == [_expected(variant, *cell) for cell in cells]
+
+    @given(_batch(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_permuting_or_splitting_a_batch_moves_no_lane(self, batch, data):
+        variant, cells = batch
+        whole = [_outcome(r) for r in solve_ratios(variant, cells)]
+        order = data.draw(st.permutations(range(len(cells))))
+        permuted = solve_ratios(variant, [cells[i] for i in order])
+        assert [_outcome(r) for r in permuted] == [whole[i] for i in order]
+        cut = data.draw(st.integers(min_value=0, max_value=len(cells)))
+        halves = solve_ratios(variant, cells[:cut]) + solve_ratios(variant, cells[cut:])
+        assert [_outcome(r) for r in halves] == whole
+
+    @given(_batch())
+    @settings(max_examples=30, deadline=None)
+    def test_one_cell_calls_are_solve_alpha_and_solve_omega(self, batch):
+        variant, cells = batch
+        solve = solve_alpha if variant is Variant.MIN else solve_omega
+        for cell, lane in zip(cells, solve_ratios(variant, cells)):
+            try:
+                alone = solve(*cell)
+            except RegimeError as exc:
+                alone = exc
+            assert _outcome(alone) == _outcome(lane)
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_a_large_seeded_batch_is_the_reference(self, variant):
+        # mostly in-regime cells: here a lane's power rounding shows (with
+        # np.power for math.pow about 2% of min-side roots move)
+        rng = random.Random(16)
+        cells = []
+        for _ in range(1500):
+            k = rng.randint(1, 200)
+            L = 10 ** rng.uniform(-2, 3)
+            U = L * 10 ** rng.uniform(1e-6, rng.choice((3, 300)))
+            edge = (U - L) / 2 if variant is Variant.MIN else k * L / 2
+            cells.append((k, U, L, edge * rng.choice((0.0, rng.random(), 1 - 1e-9))))
+        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        assert got == [_expected(variant, *cell) for cell in cells]
+
+    def test_bad_parameters_come_back_per_lane(self):
+        cells = [(4, 30.0, 5.0, 1.0), (0, 30.0, 5.0, 1.0), (4, 5.0, 30.0, 1.0),
+                 (4, 30.0, 5.0, math.nan), (4, 30.0, 5.0, 1.0)]
+        got = solve_ratios(Variant.MIN, cells)
+        assert got[0] == got[4] == solve_alpha(4, 30.0, 5.0, 1.0)
+        for cell, lane in zip(cells[1:4], got[1:4]):
+            with pytest.raises(ParameterError) as excinfo:
+                solve_alpha(*cell)
+            assert _outcome(lane) == _outcome(excinfo.value)
+        assert solve_ratios(Variant.MAX, []) == []
+
+    def test_overflow_stays_silent(self):
+        # numpy would warn on the overflowing product; Python floats do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_ratios(Variant.MAX, OVERFLOW_CELLS)
+        assert [_outcome(r) for r in got] == [_expected(Variant.MAX, *c) for c in OVERFLOW_CELLS]
