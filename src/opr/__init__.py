@@ -15,27 +15,21 @@ from .core import (
     Schedule,
     Variant,
     evaluate_schedule,
-    validate_schedule,
 )
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
-    empirical_cr,
     run_experiment,
     summarize,
     sweep_ratios,
 )
 from .offline import dp_optimal
 from .thresholds import (
-    AsymptoticRegime,
     ThresholdFamily,
-    asymptotic_alpha,
-    asymptotic_omega,
     constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
-    lambert_w,
     solve_alpha,
     solve_omega,
 )
@@ -54,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversaryTranscript",
-    "AsymptoticRegime",
     "CostBreakdown",
     "ExperimentConfig",
     "ExperimentResult",
@@ -70,17 +63,13 @@ __all__ = [
     "adversary_max",
     "adversary_min",
     "apply_noise",
-    "asymptotic_alpha",
-    "asymptotic_omega",
     "constant_threshold",
     "dp_optimal",
     "dtpr_max_thresholds",
     "dtpr_min_thresholds",
-    "empirical_cr",
     "evaluate_schedule",
     "hindsight_trace",
     "ksearch_thresholds",
-    "lambert_w",
     "new_player",
     "parse_trace",
     "run_experiment",
@@ -91,6 +80,5 @@ __all__ = [
     "sweep_ratios",
     "synthetic_diurnal",
     "trace_bounds",
-    "validate_schedule",
     "write_trace",
 ]

@@ -171,6 +171,8 @@ def new_player(
     that reuses one family or plays rails built from another beta than the
     instance charges; its variant and k must be the player's.
     """
+    if not (1 <= k <= T):
+        raise ParameterError(f"need 1 <= k <= T, got k={k}, T={T}")
     if family is None:
         family = player_family(kind, k, U, L, beta, variant)
     elif family.variant is not variant:

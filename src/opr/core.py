@@ -5,15 +5,19 @@ An instance asks a player to accept exactly k of T online prices, paying
 penalty of beta every time the accept/reject decision flips between adjacent
 slots.  The boundary decisions x_0 = 0 and x_{T+1} = 0 are implicit, so any
 feasible schedule flips at least twice and at most 2k times.
+
+The lane functions are the one objective: `lane_flips` counts the flips of
+every 0/1 row of an array and `lane_cost` prices one row's schedule.
+`evaluate_schedule` is their one-row case, behind its feasibility checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +27,12 @@ from .errors import DegenerateProfitError, FeasibilityError, ParameterError, Str
 class Variant(Enum):
     MIN = "min"
     MAX = "max"
+
+
+def check_k(k: int) -> None:
+    """Reject a k that is not a positive integer, NaN and inf included."""
+    if not (k >= 1 and k % 1 == 0):
+        raise ParameterError(f"k must be a positive integer, got {k}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,8 @@ class Instance:
             raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
         if self.k < 1 or self.T < 1 or self.k > self.T:
             raise ParameterError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
+        check_k(self.k)
+        object.__setattr__(self, "k", int(self.k))  # a k of 2.0 counts as 2
         if not (0 < self.L <= self.U < math.inf):
             raise ParameterError(f"need 0 < L <= U < inf, got L={self.L}, U={self.U}")
         if not (0 <= self.beta < math.inf):
@@ -61,11 +73,6 @@ class Instance:
                     f"price c_{t + 1}={p} outside [L, U]=[{self.L}, {self.U}]"
                 )
 
-    @property
-    def theta(self) -> float:
-        """Price fluctuation ratio U/L."""
-        return self.U / self.L
-
 
 _BINARY = frozenset((0, 1))
 
@@ -77,11 +84,12 @@ class Schedule:
     decisions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        decisions = tuple(map(int, self.decisions))
-        object.__setattr__(self, "decisions", decisions)
-        if not _BINARY.issuperset(decisions):
-            bad = next(x for x in decisions if x not in _BINARY)
+        # checked before int(), which would truncate 1.5 to 1
+        raw = tuple(self.decisions)
+        if not _BINARY.issuperset(raw):
+            bad = next(x for x in raw if x not in _BINARY)
             raise StructuralError(f"decisions must be 0/1, got {bad}")
+        object.__setattr__(self, "decisions", tuple(map(int, raw)))
 
     def num_accepted(self) -> int:
         return sum(self.decisions)
@@ -97,64 +105,50 @@ class CostBreakdown:
     num_switches: int
 
 
-def validate_schedule(inst: Instance, sched: Schedule) -> bool:
-    """True iff the schedule accepts exactly k prices.
+def evaluate_schedule(inst: Instance, sched: Schedule) -> CostBreakdown:
+    """Exact objective of a feasible schedule: `lane_flips` and `lane_cost`
+    on its one row.
 
-    The k-transaction requirement is a hard constraint, so anything else is
+    The schedule must have length T and accept exactly k prices; the
+    k-transaction requirement is a hard constraint, so anything else is
     infeasible no matter how cheap it looks.
     """
-    if len(sched.decisions) != inst.T:
-        raise StructuralError(
-            f"schedule has length {len(sched.decisions)}, expected T={inst.T}"
-        )
-    return sched.num_accepted() == inst.k
-
-
-def evaluate_schedule(inst: Instance, sched: Schedule) -> CostBreakdown:
-    """Exact objective of a feasible schedule.
-
-    Switching is charged over the closed boundary t = 0 .. T+1 with
-    x_0 = x_{T+1} = 0, so the count of flips is always even (twice the
-    number of maximal accepted blocks).  Min total adds the switching cost,
-    max total subtracts it and may legitimately be <= 0.
-    """
-    if not validate_schedule(inst, sched):
+    d = sched.decisions
+    if len(d) != inst.T:
+        raise StructuralError(f"schedule has length {len(d)}, expected T={inst.T}")
+    if sched.num_accepted() != inst.k:
         raise FeasibilityError(
             f"schedule accepts {sched.num_accepted()} prices, instance requires k={inst.k}"
         )
-    d = sched.decisions
-    # fsum is correctly rounded, so the summation order cannot move a bit
-    accepted = math.fsum(itertools.compress(inst.prices, d))
-    # x_0 = 0 flips into d[0], x_{T+1} = 0 flips out of d[-1]
-    flips = d[0] + d[-1] + sum(map(operator.ne, d, d[1:]))
-    switching = inst.beta * flips
-    if inst.variant is Variant.MIN:
-        total = accepted + switching
-    else:
-        total = accepted - switching
-    return CostBreakdown(
-        accepted_sum=accepted,
-        switching_cost=switching,
-        total=total,
-        num_switches=flips,
-    )
+    row = bytes(d)
+    flips = int(lane_flips(np.frombuffer(row, dtype=np.int8)))
+    return CostBreakdown(*lane_cost(inst.prices, row, flips, inst.beta, inst.variant), flips)
 
 
 def lane_flips(decisions: np.ndarray) -> np.ndarray:
-    """`evaluate_schedule`'s flip count of every 0/1 row along the last axis."""
+    """The flip count of every 0/1 row along the last axis.
+
+    Switching is charged over the closed boundary t = 0 .. T+1 with
+    x_0 = x_{T+1} = 0, so the count is always even (twice the number of
+    maximal accepted blocks).
+    """
     d = decisions
     return d[..., 0] + d[..., -1] + np.count_nonzero(d[..., 1:] != d[..., :-1], axis=-1)
 
 
-def lane_total(
-    prices: list[float], decisions: bytes, flips: int, beta: float, variant: Variant
-) -> float:
-    """`evaluate_schedule`'s total of one feasible schedule, bit for bit,
-    from its prices, its decisions as 0/1 bytes and its `lane_flips` count."""
+def lane_cost(
+    prices: Sequence[float], decisions: bytes, flips: int, beta: float, variant: Variant
+) -> tuple[float, float, float]:
+    """(accepted sum, switching cost, total) of one feasible schedule, from
+    its prices, its decisions as 0/1 bytes and its `lane_flips` count.  Min
+    total adds the switching cost, max total subtracts it and may
+    legitimately be <= 0."""
+    # fsum is correctly rounded, so the summation order cannot move a bit
     accepted = math.fsum(itertools.compress(prices, decisions))
+    switching = beta * flips
     if variant is Variant.MIN:
-        return accepted + beta * flips
-    return accepted - beta * flips
+        return accepted, switching, accepted + switching
+    return accepted, switching, accepted - switching
 
 
 def cost_ratio(alg: float, opt: float, variant: Variant) -> float:

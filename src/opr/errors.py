@@ -33,10 +33,6 @@ class ProtocolError(OprError):
     stepping past the horizon, or a player that fails to fill its units."""
 
 
-class DomainError(ParameterError):
-    """Argument outside a numeric kernel's domain (e.g. Lambert W below -1/e)."""
-
-
 class DegenerateProfitError(OprError):
     """Maximization profit is nonpositive, so the competitive ratio is undefined."""
 

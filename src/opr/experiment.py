@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import PlayerKind, play_lanes, player_families
-from .core import CostBreakdown, Variant, cost_ratio, lane_flips, lane_total
+from .core import Variant, check_k, cost_ratio, lane_cost, lane_flips
 from .errors import OprError, ParameterError
 from .offline import dp_decisions
-from .thresholds import check_k, solve_ratios
+from .thresholds import solve_ratios
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -136,11 +136,6 @@ class ExperimentResult:
         }
 
 
-def empirical_cr(alg: CostBreakdown, opt: CostBreakdown, variant: Variant) -> float:
-    """ALG/OPT for min, OPT/ALG for max; both >= 1 when OPT is exact."""
-    return cost_ratio(alg.total, opt.total, variant)
-
-
 def summarize(ratios: Sequence[float]) -> tuple[float, float, float, tuple[tuple[float, float], ...]]:
     """(mean, p95, max, CDF points).
 
@@ -224,10 +219,10 @@ def _complete_record(
     and clipped flag of each algorithm in ``names`` order.  ``opt`` and each
     of ``lanes`` hold the decision bytes and flip count of one schedule; a
     lane also holds its clipped flag."""
-    opt_total = lane_total(prices, *opt, beta, variant)
+    _, _, opt_total = lane_cost(prices, *opt, beta, variant)
     record.update(opt_total=opt_total, algs={})
     for name, (decisions, flips, clipped) in zip(names, lanes):
-        total = lane_total(prices, decisions, flips, beta, variant)
+        _, _, total = lane_cost(prices, decisions, flips, beta, variant)
         record["algs"][name] = {
             "total": total,
             "switches": flips,

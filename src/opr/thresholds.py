@@ -8,13 +8,16 @@ and the max-variant ratio omega > 1 solves
 
     (U - L - 2b) / (L(w - 1) - 2b(1 - 1/k + w/k)) = (1 + w/k)^k.
 
-Both degenerate to the classic k-search ratios at b = 0:
+Both degenerate to the classic k-search ratios at b = 0, with theta = U/L:
 
     (1 - 1/theta) / (1 - 1/a) = (1 + 1/(a k))^k        (k-min search)
     (theta - 1) / (w - 1)     = (1 + w/k)^k            (k-max search)
 
 Both come from `solve_ratios`, one lane-wise bisection over a batch of
-cells; `solve_alpha`/`solve_omega` are its one-cell case.
+cells; `solve_alpha`/`solve_omega` are its one-cell case.  These exact
+roots are the only form of the ratios here: the solver answers at every k,
+so the paper's asymptotic closed forms would be a second answer to the
+same question.
 
 The double-threshold family pairs a resume threshold with a stay threshold
 exactly 2b apart: a player already accepting tolerates a slightly worse
@@ -27,20 +30,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
-from .core import Variant
-from .errors import DomainError, OprError, ParameterError, RegimeError
-
-
-class AsymptoticRegime(Enum):
-    """Which asymptotic approximation of the ratio to evaluate."""
-
-    FIXED_K = "fixed-k"  # k held fixed, ratio large
-    LARGE_K = "large-k"  # k -> infinity
+from .core import Variant, check_k
+from .errors import OprError, ParameterError, RegimeError
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,6 @@ class ThresholdFamily:
     def __post_init__(self) -> None:
         if len(self.lower) != self.k or len(self.upper) != self.k:
             raise ParameterError("threshold family must hold exactly k values per rail")
-
-
-def check_k(k: int) -> None:
-    """Reject a k that is not a positive integer, NaN and inf included."""
-    if not (k >= 1 and k % 1 == 0):
-        raise ParameterError(f"k must be a positive integer, got {k}")
 
 
 def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
@@ -274,97 +263,3 @@ def constant_threshold(U: float, L: float) -> float:
     if not (0 < L <= U):
         raise ParameterError(f"need 0 < L <= U, got L={L}, U={U}")
     return math.sqrt(L * U)
-
-
-def lambert_w(x: float) -> float:
-    """Principal branch of the Lambert W function (inverse of w * e^w).
-
-    Newton iteration from a log-based seed; f(w) = w e^w is increasing and
-    convex on w > -1, so the iteration converges for every x >= -1/e.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"lambert_w argument must be finite, got {x}")
-    branch_point = -1.0 / math.e
-    if x < branch_point:
-        if x > branch_point - 1e-12:  # representational slop at the branch point
-            return -1.0
-        raise DomainError(f"lambert_w undefined below -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x > math.e:
-        w = math.log(x) - math.log(math.log(x))
-    elif x > -0.25:
-        w = x if x < 0 else math.log1p(x)
-    else:
-        # series around the branch point, stays >= -1; max() guards the
-        # sqrt against rounding pushing e*x + 1 a hair below zero
-        p = math.sqrt(max(2 * (math.e * x + 1), 0.0))
-        w = -1 + p - p * p / 3
-    w = max(w, -1 + 1e-12)
-    # 1e-12 absolute, relaxed to the ulp floor once |x| outgrows it
-    tol = max(1e-12, 8 * 2.220446049250313e-16 * abs(x))
-    for _ in range(200):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            return w
-        w -= f / (ew * (1 + w))
-    raise ArithmeticError(f"lambert_w failed to converge for x={x}")
-
-
-def asymptotic_alpha(
-    k: int, U: float, L: float, beta: float, regime: AsymptoticRegime
-) -> float:
-    """Asymptotic approximations of the min ratio (diagnostics only).
-
-    FIXED_K:  kb/(kL+2b) + sqrt((k^2 LU + 2kLb + 2kUb + 4b^2 + k^2 b^2)
-                                / (k^2 L^2 + 4kLb + 4b^2))
-    LARGE_K:  1 / (W(((c + 1/theta - 1) e^c) / e) - c + 1),  c = 2b/U
-
-    Never used by the algorithms; the exact solvers are.
-    """
-    _check_bounds(k, U, L, beta)
-    theta = U / L
-    if regime is AsymptoticRegime.FIXED_K:
-        if beta >= (U - L) / 2:
-            raise ParameterError(
-                f"fixed-k approximation needs beta < (U-L)/2, got beta={beta}"
-            )
-        num = k * k * L * U + 2 * k * L * beta + 2 * k * U * beta + 4 * beta**2 + k * k * beta**2
-        den = k * k * L * L + 4 * k * L * beta + 4 * beta**2
-        return k * beta / (k * L + 2 * beta) + math.sqrt(num / den)
-    if regime is AsymptoticRegime.LARGE_K:
-        c = 2 * beta / U
-        if c >= (U - L) / U:
-            raise ParameterError(
-                f"large-k approximation needs 2*beta/U < (U-L)/U, got {c}"
-            )
-        arg = (c + 1 / theta - 1) * math.exp(c) / math.e
-        return 1.0 / (lambert_w(arg) - c + 1)
-    raise ParameterError(f"unknown regime {regime!r}")
-
-
-def asymptotic_omega(
-    k: int, U: float, L: float, beta: float, regime: AsymptoticRegime
-) -> float:
-    """Asymptotic approximations of the max ratio (diagnostics only).
-
-    FIXED_K:  (k^k * k*theta / (k - b))^(1/(k+1)),  with b = 2*beta/L
-    LARGE_K:  W((theta - 1 - b) / e^(1+b)) + 1 + b
-
-    The large-k form substitutes b = 2*beta/L throughout, including the
-    numerator of the W argument.
-    """
-    _check_bounds(k, U, L, beta)
-    theta = U / L
-    b = 2 * beta / L
-    if b >= k:
-        raise RegimeError(f"need 2*beta/L < k, got {b} >= {k}")
-    if regime is AsymptoticRegime.FIXED_K:
-        # evaluate in log space; k^k overflows float64 past k ~ 140
-        log_val = (k * math.log(k) + math.log(k * theta / (k - b))) / (k + 1)
-        return math.exp(log_val)
-    if regime is AsymptoticRegime.LARGE_K:
-        arg = (theta - 1 - b) / math.exp(1 + b)
-        return lambert_w(arg) + 1 + b
-    raise ParameterError(f"unknown regime {regime!r}")

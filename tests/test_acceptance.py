@@ -17,8 +17,8 @@ import numpy as np
 from brute_force import brute_force_optimal
 from opr.adversary import adversary_max, adversary_min
 from opr.algorithms import PlayerKind, hindsight_trace
-from opr.core import Instance, Variant
-from opr.experiment import ExperimentConfig, empirical_cr, run_experiment
+from opr.core import Instance, Variant, cost_ratio
+from opr.experiment import ExperimentConfig, run_experiment
 from opr.offline import dp_optimal
 from opr.thresholds import (
     dtpr_max_thresholds,
@@ -205,7 +205,7 @@ def test_criterion_dtpr_upper_bound():
                 )
                 _, cost = hindsight_trace(kind, inst)
                 _, opt = dp_optimal(inst)
-                ratio = empirical_cr(cost, opt, variant)
+                ratio = cost_ratio(cost.total, opt.total, variant)
                 worst_excess = max(worst_excess, ratio - ratio_bound)
                 checked[variant] += 1
     elapsed = time.perf_counter() - t0

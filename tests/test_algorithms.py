@@ -115,6 +115,13 @@ class TestStep:
         with pytest.raises(ProtocolError):
             player.step(30)
 
+    @pytest.mark.parametrize("kind", list(PlayerKind))
+    def test_k_above_horizon_rejected(self, kind):
+        # a DTPR player of k=3, T=2 used to take 2 steps and then raise
+        # ProtocolError("step past horizon") mid-run
+        with pytest.raises(ParameterError, match=r"need 1 <= k <= T, got k=3, T=2$"):
+            new_player(kind, 3, 2, 1, 3, 0.5, Variant.MIN)
+
     def test_one_kind_serves_both_variants(self):
         k, T, L, U, beta = 3, 8, 5.0, 30.0, 3.0
 

@@ -1,6 +1,8 @@
 """Instance/schedule construction and exact objective evaluation."""
 
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,12 +13,13 @@ from opr.core import (
     Instance,
     Schedule,
     Variant,
+    cost_ratio,
     evaluate_schedule,
+    lane_cost,
     lane_flips,
-    lane_total,
-    validate_schedule,
 )
-from opr.errors import FeasibilityError, ParameterError, StructuralError
+from opr.errors import DegenerateProfitError, FeasibilityError, ParameterError, StructuralError
+from opr.offline import dp_optimal
 
 
 def make_min(prices, k, beta=1.0, L=None, U=None):
@@ -45,6 +48,13 @@ class TestConstruction:
             Instance(k=3, T=2, L=1, U=2, beta=0, variant=Variant.MIN, prices=(1, 2))
         with pytest.raises(ParameterError):
             Instance(k=0, T=2, L=1, U=2, beta=0, variant=Variant.MIN, prices=(1, 2))
+        # a non-integer or NaN k passes 1 <= k <= T; it used to construct and
+        # make dp_optimal raise a raw TypeError
+        for k in (2.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                Instance(k=k, T=3, L=1, U=3, beta=0.5, variant=Variant.MIN, prices=(1, 2, 3))
+        inst = Instance(k=2.0, T=3, L=1, U=3, beta=0.5, variant=Variant.MIN, prices=(1, 2, 3))
+        assert dp_optimal(inst)[0].decisions == (1, 1, 0)
 
     def test_negative_beta(self):
         with pytest.raises(ParameterError):
@@ -60,10 +70,6 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             Instance(k=1, T=3, L=1, U=2, beta=0, variant=Variant.MIN, prices=(1, 2))
 
-    def test_theta(self):
-        inst = make_min([1, 4], k=1, L=1, U=4)
-        assert inst.theta == 4.0
-
     def test_schedule_entries_checked(self):
         with pytest.raises(StructuralError):
             Schedule((0, 2, 1))
@@ -72,31 +78,18 @@ class TestConstruction:
         # the message names the first bad value
         with pytest.raises(StructuralError, match="got 3$"):
             Schedule((1, 3, 0, 2))
+        # values are checked before int(), which used to truncate them
+        for raw, bad in (((1.5, 0), "1.5"), ((0.7, 1), "0.7"), ((1, np.float64(-0.5)), "-0.5"),
+                         ((0, math.nan), "nan")):
+            with pytest.raises(StructuralError, match=f"got {bad}$"):
+                Schedule(raw)
+        assert Schedule((1.0, np.float64(0.0), 1)).decisions == (1, 0, 1)
 
     def test_schedule_accepts_numpy_ints_and_bools(self):
         for raw in ((np.int64(1), np.int8(0), np.uint8(1)), (True, False, True)):
             sched = Schedule(raw)
             assert sched.decisions == (1, 0, 1)
             assert all(type(x) is int for x in sched.decisions)
-
-
-class TestValidateSchedule:
-    def test_exact_count(self):
-        inst = make_min([5, 5, 5], k=2)
-        assert validate_schedule(inst, Schedule((1, 1, 0))) is True
-
-    def test_too_many(self):
-        inst = make_min([5, 5, 5], k=2)
-        assert validate_schedule(inst, Schedule((1, 1, 1))) is False
-
-    def test_all_slots(self):
-        inst = make_min([5, 5, 5], k=3)
-        assert validate_schedule(inst, Schedule((1, 1, 1))) is True
-
-    def test_length_mismatch(self):
-        inst = make_min([5, 5, 5], k=2)
-        with pytest.raises(StructuralError):
-            validate_schedule(inst, Schedule((1, 1)))
 
 
 class TestEvaluateSchedule:
@@ -125,6 +118,25 @@ class TestEvaluateSchedule:
         inst = make_min([5, 5, 5], k=2)
         with pytest.raises(FeasibilityError):
             evaluate_schedule(inst, Schedule((1, 0, 0)))
+
+    def test_exact_count(self):
+        inst = make_min([5, 5, 5], k=2)
+        assert evaluate_schedule(inst, Schedule((1, 1, 0))).num_switches == 2
+
+    def test_too_many(self):
+        inst = make_min([5, 5, 5], k=2)
+        message = "^schedule accepts 3 prices, instance requires k=2$"
+        with pytest.raises(FeasibilityError, match=message):
+            evaluate_schedule(inst, Schedule((1, 1, 1)))
+
+    def test_all_slots(self):
+        inst = make_min([5, 5, 5], k=3)
+        assert evaluate_schedule(inst, Schedule((1, 1, 1))).total == 17
+
+    def test_length_mismatch(self):
+        inst = make_min([5, 5, 5], k=2)
+        with pytest.raises(StructuralError, match="^schedule has length 2, expected T=3$"):
+            evaluate_schedule(inst, Schedule((1, 1)))
 
     def test_trailing_block_counts_boundary_flip(self):
         inst = make_min([5, 5], k=1)
@@ -252,19 +264,38 @@ def schedule_batches(draw):
     return cases
 
 
+def _loop_objective(inst, decisions):
+    """(accepted, switching, total, flips) by the Python flip/fsum loop the
+    objective was first written as, kept here so the lane functions are
+    checked against code they do not share."""
+    d = decisions
+    accepted = math.fsum(itertools.compress(inst.prices, d))
+    flips = d[0] + d[-1] + sum(map(operator.ne, d, d[1:]))
+    switching = inst.beta * flips
+    if inst.variant is Variant.MIN:
+        return accepted, switching, accepted + switching, flips
+    return accepted, switching, accepted - switching, flips
+
+
 class TestLaneTotals:
-    """lane_flips and lane_total score many schedules at once; they must
-    equal evaluate_schedule bit for bit."""
+    """lane_flips and lane_cost score many schedules at once, and
+    evaluate_schedule is their one-row case; all must equal the loop
+    objective bit for bit."""
 
     @staticmethod
     def _check(cases):
         decisions = np.array([sched.decisions for _, sched in cases], dtype=np.int8)
         flips = lane_flips(decisions).tolist()
         for (inst, sched), row, f in zip(cases, decisions, flips):
+            accepted, switching, total, loop_flips = _loop_objective(inst, sched.decisions)
+            assert type(f) is int and f == loop_flips
+            got = lane_cost(list(inst.prices), row.tobytes(), f, inst.beta, inst.variant)
             cb = evaluate_schedule(inst, sched)
-            assert type(f) is int and f == cb.num_switches
-            total = lane_total(list(inst.prices), row.tobytes(), f, inst.beta, inst.variant)
-            assert total.hex() == cb.total.hex()
+            for parts in (got, (cb.accepted_sum, cb.switching_cost, cb.total)):
+                assert [type(x) for x in parts] == [float, type(switching), float]
+                assert [x.hex() for x in map(float, parts)] == [
+                    x.hex() for x in map(float, (accepted, switching, total))]
+            assert type(cb.num_switches) is int and cb.num_switches == loop_flips
         return flips
 
     @given(schedule_batches())
@@ -289,3 +320,20 @@ class TestLaneTotals:
         d = np.array([[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [0, 0, 0]]], dtype=np.int8)
         assert lane_flips(d).tolist() == [[2, 2], [4, 0]]
         assert lane_flips(np.ones((2, 1), dtype=np.int8)).tolist() == [2, 2]
+
+
+class TestCostRatio:
+    def test_min(self):
+        assert cost_ratio(12.0, 6.0, Variant.MIN) == 2.0
+
+    def test_max(self):
+        assert cost_ratio(5.0, 10.0, Variant.MAX) == 2.0
+
+    def test_degenerate_profit(self):
+        with pytest.raises(DegenerateProfitError):
+            cost_ratio(0.0, 10.0, Variant.MAX)
+
+    @pytest.mark.parametrize("opt", [0.0, -1.0])
+    def test_min_nonpositive_opt(self, opt):
+        with pytest.raises(ParameterError, match="min ratio needs opt.total > 0"):
+            cost_ratio(5.0, opt, Variant.MIN)

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opr.algorithms import PlayerKind
-from opr.core import CostBreakdown, Instance, Variant
+from opr.core import Instance, Variant
 from opr import experiment, offline
-from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
+from opr.errors import OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
     default_k,
     derive_seed,
-    empirical_cr,
     resolve_player_kind,
     run_experiment,
     run_trial,
@@ -35,22 +34,6 @@ from opr.traces import (
     synthetic_diurnal,
     trace_bounds,
 )
-
-
-def cb(total):
-    return CostBreakdown(accepted_sum=total, switching_cost=0, total=total, num_switches=0)
-
-
-class TestEmpiricalCr:
-    def test_min(self):
-        assert empirical_cr(cb(12), cb(6), Variant.MIN) == 2.0
-
-    def test_max(self):
-        assert empirical_cr(cb(5), cb(10), Variant.MAX) == 2.0
-
-    def test_degenerate_profit(self):
-        with pytest.raises(DegenerateProfitError):
-            empirical_cr(cb(0), cb(10), Variant.MAX)
 
 
 class TestSummarize:

@@ -16,16 +16,12 @@ from hypothesis import strategies as st
 import ratio_reference
 from ratio_reference import max_residual, min_residual
 from opr.core import Variant
-from opr.errors import DomainError, ParameterError, RegimeError
+from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
-    AsymptoticRegime,
-    asymptotic_alpha,
-    asymptotic_omega,
     constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
-    lambert_w,
     max_lower_threshold,
     min_upper_threshold,
     solve_alpha,
@@ -234,83 +230,6 @@ class TestConstantThreshold:
     def test_bad_bounds(self):
         with pytest.raises(ParameterError):
             constant_threshold(1, 2)
-
-
-class TestLambertW:
-    def test_anchors(self):
-        assert lambert_w(0.0) == 0.0
-        assert lambert_w(math.e) == pytest.approx(1.0, abs=1e-12)
-        assert lambert_w(1.0) == pytest.approx(0.5671432904097838, abs=1e-12)
-
-    @given(st.floats(min_value=-1 / math.e + 1e-9, max_value=1e3))
-    @settings(max_examples=300, deadline=None)
-    def test_inverse_residual(self, x):
-        # 1e3 cap: past |x| ~ 5e3 the absolute 1e-12 target sinks below the
-        # ulp of x itself; the asymptotic formulas never get near that
-        w = lambert_w(x)
-        assert abs(w * math.exp(w) - x) < 1e-12
-
-    def test_branch_point(self):
-        assert lambert_w(-1 / math.e) == pytest.approx(-1.0, abs=1e-5)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            lambert_w(-1.0)
-
-
-class TestAsymptotics:
-    def test_alpha_fixed_k_reduces_to_sqrt_theta(self):
-        val = asymptotic_alpha(1, 100, 1, 1e-12, AsymptoticRegime.FIXED_K)
-        assert val == pytest.approx(10.0, abs=1e-6)
-
-    def test_alpha_fixed_k_golden(self):
-        # cross-checked against independent bisection of the defining
-        # equation (U-L-2b)/(U(1-1/a) - 2b(1-1/k+1/(k a))) = 1 + 1/a
-        val = asymptotic_alpha(10, 30, 5, 3, AsymptoticRegime.FIXED_K)
-        assert val == pytest.approx(2.9338959948856487, abs=1e-9)
-
-        def star_resid(a):
-            return (30 - 5 - 6) - (30 * (1 - 1 / a) - 6 * (1 - 0.1) - 6 / (10 * a)) * (1 + 1 / a)
-
-        lo, hi = 1.0 + 1e-9, 64.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if star_resid(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        assert val == pytest.approx(0.5 * (lo + hi), abs=1e-9)
-
-    def test_alpha_large_k_beta0(self):
-        theta = 100.0
-        expect = 1.0 / (lambert_w((1 / theta - 1) / math.e) + 1)
-        assert asymptotic_alpha(5, 100, 1, 0, AsymptoticRegime.LARGE_K) == pytest.approx(
-            expect, abs=1e-12
-        )
-
-    def test_omega_fixed_k_reduces_to_sqrt_theta(self):
-        assert asymptotic_omega(1, 100, 1, 0, AsymptoticRegime.FIXED_K) == pytest.approx(
-            10.0, abs=1e-9
-        )
-
-    def test_omega_large_k_round_trip(self):
-        # with b = 0, theta = e*(w-1)*e^(w-1) + 1 must return w
-        for w in (1.5, 2.0, 3.7):
-            theta = math.e * (w - 1) * math.exp(w - 1) + 1
-            got = asymptotic_omega(4, theta, 1.0, 0.0, AsymptoticRegime.LARGE_K)
-            assert got == pytest.approx(w, abs=1e-9)
-
-    def test_omega_large_k_b1(self):
-        expect = lambert_w(98 / math.e**2) + 2
-        assert asymptotic_omega(3, 100, 1, 0.5, AsymptoticRegime.LARGE_K) == pytest.approx(
-            expect, abs=1e-12
-        )
-
-    def test_regime_errors(self):
-        with pytest.raises(RegimeError):
-            asymptotic_omega(2, 10, 1, 1.5, AsymptoticRegime.FIXED_K)  # b >= k
-        with pytest.raises(ParameterError):
-            asymptotic_alpha(2, 10, 1, 5, AsymptoticRegime.FIXED_K)
 
 
 @st.composite
