@@ -18,11 +18,15 @@ floods, and a closing U block.  The transcript's ratio is computed against
 the exact DP optimum of the realized sequence, which can only certify a
 larger lower bound than the analytic estimate.
 
+Each run solves its cell once: the probes' double-threshold family also
+plays the DTPR player, and its ratio is the transcript's ``bound``.
+
 The probes sit on the double-threshold resume rail, so a player whose own
 thresholds sit above it grabs them cheaply.  The k-search and constant-
 threshold players, whose two rails coincide, therefore also face the
-grab/stall scripts of ``_grab_stall_script``, built on their own thresholds;
-the adversary returns whichever transcript scores higher.  Double-threshold
+grab/stall scripts of ``_grab_stall_script``, built on their own thresholds
+and replayed step by step on a fresh player of the same family; the
+adversary returns whichever transcript scores higher.  Double-threshold
 players, the carbon-agnostic player and black-box factories see only the
 probe script.
 
@@ -40,11 +44,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .algorithms import PlayerKind, PlayerState, new_player, run_online
+from .algorithms import PlayerKind, PlayerState, new_player
 from .core import CostBreakdown, Instance, Schedule, Variant, cost_ratio, evaluate_schedule
 from .errors import ProtocolError, RegimeError
 from .offline import dp_optimal
-from .thresholds import dtpr_max_thresholds, dtpr_min_thresholds
+from .thresholds import (EDGE_NAMES, ThresholdFamily, dtpr_max_thresholds,
+                         dtpr_min_thresholds, regime_edge)
 
 
 class OnlinePlayer(Protocol):
@@ -64,13 +69,15 @@ _PROBE_NUDGE = 1e-9
 
 @dataclass(frozen=True)
 class AdversaryTranscript:
-    """Everything the adversary realized: the sequence, both costs, the ratio."""
+    """Everything the adversary realized: the sequence, both costs, the ratio;
+    and the bound (alpha or omega) of its cell."""
 
     prices: tuple[float, ...]
     alg_schedule: Schedule
     alg_cost: CostBreakdown
     opt_cost: CostBreakdown
     ratio: float
+    bound: float
 
 
 def declared_horizon(k: int) -> int:
@@ -80,19 +87,8 @@ def declared_horizon(k: int) -> int:
     return k * (2 * k + 2) + 2 * k
 
 
-def _build_player(player: PlayerKind | PlayerFactory, k: int, T: int,
-                  L: float, U: float, beta: float, variant: Variant) -> OnlinePlayer:
-    if isinstance(player, PlayerKind):
-        return new_player(player, k, T, L, U, beta, variant)
-    return player(k, T, L, U, beta)
-
-
 def _drive(
-    player: OnlinePlayer,
-    k: int,
-    T: int,
-    probes: tuple[float, ...],
-    flood_price: float,
+    player: OnlinePlayer, k: int, T: int, probes: tuple[float, ...], flood_price: float,
     close_price: float,
 ) -> tuple[list[float], list[int]]:
     """Run the probe/flood script, returning the realized prices+decisions."""
@@ -110,27 +106,21 @@ def _drive(
 
     for probe in probes:
         # probe phase: up to k tries or until accepted
-        got = False
         for _ in range(k):
             if present(probe):
                 accepted += 1
-                got = True
                 break
-        if not got:
+        else:
             # terminal: worst-case value for the remainder of the horizon;
             # an exhausted player is no longer stepped, its decisions are 0
-            while len(prices) < T:
-                if accepted < k:
-                    if present(flood_price):
-                        accepted += 1
-                else:
-                    prices.append(flood_price)
-                    decisions.append(0)
+            while len(prices) < T and accepted < k:
+                if present(flood_price):
+                    accepted += 1
             if accepted != k:
-                raise ProtocolError(
-                    f"player ended the flooded branch with {accepted} of {k} units"
-                )
-            return prices, decisions
+                raise ProtocolError(f"player ended the flooded branch with {accepted} "
+                                    f"of {k} units")
+            rest = T - len(prices)
+            return prices + [flood_price] * rest, decisions + [0] * rest
         if accepted == k:
             break
         # flood until the player switches away (capped at k presentations)
@@ -143,10 +133,7 @@ def _drive(
         if accepted == k:
             break
     # player filled early: close with the best-case block
-    for _ in range(k):
-        prices.append(close_price)
-        decisions.append(0)
-    return prices, decisions
+    return prices + [close_price] * k, decisions + [0] * k
 
 
 def _nudged(price: float, L: float, U: float, up: bool) -> float:
@@ -156,7 +143,7 @@ def _nudged(price: float, L: float, U: float, up: bool) -> float:
     return max(price * (1 - _PROBE_NUDGE) - _PROBE_NUDGE * L, L)
 
 
-def _finish(inst: Instance, sched: Schedule) -> AdversaryTranscript:
+def _finish(inst: Instance, sched: Schedule, bound: float) -> AdversaryTranscript:
     alg_cost = evaluate_schedule(inst, sched)
     _, opt_cost = dp_optimal(inst)
     return AdversaryTranscript(
@@ -165,6 +152,7 @@ def _finish(inst: Instance, sched: Schedule) -> AdversaryTranscript:
         alg_cost=alg_cost,
         opt_cost=opt_cost,
         ratio=cost_ratio(alg_cost.total, opt_cost.total, inst.variant),
+        bound=bound,
     )
 
 
@@ -223,63 +211,70 @@ def _grab_stall_script(
 
 
 def _adversary(
-    player: PlayerKind | PlayerFactory,
-    variant: Variant,
-    k: int,
-    U: float,
-    L: float,
-    beta: float,
-    probes: tuple[float, ...],
+    player: PlayerKind | PlayerFactory, family: ThresholdFamily, U: float, L: float,
+    beta: float, probes: tuple[float, ...],
 ) -> AdversaryTranscript:
-    """Probe transcript, or the grab/stall transcript if it scores higher."""
+    """Probe transcript, or the grab/stall transcript if it scores higher.
+    ``family`` set the probes, and a DTPR player plays it."""
+    variant, k = family.variant, family.k
     T = declared_horizon(k)
-    p = _build_player(player, k, T, L, U, beta, variant)
+    if isinstance(player, PlayerKind):
+        p = new_player(player, k, T, L, U, beta, variant,
+                       family if player is PlayerKind.DTPR else None)
+    else:
+        p = player(k, T, L, U, beta)
     flood, close = (U, L) if variant is Variant.MIN else (L, U)
     prices, decisions = _drive(p, k, T, probes, flood_price=flood, close_price=close)
     inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=tuple(prices))
-    transcript = _finish(inst, Schedule(tuple(decisions)))
+    transcript = _finish(inst, Schedule(tuple(decisions)), family.ratio)
     # every other player, black-box factories included, sees only the probes
     if not isinstance(p, PlayerState) or p.kind not in _GRAB_STALL_KINDS:
         return transcript
     script = _grab_stall_script(p.family.lower, variant, k, U, L, beta)
     if script is None:
         return transcript
+    # a fresh player of the same family replays the script; once it has
+    # filled its k units it is no longer stepped and its decisions are 0
+    replay = new_player(p.kind, k, len(script), L, U, beta, variant, p.family)
+    decisions = [0 if replay.exhausted else replay.step(price) for price in script]
     inst = Instance(k=k, T=len(script), L=L, U=U, beta=beta, variant=variant, prices=script)
-    scripted = _finish(inst, run_online(p.kind, inst, p.family))
+    scripted = _finish(inst, Schedule(tuple(decisions)), family.ratio)
     return scripted if scripted.ratio > transcript.ratio else transcript
+
+
+def _check_regime(variant: Variant, k: int, U: float, L: float, beta: float) -> None:
+    """Either adversary needs 0 < beta below the cell's `regime_edge`."""
+    edge, name = regime_edge(variant, k, U, L), EDGE_NAMES[variant]
+    if not (0 < beta < edge):
+        raise RegimeError(f"adversary_{variant.value} needs 0 < beta < {name}, "
+                          f"got beta={beta}, {name}={edge}")
 
 
 def adversary_min(
     player: PlayerKind | PlayerFactory, k: int, U: float, L: float, beta: float
 ) -> AdversaryTranscript:
-    """Min-variant adversary; requires 0 < beta < (U-L)/2."""
-    if not (0 < beta < (U - L) / 2):
-        raise RegimeError(
-            f"adversary_min needs 0 < beta < (U-L)/2, got beta={beta}, (U-L)/2={(U - L) / 2}"
-        )
+    """Min-variant adversary; requires 0 < beta < `regime_edge`."""
+    _check_regime(Variant.MIN, k, U, L, beta)
     family = dtpr_min_thresholds(k, U, L, beta)
     probes = tuple(_nudged(l, L, U, up=True) for l in family.lower)
-    return _adversary(player, Variant.MIN, k, U, L, beta, probes)
+    return _adversary(player, family, U, L, beta, probes)
 
 
 def adversary_max(
     player: PlayerKind | PlayerFactory, k: int, U: float, L: float, beta: float
 ) -> AdversaryTranscript:
-    """Max-variant adversary; requires 0 < beta < kL/2 and 2*beta <= U - L.
+    """Max-variant adversary; requires 0 < beta < `regime_edge` and 2*beta <= U - L.
 
     The second bound is a construction constraint: beyond it the stay
     thresholds overshoot U and the probe prices would leave [L, U].  A
     player whose transcript profit is nonpositive has no ratio; that raises
     ``DegenerateProfitError``.
     """
-    if not (0 < beta < k * L / 2):
-        raise RegimeError(
-            f"adversary_max needs 0 < beta < kL/2, got beta={beta}, kL/2={k * L / 2}"
-        )
+    _check_regime(Variant.MAX, k, U, L, beta)
     if 2 * beta > U - L:
         raise RegimeError(
             f"adversary_max probes need 2*beta <= U-L, got 2*beta={2 * beta}, U-L={U - L}"
         )
     family = dtpr_max_thresholds(k, U, L, beta)
     probes = tuple(_nudged(u, L, U, up=False) for u in family.upper)
-    return _adversary(player, Variant.MAX, k, U, L, beta, probes)
+    return _adversary(player, family, U, L, beta, probes)

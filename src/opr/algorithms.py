@@ -12,13 +12,13 @@ single price sqrt(L*U), and the carbon-agnostic player a rail on the price
 bound (U for min, L for max) that accepts every price, so it runs the job in
 the first k slots.
 
-The state machine is one loop, ``play_lanes``: its loop runs over the
-slots, and each step is a few numpy passes over every (algorithm, trial)
-lane.  The experiment pipeline plays all its lanes in one call, and
-``run_online`` plays its one instance as one lane.  ``PlayerState.step`` is
-the same transition on one price, for the adversary, whose next price
-depends on the last decision.  ``player_families`` is the one place the
-per-kind threshold families are built, ``player_family`` its one-cell case.
+There is one transition rule, written as ``play_lanes``, a loop over the
+slots that steps every (algorithm, trial) lane in a few numpy passes, and
+as ``PlayerState.step`` on one price.  The experiment plays all its lanes
+in one ``play_lanes`` call, ``run_online`` its one instance as one lane;
+the adversary, whose next price depends on the last decision, only steps.
+``player_families`` is the one place the per-kind families are built and
+their cells checked, ``player_family`` its one-cell case.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -34,7 +34,8 @@ import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
 from .errors import OprError, ParameterError, ProtocolError
-from .thresholds import ThresholdFamily, constant_threshold, dtpr_family, solve_ratios
+from .thresholds import (ThresholdFamily, _check_bounds, constant_threshold, dtpr_family,
+                         solve_ratios)
 
 
 class PlayerKind(Enum):
@@ -106,31 +107,38 @@ def _constant_family(
 ) -> ThresholdFamily:
     """Both rails at one price for every unit.  The ratio is that of a single
     reservation price at beta = 0: accept at the rail against an optimum at
-    the far bound, or be forced to the near bound against one at the rail."""
-    return ThresholdFamily(
-        variant=variant,
-        k=k,
-        lower=(rail,) * k,
-        upper=(rail,) * k,
-        ratio=max(rail / L, U / rail),
-    )
+    the far bound, or be forced to the near bound against one at the rail.
+    An integral float k is stored as an int, as `dtpr_family` does."""
+    k = int(k)
+    return ThresholdFamily(variant=variant, k=k, lower=(rail,) * k, upper=(rail,) * k,
+                           ratio=max(rail / L, U / rail))
 
 
 def player_families(
     cells: Collection[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
 ) -> Iterator[ThresholdFamily | OprError]:
     """The family a player of each (kind, U, L, beta) cell runs on
-    ``variant``, or the `OprError` of its ratio solve, one cell at a time.
+    ``variant``, or the `OprError` of its cell check or ratio solve, one
+    cell at a time.
 
-    This is the one place the per-kind construction lives.  DTPR and
-    k-search (DTPR at beta = 0) are built from their ratios, which one
-    `solve_ratios` call finds for all such cells.
+    Every cell, whatever its kind, passes `solve_ratios`'s cell check.  DTPR
+    and k-search (DTPR at beta = 0) are built from their ratios, which one
+    `solve_ratios` call finds for all such cells, if there are any.
     """
+    checks = []
+    for _, U, L, beta in cells:
+        try:
+            checks.append(_check_bounds(k, U, L, beta))
+        except ParameterError as exc:
+            checks.append(exc)
     solving = [(k, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta)
-               for kind, U, L, beta in cells if kind in _SOLVED]
-    solved = zip(solving, solve_ratios(variant, solving))
-    for kind, U, L, beta in cells:
-        if kind in _SOLVED:
+               for (kind, U, L, beta), exc in zip(cells, checks)
+               if exc is None and kind in _SOLVED]
+    solved = zip(solving, solve_ratios(variant, solving) if solving else ())
+    for (kind, U, L, beta), exc in zip(cells, checks):
+        if exc is not None:
+            yield exc
+        elif kind in _SOLVED:
             (_, _, _, beta), ratio = next(solved)
             yield (ratio if isinstance(ratio, OprError)
                    else dtpr_family(k, U, L, beta, ratio, variant))
@@ -181,7 +189,7 @@ def new_player(
         )
     elif family.k != k:
         raise ParameterError(f"a family of k={family.k} cannot play k={k} units")
-    return PlayerState(kind=kind, k=k, T=T, family=family)
+    return PlayerState(kind=kind, k=family.k, T=T, family=family)
 
 
 def run_online(

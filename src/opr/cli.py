@@ -23,18 +23,10 @@ from .experiment import (
     sweep_ratios,
 )
 from .jsonout import write_json
-from .thresholds import solve_alpha, solve_omega
 from .traces import TraceKind, parse_trace, synthetic_diurnal
 
 _EXIT_PARAM = 2
 _EXIT_DATA = 3
-
-
-def _variant(value: str) -> Variant:
-    try:
-        return Variant(value)
-    except ValueError:
-        raise ParameterError(f"variant must be min or max, got {value!r}")
 
 
 def _parse_synthetic_spec(spec: str) -> dict:
@@ -79,19 +71,12 @@ def _check_out_paths(*paths: str | None, reads: str | None = None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     family = player_family(PlayerKind.DTPR, args.k, args.u, args.l, args.beta, variant)
     if args.json:
-        payload = {
-            "variant": variant.value,
-            "k": args.k,
-            "u": args.u,
-            "l": args.l,
-            "beta": args.beta,
-            "ratio": family.ratio,
-            "lower": list(family.lower),
-            "upper": list(family.upper),
-        }
+        payload = {"variant": variant.value, "k": args.k, "u": args.u, "l": args.l,
+                   "beta": args.beta, "ratio": family.ratio, "lower": list(family.lower),
+                   "upper": list(family.upper)}
         write_json(payload, sys.stdout.write)
         print()
     else:
@@ -104,7 +89,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     if args.steps < 2:
         raise ParameterError(f"--steps must be >= 2, got {args.steps}")
     grids = {}
@@ -148,7 +133,7 @@ def _load_dataset(args, variant: Variant):
 
 
 def _cmd_simulate(args) -> int:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     ds, source = _load_dataset(args, variant)
     algs = tuple(name.strip() for name in args.algs.split(",") if name.strip())
     cfg = ExperimentConfig(
@@ -186,21 +171,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     kind = resolve_player_kind(args.alg)
     _check_out_paths(args.dump_sequence)
-    if variant is Variant.MIN:
-        adversary, solve, bound_name = adversary_min, solve_alpha, "alpha"
-    else:
-        adversary, solve, bound_name = adversary_max, solve_omega, "omega"
+    adversary, bound_name = ((adversary_min, "alpha") if variant is Variant.MIN
+                             else (adversary_max, "omega"))
     transcript = adversary(kind, args.k, args.u, args.l, args.beta)
-    bound = solve(args.k, args.u, args.l, args.beta)
     print(f"player          : {kind.value}")
     print(f"realized slots  : {len(transcript.prices)}")
     print(f"alg total       : {transcript.alg_cost.total:.6f}")
     print(f"opt total       : {transcript.opt_cost.total:.6f}")
     print(f"ratio           : {transcript.ratio:.9f}")
-    print(f"theoretical {bound_name}: {bound:.9f}")
+    print(f"theoretical {bound_name}: {transcript.bound:.9f}")
     if args.dump_sequence:
         with open(args.dump_sequence, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,price,decision\n")

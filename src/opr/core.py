@@ -29,10 +29,17 @@ class Variant(Enum):
     MAX = "max"
 
 
-def check_k(k: int) -> None:
-    """Reject a k that is not a positive integer, NaN and inf included."""
+def check_k(k: int, name: str = "k") -> int:
+    """``k`` (or the count ``name``) as an int, 2.0 as 2; anything but a
+    positive integer, NaN and inf included, is rejected."""
     if not (k >= 1 and k % 1 == 0):
-        raise ParameterError(f"k must be a positive integer, got {k}")
+        raise ParameterError(f"{name} must be a positive integer, got {k}")
+    return int(k)
+
+
+def check_variant(variant: Variant) -> None:
+    if not isinstance(variant, Variant):
+        raise ParameterError(f"variant must be a Variant, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +60,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
-        if not isinstance(self.variant, Variant):
-            raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
+        check_variant(self.variant)
         if self.k < 1 or self.T < 1 or self.k > self.T:
             raise ParameterError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
-        check_k(self.k)
-        object.__setattr__(self, "k", int(self.k))  # a k of 2.0 counts as 2
+        object.__setattr__(self, "k", check_k(self.k))
         if not (0 < self.L <= self.U < math.inf):
             raise ParameterError(f"need 0 < L <= U < inf, got L={self.L}, U={self.U}")
         if not (0 <= self.beta < math.inf):

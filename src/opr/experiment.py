@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import PlayerKind, play_lanes, player_families
-from .core import Variant, check_k, cost_ratio, lane_cost, lane_flips
+from .core import Variant, check_k, check_variant, cost_ratio, lane_cost, lane_flips
 from .errors import OprError, ParameterError
 from .offline import dp_decisions
-from .thresholds import solve_ratios
+from .thresholds import regime_edge, solve_ratios
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -45,7 +45,7 @@ from .traces import (
     trace_bounds,
 )
 
-#: clip factor applied to (U-L)/2 when the true beta leaves the min regime
+#: clip factor applied to the min `regime_edge` when the true beta reaches it
 _BETA_CLIP = 0.999999
 
 #: byte budget of one lane pass's arrays; the offline DP keeps its own budget
@@ -92,13 +92,17 @@ class ExperimentConfig:
     trace_source: str = ""  # echo only; data is passed separately
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.T < 1:
-            raise ParameterError(f"T must be >= 1, got {self.T}")
+        check_variant(self.variant)
+        for name in ("trials", "T"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ParameterError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, check_k(value, name))
         k = self.resolved_k()
         if not (1 <= k <= self.T):
             raise ParameterError(f"need 1 <= k <= T, got k={k}, T={self.T}")
+        if self.k is not None:
+            object.__setattr__(self, "k", check_k(self.k))
         if (self.beta is None) == (self.beta_frac is None):
             raise ParameterError("give exactly one of beta (absolute) or beta_frac")
         if self.beta is not None and not (0 <= self.beta < math.inf):
@@ -267,13 +271,13 @@ def _run_trials(
     lane_rows = np.array(group, dtype=np.intp).reshape(-1, 1) * m + np.arange(m)
     cells, clips = [], []
     for L, U in seen:
+        edge = regime_edge(variant, k, U, L)
         for kind in kinds:
-            # once beta >= (U-L)/2 the min algorithm degenerates to one
+            # past the min regime edge the min algorithm degenerates to one
             # contiguous block; DTPR's min rails are then built from a
             # clipped beta while the instance still charges the true one
-            clip = kind is PlayerKind.DTPR and variant is Variant.MIN and not (
-                U > L and beta_abs < (U - L) / 2)
-            cells.append((kind, U, L, _BETA_CLIP * (U - L) / 2 if clip else beta_abs))
+            clip = kind is PlayerKind.DTPR and variant is Variant.MIN and beta_abs >= edge
+            cells.append((kind, U, L, _BETA_CLIP * edge if clip else beta_abs))
             clips.append(clip)
     table, failed = np.zeros((max(len(cells), 1), 2, k + 1)), {}
     for f, family in enumerate(player_families(cells, k, variant)):
@@ -375,11 +379,12 @@ def sweep_ratios(
 ) -> list[tuple[float, float, float | str]]:
     """Ratio over an (L, beta) grid; out-of-regime cells emit sentinels.
 
-    Min cells with 2*beta >= U - L degenerate to a single contiguous block
-    and emit ``degenerate``; max cells with 2*beta >= kL have unbounded
-    ratio and emit ``inf``.  The k, the U, and then every L and beta in
-    grid order are checked before any cell is solved; every other cell is
-    solved in one `solve_ratios` call, and the first that fails raises.
+    Cells with beta at or past their `regime_edge` emit ``degenerate`` on
+    the min side, where the player buys one contiguous block, and ``inf`` on
+    the max side, where the ratio is unbounded.  The k, the U, and then
+    every L and beta in grid order are checked before any cell is solved;
+    every other cell is solved in one `solve_ratios` call, and the first
+    that fails raises.
     """
     check_k(k)
     if not (0 < U < math.inf):
@@ -390,17 +395,14 @@ def sweep_ratios(
         for beta in beta_grid:
             if beta < 0:
                 raise ParameterError(f"grid beta={beta} negative")
-    if variant is Variant.MIN:
-        sentinel, outside = "degenerate", lambda L, beta: 2 * beta >= U - L
-    else:
-        sentinel, outside = "inf", lambda L, beta: 2 * beta >= k * L
-    ratios = iter(solve_ratios(variant, (
-        (k, U, L, beta) for L in l_grid for beta in beta_grid if not outside(L, beta)
-    )))
+    sentinel = "degenerate" if variant is Variant.MIN else "inf"
+    edges = [regime_edge(variant, k, U, L) for L in l_grid]
+    ratios = iter(solve_ratios(variant, ((k, U, L, beta) for L, edge in zip(l_grid, edges)
+                                         for beta in beta_grid if not beta >= edge)))
     rows: list[tuple[float, float, float | str]] = []
-    for L in l_grid:
+    for L, edge in zip(l_grid, edges):
         for beta in beta_grid:
-            cell = sentinel if outside(L, beta) else next(ratios)
+            cell = sentinel if beta >= edge else next(ratios)
             if isinstance(cell, OprError):
                 raise cell
             rows.append((L, beta, cell))

@@ -13,11 +13,12 @@ Both degenerate to the classic k-search ratios at b = 0, with theta = U/L:
     (1 - 1/theta) / (1 - 1/a) = (1 + 1/(a k))^k        (k-min search)
     (theta - 1) / (w - 1)     = (1 + w/k)^k            (k-max search)
 
-Both come from `solve_ratios`, one lane-wise bisection over a batch of
-cells; `solve_alpha`/`solve_omega` are its one-cell case.  These exact
-roots are the only form of the ratios here: the solver answers at every k,
-so the paper's asymptotic closed forms would be a second answer to the
-same question.
+Both hold for beta below `regime_edge`, the one regime rule.  Both come
+from `solve_ratios`, one lane-wise bisection over a batch of cells;
+`solve_alpha`/`solve_omega` are its one-cell case.  These exact roots are
+the only form of the ratios here: the solver answers at every k, so the
+paper's asymptotic closed forms would be a second answer to the same
+question.
 
 The double-threshold family pairs a resume threshold with a stay threshold
 exactly 2b apart: a player already accepting tolerates a slightly worse
@@ -58,11 +59,24 @@ class ThresholdFamily:
 
 
 def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
+    """The one check of a (k, U, L, beta) cell, for every player kind."""
     check_k(k)
     if not (0 < L <= U < math.inf):
         raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
     if not (0 <= beta < math.inf):
         raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
+
+
+#: how error messages name each variant's `regime_edge`
+EDGE_NAMES = {Variant.MIN: "(U-L)/2", Variant.MAX: "kL/2"}
+
+
+def regime_edge(variant: Variant, k: int, U: float, L: float) -> float:
+    """The beta at and past which the cell's ratio equation no longer
+    applies: (U - L)/2 for min, where every stay threshold reaches U and the
+    player buys its k units in one block, and kL/2 for max, where an
+    adversary can force nonpositive profit and the ratio is unbounded."""
+    return (U - L) / 2 if variant is Variant.MIN else k * L / 2
 
 
 def _powers(base: np.ndarray, exps: list[float]) -> np.ndarray:
@@ -88,7 +102,7 @@ def solve_ratios(
     or the `OprError` of its solve; none is raised here.
 
     After the parameter checks, ratio 1 at U == L with beta == 0, and the
-    regime check, a cell is bisected on [1+1e-12, hi] to the fixed point
+    `regime_edge` check, a cell is bisected on [1+1e-12, hi] to the fixed point
     where the midpoint rounds to lo or hi.  The residual is positive below
     the unique root.  The bracket ends are met as the degenerate bracket
     lo == hi: the left end (no root if its residual is <= 0), then hi = 2,
@@ -101,6 +115,8 @@ def solve_ratios(
     what = "alpha" if is_min else "omega"
     errors = ("", f"no {what} root above 1 for these parameters",
               f"{what} root bracket did not close; ratio diverges")
+    past_edge = ("single-block regime, min ratio equation does not apply" if is_min
+                 else "profit can be forced nonpositive, max ratio is unbounded")
     out: list[float | OprError] = []
     cols = tuple(array("d") for _ in range(6))
     for k, U, L, beta in cells:
@@ -109,14 +125,11 @@ def solve_ratios(
         except ParameterError as exc:
             out.append(exc)
             continue
+        edge = regime_edge(variant, k, U, L)
         if U == L and beta == 0:
             out.append(1.0)
-        elif is_min and beta >= (U - L) / 2:
-            out.append(RegimeError(f"beta={beta} >= (U-L)/2={(U - L) / 2}: single-block "
-                                   "regime, min ratio equation does not apply"))
-        elif not is_min and beta >= k * L / 2:
-            out.append(RegimeError(f"beta={beta} >= kL/2={k * L / 2}: profit can be forced "
-                                   "nonpositive, max ratio is unbounded"))
+        elif beta >= edge:
+            out.append(RegimeError(f"beta={beta} >= {EDGE_NAMES[variant]}={edge}: {past_edge}"))
         else:
             for col, v in zip(cols, (len(out), k, U if is_min else L, U - L - 2 * beta,
                                      2 * beta * (1 - 1 / k), 2 * beta)):
@@ -186,22 +199,14 @@ def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> f
 
 
 def solve_alpha(k: int, U: float, L: float, beta: float) -> float:
-    """Min-variant competitive ratio.
-
-    Requires beta < (U - L)/2: at or beyond that point every stay threshold
-    reaches U, the player buys its k units in one continuous block, and the
-    ratio equation no longer characterizes the algorithm.  beta = 0 is
-    accepted and recovers the k-min search ratio.
-    """
+    """Min-variant competitive ratio; requires beta below `regime_edge`.
+    beta = 0 is accepted and recovers the k-min search ratio."""
     return _solve_ratio(k, U, L, beta, Variant.MIN)
 
 
 def solve_omega(k: int, U: float, L: float, beta: float) -> float:
-    """Max-variant competitive ratio.
-
-    Requires beta < kL/2; beyond that an adversary can force nonpositive
-    profit and the ratio is unbounded.  beta = 0 recovers k-max search.
-    """
+    """Max-variant competitive ratio; requires beta below `regime_edge`.
+    beta = 0 recovers k-max search."""
     return _solve_ratio(k, U, L, beta, Variant.MAX)
 
 
@@ -230,7 +235,9 @@ def dtpr_family(
 ) -> ThresholdFamily:
     """The double-threshold family at its solved ratio.  Min: u_i decreases
     in i and l_{k+1} = L, so every threshold stays inside (L, U) for
-    in-regime beta.  Max: l_i increases in i with u_{k+1} = U."""
+    in-regime beta.  Max: l_i increases in i with u_{k+1} = U.  An integral
+    float k, such as 2.0, is stored as an int."""
+    k = int(k)
     if variant is Variant.MIN:
         upper = tuple(min_upper_threshold(i, k, U, L, beta, ratio) for i in range(1, k + 1))
         lower = tuple(u - 2 * beta for u in upper)

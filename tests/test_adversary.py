@@ -117,6 +117,18 @@ class TestTranscript:
         tr = adversary_min(PlayerKind.DTPR, k, U, L, beta)  # stalls at probe 1
         assert tr.opt_cost.total <= k * fam.lower[0] + 2 * beta + 1e-6
 
+    @pytest.mark.parametrize("kind", list(PlayerKind))
+    def test_integral_float_k_plays_as_its_int(self, kind):
+        # k = 2.0 used to raise a raw TypeError building the probe family
+        for run in (adversary_min, adversary_max):
+            assert run(kind, 2.0, 30.0, 5.0, 3.0) == run(kind, 2, 30.0, 5.0, 3.0)
+
+    def test_bound_is_the_cells_ratio(self):
+        for k, U, L, beta in PARAMS:
+            for kind in PlayerKind:
+                assert adversary_min(kind, k, U, L, beta).bound == solve_alpha(k, U, L, beta)
+                assert adversary_max(kind, k, U, L, beta).bound == solve_omega(k, U, L, beta)
+
     def test_alg_cost_matches_schedule(self):
         k, U, L, beta = 5, 25.0, 2.0, 1.5
         tr = adversary_min(PlayerKind.KSEARCH, k, U, L, beta)

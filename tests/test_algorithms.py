@@ -123,17 +123,20 @@ class TestStep:
             new_player(kind, 3, 2, 1, 3, 0.5, Variant.MIN)
 
     def test_one_kind_serves_both_variants(self):
-        k, T, L, U, beta = 3, 8, 5.0, 30.0, 3.0
+        T, L, U, beta = 8, 5.0, 30.0, 3.0
 
         def rails(rail, variant):
             return ThresholdFamily(
-                variant=variant, k=k, lower=(rail,) * k, upper=(rail,) * k,
+                variant=variant, k=3, lower=(rail,) * 3, upper=(rail,) * 3,
                 ratio=max(rail / L, U / rail),
             )
 
-        for variant, dtpr in (
-            (Variant.MIN, dtpr_min_thresholds),
-            (Variant.MAX, dtpr_max_thresholds),
+        # an integral float k plays as its int, in every kind's family
+        for k, variant, dtpr in (
+            (3, Variant.MIN, dtpr_min_thresholds),
+            (3, Variant.MAX, dtpr_max_thresholds),
+            (3.0, Variant.MIN, dtpr_min_thresholds),
+            (3.0, Variant.MAX, dtpr_max_thresholds),
         ):
             expected = {
                 PlayerKind.DTPR: dtpr(k, U, L, beta),
@@ -146,6 +149,7 @@ class TestStep:
                 player = new_player(kind, k, T, L, U, beta, variant)
                 assert player.family == family
                 assert player.family.variant is variant
+                assert type(player.k) is int and type(player.family.k) is int
         with pytest.raises(ParameterError):
             resolve_player_kind("dtpr-min")
 

@@ -5,7 +5,9 @@ from importlib import resources
 
 import pytest
 
+import opr.algorithms
 import opr.cli
+import opr.thresholds
 from opr.cli import main
 
 SHIPPED_TRACE = resources.files("opr.data") / "synthetic_intensity.csv"
@@ -389,3 +391,58 @@ class TestAdversary:
         err = capsys.readouterr().err
         assert "'dtpr-min'" in err
         assert "('dtpr', 'ksearch', 'const', 'agnostic')" in err
+
+
+#: the exact stdout of theory's eight `opr adversary` runs (k=40, U=30,
+#: L=5, beta=3): player, slots, both totals, ratio and the cell's bound
+THEORY_ADVERSARY_STDOUT = {
+    ("min", "dtpr"): ("3360", "1206.000000", "435.492819", "2.769276429"),
+    ("min", "ksearch"): ("120", "651.645809", "206.000000", "3.163329168"),
+    ("min", "const"): ("120", "729.897948", "206.000000", "3.543193922"),
+    ("min", "agnostic"): ("80", "1186.737320", "206.000000", "5.760860779"),
+    ("max", "dtpr"): ("3360", "194.000000", "497.339742", "2.563606917"),
+    ("max", "ksearch"): ("109", "262.387250", "804.878933", "3.067523040"),
+    ("max", "const"): ("120", "249.897949", "1194.000000", "4.777950374"),
+    ("max", "agnostic"): ("80", "201.583494", "1194.000000", "5.923104015"),
+}
+
+THEORY_BOUND = {"min": "theoretical alpha: 2.769276433", "max": "theoretical omega: 2.563606921"}
+
+
+def _theory_adversary(variant, alg):
+    return main(["adversary", "--variant", variant, "--k", "40", "--u", "30", "--l", "5",
+                 "--beta", "3", "--alg", alg])
+
+
+class TestTheoryAdversaryRuns:
+    @pytest.mark.parametrize("variant, alg", list(THEORY_ADVERSARY_STDOUT))
+    def test_stdout_is_pinned(self, variant, alg, capsys):
+        slots, alg_total, opt_total, ratio = THEORY_ADVERSARY_STDOUT[variant, alg]
+        assert _theory_adversary(variant, alg) == 0
+        assert capsys.readouterr().out == (
+            f"player          : {alg}\n"
+            f"realized slots  : {slots}\n"
+            f"alg total       : {alg_total}\n"
+            f"opt total       : {opt_total}\n"
+            f"ratio           : {ratio}\n"
+            f"{THEORY_BOUND[variant]}\n"
+        )
+
+    @pytest.mark.parametrize("variant", ["min", "max"])
+    @pytest.mark.parametrize("alg, solves", [("dtpr", 1), ("ksearch", 2), ("const", 1),
+                                             ("agnostic", 1)])
+    def test_each_cell_is_solved_once(self, variant, alg, solves, monkeypatch, capsys):
+        # the probe family's cell is solved once and serves the probes, the
+        # DTPR player and the printed bound; k-search adds its beta = 0 cell
+        calls, solve = [], opr.thresholds.solve_ratios
+
+        def spy(variant, cells):
+            cells = list(cells)
+            calls.append(cells)
+            return solve(variant, cells)
+
+        monkeypatch.setattr(opr.thresholds, "solve_ratios", spy)
+        monkeypatch.setattr(opr.algorithms, "solve_ratios", spy)
+        assert _theory_adversary(variant, alg) == 0
+        assert len(calls) == solves
+        assert all(calls)

@@ -1,5 +1,6 @@
 """Experiment runner, statistics, and the ratio sweep."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -25,7 +26,7 @@ from opr.experiment import (
     summarize,
     sweep_ratios,
 )
-from opr.thresholds import ksearch_thresholds, solve_alpha
+from opr.thresholds import ksearch_thresholds, solve_alpha, solve_omega
 from opr.traces import (
     TraceDataset,
     TraceKind,
@@ -146,6 +147,33 @@ class TestRunExperiment:
         for rec in widened:
             assert rec["instance_u"] >= res.bounds.U or rec["instance_l"] <= res.bounds.L
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_dtpr_min_clip_on_and_one_ulp_below_the_regime_edge(self, below, monkeypatch):
+        # at noise 1 every trial keeps the trace-wide (L, U); a beta on
+        # (U - L)/2 clips DTPR's min rails to 0.999999 of it, one ulp below
+        # leaves them on the true beta, and no other kind is ever clipped
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        bounds = trace_bounds(ds)
+        edge = (bounds.U - bounds.L) / 2
+        beta = math.nextafter(edge, 0) if below else edge
+        cells, families = [], experiment.player_families
+
+        def spy(pass_cells, *args):
+            cells.extend(pass_cells)
+            return families(pass_cells, *args)
+
+        monkeypatch.setattr(experiment, "player_families", spy)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=48, k=8, beta=beta, trials=3, seed=42)
+        res = run_experiment(cfg, ds)
+        assert {(rec["instance_l"], rec["instance_u"]) for rec in res.trials} == {
+            (bounds.L, bounds.U)}
+        for rec in res.trials:
+            assert {name: alg["beta_clipped"] for name, alg in rec["algs"].items()} == {
+                "dtpr": not below, "ksearch": False, "const": False, "agnostic": False}
+        rail_beta = beta if below else 0.999999 * (bounds.U - bounds.L) / 2
+        assert cells == [(kind, bounds.U, bounds.L, rail_beta if kind is PlayerKind.DTPR
+                          else beta) for kind in PlayerKind]
+
     def test_failing_algorithm_aborts_with_trial_index(self):
         # beta >= kL/2 leaves the max ratio undefined; the first trial must
         # abort loudly rather than being skipped
@@ -179,6 +207,15 @@ class TestRunExperiment:
             variant=Variant.MIN, T=48, beta=1.0
         ).resolved_k() == 8
 
+    def test_integral_float_counts_are_stored_as_ints(self):
+        ds = synthetic_diurnal(hours=100, seed=3)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=24.0, k=2.0, beta=1.0, trials=2.0)
+        counts = (cfg.T, cfg.k, cfg.trials)
+        assert [(type(v), v) for v in counts] == [(int, 24), (int, 2), (int, 2)]
+        # so the config echo prints 2, not 2.0
+        assert json.dumps(run_experiment(cfg, ds).to_dict()) == json.dumps(run_experiment(
+            ExperimentConfig(variant=Variant.MIN, T=24, k=2, beta=1.0, trials=2), ds).to_dict())
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, beta_frac=0.1)
@@ -194,6 +231,11 @@ class TestRunExperiment:
                 ExperimentConfig(variant=Variant.MIN, T=48, **bad)
         with pytest.raises(ParameterError):
             ExperimentConfig(variant=Variant.MIN, T=48)
+        # each of these used to construct and then fail inside run_experiment
+        # with a raw TypeError or AttributeError
+        for bad in (dict(k=2.5), dict(T=24.5), dict(trials=2.5), dict(variant="min")):
+            with pytest.raises(ParameterError):
+                ExperimentConfig(**{**dict(variant=Variant.MIN, T=48, beta=1.0), **bad})
         for algs in (
             ("nope",),
             (),
@@ -668,6 +710,18 @@ class TestSweep:
                 assert ratio == "degenerate"
             else:
                 assert isinstance(ratio, float)
+
+    @pytest.mark.parametrize("variant, k, U, L", [(Variant.MIN, 10, 30.0, 5.0),
+                                                   (Variant.MAX, 10, 30.0, 1.0),
+                                                   (Variant.MAX, 4, 30.0, 5.0)])
+    def test_cells_on_and_one_ulp_below_the_regime_edge(self, variant, k, U, L):
+        # a cell on the edge is a sentinel; one ulp below it is solved
+        edge = (U - L) / 2 if variant is Variant.MIN else k * L / 2
+        below = math.nextafter(edge, 0)
+        on_edge, solved = sweep_ratios(variant, k, U, [edge, below], [L])
+        assert on_edge == (L, edge, "degenerate" if variant is Variant.MIN else "inf")
+        solve = solve_alpha if variant is Variant.MIN else solve_omega
+        assert solved == (L, below, solve(k, U, L, below))
 
     @pytest.mark.parametrize(
         "k, U", [(0, 30.0), (2.5, 30.0), (math.nan, 30.0), (math.inf, 30.0), (1, math.inf)]

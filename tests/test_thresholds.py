@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ratio_reference
 from ratio_reference import max_residual, min_residual
+from opr.algorithms import PlayerKind, new_player
 from opr.core import Variant
 from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
@@ -92,26 +93,50 @@ class TestSolvers:
             solve_alpha(0, 10, 1, 0)
         with pytest.raises(ParameterError):
             solve_alpha(2, 1, 10, 0)
+        # the agnostic player used to take L = -1 and report ratio 1.0
+        for kind in PlayerKind:
+            for variant in Variant:
+                with pytest.raises(ParameterError):
+                    new_player(kind, 2, 10, -1.0, 30.0, 1.0, variant)
 
     @pytest.mark.parametrize(
-        "U, beta", [(30.0, math.nan), (30.0, math.inf), (math.inf, 1.0)]
+        "U, beta", [(30.0, math.nan), (30.0, math.inf), (math.inf, 1.0), (30.0, -5.0)]
     )
     def test_non_finite_parameters_rejected(self, U, beta):
         # NaN slips past any `beta < 0` test, and U = inf past `L <= U`;
-        # both used to give alpha = 1 with NaN thresholds
+        # both used to give alpha = 1 with NaN thresholds.  Every player
+        # kind passes the same cell check: the constant player used to take
+        # U = inf (inf rails), and it and the agnostic one a negative beta
         for solve in (solve_alpha, solve_omega):
             with pytest.raises(ParameterError):
                 solve(4, U, 5.0, beta)
         for build in (dtpr_min_thresholds, dtpr_max_thresholds):
             with pytest.raises(ParameterError):
                 build(4, U, 5.0, beta)
+        for kind in PlayerKind:
+            for variant in Variant:
+                with pytest.raises(ParameterError):
+                    new_player(kind, 4, 10, 5.0, U, beta, variant)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 2.5])
     def test_non_integer_k_rejected(self, k):
-        # `int(k)` used to raise ValueError for NaN and OverflowError for inf
+        # `int(k)` used to raise ValueError for NaN and OverflowError for
+        # inf; the constant and agnostic players took k = 2.5 to a raw
+        # TypeError
         for solve in (solve_alpha, solve_omega):
             with pytest.raises(ParameterError):
                 solve(k, 30.0, 5.0, 1.0)
+        for kind in PlayerKind:
+            for variant in Variant:
+                with pytest.raises(ParameterError):
+                    new_player(kind, k, 10, 5.0, 30.0, 1.0, variant)
+
+    def test_integral_float_k_builds_the_int_family(self):
+        # k = 2.0 passes the k check; it used to reach `range(1, k + 1)` in
+        # dtpr_family and raise a raw TypeError
+        for build in (dtpr_min_thresholds, dtpr_max_thresholds):
+            family = build(2.0, 30.0, 5.0, 3.0)
+            assert family == build(2, 30.0, 5.0, 3.0) and type(family.k) is int
 
     def test_bracket_doubles_at_most_200_times(self):
         # k=1, beta=0: omega = sqrt(theta), so theta = 2**401 puts the root
