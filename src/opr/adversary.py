@@ -18,14 +18,18 @@ floods, and a closing U block.  The transcript's ratio is computed against
 the exact DP optimum of the realized sequence, which can only certify a
 larger lower bound than the analytic estimate.
 
-Each run solves its cell once: the probes' double-threshold family also
-plays the DTPR player, and its ratio is the transcript's ``bound``.
+Both variants run one path, ``_adversary``, which checks the cell first
+(`check_cell`, as every player and instance does), then the regime
+0 < beta < `regime_edge`, then, on the max side only, the probe bound
+2*beta <= U - L.  Each run solves its cell once: the probes'
+double-threshold family also plays the DTPR player, and its ratio is the
+transcript's ``bound``.
 
 The probes sit on the double-threshold resume rail, so a player whose own
 thresholds sit above it grabs them cheaply.  The k-search and constant-
 threshold players, whose two rails coincide, therefore also face the
 grab/stall scripts of ``_grab_stall_script``, built on their own thresholds
-and replayed step by step on a fresh player of the same family; the
+and played by ``run_online`` on a fresh player of the same family; the
 adversary returns whichever transcript scores higher.  Double-threshold
 players, the carbon-agnostic player and black-box factories see only the
 probe script.
@@ -44,12 +48,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .algorithms import PlayerKind, PlayerState, new_player
-from .core import CostBreakdown, Instance, Schedule, Variant, cost_ratio, evaluate_schedule
+from .algorithms import PlayerKind, new_player, run_online
+from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, cost_ratio,
+                   evaluate_schedule)
 from .errors import ProtocolError, RegimeError
 from .offline import dp_optimal
-from .thresholds import (EDGE_NAMES, ThresholdFamily, dtpr_max_thresholds,
-                         dtpr_min_thresholds, regime_edge)
+from .thresholds import EDGE_NAMES, dtpr_max_thresholds, dtpr_min_thresholds, regime_edge
 
 
 class OnlinePlayer(Protocol):
@@ -61,7 +65,7 @@ PlayerFactory = Callable[[int, int, float, float, float], OnlinePlayer]
 
 #: shipped players read for the grab/stall scripts; the carbon-agnostic rail
 #: sits on the price bound and is left to the probe script
-_GRAB_STALL_KINDS = frozenset({PlayerKind.CONSTANT_THRESHOLD, PlayerKind.KSEARCH})
+_GRAB_STALL_KINDS = (PlayerKind.CONSTANT_THRESHOLD, PlayerKind.KSEARCH)
 
 #: relative nudge applied to probe prices so exact-threshold ties refuse
 _PROBE_NUDGE = 1e-9
@@ -97,38 +101,34 @@ def _drive(
     accepted = 0
 
     def present(price: float) -> int:
+        nonlocal accepted
         x = player.step(price)
         if x not in (0, 1):
             raise ProtocolError(f"player emitted {x!r}, expected 0 or 1")
         prices.append(price)
         decisions.append(x)
+        accepted += x
         return x
 
     for probe in probes:
         # probe phase: up to k tries or until accepted
         for _ in range(k):
             if present(probe):
-                accepted += 1
                 break
         else:
             # terminal: worst-case value for the remainder of the horizon;
             # an exhausted player is no longer stepped, its decisions are 0
             while len(prices) < T and accepted < k:
-                if present(flood_price):
-                    accepted += 1
+                present(flood_price)
             if accepted != k:
                 raise ProtocolError(f"player ended the flooded branch with {accepted} "
                                     f"of {k} units")
             rest = T - len(prices)
             return prices + [flood_price] * rest, decisions + [0] * rest
-        if accepted == k:
-            break
-        # flood until the player switches away (capped at k presentations)
+        # stay phase: flood until the player fills or switches away (capped
+        # at k presentations)
         for _ in range(k):
-            if present(flood_price) == 0:
-                break
-            accepted += 1
-            if accepted == k:
+            if accepted == k or not present(flood_price):
                 break
         if accepted == k:
             break
@@ -210,54 +210,51 @@ def _grab_stall_script(
     return tuple(prices + [best] * c + [stall] * (k - c) + [worst] * (k - m - c))
 
 
-def _adversary(
-    player: PlayerKind | PlayerFactory, family: ThresholdFamily, U: float, L: float,
-    beta: float, probes: tuple[float, ...],
-) -> AdversaryTranscript:
-    """Probe transcript, or the grab/stall transcript if it scores higher.
-    ``family`` set the probes, and a DTPR player plays it."""
-    variant, k = family.variant, family.k
-    T = declared_horizon(k)
-    if isinstance(player, PlayerKind):
-        p = new_player(player, k, T, L, U, beta, variant,
-                       family if player is PlayerKind.DTPR else None)
-    else:
-        p = player(k, T, L, U, beta)
-    flood, close = (U, L) if variant is Variant.MIN else (L, U)
-    prices, decisions = _drive(p, k, T, probes, flood_price=flood, close_price=close)
-    inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=tuple(prices))
-    transcript = _finish(inst, Schedule(tuple(decisions)), family.ratio)
-    # every other player, black-box factories included, sees only the probes
-    if not isinstance(p, PlayerState) or p.kind not in _GRAB_STALL_KINDS:
-        return transcript
-    script = _grab_stall_script(p.family.lower, variant, k, U, L, beta)
-    if script is None:
-        return transcript
-    # a fresh player of the same family replays the script; once it has
-    # filled its k units it is no longer stepped and its decisions are 0
-    replay = new_player(p.kind, k, len(script), L, U, beta, variant, p.family)
-    decisions = [0 if replay.exhausted else replay.step(price) for price in script]
-    inst = Instance(k=k, T=len(script), L=L, U=U, beta=beta, variant=variant, prices=script)
-    scripted = _finish(inst, Schedule(tuple(decisions)), family.ratio)
-    return scripted if scripted.ratio > transcript.ratio else transcript
-
-
-def _check_regime(variant: Variant, k: int, U: float, L: float, beta: float) -> None:
-    """Either adversary needs 0 < beta below the cell's `regime_edge`."""
+def _adversary(player: PlayerKind | PlayerFactory, variant: Variant, k: int, U: float,
+               L: float, beta: float) -> AdversaryTranscript:
+    """The adversary of ``variant``: the probe transcript, or the grab/stall
+    transcript if it scores higher.  The cell is checked first, then the
+    regime, then (max only) the probe bound."""
+    k = check_cell(k, U, L, beta)
     edge, name = regime_edge(variant, k, U, L), EDGE_NAMES[variant]
     if not (0 < beta < edge):
         raise RegimeError(f"adversary_{variant.value} needs 0 < beta < {name}, "
                           f"got beta={beta}, {name}={edge}")
+    minimize = variant is Variant.MIN
+    if not minimize and 2 * beta > U - L:
+        raise RegimeError(f"adversary_max probes need 2*beta <= U-L, "
+                          f"got 2*beta={2 * beta}, U-L={U - L}")
+    # the probes sit a hair past the rail a player resumes on: above the
+    # min side's lower rail, below the max side's upper rail
+    family = (dtpr_min_thresholds if minimize else dtpr_max_thresholds)(k, U, L, beta)
+    rail = family.lower if minimize else family.upper
+    probes = tuple(_nudged(r, L, U, up=minimize) for r in rail)
+    flood, close = (U, L) if minimize else (L, U)
+    T = declared_horizon(k)
+    if isinstance(player, PlayerKind):
+        online = new_player(player, k, T, L, U, beta, variant,
+                            family if player is PlayerKind.DTPR else None)
+    else:
+        online = player(k, T, L, U, beta)
+    prices, decisions = _drive(online, k, T, probes, flood_price=flood, close_price=close)
+    inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=tuple(prices))
+    transcript = _finish(inst, Schedule(tuple(decisions)), family.ratio)
+    # every other player, black-box factories included, sees only the probes
+    script = (_grab_stall_script(online.family.lower, variant, k, U, L, beta)
+              if player in _GRAB_STALL_KINDS else None)
+    if script is None:
+        return transcript
+    # a fresh player of the same family replays the script
+    inst = Instance(k=k, T=len(script), L=L, U=U, beta=beta, variant=variant, prices=script)
+    scripted = _finish(inst, run_online(player, inst, online.family), family.ratio)
+    return scripted if scripted.ratio > transcript.ratio else transcript
 
 
 def adversary_min(
     player: PlayerKind | PlayerFactory, k: int, U: float, L: float, beta: float
 ) -> AdversaryTranscript:
     """Min-variant adversary; requires 0 < beta < `regime_edge`."""
-    _check_regime(Variant.MIN, k, U, L, beta)
-    family = dtpr_min_thresholds(k, U, L, beta)
-    probes = tuple(_nudged(l, L, U, up=True) for l in family.lower)
-    return _adversary(player, family, U, L, beta, probes)
+    return _adversary(player, Variant.MIN, k, U, L, beta)
 
 
 def adversary_max(
@@ -270,11 +267,4 @@ def adversary_max(
     player whose transcript profit is nonpositive has no ratio; that raises
     ``DegenerateProfitError``.
     """
-    _check_regime(Variant.MAX, k, U, L, beta)
-    if 2 * beta > U - L:
-        raise RegimeError(
-            f"adversary_max probes need 2*beta <= U-L, got 2*beta={2 * beta}, U-L={U - L}"
-        )
-    family = dtpr_max_thresholds(k, U, L, beta)
-    probes = tuple(_nudged(u, L, U, up=False) for u in family.upper)
-    return _adversary(player, family, U, L, beta, probes)
+    return _adversary(player, Variant.MAX, k, U, L, beta)

@@ -12,13 +12,13 @@ single price sqrt(L*U), and the carbon-agnostic player a rail on the price
 bound (U for min, L for max) that accepts every price, so it runs the job in
 the first k slots.
 
-There is one transition rule, written as ``play_lanes``, a loop over the
-slots that steps every (algorithm, trial) lane in a few numpy passes, and
-as ``PlayerState.step`` on one price.  The experiment plays all its lanes
-in one ``play_lanes`` call, ``run_online`` its one instance as one lane;
-the adversary, whose next price depends on the last decision, only steps.
-``player_families`` is the one place the per-kind families are built and
-their cells checked, ``player_family`` its one-cell case.
+There is one transition rule, written twice: as ``PlayerState.step`` on one
+price, and as ``play_lanes``, a loop over the slots that steps every
+(algorithm, trial) lane in a few numpy passes.  One player over a known
+sequence is a loop over ``step``, ``run_online``; the experiment plays all
+its lanes in one ``play_lanes`` call.  ``player_families`` is the one place
+the per-kind families are built and their cells checked, ``player_family``
+its one-cell case.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -32,10 +32,9 @@ from typing import Collection, Iterator
 
 import numpy as np
 
-from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
+from .core import CostBreakdown, Instance, Schedule, Variant, check_cell, evaluate_schedule
 from .errors import OprError, ParameterError, ProtocolError
-from .thresholds import (ThresholdFamily, _check_bounds, constant_threshold, dtpr_family,
-                         solve_ratios)
+from .thresholds import ThresholdFamily, constant_threshold, dtpr_family, solve_ratios
 
 
 class PlayerKind(Enum):
@@ -62,7 +61,6 @@ class PlayerState:
     always mirrors the last emitted decision, 0 before the first step.
     """
 
-    kind: PlayerKind
     k: int
     T: int
     family: ThresholdFamily
@@ -121,14 +119,15 @@ def player_families(
     ``variant``, or the `OprError` of its cell check or ratio solve, one
     cell at a time.
 
-    Every cell, whatever its kind, passes `solve_ratios`'s cell check.  DTPR
-    and k-search (DTPR at beta = 0) are built from their ratios, which one
-    `solve_ratios` call finds for all such cells, if there are any.
+    Every cell, whatever its kind, passes `check_cell`.  DTPR and k-search
+    (DTPR at beta = 0) are built from their ratios, which one `solve_ratios`
+    call finds for all such cells, if there are any.
     """
     checks = []
     for _, U, L, beta in cells:
         try:
-            checks.append(_check_bounds(k, U, L, beta))
+            check_cell(k, U, L, beta)
+            checks.append(None)
         except ParameterError as exc:
             checks.append(exc)
     solving = [(k, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta)
@@ -189,21 +188,18 @@ def new_player(
         )
     elif family.k != k:
         raise ParameterError(f"a family of k={family.k} cannot play k={k} units")
-    return PlayerState(kind=kind, k=family.k, T=T, family=family)
+    return PlayerState(k=family.k, T=T, family=family)
 
 
 def run_online(
     kind: PlayerKind, inst: Instance, family: ThresholdFamily | None = None
 ) -> Schedule:
-    """Play c_1..c_T as one lane of `play_lanes` and return the player's
-    (always feasible) schedule; decisions after the k-th accept are 0."""
+    """Step a fresh player through c_1..c_T and return its (always feasible)
+    schedule; once it has filled its k units it is no longer stepped and its
+    decisions are 0."""
     k = inst.k
-    family = new_player(kind, k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family).family
-    rails = np.empty((1, 2, k + 1))
-    rails[0, 0, :k], rails[0, 1, :k] = family.lower, family.upper
-    lanes = np.zeros((1, 1), dtype=np.intp)
-    decisions = play_lanes(np.array([inst.prices]), rails, lanes, inst.variant)
-    sched = Schedule(tuple(decisions[0, 0].tolist()))
+    player = new_player(kind, k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family)
+    sched = Schedule(tuple(0 if player.exhausted else player.step(p) for p in inst.prices))
     if sched.num_accepted() != k:
         raise ProtocolError(f"{kind.value} accepted {sched.num_accepted()} of k={k} units")
     return sched

@@ -37,6 +37,17 @@ def check_k(k: int, name: str = "k") -> int:
     return int(k)
 
 
+def check_cell(k: int, U: float, L: float, beta: float) -> int:
+    """The one check of a (k, U, L, beta) cell, for every player kind and
+    instance; returns k as an int, as `check_k` does."""
+    k = check_k(k)
+    if not (0 < L <= U < math.inf):
+        raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
+    if not (0 <= beta < math.inf):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
+    return k
+
+
 def check_variant(variant: Variant) -> None:
     if not isinstance(variant, Variant):
         raise ParameterError(f"variant must be a Variant, got {variant!r}")
@@ -63,11 +74,7 @@ class Instance:
         check_variant(self.variant)
         if self.k < 1 or self.T < 1 or self.k > self.T:
             raise ParameterError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
-        object.__setattr__(self, "k", check_k(self.k))
-        if not (0 < self.L <= self.U < math.inf):
-            raise ParameterError(f"need 0 < L <= U < inf, got L={self.L}, U={self.U}")
-        if not (0 <= self.beta < math.inf):
-            raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
+        object.__setattr__(self, "k", check_cell(self.k, self.U, self.L, self.beta))
         if len(self.prices) != self.T:
             raise StructuralError(
                 f"price sequence has length {len(self.prices)}, expected T={self.T}"

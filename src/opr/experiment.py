@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ParameterError(f"need 1 <= k <= T, got k={k}, T={self.T}")
         if self.k is not None:
             object.__setattr__(self, "k", check_k(self.k))
+        # 0 and negative seeds are valid; NaN and inf fail the test
+        if self.seed % 1 != 0:
+            raise ParameterError(f"seed must be an integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         if (self.beta is None) == (self.beta_frac is None):
             raise ParameterError("give exactly one of beta (absolute) or beta_frac")
         if self.beta is not None and not (0 <= self.beta < math.inf):

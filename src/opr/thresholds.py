@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Variant, check_k
+from .core import Variant, check_cell
 from .errors import OprError, ParameterError, RegimeError
 
 
@@ -56,15 +56,6 @@ class ThresholdFamily:
     def __post_init__(self) -> None:
         if len(self.lower) != self.k or len(self.upper) != self.k:
             raise ParameterError("threshold family must hold exactly k values per rail")
-
-
-def _check_bounds(k: int, U: float, L: float, beta: float) -> None:
-    """The one check of a (k, U, L, beta) cell, for every player kind."""
-    check_k(k)
-    if not (0 < L <= U < math.inf):
-        raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
-    if not (0 <= beta < math.inf):
-        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
 
 
 #: how error messages name each variant's `regime_edge`
@@ -121,7 +112,7 @@ def solve_ratios(
     cols = tuple(array("d") for _ in range(6))
     for k, U, L, beta in cells:
         try:
-            _check_bounds(k, U, L, beta)
+            check_cell(k, U, L, beta)
         except ParameterError as exc:
             out.append(exc)
             continue

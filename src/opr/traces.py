@@ -43,24 +43,29 @@ class TraceDataset:
             raise TraceError("timestamps and values must have equal length")
         if not self.values:
             raise TraceError("empty trace")
-        prev = None
-        for idx, ts in enumerate(self.timestamps):
-            if prev is not None:
-                if ts <= prev:
-                    raise TraceError(f"timestamps not strictly increasing at row {idx}")
-                if ts - prev != _HOUR:
-                    raise TraceError(
-                        f"missing hour before row {idx}: {prev.isoformat()} -> {ts.isoformat()}"
-                    )
-            prev = ts
-        for idx, v in enumerate(self.values):
-            if not math.isfinite(v) or v < 0:
-                raise TraceError(f"value at row {idx} must be finite and >= 0, got {v}")
-            if self.kind is TraceKind.CARBON_FREE_PCT and v > 100:
-                raise TraceError(f"carbon-free percentage at row {idx} exceeds 100: {v}")
+        _check_rows(range(len(self.values)), self.timestamps, self.values, self.kind)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _check_rows(rows: Sequence[int], timestamps: Sequence[datetime],
+                values: Sequence[float], kind: TraceKind) -> None:
+    """The row rules of a trace, every timestamp before every value; errors
+    name each row by its number in ``rows``: its 0-based index in a
+    `TraceDataset`, its 1-based file line in `parse_trace`."""
+    for row, prev, ts in zip(rows[1:], timestamps, timestamps[1:]):
+        if ts <= prev:
+            raise TraceError(f"timestamps not strictly increasing at row {row}")
+        if ts - prev != _HOUR:
+            raise TraceError(
+                f"missing hour before row {row}: {prev.isoformat()} -> {ts.isoformat()}"
+            )
+    for row, v in zip(rows, values):
+        if not math.isfinite(v) or v < 0:
+            raise TraceError(f"value at row {row} must be finite and >= 0, got {v}")
+        if kind is TraceKind.CARBON_FREE_PCT and v > 100:
+            raise TraceError(f"carbon-free percentage at row {row} exceeds 100: {v}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,7 @@ def parse_trace(
         with open(source, "r", encoding="utf-8") as fh:
             return parse_trace(fh, kind)
     region = ""
+    lines: list[int] = []
     timestamps: list[datetime] = []
     values: list[float] = []
     saw_header = False
@@ -121,16 +127,18 @@ def parse_trace(
             value = float(parts[1])
         except ValueError as exc:
             raise TraceError(f"row {lineno}: bad value {parts[1]!r}") from exc
-        if value < 0:
-            raise TraceError(f"row {lineno}: negative value {value}")
+        lines.append(lineno)
         values.append(value)
     if not saw_header:
         raise TraceError("empty trace file")
     if not values:
         raise TraceError("trace has a header but no rows")
-    return TraceDataset(
-        region=region, timestamps=tuple(timestamps), values=tuple(values), kind=kind
-    )
+    try:
+        return TraceDataset(region, tuple(timestamps), tuple(values), kind)
+    except TraceError:
+        # the same fault again, named by its file line
+        _check_rows(lines, timestamps, values, kind)
+        raise
 
 
 def write_trace(ds: TraceDataset, path: str | Path) -> None:

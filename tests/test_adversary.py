@@ -1,10 +1,12 @@
 """Adaptive adversary transcripts against shipped and synthetic players."""
 
+import math
+
 import pytest
 
 from opr.adversary import _nudged, adversary_max, adversary_min, declared_horizon
 from opr.algorithms import PlayerKind
-from opr.errors import DegenerateProfitError, ProtocolError, RegimeError
+from opr.errors import DegenerateProfitError, ParameterError, ProtocolError, RegimeError
 from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
@@ -246,6 +248,22 @@ class TestErrors:
             adversary_max(PlayerKind.DTPR, 3, 10.0, 5.0, 7.4)  # beta >= kL/2 or probes leave bounds
         with pytest.raises(RegimeError):
             adversary_max(PlayerKind.DTPR, 3, 10.0, 8.0, 1.5)  # 2*beta > U-L
+
+    @pytest.mark.parametrize("cell, message", [
+        (dict(k=0), "k must be a positive integer, got 0"),
+        (dict(L=-5.0), "need 0 < L <= U < inf, got L=-5.0, U=30.0"),
+        (dict(L=math.nan), "need 0 < L <= U < inf, got L=nan, U=30.0"),
+        (dict(U=math.inf), "need 0 < L <= U < inf, got L=5.0, U=inf"),
+        (dict(beta=-1.0), "beta must be finite and nonnegative, got -1.0"),
+    ])
+    def test_bad_cell_is_named_before_the_regime_on_both_sides(self, cell, message):
+        # the cell is checked before the regime, so the max side does not
+        # report k=0 or a bad L through its edge kL/2 (0, -7.5 or nan)
+        args = {**dict(k=3, U=30.0, L=5.0, beta=1.0), **cell}
+        for run in (adversary_min, adversary_max):
+            with pytest.raises(ParameterError) as info:
+                run(PlayerKind.DTPR, **args)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("k, beta", [(2, 3.0), (4, 2.5)])
     def test_nonpositive_profit_has_no_ratio(self, k, beta):

@@ -265,19 +265,18 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_online_causality(self, inst, data):
         # the decision at slot t must be recomputable from the prefix alone:
-        # run_online plays the whole sequence as one lane, step one price at a
-        # time, and both must agree for every kind on both variants, also
-        # when prices sit exactly on some player's rail (ties accept)
+        # moving every price after slot t to a price bound leaves the first t
+        # decisions of every kind on both variants as they were, also when
+        # prices sit exactly on some player's rail (ties accept)
         if data.draw(st.booleans()):
             inst = _on_the_rails(inst, data)
+        t = data.draw(st.integers(min_value=0, max_value=inst.T))
+        tail = data.draw(st.lists(st.sampled_from([inst.L, inst.U]),
+                                  min_size=inst.T - t, max_size=inst.T - t))
+        other = Instance(k=inst.k, T=inst.T, L=inst.L, U=inst.U, beta=inst.beta,
+                         variant=inst.variant, prices=inst.prices[:t] + tuple(tail))
         for kind in PlayerKind:
-            full = run_online(kind, inst)
-            player = new_player(kind, inst.k, inst.T, inst.L, inst.U, inst.beta, inst.variant)
-            for t, price in enumerate(inst.prices):
-                if player.exhausted:
-                    assert full.decisions[t] == 0
-                else:
-                    assert player.step(price) == full.decisions[t]
+            assert run_online(kind, other).decisions[:t] == run_online(kind, inst).decisions[:t]
 
     @given(random_instances())
     @settings(max_examples=150, deadline=None)
@@ -315,9 +314,9 @@ def _rails(family):
 
 
 def _check_lanes(insts):
-    """play_lanes over every (instance, kind) lane equals `step` of that
-    lane's own player, decision for decision.  Lanes whose families
-    are equal share one rail row."""
+    """play_lanes over every (instance, kind) lane equals `run_online` on
+    that lane's instance and family, decision for decision.  Lanes whose
+    families are equal share one rail row."""
     k, T, variant = insts[0].k, insts[0].T, insts[0].variant
     kinds = list(PlayerKind)
     families = [
@@ -334,9 +333,8 @@ def _check_lanes(insts):
     assert decisions.dtype == np.int8 and decisions.shape == (len(insts), len(kinds), T)
     for i, inst in enumerate(insts):
         for a, kind in enumerate(kinds):
-            player = new_player(kind, k, T, inst.L, inst.U, inst.beta, variant, families[i][a])
-            stepped = [0 if player.exhausted else player.step(p) for p in inst.prices]
-            assert decisions[i, a].tolist() == stepped
+            played = run_online(kind, inst, families[i][a]).decisions
+            assert tuple(decisions[i, a].tolist()) == played
     return decisions
 
 

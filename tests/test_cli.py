@@ -383,6 +383,16 @@ class TestAdversary:
              "--beta", "0", "--alg", "dtpr"]
         ) == 2
 
+    def test_bad_k_on_the_max_side_exits_2_naming_k(self, capsys):
+        # the cell is checked before the regime, whose edge kL/2 would be 0
+        assert main(
+            ["adversary", "--variant", "max", "--k", "0", "--u", "30", "--l", "5",
+             "--beta", "1", "--alg", "dtpr"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be a positive integer, got 0\n"
+
     def test_variant_suffixed_name_exits_2_with_choices(self, capsys):
         assert main(
             ["adversary", "--variant", "min", "--k", "4", "--u", "30", "--l", "5",

@@ -209,12 +209,18 @@ class TestRunExperiment:
 
     def test_integral_float_counts_are_stored_as_ints(self):
         ds = synthetic_diurnal(hours=100, seed=3)
-        cfg = ExperimentConfig(variant=Variant.MIN, T=24.0, k=2.0, beta=1.0, trials=2.0)
-        counts = (cfg.T, cfg.k, cfg.trials)
-        assert [(type(v), v) for v in counts] == [(int, 24), (int, 2), (int, 2)]
+        cfg = ExperimentConfig(variant=Variant.MIN, T=24.0, k=2.0, beta=1.0, trials=2.0,
+                               seed=2.0)
+        counts = (cfg.T, cfg.k, cfg.trials, cfg.seed)
+        assert [(type(v), v) for v in counts] == [(int, 24), (int, 2), (int, 2), (int, 2)]
         # so the config echo prints 2, not 2.0
         assert json.dumps(run_experiment(cfg, ds).to_dict()) == json.dumps(run_experiment(
-            ExperimentConfig(variant=Variant.MIN, T=24, k=2, beta=1.0, trials=2), ds).to_dict())
+            ExperimentConfig(variant=Variant.MIN, T=24, k=2, beta=1.0, trials=2, seed=2),
+            ds).to_dict())
+        # zero and negative seeds stay valid
+        for seed in (0, -7, -7.0):
+            cfg = ExperimentConfig(variant=Variant.MIN, T=24, k=2, beta=1.0, seed=seed)
+            assert type(cfg.seed) is int and cfg.seed == seed
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -233,7 +239,8 @@ class TestRunExperiment:
             ExperimentConfig(variant=Variant.MIN, T=48)
         # each of these used to construct and then fail inside run_experiment
         # with a raw TypeError or AttributeError
-        for bad in (dict(k=2.5), dict(T=24.5), dict(trials=2.5), dict(variant="min")):
+        for bad in (dict(k=2.5), dict(T=24.5), dict(trials=2.5), dict(variant="min"),
+                    dict(seed=2.5), dict(seed=math.nan), dict(seed=math.inf)):
             with pytest.raises(ParameterError):
                 ExperimentConfig(**{**dict(variant=Variant.MIN, T=48, beta=1.0), **bad})
         for algs in (

@@ -36,28 +36,41 @@ class TestParse:
         assert ds.region == "testland"
         assert ds.values == (100.5, 90.25)
 
+    @staticmethod
+    def _error(rows, kind=TraceKind.INTENSITY):
+        """The message of the file's error; a region comment and a blank
+        line put its data rows at file lines 4, 5, ..."""
+        text = "# region: x\n\ntimestamp,value\n" + "".join(f"{row}\n" for row in rows)
+        with pytest.raises(TraceError) as info:
+            parse_trace(io.StringIO(text), kind)
+        return str(info.value)
+
     def test_negative_value_reports_row(self):
-        bad = "timestamp,value\n2021-01-01T00:00:00+00:00,-5\n"
-        with pytest.raises(TraceError, match="row 2"):
-            parse_trace(io.StringIO(bad))
+        for bad in ("-5", "nan"):
+            rows = ["2021-01-01T00:00:00+00:00,5", f"2021-01-01T01:00:00+00:00,{bad}"]
+            assert self._error(rows) == f"value at row 5 must be finite and >= 0, got {float(bad)}"
 
     def test_non_monotone(self):
-        bad = (
-            "timestamp,value\n"
-            "2021-01-01T01:00:00+00:00,5\n"
-            "2021-01-01T00:00:00+00:00,5\n"
-        )
-        with pytest.raises(TraceError, match="increasing"):
-            parse_trace(io.StringIO(bad))
+        rows = ["2021-01-01T01:00:00+00:00,5", "2021-01-01T00:00:00+00:00,5"]
+        assert self._error(rows) == "timestamps not strictly increasing at row 5"
 
     def test_missing_hour(self):
-        bad = (
-            "timestamp,value\n"
-            "2021-01-01T00:00:00+00:00,5\n"
-            "2021-01-01T02:00:00+00:00,5\n"
+        rows = ["2021-01-01T00:00:00+00:00,5", "2021-01-01T02:00:00+00:00,5"]
+        assert self._error(rows) == (
+            "missing hour before row 5: 2021-01-01T00:00:00+00:00 -> 2021-01-01T02:00:00+00:00"
         )
-        with pytest.raises(TraceError, match="missing hour"):
-            parse_trace(io.StringIO(bad))
+
+    def test_dataset_row_errors_name_the_index(self):
+        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+        hours = tuple(start + timedelta(hours=h) for h in (0, 1, 3))
+        with pytest.raises(TraceError) as info:
+            TraceDataset("x", hours, (5.0, 5.0, 5.0), TraceKind.INTENSITY)
+        assert str(info.value) == (
+            "missing hour before row 2: 2021-01-01T01:00:00+00:00 -> 2021-01-01T03:00:00+00:00"
+        )
+        with pytest.raises(TraceError) as info:
+            TraceDataset("x", hours[:2], (5.0, 150.0), TraceKind.CARBON_FREE_PCT)
+        assert str(info.value) == "carbon-free percentage at row 1 exceeds 100: 150.0"
 
     def test_empty_file(self):
         with pytest.raises(TraceError):
@@ -73,9 +86,10 @@ class TestParse:
             parse_trace(io.StringIO(bad))
 
     def test_carbon_free_cap(self):
-        bad = "timestamp,value\n2021-01-01T00:00:00+00:00,150\n"
-        with pytest.raises(TraceError):
-            parse_trace(io.StringIO(bad), TraceKind.CARBON_FREE_PCT)
+        rows = ["2021-01-01T00:00:00+00:00,5", "2021-01-01T01:00:00+00:00,150"]
+        assert self._error(rows, TraceKind.CARBON_FREE_PCT) == (
+            "carbon-free percentage at row 5 exceeds 100: 150.0"
+        )
 
     def test_round_trip_bit_identical(self, tmp_path):
         ds = synthetic_diurnal(hours=50, seed=3, region="rt")
