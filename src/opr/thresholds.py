@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -43,8 +44,8 @@ from .errors import OprError, ParameterError, RegimeError
 class ThresholdFamily:
     """Per-unit acceptance thresholds plus the ratio they were built from.
 
-    ``upper[i] - lower[i] == 2*beta`` for every unit; which of the two rails
-    applies at a step depends on the player's previous decision.
+    Double-threshold rails are ``2*beta`` apart, the constant and agnostic
+    ones equal; the player's previous decision picks the rail at each step.
     """
 
     variant: Variant
@@ -93,19 +94,16 @@ def solve_ratios(
     or the `OprError` of its solve; none is raised here.
 
     After the parameter checks, ratio 1 at U == L with beta == 0, and the
-    `regime_edge` check, a cell is bisected on [1+1e-12, hi] to the fixed point
-    where the midpoint rounds to lo or hi.  The residual is positive below
-    the unique root.  The bracket ends are met as the degenerate bracket
-    lo == hi: the left end (no root if its residual is <= 0), then hi = 2,
-    4, ... while the residual there stays positive.  The cells are lanes of
-    one loop: numpy does the ``+ - * /`` in the scalar order, which rounds
-    as Python floats do, and `math.pow` the power, so each lane gives what
-    its cell gives alone.  As with Python floats, overflow is silent.
+    `regime_edge` check, the cells are lanes that run the three phases of
+    ``tests/ratio_reference.py::bisect_ratio`` together, on one residual,
+    positive below the unique root: no root where it is <= 0 at 1+1e-12;
+    hi = 2, 4, ... doubling while it is positive at hi, up to 2**201; and
+    bisection of [lo, hi] until the midpoint rounds to lo or hi.  numpy does
+    the ``+ - * /`` in the scalar order and `math.pow` the power, so each lane
+    gives its cell's Python-float result bit for bit, silent overflow too.
     """
     is_min = variant is Variant.MIN
     what = "alpha" if is_min else "omega"
-    errors = ("", f"no {what} root above 1 for these parameters",
-              f"{what} root bracket did not close; ratio diverges")
     past_edge = ("single-block regime, min ratio equation does not apply" if is_min
                  else "profit can be forced nonpositive, max ratio is unbounded")
     out: list[float | OprError] = []
@@ -126,58 +124,56 @@ def solve_ratios(
                                      2 * beta * (1 - 1 / k), 2 * beta)):
                 col.append(v)
             out.append(1.0)  # until its root is found
-    # a row a field, a column a lane; leaving lanes are dropped by moving
-    # the others to the front of every row
-    state = np.empty((10, len(cols[0])))
-    for row, col in zip(state, cols):
+    lanes = tuple(np.empty((8, len(cols[0]))))  # i, kf, s, c0, c1, b2, lo, hi
+    for row, col in zip(lanes, cols + (1.0 + 1e-12, 2.0)):
         row[:] = col
     del cols
-    # lo = hi = x = the left end (ratios are > 1 by construction), and the
-    # doubling count at -1, since that first bracket end is no doubling
-    state[6:9], state[9] = 1.0 + 1e-12, -1.0
-    i, kf, s, c0, c1, b2, lo, hi, x, doublings = state
-    kfs = kf.tolist()
+    kfs = lanes[1].tolist()
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        kf, s, c0, c1, b2 = lanes[1:6]
+        if is_min:
+            kx = kf * x
+            return c0 - (s * (1 - 1 / x) - c1 - b2 / kx) * _powers(1 + 1 / kx, kfs)
+        lhs = s * (x - 1) - c1 - b2 * x / kf
+        p = _powers(1 + x / kf, kfs)
+        r = c0 - lhs * p
+        # past 1.8e308 the power is inf and c0 is finite and positive, so
+        # lhs decides, as when ``**`` raises
+        big = p == math.inf
+        r[big] = np.where(lhs[big] > 0, -math.inf, math.inf)
+        return r
+
+    def finish(done: np.ndarray, results: Iterable[float | str]) -> None:
+        """Put the done lanes' roots or errors in `out` and drop those lanes."""
+        nonlocal lanes, kfs
+        for j, v in zip(lanes[0][done].tolist(), results):
+            out[int(j)] = RegimeError(v) if isinstance(v, str) else v
+        rest = ~done
+        n = np.count_nonzero(rest)
+        for row in lanes:
+            row[:n] = row[rest]
+        lanes = tuple(row[:n] for row in lanes)
+        kfs = lanes[1].tolist()
+
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.count_nonzero(rootless := residual(lanes[6]) <= 0):
+            finish(rootless, repeat(f"no {what} root above 1 for these parameters"))
+        for _ in range(201):  # hi = 2, 4, ..., 2**201
+            if not np.count_nonzero(pos := residual(lanes[7]) > 0):
+                break
+            np.multiply(lanes[7], 2.0, out=lanes[7], where=pos)
+        else:
+            finish(pos, repeat(f"{what} root bracket did not close; ratio diverges"))
         while kfs:
-            if is_min:
-                kx = kf * x
-                r = c0 - (s * (1 - 1 / x) - c1 - b2 / kx) * _powers(1 + 1 / kx, kfs)
-            else:
-                lhs = s * (x - 1) - c1 - b2 * x / kf
-                p = _powers(1 + x / kf, kfs)
-                r = c0 - lhs * p
-                # past 1.8e308 the power is inf and c0 is finite and
-                # positive, so lhs decides, as when ``**`` raises
-                big = p == math.inf
-                r[big] = np.where(lhs[big] > 0, -math.inf, math.inf)
-            pos = r > 0
-            np.copyto(lo, x, where=pos)
-            np.copyto(hi, x, where=~pos)
-            np.add(lo, hi, out=x)
-            x *= 0.5
-            stop = (x == lo) | (x == hi)
-            if not np.count_nonzero(stop):
+            lo, hi = lanes[6:]
+            mid = 0.5 * (lo + hi)
+            if np.count_nonzero(done := (mid == lo) | (mid == hi)):
+                finish(done, mid[done].tolist())
                 continue
-            # where lo < hi, x is the root; a bracket end with r <= 0 has no
-            # root, and one with r > 0 doubles hi, at most 200 times
-            ends = stop & (lo == hi)
-            no_root = ends & (r <= 0)
-            doublings += ends & ~no_root
-            diverged = ends & ~no_root & (doublings > 200)
-            grow = ends & ~no_root & ~diverged
-            keep = ~stop | grow
-            code = no_root + 2 * diverged
-            for j, v, c in zip(i[~keep].tolist(), x[~keep].tolist(), code[~keep].tolist()):
-                out[int(j)] = RegimeError(errors[c]) if c else v
-            hi[grow] = np.where(doublings[grow] > 0, 2.0 * hi[grow], 2.0)
-            lo[grow], x[grow] = 1.0 + 1e-12, hi[grow]
-            n = np.count_nonzero(keep)
-            if n < len(keep):
-                for row in state:
-                    row[:n] = row[keep]
-                state = state[:, :n]
-                i, kf, s, c0, c1, b2, lo, hi, x, doublings = state
-                kfs = kf.tolist()
+            pos = residual(mid) > 0
+            np.copyto(lo, mid, where=pos)
+            np.copyto(hi, mid, where=~pos)
     return out
 
 

@@ -98,7 +98,7 @@ def parse_trace(
 ) -> TraceDataset:
     """Parse a trace CSV; row indices in errors are 1-based file lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_trace(fh, kind)
     region = ""
     lines: list[int] = []
@@ -106,6 +106,9 @@ def parse_trace(
     values: list[float] = []
     saw_header = False
     for lineno, line in enumerate(source, start=1):
+        # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF
+        if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+            raise TraceError(f"row {lineno}: not valid UTF-8")
         line = line.strip()
         if not line:
             continue

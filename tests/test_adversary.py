@@ -40,6 +40,13 @@ class NeverAccepts:
         return 0
 
 
+class EmitsTwo(NeverAccepts):
+    """Protocol violator: a decision that is neither 0 nor 1."""
+
+    def step(self, price):
+        return 2
+
+
 PARAMS = [(10, 30.0, 5.0, 3.0), (4, 80.0, 10.0, 6.0), (2, 12.0, 4.0, 1.0)]
 
 
@@ -275,3 +282,7 @@ class TestErrors:
     def test_protocol_violation_detected(self):
         with pytest.raises(ProtocolError):
             adversary_min(NeverAccepts, 3, 30.0, 5.0, 2.0)
+
+    def test_decision_outside_0_1_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match=r"^player emitted 2, expected 0 or 1$"):
+            adversary_min(EmitsTwo, 3, 30.0, 5.0, 2.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opr.algorithms import (
     PlayerKind,
+    PlayerState,
     hindsight_trace,
     new_player,
     play_lanes,
@@ -114,6 +115,12 @@ class TestStep:
         player.step(30)
         with pytest.raises(ProtocolError):
             player.step(30)
+        # a state built directly skips new_player's k <= T check, so it
+        # runs out of slots before units
+        state = PlayerState(k=2, T=1, family=dtpr_min_thresholds(2, 30, 5, 3))
+        state.step(30)
+        with pytest.raises(ProtocolError, match=r"^step past horizon T=1$"):
+            state.step(30)
 
     @pytest.mark.parametrize("kind", list(PlayerKind))
     def test_k_above_horizon_rejected(self, kind):

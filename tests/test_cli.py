@@ -210,12 +210,28 @@ class TestSimulate:
             ("seed=1.5", "synthetic seed must be a nonnegative integer, got 1.5"),
             ("seed=-1", "synthetic seed must be a nonnegative integer, got -1.0"),
             ("seed=abc", "synthetic seed must be a number, got 'abc'"),
+            ("x", "bad synthetic field 'x', expected key=value"),
+            ("foo=1", "unknown synthetic key 'foo'"),
         ],
     )
     def test_bad_synthetic_spec_exits_2_before_any_work(
         self, spec, message, monkeypatch, tmp_path, capsys
     ):
         _forbid(monkeypatch, "synthetic_diurnal")
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--synthetic", spec, "--t-horizon", "24",
+             "--beta-frac", "0.05", "--trials", "2", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("hours=0", "hours must be >= 1, got 0"),
+        ("period=0", "need period > 0, amp >= 0, mean > 0"),
+    ])
+    def test_synthetic_spec_out_of_range_exits_2(self, spec, message, tmp_path, capsys):
+        # rejected by synthetic_diurnal itself, before any trial
         out = tmp_path / "r.json"
         assert main(
             ["simulate", "--variant", "min", "--synthetic", spec, "--t-horizon", "24",
@@ -340,6 +356,15 @@ class TestSimulate:
             ["simulate", "--variant", "min", "--trace", "/nonexistent.csv",
              "--beta", "1", "--out", "/tmp/never.json"]
         ) == 3
+
+    def test_undecodable_trace_exits_3_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,value\n2021-01-01T00:00:00+00:00,5\n\xff\xfe,7\n")
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(bad), "--beta", "1",
+             "--out", str(tmp_path / "r.json")]
+        ) == 3
+        assert capsys.readouterr() == ("", "error: row 3: not valid UTF-8\n")
 
     def test_malformed_trace_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -240,7 +240,8 @@ class TestRunExperiment:
         # each of these used to construct and then fail inside run_experiment
         # with a raw TypeError or AttributeError
         for bad in (dict(k=2.5), dict(T=24.5), dict(trials=2.5), dict(variant="min"),
-                    dict(seed=2.5), dict(seed=math.nan), dict(seed=math.inf)):
+                    dict(seed=2.5), dict(seed=math.nan), dict(seed=math.inf),
+                    dict(trials=0), dict(T=0), dict(k=49)):
             with pytest.raises(ParameterError):
                 ExperimentConfig(**{**dict(variant=Variant.MIN, T=48, beta=1.0), **bad})
         for algs in (

@@ -19,6 +19,7 @@ from opr.algorithms import PlayerKind, new_player
 from opr.core import Variant
 from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
+    ThresholdFamily,
     constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
@@ -93,6 +94,8 @@ class TestSolvers:
             solve_alpha(0, 10, 1, 0)
         with pytest.raises(ParameterError):
             solve_alpha(2, 1, 10, 0)
+        with pytest.raises(ParameterError, match="exactly k values per rail"):
+            ThresholdFamily(Variant.MIN, 2, lower=(5.0,), upper=(5.0, 5.0), ratio=1.0)
         # the agnostic player used to take L = -1 and report ratio 1.0
         for kind in PlayerKind:
             for variant in Variant:
@@ -145,6 +148,12 @@ class TestSolvers:
         assert math.log2(solve_omega(1, 2.0**401, 1.0, 0.0)) == 200.5
         with pytest.raises(RegimeError, match="bracket did not close"):
             solve_omega(1, 2.0**402.5, 1.0, 0.0)
+        # a sweep raises its first unsolvable cell
+        from opr.experiment import sweep_ratios
+
+        with pytest.raises(RegimeError) as info:
+            sweep_ratios(Variant.MAX, 1, 2.0**402.5, [0.0], [1.0])
+        assert str(info.value) == "omega root bracket did not close; ratio diverges"
 
     def test_degenerate_flat_bounds(self):
         assert solve_alpha(3, 4, 4, 0) == 1.0
@@ -437,6 +446,17 @@ class TestLaneSolver:
             cells.append((k, U, L, edge * rng.choice((0.0, rng.random(), 1 - 1e-9))))
         got = [_outcome(r) for r in solve_ratios(variant, cells)]
         assert got == [_expected(variant, *cell) for cell in cells]
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_lanes_with_no_root_above_1_leave_first(self, variant):
+        # theta within 1e-12 of 1 has its residual <= 0 already at 1+1e-12;
+        # the drawn cells above reach that exit only by chance
+        cells = [(k, 5.0 * (1 + 10.0**-e), 5.0, 0.0) for k in (1, 7, 200) for e in (9, 12, 15)]
+        cells.insert(2, (10, 30.0, 5.0, 3.0))
+        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        assert got == [_expected(variant, *cell) for cell in cells]
+        what = "alpha" if variant is Variant.MIN else "omega"
+        assert got.count(("RegimeError", f"no {what} root above 1 for these parameters")) == 6
 
     def test_bad_parameters_come_back_per_lane(self):
         cells = [(4, 30.0, 5.0, 1.0), (0, 30.0, 5.0, 1.0), (4, 5.0, 30.0, 1.0),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from opr.errors import ParameterError, TraceError
 from opr.traces import (
+    TraceBounds,
     TraceDataset,
     TraceKind,
     apply_noise,
@@ -71,6 +72,32 @@ class TestParse:
         with pytest.raises(TraceError) as info:
             TraceDataset("x", hours[:2], (5.0, 150.0), TraceKind.CARBON_FREE_PCT)
         assert str(info.value) == "carbon-free percentage at row 1 exceeds 100: 150.0"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"time,value\n", "row 1: expected header 'timestamp,value', got 'time,value'"),
+        (b"timestamp,value\nnot-a-time,5\n", "row 2: bad timestamp 'not-a-time'"),
+        (b"timestamp,value\n2021-01-01T00:00:00+00:00,5,6\n", "row 2: expected 2 fields, got 3"),
+        (b"timestamp,value\n2021-01-01T00:00:00+00:00,5\n\xff\xfe,7\n", "row 3: not valid UTF-8"),
+        # past the first block the text decoder reads ahead
+        (b"timestamp,value\n" + b"# pad\n" * 3000 + b"\xc3\n", "row 3002: not valid UTF-8"),
+    ], ids=["header", "timestamp", "fields", "utf-8", "utf-8-late"])
+    def test_file_errors_name_the_file_line(self, data, message, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(TraceError) as info:
+            parse_trace(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("hours, values, message", [
+        (0, (), "empty trace"),
+        (2, (5.0,), "timestamps and values must have equal length"),
+    ])
+    def test_dataset_needs_one_value_a_timestamp(self, hours, values, message):
+        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+        stamps = tuple(start + timedelta(hours=h) for h in range(hours))
+        with pytest.raises(TraceError) as info:
+            TraceDataset("x", stamps, values, TraceKind.INTENSITY)
+        assert str(info.value) == message
 
     def test_empty_file(self):
         with pytest.raises(TraceError):
@@ -193,6 +220,10 @@ class TestBounds:
         )
         with pytest.raises(TraceError):
             trace_bounds(ds)
+
+    def test_l_above_u_is_rejected(self):
+        with pytest.raises(ParameterError, match=r"^need 0 < L <= U, got L=5.0, U=1.0$"):
+            TraceBounds(5.0, 1.0)
 
 
 class TestSampling:
