@@ -5,11 +5,12 @@ Exit codes: 0 success, 2 parameter/regime error, 3 input-data error.
 
 from __future__ import annotations
 
-import argparse
 import json  # noqa: F401  (perfbench/tracer.py resolves its `cli:json.dump` target here)
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .adversary import adversary_max, adversary_min
 from .algorithms import PlayerKind, player_family
@@ -194,71 +195,112 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opr",
-        description="Online pause-and-resume workbench",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+_VARIANT = ("--variant", ("min", "max"), REQUIRED)
+_CELL = (("--k", int, REQUIRED), ("--u", float, REQUIRED), ("--l", float, REQUIRED),
+         ("--beta", float, REQUIRED))
 
-    p_solve = sub.add_parser("solve", help="competitive ratio and threshold table")
-    p_solve.add_argument("--variant", required=True, choices=("min", "max"))
-    p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--u", type=float, required=True)
-    p_solve.add_argument("--l", type=float, required=True)
-    p_solve.add_argument("--beta", type=float, required=True)
-    p_solve.add_argument("--json", action="store_true")
-    p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="ratio grid over (L, beta)")
-    p_sweep.add_argument("--variant", required=True, choices=("min", "max"))
-    p_sweep.add_argument("--k", type=int, required=True)
-    p_sweep.add_argument("--u", type=float, required=True)
-    p_sweep.add_argument("--l-min", type=float, required=True)
-    p_sweep.add_argument("--l-max", type=float, required=True)
-    p_sweep.add_argument("--beta-min", type=float, required=True)
-    p_sweep.add_argument("--beta-max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
+class Command(NamedTuple):
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    #: (flag, converter, default); a converter is int, float, str, a tuple of
+    #: choices, or bool for a switch, and a default is a value or REQUIRED
+    options: tuple[tuple[str, object, object], ...]
+    one_of: tuple[tuple[str, str], ...] = ()  # flag pairs given exactly once
 
-    p_sim = sub.add_parser("simulate", help="trace-driven experiment batch")
-    p_sim.add_argument("--variant", required=True, choices=("min", "max"))
-    src = p_sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--trace", help="trace CSV path")
-    src.add_argument("--synthetic", help="period=24,amp=…,mean=…,seed=…[,hours=…]")
-    p_sim.add_argument("--t-horizon", type=int, default=48)
-    p_sim.add_argument("--k", type=int, default=None, help="default: ceil(T/6)")
-    beta_group = p_sim.add_mutually_exclusive_group(required=True)
-    beta_group.add_argument("--beta", type=float, default=None, help="absolute switching cost")
-    beta_group.add_argument(
-        "--beta-frac", type=float, default=None, help="switching cost as a fraction of trace U"
-    )
-    p_sim.add_argument("--noise", type=float, default=1.0)
-    p_sim.add_argument("--trials", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--algs", default=",".join(ALG_NAMES))
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--cdf", default=None, help="optional CDF csv path")
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_adv = sub.add_parser("adversary", help="run the lower-bound adversary on a player")
-    p_adv.add_argument("--variant", required=True, choices=("min", "max"))
-    p_adv.add_argument("--k", type=int, required=True)
-    p_adv.add_argument("--u", type=float, required=True)
-    p_adv.add_argument("--l", type=float, required=True)
-    p_adv.add_argument("--beta", type=float, required=True)
-    p_adv.add_argument("--alg", required=True, help=f"one of {ALG_NAMES}")
-    p_adv.add_argument("--dump-sequence", default=None)
-    p_adv.set_defaults(func=_cmd_adversary)
+COMMANDS = {
+    "solve": Command(_cmd_solve, "competitive ratio and threshold table",
+                     (_VARIANT, *_CELL, ("--json", bool, False))),
+    "sweep": Command(_cmd_sweep, "ratio grid over (L, beta)", (
+        _VARIANT, *_CELL[:2], ("--l-min", float, REQUIRED), ("--l-max", float, REQUIRED),
+        ("--beta-min", float, REQUIRED), ("--beta-max", float, REQUIRED),
+        ("--steps", int, REQUIRED), ("--out", str, REQUIRED))),
+    "simulate": Command(_cmd_simulate, "trace-driven experiment batch", (
+        _VARIANT, ("--trace", str, None), ("--synthetic", str, None), ("--t-horizon", int, 48),
+        ("--k", int, None), ("--beta", float, None), ("--beta-frac", float, None),
+        ("--noise", float, 1.0), ("--trials", int, 1), ("--seed", int, 0),
+        ("--algs", str, ",".join(ALG_NAMES)), ("--out", str, REQUIRED), ("--cdf", str, None)),
+        one_of=(("--trace", "--synthetic"), ("--beta", "--beta-frac"))),
+    "adversary": Command(_cmd_adversary, "run the lower-bound adversary on a player", (
+        _VARIANT, *_CELL, ("--alg", str, REQUIRED), ("--dump-sequence", str, None))),
+}
 
-    return parser
+
+def _cmd_help(args) -> int:
+    """Print the options of `args.command`, or of every command, from the table."""
+    print(f"usage: opr {args.command or 'COMMAND'} [--flag VALUE | --flag=VALUE] ...  "
+          "(full names, each flag once)")
+    for name in [args.command] if args.command else COMMANDS:
+        cmd = COMMANDS[name]
+        print(f"\nopr {name}: {cmd.help}")
+        for flag, conv, default in cmd.options:
+            pair = next((" ".join(p) for p in cmd.one_of if flag in p), None)
+            kind = "|".join(conv) if isinstance(conv, tuple) else conv.__name__
+            note = (f"exactly one of {pair}" if pair else "required" if default is REQUIRED
+                    else "" if default is None or conv is bool else f"default {default}")
+            print(f"  {flag:<16}{'switch' if conv is bool else kind:<9}{note}".rstrip())
+    return 0
+
+
+def _convert(flag: str, conv, value: str):
+    """`value` as its option's type: one of a tuple's choices, or `conv(value)`."""
+    if isinstance(conv, tuple):
+        if value not in conv:
+            raise ParameterError(f"{flag} must be one of {', '.join(conv)}, got {value!r}")
+        return value
+    try:
+        return conv(value)
+    except ValueError:
+        raise ParameterError(f"{flag}: invalid {conv.__name__} value {value!r}") from None
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """One pass over argv against the table: the command's handler as `func`,
+    and each option under the attribute name argparse gave it."""
+    if argv and argv[0] in ("-h", "--help"):
+        return SimpleNamespace(command=None, func=_cmd_help)
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ParameterError(f"{what}; choose from {', '.join(COMMANDS)}")
+    name, tokens = argv[0], iter(argv[1:])
+    cmd = COMMANDS[name]
+    convs = {flag: conv for flag, conv, _ in cmd.options}
+    given = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(command=name, func=_cmd_help)
+        flag, eq, value = token.partition("=")
+        if flag not in convs:
+            raise ParameterError(f"{name}: unknown flag {flag!r}")
+        if flag in given:
+            raise ParameterError(f"{flag} given twice")
+        conv = convs[flag]
+        if conv is bool:
+            if eq:
+                raise ParameterError(f"{flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ParameterError(f"{flag} needs a value")
+        given[flag] = _convert(flag, conv, value)
+    for pair in cmd.one_of:
+        if sum(flag in given for flag in pair) != 1:
+            raise ParameterError(f"{name}: give exactly one of {' '.join(pair)}")
+    args = SimpleNamespace(command=name, func=cmd.run)
+    for flag, _, default in cmd.options:
+        if flag not in given and default is REQUIRED:
+            raise ParameterError(f"{name}: {flag} is required")
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (TraceError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

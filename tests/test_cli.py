@@ -1,14 +1,23 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opr.algorithms
 import opr.cli
 import opr.thresholds
 from opr.cli import main
+
+from cli_reference import build_parser
 
 SHIPPED_TRACE = resources.files("opr.data") / "synthetic_intensity.csv"
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
@@ -19,6 +28,119 @@ def _forbid(monkeypatch, name):
     def reached(*args, **kwargs):
         raise AssertionError(f"{name} ran before the command's checks")
     monkeypatch.setattr(opr.cli, name, reached)
+
+
+SOLVE = ["solve", "--variant", "min", "--k", "4", "--u", "30", "--l", "5", "--beta", "3"]
+SWEEP = ["sweep", "--variant", "min", "--k", "4", "--u", "30", "--l-min", "1", "--l-max", "4",
+         "--beta-min", "0", "--beta-max", "1", "--steps", "3"]
+SIMULATE = ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE), "--trials", "2",
+            "--out", "{tmp}/r.json"]
+
+#: command lines the parser rejects, and the command or flag the one error
+#: line must name
+USAGE_ERRORS = {
+    "unknown command": (["certify", *SOLVE[1:]], "'certify'"),
+    "no command": ([], "no command given"),
+    "abbreviated flag": (["solve", "--var", "min", *SOLVE[3:]], "'--var'"),
+    "missing required flag": ([*SOLVE[:3], *SOLVE[5:]], "--k is required"),
+    "int flag given a float": ([*SOLVE[:4], "2.5", *SOLVE[5:]], "--k: invalid int value '2.5'"),
+    "float flag given a word": ([*SOLVE[:6], "abc", *SOLVE[7:]], "--u: invalid float value"),
+    "unknown choice": ([*SOLVE[:2], "mid", *SOLVE[3:]], "--variant must be one of min, max"),
+    "both sources": ([*SIMULATE, "--beta", "1", "--synthetic", "period=24"],
+                     "exactly one of --trace --synthetic"),
+    "no beta": (SIMULATE, "exactly one of --beta --beta-frac"),
+    "last flag without a value": ([*SWEEP, "--out"], "--out needs a value"),
+    "value starting with --": ([*SWEEP, "--out", "--x.csv"], "--out needs a value"),
+    "switch given a value": ([*SOLVE, "--json=1"], "--json takes no value"),
+    "flag given twice": ([*SOLVE, "--k", "5"], "--k given twice"),
+}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, names", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_exits_2_with_one_error_line_before_any_work(
+        self, argv, names, tmp_path, capsys, monkeypatch
+    ):
+        for name in ("player_family", "sweep_ratios", "parse_trace", "synthetic_diurnal",
+                     "run_experiment", "adversary_min", "adversary_max"):
+            _forbid(monkeypatch, name)
+        assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "-h"],
+                                      ["adversary", "--variant", "min", "--help"]])
+    def test_help_lists_every_flag_of_the_table_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        shown = [argv[0]] if argv[0] in opr.cli.COMMANDS else list(opr.cli.COMMANDS)
+        blocks = out.split("\n\n")
+        assert blocks[0].startswith("usage: opr ") and len(blocks) == 1 + len(shown)
+        for name, block in zip(shown, blocks[1:]):
+            assert block.startswith(f"opr {name}: {opr.cli.COMMANDS[name].help}\n")
+            flags = [line.split()[0] for line in block.splitlines()[1:]]
+            assert flags == [flag for flag, _, _ in opr.cli.COMMANDS[name].options]
+
+    def test_a_run_imports_no_argparse_gettext_or_locale(self):
+        # pytest itself imports argparse, so the run needs a fresh interpreter
+        code = ("import sys, opr.cli; "
+                f"assert opr.cli.main({SOLVE!r}) == 0; "
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        src = str(Path(opr.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+
+
+#: a value argparse reads as a negative number, not as a flag, when it is
+#: the separate token after its flag; other values starting with `-` can
+#: only be given as --flag=value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_WORDS = st.text("abcxyz019_./,:=-", min_size=1, max_size=12)
+_VALUES = {
+    int: st.integers(-10**12, 10**12).map(str),
+    float: st.one_of(st.floats().map(repr), st.sampled_from(["nan", "inf", "-inf", "1e3", "-.5"])),
+    str: st.one_of(_WORDS, st.just("period=24,amp=20,mean=55,seed=3")),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A valid command line: required flags, exactly one of each pair, and a
+    random subset of the optional ones, shuffled, each as --f v or --f=v."""
+    name = draw(st.sampled_from(list(opr.cli.COMMANDS)))
+    cmd = opr.cli.COMMANDS[name]
+    chosen = {draw(st.sampled_from(pair)) for pair in cmd.one_of}
+    paired = {flag for pair in cmd.one_of for flag in pair}
+    words = []
+    for flag, conv, default in cmd.options:
+        if flag in paired and flag not in chosen:
+            continue
+        if default is not opr.cli.REQUIRED and flag not in paired and not draw(st.booleans()):
+            continue
+        if conv is bool:
+            words.append([flag])
+            continue
+        value = draw(st.sampled_from(conv) if isinstance(conv, tuple) else _VALUES[conv])
+        separate = not value.startswith("-") or _NEGATIVE_NUMBER.match(value)
+        words.append([flag, value] if separate and draw(st.booleans()) else [f"{flag}={value}"])
+    return [name, *(word for group in draw(st.permutations(words)) for word in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_table_parses_like_the_argparse_reference(argv):
+    def fields(args):
+        # repr tells int from float and matches nan to nan
+        return {key: repr(value) for key, value in vars(args).items() if key != "func"}
+
+    assert fields(opr.cli._parse_args(argv)) == fields(build_parser().parse_args(argv))
 
 
 class TestSolve:
