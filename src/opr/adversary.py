@@ -158,7 +158,7 @@ def _finish(inst: Instance, sched: Schedule, bound: float) -> AdversaryTranscrip
 
 def _grab_stall_script(
     rail: tuple[float, ...], variant: Variant, k: int, U: float, L: float, beta: float
-) -> tuple[float, ...] | None:
+) -> tuple[float, ...]:
     """The best-scoring script against a player with one threshold rail.
 
     Script (m, c), for 0 <= m < k and 0 <= c < k - m, on the min side:
@@ -174,7 +174,9 @@ def _grab_stall_script(
     player's cost is exact; the optimum is bounded by one block of c best
     prices and k - c stall prices, so the closed-form score is a lower bound
     on the DP-scored ratio.  Max-side scripts with nonpositive player profit
-    are skipped.  Returns None when no script scores.
+    are skipped.  Script (0, 0) always scores, since `_adversary` admits only
+    0 < beta < `regime_edge`: on the min side its optimum k*stall + 2*beta
+    is positive, on the max side its player profit k*L - 2*beta is.
     """
     minimize = variant is Variant.MIN
     best, worst, sign = (L, U, 1.0) if minimize else (U, L, -1.0)
@@ -190,7 +192,7 @@ def _grab_stall_script(
     grabbed = [0.0]
     for g in inside:
         grabbed.append(grabbed[-1] + g + flip)
-    top, shape = -math.inf, None
+    top, shape = -math.inf, (0, 0)
     for m in range(k):
         for c in range(k - m):
             stall = outside[m + c]
@@ -200,8 +202,6 @@ def _grab_stall_script(
                 top, shape = r, (m, c)
     if score(grabbed[k], k * best + flip) > top:
         shape = (k, 0)
-    if shape is None:
-        return None
     m, c = shape
     prices = [p for g in inside[:m] for p in (g, worst)]
     if m == k:

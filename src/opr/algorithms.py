@@ -227,9 +227,7 @@ def play_lanes(
 
     Each slot gathers every lane's rail for its next unit and previous
     decision, compares (ties accept), and forces acceptance once the units
-    left reach the slots left, as `PlayerState.step` does on one lane.  The
-    loop stops once every lane has filled its k units; the slots after that
-    stay 0.
+    left reach the slots left, as `PlayerState.step` does on one lane.
     """
     n, T = prices.shape
     m, width = lanes.shape[1], rails.shape[-1]
@@ -247,8 +245,8 @@ def play_lanes(
     forced_at = filled - (T - k)
     idx, rail = filled.copy(), np.empty((n, m))
     forced, scratch = np.empty((n, m), dtype=bool), np.empty_like(filled)
-    decided = np.zeros((T, n, m), dtype=bool)
-    cols, left = prices.T[:, :, None], n * m * k
+    decided = np.empty((T, n, m), dtype=bool)
+    cols = prices.T[:, :, None]
     for t in range(T):
         x = decided[t]
         np.take(flat, idx, out=rail)
@@ -258,9 +256,6 @@ def play_lanes(
             np.less_equal(filled, scratch, out=forced)
             x |= forced
         filled += x
-        left -= np.count_nonzero(x)
-        if not left:
-            break
         np.multiply(x, onto_stay, out=idx)
         idx += filled
     return decided.view(np.int8).transpose(1, 2, 0)

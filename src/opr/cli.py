@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (TraceError, FileNotFoundError, IsADirectoryError) as exc:
+    except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA
     except OprError as exc:

@@ -240,19 +240,11 @@ def synthetic_diurnal(
     mean: float = 250.0,
     seed: int = 0,
     jitter: float = 0.1,
-    dip_prob: float = 0.0,
-    dip_range: tuple[float, float] | None = None,
-    spike_prob: float = 0.0,
-    spike_range: tuple[float, float] | None = None,
     kind: TraceKind = TraceKind.INTENSITY,
-    region: str = "synthetic",
-    start: datetime | None = None,
 ) -> TraceDataset:
-    """Sinusoidal daily cycle plus seeded Gaussian jitter, floored above 0.
+    """Sinusoidal daily cycle plus seeded Gaussian jitter, floored above 0,
+    hourly from 2021-01-01 UTC in region ``synthetic``.
 
-    ``dip_prob``/``spike_prob`` independently replace an hour's value with a
-    uniform draw from the given absolute range, mimicking the rare renewable
-    surplus and peaker events that pin real traces' observed extremes.
     Stands in for real grid data when no trace file is supplied; bounds are
     always recomputed from the generated values, never assumed.
     """
@@ -260,33 +252,18 @@ def synthetic_diurnal(
         raise ParameterError(f"hours must be >= 1, got {hours}")
     if period <= 0 or amp < 0 or mean <= 0:
         raise ParameterError("need period > 0, amp >= 0, mean > 0")
-    if dip_prob + spike_prob > 1:
-        raise ParameterError("dip_prob + spike_prob must not exceed 1")
     rng = np.random.default_rng(seed)
     t = np.arange(hours)
     values = mean + amp * np.sin(2 * np.pi * t / period)
     values = values + jitter * amp * rng.standard_normal(hours)
-    if dip_prob > 0 or spike_prob > 0:
-        roll = rng.random(hours)
-        if dip_prob > 0:
-            if dip_range is None:
-                raise ParameterError("dip_prob > 0 requires dip_range")
-            dips = roll < dip_prob
-            values[dips] = rng.uniform(dip_range[0], dip_range[1], int(dips.sum()))
-        if spike_prob > 0:
-            if spike_range is None:
-                raise ParameterError("spike_prob > 0 requires spike_range")
-            spikes = (roll >= dip_prob) & (roll < dip_prob + spike_prob)
-            values[spikes] = rng.uniform(spike_range[0], spike_range[1], int(spikes.sum()))
     floor = max(mean * 1e-3, 1e-9)
     values = np.maximum(values, floor)
     if kind is TraceKind.CARBON_FREE_PCT:
         values = np.minimum(values, 100.0)
-    if start is None:
-        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
     timestamps = tuple(start + i * _HOUR for i in range(hours))
     return TraceDataset(
-        region=region,
+        region="synthetic",
         timestamps=timestamps,
         values=tuple(float(v) for v in values),
         kind=kind,

@@ -224,6 +224,13 @@ class TestRunOnline:
             _, cost = hindsight_trace(kind, inst)
             assert cost.total == pytest.approx(sum(prices) + 2 * 2)
 
+    def test_player_short_of_k_is_a_protocol_error(self, monkeypatch):
+        # a player that never accepts breaks the forced-acceptance rule
+        monkeypatch.setattr(PlayerState, "step", lambda self, price: 0)
+        inst = min_inst([10, 20, 5, 8, 30], 2, 5, 30, 2)
+        with pytest.raises(ProtocolError, match=r"^dtpr accepted 0 of k=2 units$"):
+            run_online(PlayerKind.DTPR, inst)
+
 
 @st.composite
 def random_instances(draw):

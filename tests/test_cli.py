@@ -102,7 +102,9 @@ class TestUsage:
 #: the separate token after its flag; other values starting with `-` can
 #: only be given as --flag=value
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-_WORDS = st.text("abcxyz019_./,:=-", min_size=1, max_size=12)
+#: "--" is left out: Python 3.11's argparse drops a `--flag=--` value and
+#: reads it as [] (`test_double_dash_value_is_kept` pins the table's "--")
+_WORDS = st.text("abcxyz019_./,:=-", min_size=1, max_size=12).filter(lambda w: w != "--")
 _VALUES = {
     int: st.integers(-10**12, 10**12).map(str),
     float: st.one_of(st.floats().map(repr), st.sampled_from(["nan", "inf", "-inf", "1e3", "-.5"])),
@@ -141,6 +143,10 @@ def test_table_parses_like_the_argparse_reference(argv):
         return {key: repr(value) for key, value in vars(args).items() if key != "func"}
 
     assert fields(opr.cli._parse_args(argv)) == fields(build_parser().parse_args(argv))
+
+
+def test_double_dash_value_is_kept():
+    assert opr.cli._parse_args([*SWEEP, "--out=--"]).out == "--"
 
 
 class TestSolve:
@@ -322,6 +328,19 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.read_text())["config"]["trace_kind"] == "carbon-free"
 
+    def test_empty_synthetic_field_is_skipped(self, tmp_path):
+        specs = ("period=24,,amp=80,mean=250", "period=24,amp=80,mean=250")
+        texts = []
+        for i, spec in enumerate(specs):
+            out = tmp_path / f"r{i}.json"
+            assert main(
+                ["simulate", "--variant", "min", "--synthetic", spec, "--t-horizon", "24",
+                 "--beta-frac", "0.05", "--trials", "4", "--out", str(out)]
+            ) == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        # the results echo the spec as given; everything else is the same
+        assert texts[0].replace(*specs) == texts[1]
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -472,6 +491,23 @@ class TestSimulate:
         ) == 3
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--trace", "file/x.csv"),  # NotADirectoryError
+        ("--trace", "t" * 300 + ".csv"),  # OSError: file name too long
+        ("--out", "r" * 300 + ".json"),  # the same, from the out-path check
+    ], ids=["trace-under-a-file", "trace-name-too-long", "out-name-too-long"])
+    def test_os_error_on_a_path_exits_3_with_one_error_line(self, flag, name, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        paths = {"--trace": str(SHIPPED_TRACE), "--out": str(tmp_path / "r.json")}
+        paths[flag] = str(tmp_path / name)
+        assert main(
+            ["simulate", "--variant", "min", "--trace", paths["--trace"], "--beta-frac", "0.05",
+             "--trials", "3", "--out", paths["--out"]]
+        ) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_missing_trace_exits_3(self, capsys):
         assert main(

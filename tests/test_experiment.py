@@ -126,6 +126,21 @@ class TestRunExperiment:
             assert a["algs"]["dtpr"]["ratio"] == b["algs"]["dtpr"]["ratio"]
             assert a["algs"]["agnostic"]["ratio"] == b["algs"]["agnostic"]["ratio"]
 
+    def test_opt_costlier_than_a_player_is_a_defect(self, monkeypatch):
+        # an OPT that takes each row's first k slots is beaten by DTPR
+        def first_k(prices, k, beta, variant):
+            out = np.zeros(prices.shape, dtype=np.int8)
+            out[:, :k] = 1
+            return out
+
+        monkeypatch.setattr(experiment, "dp_decisions", first_k)
+        ds = synthetic_diurnal(hours=300, seed=8)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=24, k=4, beta_frac=0.02, trials=8,
+                               seed=3, algs=("dtpr",))
+        with pytest.raises(OprError, match=r"^trial \d+: dtpr ratio \S+ below 1; OPT is exact, "
+                                           r"this indicates a defect$"):
+            run_experiment(cfg, ds)
+
     def test_dtpr_within_theoretical_ratio(self):
         ds = synthetic_diurnal(hours=400, seed=2)
         cfg = ExperimentConfig(

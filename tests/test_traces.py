@@ -1,5 +1,6 @@
 """Trace parsing, bounds, sampling, and the volatility transform."""
 
+import dataclasses
 import io
 import math
 import tempfile
@@ -119,7 +120,7 @@ class TestParse:
         )
 
     def test_round_trip_bit_identical(self, tmp_path):
-        ds = synthetic_diurnal(hours=50, seed=3, region="rt")
+        ds = dataclasses.replace(synthetic_diurnal(hours=50, seed=3), region="rt")
         path = tmp_path / "rt.csv"
         write_trace(ds, path)
         again = parse_trace(path)
@@ -250,6 +251,11 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_segment_with_offset(ds, 6, seed=0)
 
+    def test_empty_segment(self):
+        ds = synthetic_diurnal(hours=5, seed=0)
+        with pytest.raises(ParameterError, match="segment length must be >= 1, got 0"):
+            sample_segment_with_offset(ds, 0, 1)
+
 
 class TestNoise:
     def test_identity_at_one(self):
@@ -316,6 +322,10 @@ class TestNoise:
         with pytest.raises(ParameterError):
             apply_noise((1, 2), 0.5, TraceKind.INTENSITY)
 
+    def test_rejects_empty_segment(self):
+        with pytest.raises(ParameterError, match="cannot noise an empty segment"):
+            apply_noise((), 1.0, TraceKind.INTENSITY)
+
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     def test_rejects_non_finite_m(self, m):
         with pytest.raises(ParameterError):
@@ -352,18 +362,11 @@ class TestSynthetic:
         a = synthetic_diurnal(hours=48, seed=9)
         b = synthetic_diurnal(hours=48, seed=9)
         assert a.values == b.values
+        assert a.region == "synthetic"
+        assert a.timestamps[0] == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
     def test_carbon_free_stays_capped(self):
         ds = synthetic_diurnal(
             hours=200, amp=40, mean=80, seed=0, kind=TraceKind.CARBON_FREE_PCT
         )
         assert all(0 <= v <= 100 for v in ds.values)
-
-    def test_event_params_pin_extremes(self):
-        ds = synthetic_diurnal(
-            hours=500, amp=10, mean=100, seed=4, jitter=0.0,
-            dip_prob=0.05, dip_range=(3, 5), spike_prob=0.05, spike_range=(200, 210),
-        )
-        b = trace_bounds(ds)
-        assert 3 <= b.L <= 5
-        assert 200 <= b.U <= 210
