@@ -16,9 +16,9 @@ There is one transition rule, written twice: as ``PlayerState.step`` on one
 price, and as ``play_lanes``, a loop over the slots that steps every
 (algorithm, trial) lane in a few numpy passes.  One player over a known
 sequence is a loop over ``step``, ``run_online``; the experiment plays all
-its lanes in one ``play_lanes`` call.  ``player_families`` is the one place
-the per-kind families are built and their cells checked, ``player_family``
-its one-cell case.
+its lanes in one ``play_lanes`` call.  ``player_families`` checks a pass's
+cells and builds their rails as one table in a few numpy passes;
+``player_family`` is its one-cell case.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterator
+from typing import Sequence
 
 import numpy as np
 
-from .core import CostBreakdown, Instance, Schedule, Variant, check_cell, evaluate_schedule
+from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, check_k,
+                   evaluate_schedule)
 from .errors import OprError, ParameterError, ProtocolError
-from .thresholds import ThresholdFamily, constant_threshold, dtpr_family, solve_ratios
+from .thresholds import ThresholdFamily, constant_threshold, dtpr_rails, solve_ratios
 
 
 class PlayerKind(Enum):
@@ -100,64 +101,60 @@ class PlayerState:
         return x
 
 
-def _constant_family(
-    k: int, rail: float, U: float, L: float, variant: Variant
-) -> ThresholdFamily:
-    """Both rails at one price for every unit.  The ratio is that of a single
-    reservation price at beta = 0: accept at the rail against an optimum at
-    the far bound, or be forced to the near bound against one at the rail.
-    An integral float k is stored as an int, as `dtpr_family` does."""
-    k = int(k)
-    return ThresholdFamily(variant=variant, k=k, lower=(rail,) * k, upper=(rail,) * k,
-                           ratio=max(rail / L, U / rail))
-
-
 def player_families(
-    cells: Collection[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
-) -> Iterator[ThresholdFamily | OprError]:
-    """The family a player of each (kind, U, L, beta) cell runs on
-    ``variant``, or the `OprError` of its cell check or ratio solve, one
-    cell at a time.
+    cells: Sequence[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
+) -> tuple[np.ndarray, np.ndarray, dict[int, OprError]]:
+    """The (F, 2, k+1) rail table of a player of each (kind, U, L, beta)
+    cell on ``variant``, the F ratios, and ``{row: error}`` for each cell
+    whose check or ratio solve failed.  Row f holds cell f's lower and upper
+    rails in ``[f, :, :k]``, as `play_lanes` reads them; column k and a
+    failed cell's row and ratio are 0.  A k that is not a positive integer raises.
 
-    Every cell, whatever its kind, passes `check_cell`.  DTPR and k-search
-    (DTPR at beta = 0) are built from their ratios, which one `solve_ratios`
-    call finds for all such cells, if there are any.
+    DTPR and k-search (DTPR at beta = 0) rows come from one `solve_ratios`
+    call and one `dtpr_rails`.  A constant row holds sqrt(L*U) on both rails,
+    an agnostic row the price bound that accepts every price (U for min, L
+    for max); their ratio is that of one reservation price at beta = 0.
     """
-    checks = []
-    for _, U, L, beta in cells:
+    k = check_k(k)
+    table, ratios, failed = np.zeros((max(len(cells), 1), 2, k + 1)), np.zeros(len(cells)), {}
+    solving, flat = [], []
+    for f, (kind, U, L, beta) in enumerate(cells):
         try:
             check_cell(k, U, L, beta)
-            checks.append(None)
         except ParameterError as exc:
-            checks.append(exc)
-    solving = [(k, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta)
-               for (kind, U, L, beta), exc in zip(cells, checks)
-               if exc is None and kind in _SOLVED]
-    solved = zip(solving, solve_ratios(variant, solving) if solving else ())
-    for (kind, U, L, beta), exc in zip(cells, checks):
-        if exc is not None:
-            yield exc
-        elif kind in _SOLVED:
-            (_, _, _, beta), ratio = next(solved)
-            yield (ratio if isinstance(ratio, OprError)
-                   else dtpr_family(k, U, L, beta, ratio, variant))
-        elif kind is PlayerKind.CONSTANT_THRESHOLD:
-            yield _constant_family(k, constant_threshold(U, L), U, L, variant)
+            failed[f] = exc
+            continue
+        if kind in _SOLVED:
+            solving.append((f, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta))
         else:
-            # carbon-agnostic: a rail on the price bound accepts every price
-            yield _constant_family(k, U if variant is Variant.MIN else L, U, L, variant)
+            flat.append((f, U, L, kind is PlayerKind.CONSTANT_THRESHOLD))
+    found = solve_ratios(variant, [(k, *cell[1:]) for cell in solving]) if solving else ()
+    failed.update((cell[0], r) for cell, r in zip(solving, found) if isinstance(r, OprError))
+    if solved := [(*cell, r) for cell, r in zip(solving, found) if not isinstance(r, OprError)]:
+        rows = [cell[0] for cell in solved]
+        _, U, L, beta, ratio = np.array(solved).T
+        table[rows, :, :k] = dtpr_rails(variant, k, U, L, beta, ratio)
+        ratios[rows] = ratio
+    if flat:
+        rows, rails = [f for f, *_ in flat], [
+            constant_threshold(U, L) if const else U if variant is _VARIANT_MIN else L
+            for _, U, L, const in flat]
+        ratios[rows] = [max(rail / L, U / rail) for rail, (_, U, L, _) in zip(rails, flat)]
+        table[rows, :, :k] = np.array(rails)[:, None, None]
+    return table, ratios, failed
 
 
 def player_family(
     kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
 ) -> ThresholdFamily:
-    """`player_families` on one cell, raising its error.  A caller that runs
-    many players on the same parameters can build the family once and hand
-    it to ``new_player``/``run_online``."""
-    [family] = player_families([(kind, U, L, beta)], k, variant)
-    if isinstance(family, OprError):
-        raise family
-    return family
+    """`player_families` on one cell, as a family, raising its error.  A
+    caller that runs many players on the same parameters can build the
+    family once and hand it to ``new_player``/``run_online``."""
+    table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
+    if failed:
+        raise failed[0]
+    lower, upper = table[0, :, :-1].tolist()
+    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), float(ratios[0]))
 
 
 def new_player(

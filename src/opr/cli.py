@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json  # noqa: F401  (perfbench/tracer.py resolves its `cli:json.dump` target here)
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -302,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except BrokenPipeError:  # the reader left: exit quietly, and flush into devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA

@@ -283,12 +283,7 @@ def _run_trials(
             clip = kind is PlayerKind.DTPR and variant is Variant.MIN and beta_abs >= edge
             cells.append((kind, U, L, _BETA_CLIP * edge if clip else beta_abs))
             clips.append(clip)
-    table, failed = np.zeros((max(len(cells), 1), 2, k + 1)), {}
-    for f, family in enumerate(player_families(cells, k, variant)):
-        if isinstance(family, OprError):
-            failed[f] = family
-        else:
-            table[f, :, :k] = family.lower, family.upper
+    table, _, failed = player_families(cells, k, variant)
     clipped = [clips[f] for f in lane_rows.ravel().tolist()]
     del seen, group, cells, clips  # freed before the DP and the players run
     bad = np.flatnonzero(np.isin(lane_rows, list(failed))).tolist()

@@ -10,6 +10,7 @@ The kernel is batched over trials and loops over the units only: layer j
 through a running minimum, so each layer is a handful of numpy passes over
 all n*T slots of the batch.  Its backpointers are bits, packed 8 slots a
 byte, and `dp_batch_len` sizes a batch by the kernel's whole working set.
+The backtrace steps once per accept and once per run of rejects.
 `dp_decisions` is the one entry point: `run_experiment` calls it on a lane
 pass's (n, T) prices, and `dp_optimal` on the one row of an instance.
 """
@@ -91,9 +92,9 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
     """The optimal decisions of every row of (n, T) prices, as (n, T) int8.
 
     The rows share k, beta and the variant.  The kernel solves `dp_batch_len`
-    rows a call, and one scalar backtrace per row writes its decisions.
-    Left of a row's first accepted slot every decision is 0, so the
-    backtrace stops there.
+    rows a call.  Each row's backtrace walks back from slot T one accept at a
+    time, skips a run of rejects to its highest set off backpointer by one bit
+    search, and stops at the row's first accept.
     """
     n, T = prices.shape
     out = bytearray(n * T)
@@ -105,14 +106,15 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
         close_on = (cost[0] > cost[1] + beta).tolist()
         back, batch, width = memoryview(packed.reshape(-1)), len(rows), packed.shape[-1]
         for i, p in enumerate(close_on):
-            j, p, row = k, int(p), (start + i) * T
-            for t in range(T - 1, -1, -1):
-                out[row + t] = p
-                q = (back[((j * 2 + p) * batch + i) * width + (t >> 3)] >> (t & 7)) & 1
-                j -= p
-                if not j:
-                    break
-                p = q
+            j, t, row = k, T - 1, (start + i) * T
+            while j and t >= 0:
+                if p:  # an accept: its backpointer says whether x_{t-1} = 1
+                    out[row + t] = 1
+                    p = (back[((j * 2 + 1) * batch + i) * width + (t >> 3)] >> (t & 7)) & 1
+                    j, t = j - 1, t - 1
+                else:  # an idle run s..t: bit s is the highest set off backpointer <= t
+                    bits = int.from_bytes(packed[j, 0, i], "little") & ((2 << t) - 1)
+                    t, p = bits.bit_length() - 2, 1
     return np.frombuffer(out, dtype=np.int8).reshape(n, T)
 
 

@@ -197,41 +197,43 @@ def solve_omega(k: int, U: float, L: float, beta: float) -> float:
     return _solve_ratio(k, U, L, beta, Variant.MAX)
 
 
-def min_upper_threshold(i: int, k: int, U: float, L: float, beta: float, alpha: float) -> float:
-    """Stay threshold u_i for the min variant, valid for i in [1, k+1].
+def dtpr_rails(
+    variant: Variant, k: int, U: np.ndarray, L: np.ndarray, beta: np.ndarray, ratio: np.ndarray
+) -> np.ndarray:
+    """The (F, 2, k) lower and upper rails of F double-threshold cells, from
+    float64 columns of their parameters and solved ratios.  Each is anchored
+    at the extended index k+1, where the construction forces u_{k+1} = L + 2b
+    (min) and l_{k+1} = U - 2b (max), and the other rail is 2b away:
 
-    Evaluated in the form anchored at the extended index k+1, where the
-    construction forces u_{k+1} = L + 2b; this is algebraically identical to
-    the direct closed form at the exact root but avoids the catastrophic
-    cancellation the direct coefficient suffers when the growth factor is
-    large.  i = k+1 is for diagnostics/tests only and is never stored.
+        u_i = U - (U - L - 2b) r^(i-1-k),    r = 1 + 1/(k alpha)     (min)
+        l_i = L + (U - L - 2b) rho^(i-1-k),  rho = 1 + omega/k       (max)
+
+    This is the direct closed form at the exact root, without the cancellation
+    its coefficient suffers when the growth factor is large; for in-regime
+    beta the rails stay inside (L, U), decreasing in i on the min side and
+    increasing on the max side.  numpy does the ``+ - *`` in the scalar order
+    and `_powers` the power, so every value is the scalar formula's bit for bit.
     """
-    r = 1 + 1 / (k * alpha)
-    return U - (U - L - 2 * beta) * r ** (i - 1 - k)
-
-
-def max_lower_threshold(i: int, k: int, U: float, L: float, beta: float, omega: float) -> float:
-    """Resume threshold l_i for the max variant, valid for i in [1, k+1];
-    anchored at l_{k+1} = U - 2b (same stability rationale as the min side)."""
-    rho = 1 + omega / k
-    return L + (U - L - 2 * beta) * rho ** (i - 1 - k)
+    growth = 1 + (1 / (k * ratio) if variant is Variant.MIN else ratio / k)
+    span = (U - L - 2 * beta)[:, None] * _powers(
+        growth.repeat(k), list(range(-k, 0)) * len(ratio)).reshape(-1, k)
+    rails = np.empty((len(ratio), 2, k))
+    if variant is Variant.MIN:
+        np.subtract(U[:, None], span, out=rails[:, 1])
+        np.subtract(rails[:, 1], (2 * beta)[:, None], out=rails[:, 0])
+    else:
+        np.add(L[:, None], span, out=rails[:, 0])
+        np.add(rails[:, 0], (2 * beta)[:, None], out=rails[:, 1])
+    return rails
 
 
 def dtpr_family(
     k: int, U: float, L: float, beta: float, ratio: float, variant: Variant
 ) -> ThresholdFamily:
-    """The double-threshold family at its solved ratio.  Min: u_i decreases
-    in i and l_{k+1} = L, so every threshold stays inside (L, U) for
-    in-regime beta.  Max: l_i increases in i with u_{k+1} = U.  An integral
-    float k, such as 2.0, is stored as an int."""
-    k = int(k)
-    if variant is Variant.MIN:
-        upper = tuple(min_upper_threshold(i, k, U, L, beta, ratio) for i in range(1, k + 1))
-        lower = tuple(u - 2 * beta for u in upper)
-    else:
-        lower = tuple(max_lower_threshold(i, k, U, L, beta, ratio) for i in range(1, k + 1))
-        upper = tuple(l + 2 * beta for l in lower)
-    return ThresholdFamily(variant=variant, k=k, lower=lower, upper=upper, ratio=ratio)
+    """The double-threshold family at its solved ratio: `dtpr_rails` on one
+    cell.  An integral float k, such as 2.0, is stored as an int."""
+    lower, upper = dtpr_rails(variant, int(k), *np.array([[U], [L], [beta], [ratio]]))[0].tolist()
+    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), ratio)
 
 
 def dtpr_min_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:

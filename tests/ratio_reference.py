@@ -1,10 +1,12 @@
-"""Reference ratio residuals and the plain bisection over them.
+"""Reference ratio residuals, the plain bisection over them, and the scalar
+threshold formulas.
 
 `opr.thresholds._solve_ratio` evaluates one inline residual at its bracket
 ends and its midpoints.  Its roots and errors must be bit-identical to this
 bisection, which calls the printed equations' residuals as functions
 (``tests/test_golden.py``); ``tests/test_thresholds.py`` checks the sign
-structure of the same residuals.
+structure of the same residuals.  `opr.thresholds.dtpr_rails` must give
+`min_upper_threshold` and `max_lower_threshold` bit for bit at every unit.
 """
 
 import math
@@ -56,3 +58,23 @@ def solve(variant, k, U, L, beta):
     """The reference root; in-regime parameters only, no regime checks."""
     residual = min_residual if variant is Variant.MIN else max_residual
     return bisect_ratio(lambda x: residual(x, k, U, L, beta))
+
+
+def min_upper_threshold(i: int, k: int, U: float, L: float, beta: float, alpha: float) -> float:
+    """Stay threshold u_i for the min variant, valid for i in [1, k+1].
+
+    Evaluated in the form anchored at the extended index k+1, where the
+    construction forces u_{k+1} = L + 2b; this is algebraically identical to
+    the direct closed form at the exact root but avoids the catastrophic
+    cancellation the direct coefficient suffers when the growth factor is
+    large.  i = k+1 is for diagnostics/tests only and is never stored.
+    """
+    r = 1 + 1 / (k * alpha)
+    return U - (U - L - 2 * beta) * r ** (i - 1 - k)
+
+
+def max_lower_threshold(i: int, k: int, U: float, L: float, beta: float, omega: float) -> float:
+    """Resume threshold l_i for the max variant, valid for i in [1, k+1];
+    anchored at l_{k+1} = U - 2b (same stability rationale as the min side)."""
+    rho = 1 + omega / k
+    return L + (U - L - 2 * beta) * rho ** (i - 1 - k)

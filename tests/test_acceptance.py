@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from brute_force import brute_force_optimal
+from ratio_reference import max_lower_threshold, min_upper_threshold
 from opr.adversary import adversary_max, adversary_min
 from opr.algorithms import PlayerKind, hindsight_trace
 from opr.core import Instance, Variant, cost_ratio
@@ -23,8 +24,6 @@ from opr.offline import dp_optimal
 from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
-    max_lower_threshold,
-    min_upper_threshold,
     solve_alpha,
     solve_omega,
 )

@@ -1,6 +1,7 @@
 """Online-player protocol, baselines, and the competitive guarantees."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from opr.algorithms import (
     hindsight_trace,
     new_player,
     play_lanes,
+    player_families,
     player_family,
     run_online,
 )
-from opr.core import Instance, Variant
-from opr.errors import ParameterError, ProtocolError
+from opr.core import Instance, Variant, check_cell
+from opr.errors import OprError, ParameterError, ProtocolError
 from opr.offline import dp_optimal
 from opr.experiment import resolve_player_kind
 from opr.thresholds import (
@@ -26,9 +28,11 @@ from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    regime_edge,
     solve_alpha,
     solve_omega,
 )
+from ratio_reference import max_lower_threshold, min_upper_threshold
 
 
 def min_inst(prices, k, L, U, beta):
@@ -422,3 +426,83 @@ class TestPlayLanes:
         for a, kind in enumerate(PlayerKind):
             assert decisions[0, a].tolist() == (first if kind is PlayerKind.CARBON_AGNOSTIC else last)
             assert decisions[1, a].tolist() == first
+
+
+def _scalar_row(kind, k, U, L, beta, variant):
+    """One cell's (lower, upper, ratio) by the scalar formulas: the
+    reference `min_upper_threshold`/`max_lower_threshold` at the one-cell
+    solve, `constant_threshold`, or the agnostic rail on the price bound;
+    or the error the cell's check or solve raises."""
+    try:
+        check_cell(k, U, L, beta)
+        if kind in (PlayerKind.DTPR, PlayerKind.KSEARCH):
+            b = 0.0 if kind is PlayerKind.KSEARCH else beta
+            if variant is Variant.MIN:
+                alpha = solve_alpha(k, U, L, b)
+                upper = [min_upper_threshold(i, k, U, L, b, alpha) for i in range(1, k + 1)]
+                return [u - 2 * b for u in upper], upper, alpha
+            omega = solve_omega(k, U, L, b)
+            lower = [max_lower_threshold(i, k, U, L, b, omega) for i in range(1, k + 1)]
+            return lower, [l + 2 * b for l in lower], omega
+    except OprError as exc:
+        return exc
+    if kind is PlayerKind.CONSTANT_THRESHOLD:
+        rail = constant_threshold(U, L)
+    else:
+        rail = U if variant is Variant.MIN else L
+    return [rail] * k, [rail] * k, max(rail / L, U / rail)
+
+
+@st.composite
+def rail_cells(draw):
+    """One pass's cells on one variant and k: every kind, theta up to 1e6,
+    beta at 0, inside the regime, one ulp below its edge or at DTPR's
+    clipped min beta, and failing cells mixed in (beta on the edge,
+    negative or NaN; L above U)."""
+    variant = draw(st.sampled_from(Variant))
+    k = draw(st.integers(min_value=1, max_value=200))
+    cells = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        L = draw(st.floats(min_value=1e-3, max_value=1e3))
+        U = L * draw(st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=1e6)))
+        edge = regime_edge(variant, k, U, L)
+        beta = draw(st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0, max_value=1, exclude_max=True).map(lambda f: f * edge),
+            st.sampled_from([math.nextafter(edge, 0), 0.999999 * (U - L) / 2]),
+            st.sampled_from([edge, -1.0, math.nan]),
+        ))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            L = 2 * U
+        cells.append((draw(st.sampled_from(PlayerKind)), U, L, beta))
+    return variant, k, cells
+
+
+class TestRailTable:
+    @given(rail_cells())
+    @settings(max_examples=100, deadline=None)
+    def test_table_and_ratios_equal_the_scalar_formulas_bit_for_bit(self, case):
+        variant, k, cells = case
+        table, ratios, failed = player_families(cells, k, variant)
+        assert table.shape == (len(cells), 2, k + 1) and ratios.shape == (len(cells),)
+        assert not table[:, :, k].any()
+        for f, (kind, U, L, beta) in enumerate(cells):
+            want = _scalar_row(kind, k, U, L, beta, variant)
+            if isinstance(want, OprError):
+                got = failed.pop(f)
+                assert (type(got), str(got)) == (type(want), str(want))
+                assert not table[f].any() and ratios[f] == 0
+                with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                    player_family(kind, k, U, L, beta, variant)
+                continue
+            lower, upper, ratio = want
+            assert table[f, :, :k].tobytes() == np.array([lower, upper]).tobytes()
+            assert ratios[f : f + 1].tobytes() == np.array([ratio]).tobytes()
+            family = ThresholdFamily(variant, k, tuple(lower), tuple(upper), ratio)
+            assert player_family(kind, k, U, L, beta, variant) == family
+            if kind is PlayerKind.DTPR:
+                build = dtpr_min_thresholds if variant is Variant.MIN else dtpr_max_thresholds
+                assert build(k, U, L, beta) == family
+            elif kind is PlayerKind.KSEARCH:
+                assert ksearch_thresholds(k, U, L, variant) == family
+        assert failed == {}

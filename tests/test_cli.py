@@ -56,6 +56,13 @@ USAGE_ERRORS = {
 }
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this `opr`."""
+    src = str(Path(opr.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv, names", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_usage_error_exits_2_with_one_error_line_before_any_work(
@@ -89,11 +96,8 @@ class TestUsage:
         code = ("import sys, opr.cli; "
                 f"assert opr.cli.main({SOLVE!r}) == 0; "
                 "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-        src = str(Path(opr.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True)
+        run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                             capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "[]"
 
@@ -171,6 +175,19 @@ class TestSolve:
         assert all(
             hi - lo == pytest.approx(6.0) for lo, hi in zip(payload["lower"], payload["upper"])
         )
+
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        # 20000 threshold rows outrun a pipe's buffer, so the run is still
+        # writing when the reader closes its end after the first line, as
+        # `opr solve ... | head -1` does
+        argv = ["solve", "--variant", "min", "--k", "20000", "--u", "30", "--l", "5",
+                "--beta", "3"]
+        with subprocess.Popen([sys.executable, "-m", "opr", *argv], env=_child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+            assert run.stdout.readline().startswith(b"alpha = ")
+            run.stdout.close()
+            err = run.stderr.read()
+        assert (run.returncode, err) == (1, b"")
 
     def test_regime_error_exit_code(self, capsys):
         assert main(

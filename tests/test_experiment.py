@@ -550,11 +550,10 @@ class TestChunkedTrials:
         build = experiment.player_families
 
         def failing_families(cells, k, variant):
-            return [
-                RegimeError("cannot build")
-                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4] else family
-                for (kind, U, L, _), family in zip(cells, build(cells, k, variant))
-            ]
+            table, ratios, failed = build(cells, k, variant)
+            return table, ratios, {**failed, **{
+                f: RegimeError("cannot build") for f, (kind, U, L, _) in enumerate(cells)
+                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]}}
 
         monkeypatch.setattr(experiment, "player_families", failing_families)
         lanes, complete = [], experiment._complete_record

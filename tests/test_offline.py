@@ -200,7 +200,8 @@ def tie_heavy_batches(draw):
 def parent_backtrace(batch):
     """The decision rows of the backtrace the DP ran before `dp_decisions`:
     one kernel call for the whole batch, and every slot walked from T down
-    to 1."""
+    to 1, one step a slot, where `dp_decisions` skips each run of rejected
+    slots in one step."""
     k, T, beta = batch[0].k, batch[0].T, float(batch[0].beta)
     sign = 1.0 if batch[0].variant is Variant.MIN else -1.0
     cost, packed = _dp_kernel(sign * np.array([inst.prices for inst in batch]), k, beta)
@@ -222,14 +223,15 @@ def parent_backtrace(batch):
 @st.composite
 def random_batches(draw):
     """1..8 instances sharing (k, T, beta, variant): float or tie-heavy
-    integer prices, beta 0 or drawn, and a DP byte budget that may split
-    the batch into kernel calls of a few rows."""
+    integer prices (1 to 5), k of 1, T or between, beta 0, drawn or past
+    every price gap, and a DP byte budget that may split the batch into
+    kernel calls of a few rows."""
     variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
     T = draw(st.integers(min_value=1, max_value=60))
-    k = draw(st.integers(min_value=1, max_value=T))
-    beta = draw(st.one_of(st.just(0.0), st.floats(min_value=0, max_value=50)))
+    k = draw(st.one_of(st.just(1), st.just(T), st.integers(min_value=1, max_value=T)))
+    beta = draw(st.one_of(st.sampled_from([0.0, 40.0]), st.floats(min_value=0, max_value=50)))
     ints = draw(st.booleans())
-    value = st.integers(min_value=1, max_value=4) if ints else st.floats(min_value=1, max_value=40)
+    value = st.integers(min_value=1, max_value=5) if ints else st.floats(min_value=1, max_value=40)
     batch = [
         Instance(k=k, T=T, L=1, U=40, beta=beta, variant=variant,
                  prices=tuple(draw(st.lists(value, min_size=T, max_size=T))))

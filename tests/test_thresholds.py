@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratio_reference
-from ratio_reference import max_residual, min_residual
+from ratio_reference import max_lower_threshold, max_residual, min_residual, min_upper_threshold
 from opr.algorithms import PlayerKind, new_player
 from opr.core import Variant
 from opr.errors import ParameterError, RegimeError
@@ -24,8 +24,6 @@ from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
-    max_lower_threshold,
-    min_upper_threshold,
     solve_alpha,
     solve_omega,
     solve_ratios,
