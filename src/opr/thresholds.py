@@ -14,7 +14,8 @@ Both degenerate to the classic k-search ratios at b = 0, with theta = U/L:
     (theta - 1) / (w - 1)     = (1 + w/k)^k            (k-max search)
 
 Both hold for beta below `regime_edge`, the one regime rule.  Both come
-from `solve_ratios`, one lane-wise bisection over a batch of cells;
+from `solve_ratios`, one lane-wise bisection over a batch of cells that
+checks the batch and raises every lane's power as numpy arrays;
 `solve_alpha`/`solve_omega` are its one-cell case.  These exact roots are
 the only form of the ratios here: the solver answers at every k, so the
 paper's asymptotic closed forms would be a second answer to the same
@@ -29,9 +30,7 @@ good enough to justify switching on.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -67,24 +66,19 @@ def regime_edge(variant: Variant, k: int, U: float, L: float) -> float:
     """The beta at and past which the cell's ratio equation no longer
     applies: (U - L)/2 for min, where every stay threshold reaches U and the
     player buys its k units in one block, and kL/2 for max, where an
-    adversary can force nonpositive profit and the ratio is unbounded."""
+    adversary can force nonpositive profit and the ratio is unbounded.
+    Takes floats or float64 arrays alike."""
     return (U - L) / 2 if variant is Variant.MIN else k * L / 2
 
 
-def _powers(base: np.ndarray, exps: list[float]) -> np.ndarray:
-    """Python's ``b ** e`` lane by lane, as `math.pow` (``np.power`` rounds
-    differently), and inf where ``**`` raises OverflowError (max side)."""
-    try:
-        return np.fromiter(map(math.pow, base.tolist(), exps), float, len(exps))
-    except OverflowError:  # some lane overflows: redo them one by one
-        pass
-    out = []
-    for b, e in zip(base.tolist(), exps):
-        try:
-            out.append(math.pow(b, e))
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
+def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """``base ** exps`` elementwise, each as Python's `math.pow` gives it:
+    ``np.float_power`` calls the C library's ``pow`` per float64 element, as
+    `math.pow` does (``np.power`` rounds differently).  Where `math.pow`
+    raises OverflowError (max side) it gives inf, silently under the
+    caller's ``np.errstate(over="ignore")``, which `solve_ratios` holds
+    around its lanes; a rail's negative powers cannot overflow."""
+    return np.float_power(base, exps)
 
 
 def solve_ratios(
@@ -93,87 +87,92 @@ def solve_ratios(
     """The ratio (alpha for min, omega for max) of each (k, U, L, beta) cell,
     or the `OprError` of its solve; none is raised here.
 
-    After the parameter checks, ratio 1 at U == L with beta == 0, and the
-    `regime_edge` check, the cells are lanes that run the three phases of
-    ``tests/ratio_reference.py::bisect_ratio`` together, on one residual,
-    positive below the unique root: no root where it is <= 0 at 1+1e-12;
-    hi = 2, 4, ... doubling while it is positive at hi, up to 2**201; and
-    bisection of [lo, hi] until the midpoint rounds to lo or hi.  numpy does
-    the ``+ - * /`` in the scalar order and `math.pow` the power, so each lane
+    The cells are checked as one float64 array: the `check_cell` test, ratio
+    1 at U == L with beta == 0, and the `regime_edge` test; a failing cell's
+    error is built from its own values.  The other cells are lanes that run
+    the three phases of ``tests/ratio_reference.py::bisect_ratio`` together,
+    on one residual, positive below the unique root: no root where it is
+    <= 0 at 1+1e-12; hi = 2, 4, ... doubling while it is positive at hi, up
+    to 2**201, each lane only until its own bracket closes; and bisection of
+    [lo, hi] until the midpoint rounds to lo or hi.  numpy does the
+    ``+ - * /`` in the scalar order and `_powers` the power, so each lane
     gives its cell's Python-float result bit for bit, silent overflow too.
     """
     is_min = variant is Variant.MIN
     what = "alpha" if is_min else "omega"
     past_edge = ("single-block regime, min ratio equation does not apply" if is_min
                  else "profit can be forced nonpositive, max ratio is unbounded")
-    out: list[float | OprError] = []
-    cols = tuple(array("d") for _ in range(6))
-    for k, U, L, beta in cells:
-        try:
-            check_cell(k, U, L, beta)
-        except ParameterError as exc:
-            out.append(exc)
-            continue
-        edge = regime_edge(variant, k, U, L)
-        if U == L and beta == 0:
-            out.append(1.0)
-        elif beta >= edge:
-            out.append(RegimeError(f"beta={beta} >= {EDGE_NAMES[variant]}={edge}: {past_edge}"))
-        else:
-            for col, v in zip(cols, (len(out), k, U if is_min else L, U - L - 2 * beta,
-                                     2 * beta * (1 - 1 / k), 2 * beta)):
-                col.append(v)
-            out.append(1.0)  # until its root is found
-    lanes = tuple(np.empty((8, len(cols[0]))))  # i, kf, s, c0, c1, b2, lo, hi
-    for row, col in zip(lanes, cols + (1.0 + 1e-12, 2.0)):
-        row[:] = col
-    del cols
-    kfs = lanes[1].tolist()
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        kf, s, c0, c1, b2 = lanes[1:6]
-        if is_min:
-            kx = kf * x
-            return c0 - (s * (1 - 1 / x) - c1 - b2 / kx) * _powers(1 + 1 / kx, kfs)
-        lhs = s * (x - 1) - c1 - b2 * x / kf
-        p = _powers(1 + x / kf, kfs)
-        r = c0 - lhs * p
-        # past 1.8e308 the power is inf and c0 is finite and positive, so
-        # lhs decides, as when ``**`` raises
-        big = p == math.inf
-        r[big] = np.where(lhs[big] > 0, -math.inf, math.inf)
-        return r
-
-    def finish(done: np.ndarray, results: Iterable[float | str]) -> None:
-        """Put the done lanes' roots or errors in `out` and drop those lanes."""
-        nonlocal lanes, kfs
-        for j, v in zip(lanes[0][done].tolist(), results):
-            out[int(j)] = RegimeError(v) if isinstance(v, str) else v
-        rest = ~done
-        n = np.count_nonzero(rest)
-        for row in lanes:
-            row[:n] = row[rest]
-        lanes = tuple(row[:n] for row in lanes)
-        kfs = lanes[1].tolist()
-
+    cells = list(cells)
+    roots, errors = np.ones(len(cells)), {}  # 1.0 until a lane's root is found
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.count_nonzero(rootless := residual(lanes[6]) <= 0):
-            finish(rootless, repeat(f"no {what} root above 1 for these parameters"))
+        k, U, L, beta = np.fromiter(cells, np.dtype((float, 4)), len(cells)).T
+        ok = ((k >= 1) & (k < math.inf) & (np.floor(k) == k) & (0 < L) & (L <= U)
+              & (U < math.inf) & (0 <= beta) & (beta < math.inf))
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                check_cell(*cells[i])
+            except ParameterError as exc:
+                errors[i] = exc
+        ok &= (U != L) | (beta != 0)
+        past = ok & (beta >= regime_edge(variant, k, U, L))
+        for i in np.flatnonzero(past).tolist():
+            kc, Uc, Lc, bc = cells[i]
+            errors[i] = RegimeError(f"beta={bc} >= {EDGE_NAMES[variant]}="
+                                    f"{regime_edge(variant, kc, Uc, Lc)}: {past_edge}")
+        live = np.flatnonzero(ok & ~past)
+        k, U, L, beta = k[live], U[live], L[live], beta[live]
+        # a lane's cell index, lo and hi, then the residual's kf, s, c0, c1, b2
+        lanes = (live, np.full(len(live), 1.0 + 1e-12), np.full(len(live), 2.0),
+                 k, U if is_min else L, U - L - 2 * beta, 2 * beta * (1 - 1 / k), 2 * beta)
+
+        def residual(x, kf, s, c0, c1, b2):
+            if is_min:
+                kx = kf * x
+                return c0 - (s * (1 - 1 / x) - c1 - b2 / kx) * _powers(1 + 1 / kx, kf)
+            lhs = s * (x - 1) - c1 - b2 * x / kf
+            p = _powers(1 + x / kf, kf)
+            r = c0 - lhs * p
+            # past 1.8e308 the power is inf and c0 is finite and positive, so
+            # lhs decides, as when ``**`` raises
+            big = p == math.inf
+            r[big] = np.where(lhs[big] > 0, -math.inf, math.inf)
+            return r
+
+        def finish(done: np.ndarray, found: np.ndarray | str) -> None:
+            """Give the done lanes `found`, their roots or an error message,
+            and drop those lanes."""
+            nonlocal lanes
+            if isinstance(found, str):
+                errors.update((j, RegimeError(found)) for j in lanes[0][done].tolist())
+            else:
+                roots[lanes[0][done]] = found[done]
+            keep = ~done
+            lanes = tuple(row[keep] for row in lanes)
+
+        if np.count_nonzero(rootless := residual(lanes[1], *lanes[3:]) <= 0):
+            finish(rootless, f"no {what} root above 1 for these parameters")
+        up = np.arange(len(lanes[0]))  # the lanes whose hi is still doubling
         for _ in range(201):  # hi = 2, 4, ..., 2**201
-            if not np.count_nonzero(pos := residual(lanes[7]) > 0):
+            up = up[residual(*(row[up] for row in lanes[2:])) > 0]
+            if not up.size:
                 break
-            np.multiply(lanes[7], 2.0, out=lanes[7], where=pos)
+            lanes[2][up] *= 2.0
         else:
-            finish(pos, repeat(f"{what} root bracket did not close; ratio diverges"))
-        while kfs:
-            lo, hi = lanes[6:]
+            stuck = np.zeros(len(lanes[0]), bool)
+            stuck[up] = True
+            finish(stuck, f"{what} root bracket did not close; ratio diverges")
+        while len(lanes[0]):
+            lo, hi = lanes[1:3]
             mid = 0.5 * (lo + hi)
             if np.count_nonzero(done := (mid == lo) | (mid == hi)):
-                finish(done, mid[done].tolist())
+                finish(done, mid)
                 continue
-            pos = residual(mid) > 0
+            pos = residual(mid, *lanes[3:]) > 0
             np.copyto(lo, mid, where=pos)
             np.copyto(hi, mid, where=~pos)
+    out: list[float | OprError] = roots.tolist()
+    for i, exc in errors.items():
+        out[i] = exc
     return out
 
 
@@ -212,11 +211,11 @@ def dtpr_rails(
     its coefficient suffers when the growth factor is large; for in-regime
     beta the rails stay inside (L, U), decreasing in i on the min side and
     increasing on the max side.  numpy does the ``+ - *`` in the scalar order
-    and `_powers` the power, so every value is the scalar formula's bit for bit.
+    and `_powers` the power, each cell's growth factor against the one row of
+    exponents -k ... -1, so every value is the scalar formula's bit for bit.
     """
     growth = 1 + (1 / (k * ratio) if variant is Variant.MIN else ratio / k)
-    span = (U - L - 2 * beta)[:, None] * _powers(
-        growth.repeat(k), list(range(-k, 0)) * len(ratio)).reshape(-1, k)
+    span = (U - L - 2 * beta)[:, None] * _powers(growth[:, None], np.arange(-k, 0.0))
     rails = np.empty((len(ratio), 2, k))
     if variant is Variant.MIN:
         np.subtract(U[:, None], span, out=rails[:, 1])

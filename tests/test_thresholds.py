@@ -9,21 +9,26 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratio_reference
 from ratio_reference import max_lower_threshold, max_residual, min_residual, min_upper_threshold
+import opr.thresholds
 from opr.algorithms import PlayerKind, new_player
-from opr.core import Variant
+from opr.core import Variant, check_cell
 from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
+    EDGE_NAMES,
     ThresholdFamily,
+    _powers,
     constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    regime_edge,
     solve_alpha,
     solve_omega,
     solve_ratios,
@@ -473,3 +478,133 @@ class TestLaneSolver:
             warnings.simplefilter("error")
             got = solve_ratios(Variant.MAX, OVERFLOW_CELLS)
         assert [_outcome(r) for r in got] == [_expected(Variant.MAX, *c) for c in OVERFLOW_CELLS]
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_lanes_evaluate_the_residual_as_often_as_the_reference(self, variant, monkeypatch):
+        # theory's sweep grid: k=10, U=30, L in [1, 10], beta in [0, 5], 50 steps each;
+        # a lane whose bracket has closed stops doubling, as the scalar loop does
+        def grid(lo, hi):
+            return [lo + (hi - lo) * i / 49 for i in range(50)]
+
+        cells = [(10, 30.0, L, beta) for L in grid(1.0, 10.0) for beta in grid(0.0, 5.0)
+                 if beta < regime_edge(variant, 10, 30.0, L)]
+        lanes, calls, powers = 0, 0, _powers
+
+        def spy(base, exps):
+            nonlocal lanes
+            lanes += base.size
+            return powers(base, exps)
+
+        monkeypatch.setattr(opr.thresholds, "_powers", spy)
+        solve_ratios(variant, cells)
+        residual = min_residual if variant is Variant.MIN else max_residual
+        for cell in cells:
+            def counted(x, cell=cell):
+                nonlocal calls
+                calls += 1
+                return residual(x, *cell)
+
+            ratio_reference.bisect_ratio(counted)
+        assert lanes == calls
+
+
+# --- the lanes' powers and checks ---------------------------------------------
+
+
+def _pow_or_inf(base, exp):
+    """`math.pow`, with inf where it raises OverflowError."""
+    try:
+        return math.pow(base, exp)
+    except OverflowError:
+        return math.inf
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64), np.array(want).view(np.int64))
+
+
+class TestPowers:
+    # x from 1 + 1e-12 to 2**201, the whole bracket of the ratio bisection
+    XS = [1 + 1e-12, 2.0**201] + [2 ** random.Random(25).uniform(0, 201) for _ in range(60)]
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_residual_growth_is_math_pow_bit_for_bit(self, variant):
+        ks = range(1, 2001)
+        bases = [1 + 1 / (k * x) if variant is Variant.MIN else 1 + x / k
+                 for x in self.XS for k in ks]
+        exps = [float(k) for _ in self.XS for k in ks]
+        with np.errstate(over="ignore"):
+            got = _powers(np.array(bases), np.array(exps))
+        want = [_pow_or_inf(b, e) for b, e in zip(bases, exps)]
+        assert _same_bits(got, want)
+        # past 1.8e308 the max side gives inf where math.pow raises
+        assert (math.inf in want) is (variant is Variant.MAX)
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    @pytest.mark.parametrize("k", [1, 7, 120, 2000])
+    def test_rail_powers_are_math_pow_bit_for_bit(self, variant, k):
+        growth = np.array([1 + 1 / (k * x) if variant is Variant.MIN else 1 + x / k
+                           for x in self.XS])
+        got = _powers(growth[:, None], np.arange(-k, 0.0))
+        want = [[_pow_or_inf(g, e) for e in range(-k, 0)] for g in growth.tolist()]
+        assert _same_bits(got, want)
+
+
+def _checked(variant, cell):
+    """A cell's outcome by the scalar checks, `check_cell` then flat bounds
+    then `regime_edge`, or the reference bisection where they all pass."""
+    k, U, L, beta = cell
+    try:
+        check_cell(*cell)
+    except ParameterError as exc:
+        return ("ParameterError", str(exc))
+    if U == L and beta == 0:
+        return repr(1.0)
+    if beta >= (edge := regime_edge(variant, k, U, L)):
+        why = ("single-block regime, min ratio equation does not apply"
+               if variant is Variant.MIN
+               else "profit can be forced nonpositive, max ratio is unbounded")
+        return ("RegimeError", f"beta={beta} >= {EDGE_NAMES[variant]}={edge}: {why}")
+    return _expected(variant, *cell)
+
+
+@st.composite
+def _mixed_cell(draw, variant):
+    """One cell that fails `check_cell` in k, its bounds or beta, has flat
+    bounds, sits at or past its edge with an int beta, or is in the regime."""
+    k = draw(st.sampled_from([1, 2, 7, 40, 2.0]))
+    L = draw(st.floats(min_value=0.5, max_value=20))
+    U = L + draw(st.floats(min_value=0.5, max_value=50))
+    beta = regime_edge(variant, k, U, L) * draw(st.floats(0, 1, exclude_max=True))
+    kind = draw(st.sampled_from(["k", "bounds", "beta", "flat", "edge", "inside"]))
+    if kind == "k":
+        k = draw(st.sampled_from([0, -1, 2.5, math.nan, math.inf]))
+    elif kind == "bounds":
+        U, L = draw(st.sampled_from([(U, 0.0), (U, -L), (-U, L), (L, U), (math.inf, L),
+                                     (U, math.inf), (math.nan, L), (U, math.nan)]))
+    elif kind == "beta":
+        beta = draw(st.sampled_from([-0.0, -1.0 - beta, -1, math.nan, math.inf]))
+    elif kind == "flat":
+        U, beta = L, draw(st.sampled_from([0, 0.0, -0.0]))
+    elif kind == "edge":  # int k, U, L and beta at or just past an integral edge
+        k, l, m = (draw(st.integers(min_value=1, max_value=30)) for _ in range(3))
+        L, U = (l, l + 2 * m) if variant is Variant.MIN else (2 * l, 2 * l + m)
+        beta = int(regime_edge(variant, k, U, L)) + draw(st.sampled_from([0, 1]))
+    return k, U, L, beta
+
+
+@st.composite
+def _mixed_batch(draw):
+    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    return variant, draw(st.lists(_mixed_cell(variant), min_size=1, max_size=20))
+
+
+class TestBatchChecks:
+    @given(_mixed_batch())
+    @settings(max_examples=200, deadline=None)
+    def test_array_checks_are_the_scalar_checks(self, batch):
+        variant, cells = batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_ratios(variant, cells)
+        assert [_outcome(r) for r in got] == [_checked(variant, cell) for cell in cells]
