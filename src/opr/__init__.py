@@ -41,7 +41,6 @@ from .traces import (
     parse_trace,
     synthetic_diurnal,
     trace_bounds,
-    write_trace,
 )
 
 __version__ = "0.1.0"
@@ -80,5 +79,4 @@ __all__ = [
     "sweep_ratios",
     "synthetic_diurnal",
     "trace_bounds",
-    "write_trace",
 ]

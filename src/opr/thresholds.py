@@ -178,6 +178,7 @@ def solve_ratios(
 
 def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
     """`solve_ratios` on one cell, raising its error."""
+    check_cell(k, U, L, beta)  # a string raises TypeError; np.fromiter would read '4' as 4.0
     [ratio] = solve_ratios(variant, [(k, U, L, beta)])
     if isinstance(ratio, OprError):
         raise ratio

@@ -1,10 +1,12 @@
 """Carbon-trace ingestion, bounds, segment sampling, and the volatility knob.
 
 Trace CSV contract: UTF-8, ``\\n`` newlines, header ``timestamp,value``,
-ISO-8601 UTC timestamps at strict one-hour cadence, one row per hour.
-Lines starting with ``#`` are comments; a ``# region: NAME`` comment labels
-the dataset.  Missing hours are an error, never interpolated: silent gap
-filling would corrupt segment sampling.
+ISO-8601 timestamps at strict one-hour cadence, one row per hour, compared
+as instants (a naive timestamp is UTC).  Lines starting with ``#`` are
+comments; a ``# region: NAME`` comment labels the dataset.  Missing hours
+are an error, never interpolated: silent gap filling would corrupt segment
+sampling.  A `TraceDataset` holds the region, values and kind; the
+timestamps are checked while parsing and not kept.
 """
 
 from __future__ import annotations
@@ -34,33 +36,22 @@ _HOUR = timedelta(hours=1)
 @dataclass(frozen=True)
 class TraceDataset:
     region: str
-    timestamps: tuple[datetime, ...]
     values: tuple[float, ...]
     kind: TraceKind
 
     def __post_init__(self) -> None:
-        if len(self.timestamps) != len(self.values):
-            raise TraceError("timestamps and values must have equal length")
         if not self.values:
             raise TraceError("empty trace")
-        _check_rows(range(len(self.values)), self.timestamps, self.values, self.kind)
+        _check_values(range(len(self.values)), self.values, self.kind)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _check_rows(rows: Sequence[int], timestamps: Sequence[datetime],
-                values: Sequence[float], kind: TraceKind) -> None:
-    """The row rules of a trace, every timestamp before every value; errors
-    name each row by its number in ``rows``: its 0-based index in a
-    `TraceDataset`, its 1-based file line in `parse_trace`."""
-    for row, prev, ts in zip(rows[1:], timestamps, timestamps[1:]):
-        if ts <= prev:
-            raise TraceError(f"timestamps not strictly increasing at row {row}")
-        if ts - prev != _HOUR:
-            raise TraceError(
-                f"missing hour before row {row}: {prev.isoformat()} -> {ts.isoformat()}"
-            )
+def _check_values(rows: Sequence[int], values: Sequence[float], kind: TraceKind) -> None:
+    """The value rules of a trace; errors name each row by its number in
+    ``rows``: its 0-based index in a `TraceDataset`, its 1-based file line in
+    `parse_trace`."""
     for row, v in zip(rows, values):
         if not math.isfinite(v) or v < 0:
             raise TraceError(f"value at row {row} must be finite and >= 0, got {v}")
@@ -79,17 +70,13 @@ class TraceBounds:
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
+    """The instant ``raw`` names, in UTC; a naive timestamp is taken as UTC."""
     try:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise TraceError(f"row {row}: bad timestamp {raw!r}") from exc
-    return _as_utc(ts)
-
-
-def _as_utc(ts: datetime) -> datetime:
-    """The same instant in UTC; a naive timestamp is taken as UTC."""
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+        return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
 
 
@@ -136,33 +123,16 @@ def parse_trace(
         raise TraceError("empty trace file")
     if not values:
         raise TraceError("trace has a header but no rows")
-    try:
-        return TraceDataset(region, tuple(timestamps), tuple(values), kind)
-    except TraceError:
-        # the same fault again, named by its file line
-        _check_rows(lines, timestamps, values, kind)
-        raise
-
-
-def write_trace(ds: TraceDataset, path: str | Path) -> None:
-    """Serialize a dataset back to the CSV contract, so that `parse_trace`
-    reads back the same dataset.
-
-    Values round-trip bit-identically via repr.  Timestamps are written in
-    UTC with any sub-second part, a naive one taken as UTC as `parse_trace`
-    takes it.  A region with a line break or edge whitespace cannot round-trip
-    and raises TraceError before the file is opened.
-    """
-    if "\n" in ds.region or "\r" in ds.region or ds.region != ds.region.strip():
-        raise TraceError(
-            f"region {ds.region!r} cannot be written: no line breaks or edge whitespace"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if ds.region:
-            fh.write(f"# region: {ds.region}\n")
-        fh.write("timestamp,value\n")
-        for ts, v in zip(ds.timestamps, ds.values):
-            fh.write(f"{_as_utc(ts).isoformat()},{v!r}\n")
+    # every fault is named by its file line: the cadence first, then the values
+    for row, prev, ts in zip(lines[1:], timestamps, timestamps[1:]):
+        if ts <= prev:
+            raise TraceError(f"timestamps not strictly increasing at row {row}")
+        if ts - prev != _HOUR:
+            raise TraceError(
+                f"missing hour before row {row}: {prev.isoformat()} -> {ts.isoformat()}"
+            )
+    _check_values(lines, values, kind)
+    return TraceDataset(region, tuple(values), kind)
 
 
 def trace_bounds(ds: TraceDataset) -> TraceBounds:
@@ -243,7 +213,7 @@ def synthetic_diurnal(
     kind: TraceKind = TraceKind.INTENSITY,
 ) -> TraceDataset:
     """Sinusoidal daily cycle plus seeded Gaussian jitter, floored above 0,
-    hourly from 2021-01-01 UTC in region ``synthetic``.
+    in region ``synthetic``.
 
     Stands in for real grid data when no trace file is supplied; bounds are
     always recomputed from the generated values, never assumed.
@@ -260,11 +230,4 @@ def synthetic_diurnal(
     values = np.maximum(values, floor)
     if kind is TraceKind.CARBON_FREE_PCT:
         values = np.minimum(values, 100.0)
-    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
-    timestamps = tuple(start + i * _HOUR for i in range(hours))
-    return TraceDataset(
-        region="synthetic",
-        timestamps=timestamps,
-        values=tuple(float(v) for v in values),
-        kind=kind,
-    )
+    return TraceDataset(region="synthetic", values=tuple(values.tolist()), kind=kind)

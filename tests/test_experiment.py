@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 import numpy as np
@@ -484,11 +483,7 @@ class TestChunkedTrials:
         # under noise, so its trial fails after every earlier trial is scored
         values = [100.0 + i % 7 for i in range(40)]
         values[10:14] = [0.0] * 4
-        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
-        ds = TraceDataset(
-            region="zeros", timestamps=tuple(start + timedelta(hours=i) for i in range(40)),
-            values=tuple(values), kind=TraceKind.INTENSITY,
-        )
+        ds = TraceDataset(region="zeros", values=tuple(values), kind=TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=4, k=2, beta=1.0, trials=30, seed=9)
         first = next(i for i in range(cfg.trials) if derive_seed(cfg.seed, i) % 37 == 10)
         assert first == 17
@@ -627,11 +622,7 @@ def _sampling_runs(draw):
         variant=Variant.MIN, T=draw(st.integers(1, len(values))), k=1, beta=1.0, noise=noise,
         trials=trials, seed=draw(st.integers(0, 2**40)),
     )
-    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
-    ds = TraceDataset(
-        region="", timestamps=tuple(start + timedelta(hours=i) for i in range(len(values))),
-        values=tuple(values), kind=kind,
-    )
+    ds = TraceDataset(region="", values=tuple(values), kind=kind)
     return cfg, ds, draw(st.integers(1, trials))
 
 

@@ -608,3 +608,15 @@ class TestBatchChecks:
             warnings.simplefilter("error")
             got = solve_ratios(variant, cells)
         assert [_outcome(r) for r in got] == [_checked(variant, cell) for cell in cells]
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    @pytest.mark.parametrize("position", range(4), ids=["k", "U", "L", "beta"])
+    def test_a_numeric_string_is_a_type_error(self, variant, position):
+        # the batch reads cells through np.fromiter, which would convert '4'
+        cell = [4, 30.0, 5.0, 1.0]
+        cell[position] = str(cell[position])
+        solve, family = ((solve_alpha, dtpr_min_thresholds) if variant is Variant.MIN
+                         else (solve_omega, dtpr_max_thresholds))
+        for fn in (solve, family):
+            with pytest.raises(TypeError):
+                fn(*cell)

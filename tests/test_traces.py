@@ -1,11 +1,8 @@
 """Trace parsing, bounds, sampling, and the volatility transform."""
 
-import dataclasses
 import io
 import math
-import tempfile
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +18,6 @@ from opr.traces import (
     sample_segment_with_offset,
     synthetic_diurnal,
     trace_bounds,
-    write_trace,
 )
 
 GOOD = """# region: testland
@@ -63,16 +59,29 @@ class TestParse:
         )
 
     def test_dataset_row_errors_name_the_index(self):
-        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
-        hours = tuple(start + timedelta(hours=h) for h in (0, 1, 3))
         with pytest.raises(TraceError) as info:
-            TraceDataset("x", hours, (5.0, 5.0, 5.0), TraceKind.INTENSITY)
-        assert str(info.value) == (
-            "missing hour before row 2: 2021-01-01T01:00:00+00:00 -> 2021-01-01T03:00:00+00:00"
-        )
-        with pytest.raises(TraceError) as info:
-            TraceDataset("x", hours[:2], (5.0, 150.0), TraceKind.CARBON_FREE_PCT)
+            TraceDataset("x", (5.0, 150.0), TraceKind.CARBON_FREE_PCT)
         assert str(info.value) == "carbon-free percentage at row 1 exceeds 100: 150.0"
+
+    def test_cadence_is_checked_across_offsets_by_file_line(self):
+        # 10:00Z, 11:00Z, 13:00Z written at two offsets: the gap is between
+        # the instants, named by the third row's file line
+        rows = ["2021-06-01T12:00:00+02:00,5", "2021-06-01T12:00:00+01:00,5",
+                "2021-06-01T14:00:00+01:00,5"]
+        assert self._error(rows) == (
+            "missing hour before row 6: 2021-06-01T11:00:00+00:00 -> 2021-06-01T13:00:00+00:00"
+        )
+
+    @pytest.mark.parametrize("rows, message", [
+        # a format fault is raised while reading, before an earlier row's gap
+        (["2021-01-01T00:00:00+00:00,5", "2021-01-01T05:00:00+00:00,5",
+          "2021-01-01T06:00:00+00:00,abc"], "row 6: bad value 'abc'"),
+        # a gap is raised before an earlier row's bad value
+        (["2021-01-01T00:00:00+00:00,-1", "2021-01-01T03:00:00+00:00,5"],
+         "missing hour before row 5: 2021-01-01T00:00:00+00:00 -> 2021-01-01T03:00:00+00:00"),
+    ], ids=["format-before-cadence", "cadence-before-values"])
+    def test_first_fault_of_a_two_fault_file(self, rows, message):
+        assert self._error(rows) == message
 
     @pytest.mark.parametrize("data, message", [
         (b"time,value\n", "row 1: expected header 'timestamp,value', got 'time,value'"),
@@ -89,16 +98,9 @@ class TestParse:
             parse_trace(path)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("hours, values, message", [
-        (0, (), "empty trace"),
-        (2, (5.0,), "timestamps and values must have equal length"),
-    ])
-    def test_dataset_needs_one_value_a_timestamp(self, hours, values, message):
-        start = datetime(2021, 1, 1, tzinfo=timezone.utc)
-        stamps = tuple(start + timedelta(hours=h) for h in range(hours))
-        with pytest.raises(TraceError) as info:
-            TraceDataset("x", stamps, values, TraceKind.INTENSITY)
-        assert str(info.value) == message
+    def test_empty_dataset_is_rejected(self):
+        with pytest.raises(TraceError, match="^empty trace$"):
+            TraceDataset("x", (), TraceKind.INTENSITY)
 
     def test_empty_file(self):
         with pytest.raises(TraceError):
@@ -119,79 +121,39 @@ class TestParse:
             "carbon-free percentage at row 5 exceeds 100: 150.0"
         )
 
-    def test_round_trip_bit_identical(self, tmp_path):
-        ds = dataclasses.replace(synthetic_diurnal(hours=50, seed=3), region="rt")
-        path = tmp_path / "rt.csv"
-        write_trace(ds, path)
-        again = parse_trace(path)
-        assert again.values == ds.values
-        assert again.timestamps == ds.timestamps
-        assert again.region == "rt"
-
     @given(
-        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                max_size=20),
         st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]),
         st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1)),
-        st.one_of(
-            st.none(),
-            st.integers(-24 * 60 + 1, 24 * 60 - 1).map(
-                lambda minutes: timezone(timedelta(minutes=minutes))
-            ),
-        ),
         st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_round_trip_fuzz(self, region, kind, start, tz, data):
+    def test_parsed_file_keeps_values_instants_and_region(self, region, kind, start, data):
+        """A file written here, each row's stamp naive, ``Z`` or at its own
+        UTC offset (odd minutes too), parses as consecutive hours with the
+        values' bits and the region."""
         top = 100.0 if kind is TraceKind.CARBON_FREE_PCT else 1e300
-        values = tuple(data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=50)))
-        start = start.replace(tzinfo=tz)
-        ds = TraceDataset(
-            region=region,
-            timestamps=tuple(start + timedelta(hours=h) for h in range(len(values))),
-            values=values,
-            kind=kind,
+        values = data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=50))
+        stamps = st.one_of(
+            st.sampled_from([None, "Z"]),
+            st.integers(-24 * 60 + 1, 24 * 60 - 1).map(lambda m: timezone(timedelta(minutes=m))),
         )
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trace.csv"
-            if "\n" in region or "\r" in region or region != region.strip():
-                with pytest.raises(TraceError, match="cannot be written"):
-                    write_trace(ds, path)
-                assert not path.exists()
-                return
-            write_trace(ds, path)
-            again = parse_trace(path, kind)
-        assert [v.hex() for v in again.values] == [v.hex() for v in values]
-        # a naive start is UTC; an aware one comes back as the same instant in UTC
-        utc = start.replace(tzinfo=timezone.utc) if tz is None else start.astimezone(timezone.utc)
-        expected = tuple(utc + timedelta(hours=h) for h in range(len(values)))
-        assert [ts.isoformat() for ts in again.timestamps] == [ts.isoformat() for ts in expected]
-        assert again.region == region
-
-    def test_offset_timestamps_are_written_as_the_same_instant(self, tmp_path):
-        noon = datetime(2021, 6, 1, 12, tzinfo=timezone(timedelta(hours=2)))
-        ds = TraceDataset(
-            region="x",
-            timestamps=(noon, noon + timedelta(hours=1)),
-            values=(1.0, 2.0),
-            kind=TraceKind.INTENSITY,
-        )
-        path = tmp_path / "t.csv"
-        write_trace(ds, path)
-        assert path.read_text().splitlines()[2] == "2021-06-01T10:00:00+00:00,1.0"
-        assert parse_trace(path).timestamps[0] == datetime(2021, 6, 1, 10, tzinfo=timezone.utc)
-
-    @pytest.mark.parametrize("region", ["a\nb", "a\rb", " a", "a ", "a\t", "\n"])
-    def test_unwritable_region_is_rejected_before_the_file_opens(self, tmp_path, region):
-        ds = TraceDataset(
-            region=region,
-            timestamps=(datetime(2021, 1, 1, tzinfo=timezone.utc),),
-            values=(1.0,),
-            kind=TraceKind.INTENSITY,
-        )
-        path = tmp_path / "t.csv"
-        with pytest.raises(TraceError, match="cannot be written"):
-            write_trace(ds, path)
-        assert not path.exists()
+        region = region.strip()
+        lines = [f"# region: {region}", "timestamp,value"]
+        for h, v in enumerate(values):
+            instant = start.replace(tzinfo=timezone.utc) + timedelta(hours=h)
+            tz = data.draw(stamps)
+            stamp = (instant.replace(tzinfo=None).isoformat() if tz is None
+                     else instant.isoformat().replace("+00:00", "Z") if tz == "Z"
+                     else instant.astimezone(tz).isoformat())
+            lines.append(f"{stamp},{v!r}")
+        raw = io.BytesIO("".join(f"{line}\n" for line in lines).encode("utf-8"))
+        # decoded as parse_trace opens a path
+        ds = parse_trace(io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"), kind)
+        assert [v.hex() for v in ds.values] == [v.hex() for v in values]
+        assert ds.region == region
+        assert ds.kind is kind
 
 
 class TestBounds:
@@ -201,24 +163,14 @@ class TestBounds:
         assert b.L == b.U == 7.0
 
     def test_zero_floored_with_warning(self):
-        ds = TraceDataset(
-            region="",
-            timestamps=synthetic_diurnal(hours=3).timestamps[:3],
-            values=(0.0, 4.0, 9.0),
-            kind=TraceKind.INTENSITY,
-        )
+        ds = TraceDataset(region="", values=(0.0, 4.0, 9.0), kind=TraceKind.INTENSITY)
         with pytest.warns(UserWarning, match="flooring"):
             b = trace_bounds(ds)
         assert b.L == 4.0
         assert b.U == 9.0
 
     def test_all_zero_is_error(self):
-        ds = TraceDataset(
-            region="",
-            timestamps=synthetic_diurnal(hours=2).timestamps[:2],
-            values=(0.0, 0.0),
-            kind=TraceKind.INTENSITY,
-        )
+        ds = TraceDataset(region="", values=(0.0, 0.0), kind=TraceKind.INTENSITY)
         with pytest.raises(TraceError):
             trace_bounds(ds)
 
@@ -363,7 +315,6 @@ class TestSynthetic:
         b = synthetic_diurnal(hours=48, seed=9)
         assert a.values == b.values
         assert a.region == "synthetic"
-        assert a.timestamps[0] == datetime(2021, 1, 1, tzinfo=timezone.utc)
 
     def test_carbon_free_stays_capped(self):
         ds = synthetic_diurnal(
