@@ -104,11 +104,12 @@ def _cmd_sweep(args) -> int:
     _check_out_paths(args.out)
     rows = sweep_ratios(variant, args.k, args.u, grids["beta"], grids["l"])
     out = Path(args.out)
+    # rows run L-major; a row of one L is one write (a float formats as its repr)
+    betas, n = [f",{beta!r}," for beta in grids["beta"]], len(grids["beta"])
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("L,beta,ratio\n")
-        for L, beta, ratio in rows:
-            val = ratio if isinstance(ratio, str) else repr(ratio)
-            fh.write(f"{L!r},{beta!r},{val}\n")
+        for start, L in zip(range(0, len(rows), n), map(repr, grids["l"])):
+            fh.write("".join([f"{L}{b}{c}\n" for b, (_, _, c) in zip(betas, rows[start:start + n])]))
     print(f"wrote {len(rows)} grid rows to {out}")
     return 0
 
@@ -160,9 +161,8 @@ def _cmd_simulate(args) -> int:
     if args.cdf:
         with open(args.cdf, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("algorithm,ratio,cum_prob\n")
-            for name in algs:
-                for ratio, cum in result.cdf[name]:
-                    fh.write(f"{name},{ratio!r},{cum!r}\n")
+            for name in algs:  # one write per algorithm
+                fh.write("".join([f"{name},{r!r},{cum!r}\n" for r, cum in result.cdf[name]]))
         print(f"wrote CDF points to {args.cdf}")
     for name in algs:
         s = result.summary[name]

@@ -3,69 +3,75 @@
 `write_json` writes exactly the text of
 `json.dumps(obj, indent=2, sort_keys=True)`.  With an indent, `json` always
 runs its pure-Python encoder, one generator step per token; this module
-streams the same text a record at a time, so the file is never held whole
-in memory.  A list's items go out through a `%` template made from its
-first item, one write each; an item of another shape goes value by value.
+streams the same text a block of list items at a time, so the file is never
+held whole in memory.  A list's items go out through a `%` template made
+from its first item, filled from a block's columns by one `%` and one write;
+a block holding an item of another shape or value type goes value by value.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 _INF = float("inf")
 _encode_str = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_int_repr = int.__repr__
 _CONTAINERS = (dict, list, tuple)
+#: list items per block: the text held at once is about 32 trial records
+_BLOCK = 32
 
 
 def write_json(obj, write) -> None:
     """Write `obj` through `write` as `json.dumps(obj, indent=2,
     sort_keys=True)` would print it.
 
-    Containers (`dict`, `list`, `tuple`) in the top three levels go out an
-    item at a time.  A list item of its first item's shape, or a value below
-    those levels, is built as one string: in `results.json` one trial
-    record or one CDF point, so the text held at once stays about a
-    kilobyte however many trials ran.  Keys must be `str`; any type other
+    Containers (`dict`, `list`, `tuple`) go out an item at a time, but a
+    list's items a block of up to `_BLOCK` at a time: in `results.json` a
+    block of trial records or CDF points is one string, so the text held at
+    once does not grow with the trials.  Keys must be `str`; any type other
     than those `json` prints by default, a subclass such as `numpy.float64`
     included, raises `TypeError` naming it.
     """
-    _stream(obj, write, "\n", 3)
+    _stream(obj, write, "\n")
 
 
-def _stream(o, write, nl: str, levels: int) -> None:
+def _stream(o, write, nl: str) -> None:
     t = type(o)
-    if not (levels and t in _CONTAINERS and o):
-        write(_text(o, nl))
+    if not (t in _CONTAINERS and o):
+        write(_text(o))
         return
-    inner = nl + "  "
+    inner, sep = nl + "  ", "{" if t is dict else "["
     if t is dict:
-        items = ((_key(k) + ": ", v) for k, v in sorted(o.items()))
-        sep, close, shape = "{", "}", None
-    else:
-        items = (("", v) for v in o)
-        sep, close = "[", "]"
-        template, shape = _template(o[0], inner)
-    for head, value in items:
-        slots = []
-        if shape and _fill(value, shape, slots):
-            write(sep + inner + template % tuple(slots))
+        for k, v in sorted(o.items()):
+            write(sep + inner + _key(k) + ": ")
+            _stream(v, write, inner)
+            sep = ","
+        write(nl + "}")
+        return
+    template, shape = _template(o[0], inner)
+    for start in range(0, len(o), _BLOCK):
+        block, cols = o[start:start + _BLOCK], []
+        if _columns(block, shape, cols):
+            text = sep + inner + template + ("," + inner + template) * (len(block) - 1)
+            write(text % tuple(chain.from_iterable(zip(*cols))))
         else:
-            write(sep + inner + head)
-            _stream(value, write, inner, levels - 1)
+            for value in block:
+                write(sep + inner)
+                _stream(value, write, inner)
+                sep = ","
         sep = ","
-    write(nl + close)
+    write(nl + "]")
 
 
 def _template(o, nl: str):
     """`o`'s text at line prefix `nl` with a `%s` slot per scalar, and its
-    shape: None for a scalar, else (type, keys or indices, their shapes).
-    A dict's keys are a dict, in sorted order."""
+    shape: None for a scalar, else (type, sorted keys or indices, their
+    shapes)."""
     t = type(o)
     if t not in _CONTAINERS:
         return "%s", None
-    keys = dict.fromkeys(sorted(o)) if t is dict else range(len(o))
+    keys = sorted(o) if t is dict else range(len(o))
     inner = nl + "  "
     parts = [_template(o[k], inner) for k in keys]
     heads = [_key(k).replace("%", "%%") + ": " if t is dict else "" for k in keys]
@@ -75,25 +81,32 @@ def _template(o, nl: str):
     return text, (t, keys, [s for _, s in parts])
 
 
-def _fill(o, shape, slots: list) -> bool:
-    """Append each scalar of `o` to `slots`, or return False if `o` differs
-    from `shape` in a container's exact type, length or keys.  `%s` prints
-    an exact int or a finite float as its repr, so those go in as they are."""
-    t, keys, kids = shape
-    if type(o) is not t or len(o) != len(kids):
-        return False
-    if t is dict:
-        for k in o:
-            if type(k) is not str or k not in keys:
-                return False
-        o = map(o.__getitem__, keys)
-    for v, kid in zip(o, kids):
-        if kid is None and type(v) not in _CONTAINERS:
-            raw = type(v) is int or type(v) is float and -_INF < v < _INF
-            slots.append(v if raw else _text(v, ""))
-        elif kid is None or not _fill(v, kid, slots):
+def _columns(values, shape, cols: list) -> bool:
+    """Append to `cols` the column of each scalar slot of `values`, in
+    template order, as `%s` prints it the way `json` does; or return False
+    if a value differs from `shape` in a container's exact type, length or
+    keys, or a column is not all exact ints, all finite floats or all bools."""
+    if shape is None:
+        kinds = set(map(type, values))
+        if kinds == {bool}:
+            values = list(map(("false", "true").__getitem__, values))
+        elif kinds != {int} and not (kinds == {float} and -_INF < sum(values) < _INF):
             return False
-    return True
+        cols.append(values)
+        return True
+    t, keys, kids = shape
+    if set(map(type, values)) != {t} or set(map(len, values)) != {len(kids)}:
+        return False
+    if t is dict and kids:  # of equal lengths, each holding every key: the same keys
+        if set(map(type, chain.from_iterable(values))) != {str}:
+            return False
+        try:
+            values = list(map(itemgetter(*keys), values))
+        except KeyError:
+            return False
+        if len(kids) == 1:  # itemgetter of one key gives the value, not a 1-tuple
+            values = zip(values)
+    return all(map(_columns, zip(*values), kids, [cols] * len(kids)))
 
 
 def _key(key) -> str:
@@ -102,31 +115,20 @@ def _key(key) -> str:
     return _encode_str(key)
 
 
-def _text(o, nl: str) -> str:
-    """`o` as one string, at the nesting whose line prefix is `nl` (a
-    newline and that level's indent).  Types are matched exactly."""
+def _text(o) -> str:
+    """A scalar or empty container `o` as `json` prints it; types are
+    matched exactly."""
     t = type(o)
+    if t is int or t is float and -_INF < o < _INF:
+        return repr(o)
     if t is float:
-        if -_INF < o < _INF:
-            return _float_repr(o)
         return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
     if t is str:
         return _encode_str(o)
     if t is bool:
         return "true" if o else "false"
-    if t is int:
-        return _int_repr(o)
     if o is None:
         return "null"
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        items = [_key(k) + ": " + _text(v, inner) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + nl + "]"
+    if t in _CONTAINERS:
+        return "{}" if t is dict else "[]"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -30,7 +30,9 @@ good enough to justify switching on.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -85,7 +87,8 @@ def solve_ratios(
     variant: Variant, cells: Iterable[tuple[int, float, float, float]]
 ) -> list[float | OprError]:
     """The ratio (alpha for min, omega for max) of each (k, U, L, beta) cell,
-    or the `OprError` of its solve; none is raised here.
+    or the `OprError` of its solve; none is raised here but `check_cell`'s
+    `TypeError` on a value such as the string '4'.
 
     The cells are checked as one float64 array: the `check_cell` test, ratio
     1 at U == L with beta == 0, and the `regime_edge` test; a failing cell's
@@ -103,6 +106,10 @@ def solve_ratios(
     past_edge = ("single-block regime, min ratio equation does not apply" if is_min
                  else "profit can be forced nonpositive, max ratio is unbounded")
     cells = list(cells)
+    if not {int, float}.issuperset(map(type, chain.from_iterable(cells))):
+        for cell in cells:  # np.fromiter would read '4' as 4.0
+            with suppress(ParameterError):  # the array checks give this error
+                check_cell(*cell)
     roots, errors = np.ones(len(cells)), {}  # 1.0 until a lane's root is found
     with np.errstate(over="ignore", invalid="ignore"):
         k, U, L, beta = np.fromiter(cells, np.dtype((float, 4)), len(cells)).T
@@ -178,7 +185,6 @@ def solve_ratios(
 
 def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
     """`solve_ratios` on one cell, raising its error."""
-    check_cell(k, U, L, beta)  # a string raises TypeError; np.fromiter would read '4' as 4.0
     [ratio] = solve_ratios(variant, [(k, U, L, beta)])
     if isinstance(ratio, OprError):
         raise ratio

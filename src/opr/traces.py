@@ -51,7 +51,10 @@ class TraceDataset:
 def _check_values(rows: Sequence[int], values: Sequence[float], kind: TraceKind) -> None:
     """The value rules of a trace; errors name each row by its number in
     ``rows``: its 0-based index in a `TraceDataset`, its 1-based file line in
-    `parse_trace`."""
+    `parse_trace`.  The rows are walked only to name the first fault."""
+    if all(map(math.isfinite, values)) and min(values) >= 0 and (
+            kind is not TraceKind.CARBON_FREE_PCT or max(values) <= 100):
+        return
     for row, v in zip(rows, values):
         if not math.isfinite(v) or v < 0:
             raise TraceError(f"value at row {row} must be finite and >= 0, got {v}")

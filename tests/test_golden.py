@@ -11,7 +11,9 @@ writes for the same configs, so they pin the bytes on disk (indentation,
 separators, escapes, trailing newline); they were computed while the CLI
 still wrote through ``json.dump(..., indent=2)``.  The sweep digests cover
 the ``repr`` of every cell of the theory grid; they were computed before the
-ratio bisection inlined its residuals.  The adversary digests cover the
+ratio bisection inlined its residuals.  The sweep file digests cover the CSV
+file ``opr sweep`` writes for that grid; they were computed while it still
+wrote one line at a time.  The adversary digests cover the
 ``repr`` of each transcript.  No digest may be regenerated to make a change
 pass.
 """
@@ -147,6 +149,26 @@ def test_sweep_bytes_are_unchanged(variant, digest):
     rows = sweep_ratios(variant, 10, 30.0, _grid(0.0, 5.0, 50), _grid(1.0, 10.0, 50))
     blob = "\n".join(",".join(repr(cell) for cell in row) for row in rows)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+#: sha256 of the file `opr sweep` writes for the theory grid: header, then
+#: one `L,beta,ratio` line per cell with each value's repr
+SWEEP_FILE_GOLDENS = [
+    ("min", "d69823b6d018a4684333631fdb6fe9e790f6d9d1e88aba911969b5b814950cf7"),
+    ("max", "6ff49573b43be8ae91b2ef1e1036ecf36f9eb4ecd11604206f48c148ee3b9ec6"),
+]
+
+
+@pytest.mark.parametrize("variant, digest", SWEEP_FILE_GOLDENS, ids=["min", "max"])
+def test_sweep_file_bytes_are_unchanged(variant, digest, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert opr.cli.main(
+        ["sweep", "--variant", variant, "--k", "10", "--u", "30", "--l-min", "1.0",
+         "--l-max", "10", "--beta-min", "0", "--beta-max", "5", "--steps", "50",
+         "--out", str(out)]
+    ) == 0
+    assert capsys.readouterr().out == f"wrote 2500 grid rows to {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # --- adversary transcripts --------------------------------------------------

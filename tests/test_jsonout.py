@@ -1,18 +1,19 @@
 """The CLI's JSON writer prints exactly what `json.dumps(obj, indent=2,
 sort_keys=True)` prints, and refuses every other type.  It writes a list a
-record at a time through a template taken from the list's first record;
-records of another shape fall back to the general path, and both paths are
-checked here."""
+block of records at a time through a template taken from the list's first
+record; a block holding a record of another shape or value type falls back
+to the general path, and both paths are checked here."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opr.jsonout import write_json
+from opr.jsonout import _BLOCK, write_json
 
 
 class Label(str):
@@ -130,6 +131,73 @@ def _record_lists(draw):
     return wrap(records)
 
 
+def _break_at(types, new):
+    """A break that replaces one value of `types` in a record, at a drawn
+    path, with `new(value, draw)`."""
+    def brk(record, draw):
+        path, value = draw(st.sampled_from(
+            [(p, v) for p, v in _positions(record) if type(v) in types]))
+        return _replaced(record, path, new(value, draw))
+    return brk
+
+
+def _another_key_set(d, draw):
+    """`d` with one key fewer, one more, or one renamed."""
+    way = draw(st.sampled_from(["fewer", "more", "renamed"]))
+    if way == "more":
+        return {**d, "%extra": 0}
+    key = draw(st.sampled_from(sorted(d)))
+    new = {} if way == "fewer" else {key + "!": d[key]}
+    return {**{k: v for k, v in d.items() if k != key}, **new}
+
+
+def _a_str_subclass_key(d, draw):
+    key = draw(st.sampled_from(sorted(d)))
+    return {(Label(k) if k == key else k): v for k, v in d.items()}
+
+
+#: each takes a record of the list's shape and the draw, and returns the
+#: record broken one way (every dict of a record has keys)
+_BREAKS = {
+    "another key set": _break_at((dict,), _another_key_set),
+    "the same keys in another order": _break_at((dict,), lambda d, _: dict(reversed(d.items()))),
+    "a numpy float64": _break_at((float,), lambda v, _: np.float64(v)),
+    "a bool for an int": _break_at((int,), lambda v, draw: draw(st.booleans())),
+    "inf or NaN": _break_at((float,), lambda v, draw: draw(
+        st.sampled_from([math.inf, -math.inf, math.nan]))),
+    "-0.0": _break_at((float,), lambda v, _: -0.0),
+    "a str-subclass key": _break_at((dict,), _a_str_subclass_key),
+    "an empty nested container": _break_at((dict, list), lambda v, draw: draw(
+        st.sampled_from([{}, []]))),
+}
+#: the breaks the writer refuses, with the type its TypeError names
+_RAISES = {"a numpy float64": "float64", "a str-subclass key": "Label"}
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ALG = st.fixed_dictionaries({"clipped": st.booleans(), "ratio": _FINITE,
+                              "switches": st.integers(0, 2**70), "total": _FINITE})
+#: a record shaped like a results.json trial, and a CDF point in it
+_TRIAL = st.fixed_dictionaries({
+    "algs": st.fixed_dictionaries({"dtpr": _ALG, "k%s": _ALG}),
+    "bounds_widened": st.booleans(), "offset": st.integers(-5, 2**64), "opt_total": _FINITE,
+    "point": st.lists(_FINITE, min_size=2, max_size=2),
+})
+
+
+@st.composite
+def _long_record_lists(draw):
+    """More than two blocks of trial records of one shape, and the CDF list
+    of their points, with one record broken at a random index; and the
+    break's name."""
+    shapes = draw(st.lists(_TRIAL, min_size=1, max_size=3))
+    records = [copy.deepcopy(shapes[i % len(shapes)]) for i in range(
+        draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK + 1)))]
+    at, broken = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(sorted(_BREAKS)))
+    records[at] = _BREAKS[broken](records[at], draw)
+    points = [r["point"] for r in records if type(r) is dict and "point" in r]
+    return {"cdf": {"dtpr": points}, "trials": records}, broken
+
+
 def _written(obj):
     chunks = []
     write_json(obj, chunks.append)
@@ -154,13 +222,28 @@ class TestJsonWriter:
     def test_record_lists_of_shared_and_broken_shapes(self, obj):
         assert "".join(_written(obj)) == json.dumps(obj, indent=2, sort_keys=True)
 
-    def test_same_shape_records_take_one_write_each(self):
+    @given(_long_record_lists())
+    @settings(max_examples=150, deadline=None)
+    # in the third block: a key renamed, and an empty list where the others have {}
+    @example(({"trials": [{"a": 1.5, "b": 2}] * 2 * _BLOCK + [{"a": 1.5, "c": 2}]}, "renamed"))
+    @example(({"trials": [{"a": {}, "b": 2}] * 2 * _BLOCK + [{"a": [], "b": 2}]}, "a list"))
+    def test_a_broken_record_in_a_long_list(self, case):
+        obj, broken = case
+        if broken in _RAISES:
+            with pytest.raises(TypeError, match=rf"\b{_RAISES[broken]}\b"):
+                _written(obj)
+        else:
+            assert "".join(_written(obj)) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_same_shape_records_take_one_write_per_block(self):
         def writes(trials):
-            record = {"algs": {"dtpr": {"ratio": 1.5, "switches": 2}}, "tags": [None, "%s"],
-                      "trial": 7}
+            record = {"algs": {"dtpr": {"clipped": False, "ratio": 1.5, "switches": 2}},
+                      "pct": [0.25, -0.0], "trial": 7}
             return _written({"cdf": {"dtpr": [[1.25, 0.5]] * trials}, "trials": [record] * trials})
 
-        counts = {n: len(writes(n)) - 2 * n for n in (2, 10, 1000)}
+        # the trial list and the CDF list are one write a block each
+        counts = {n: len(writes(n)) - 2 * math.ceil(n / _BLOCK)
+                  for n in (2, _BLOCK, _BLOCK + 1, 1000)}
         assert len(set(counts.values())) == 1, counts
 
     def test_empty_containers_and_nesting(self):
@@ -173,7 +256,8 @@ class TestJsonWriter:
             result = {"cdf": {"dtpr": [[1.25, 0.5]] * trials}, "trials": [record] * trials}
             return max(map(len, _written(result)))
 
-        assert largest_write(1000) == largest_write(2)
+        # the largest write is one block of records, however many trials ran
+        assert largest_write(1000) == largest_write(_BLOCK) == _BLOCK * largest_write(1)
 
     @pytest.mark.parametrize(
         "obj, name",

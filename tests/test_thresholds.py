@@ -611,6 +611,19 @@ class TestBatchChecks:
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
     @pytest.mark.parametrize("position", range(4), ids=["k", "U", "L", "beta"])
+    def test_a_batch_with_a_numeric_string_is_a_type_error(self, variant, position):
+        cell = [4, 30.0, 5.0, 1.0]
+        cell[position] = str(cell[position])
+        with pytest.raises(TypeError) as want:
+            check_cell(*cell)
+        # after a good cell and one that fails `check_cell`, whose error is
+        # returned, not raised: the string's TypeError is raised
+        with pytest.raises(TypeError) as got:
+            solve_ratios(variant, [(3, 30.0, 5.0, 1.0), (0, 30.0, 5.0, 1.0), tuple(cell)])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    @pytest.mark.parametrize("position", range(4), ids=["k", "U", "L", "beta"])
     def test_a_numeric_string_is_a_type_error(self, variant, position):
         # the batch reads cells through np.fromiter, which would convert '4'
         cell = [4, 30.0, 5.0, 1.0]

@@ -63,6 +63,25 @@ class TestParse:
             TraceDataset("x", (5.0, 150.0), TraceKind.CARBON_FREE_PCT)
         assert str(info.value) == "carbon-free percentage at row 1 exceeds 100: 150.0"
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5.5, 100.0, 100.00000000000001, 150.0, -1e-300,
+                                     math.nan, math.inf, -math.inf, 7]), min_size=1),
+           st.sampled_from([TraceKind.INTENSITY, TraceKind.CARBON_FREE_PCT]))
+    def test_dataset_names_its_first_faulty_value(self, values, kind):
+        want = None
+        for row, v in enumerate(values):  # the value rules, one row at a time
+            if not math.isfinite(v) or v < 0:
+                want = f"value at row {row} must be finite and >= 0, got {v}"
+            elif kind is TraceKind.CARBON_FREE_PCT and v > 100:
+                want = f"carbon-free percentage at row {row} exceeds 100: {v}"
+            if want:
+                break
+        try:
+            TraceDataset("x", tuple(values), kind)
+        except TraceError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
     def test_cadence_is_checked_across_offsets_by_file_line(self):
         # 10:00Z, 11:00Z, 13:00Z written at two offsets: the gap is between
         # the instants, named by the third row's file line
