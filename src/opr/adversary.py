@@ -1,7 +1,8 @@
 """Adaptive lower-bound adversaries, runnable against any online player.
 
 The adversary interrogates the player purely through the step protocol: it
-presents one price, observes the 0/1 decision, and chooses the continuation.
+presents one price by calling ``step(price)``, observes the 0/1 decision it
+returns (anything else raises ``ProtocolError``), and chooses the continuation.
 For the min variant the probe script is:
 
   * probe the i-th resume threshold (nudged up by a hair so that a player
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from .algorithms import PlayerKind, new_player, run_online
 from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, cost_ratio,
@@ -56,12 +57,9 @@ from .offline import dp_optimal
 from .thresholds import EDGE_NAMES, dtpr_max_thresholds, dtpr_min_thresholds, regime_edge
 
 
-class OnlinePlayer(Protocol):
-    def step(self, price: float) -> int: ...
-
-
-#: factory signature: (k, T, L, U, beta) -> player honoring the step protocol
-PlayerFactory = Callable[[int, int, float, float, float], OnlinePlayer]
+#: factory signature: (k, T, L, U, beta) -> a player; `_drive` calls only its
+#: ``step(price) -> 0 or 1``
+PlayerFactory = Callable[[int, int, float, float, float], object]
 
 #: shipped players read for the grab/stall scripts; the carbon-agnostic rail
 #: sits on the price bound and is left to the probe script
@@ -92,10 +90,9 @@ def declared_horizon(k: int) -> int:
 
 
 def _drive(
-    player: OnlinePlayer, k: int, T: int, probes: tuple[float, ...], flood_price: float,
-    close_price: float,
+    player, k: int, T: int, probes: tuple[float, ...], flood_price: float, close_price: float
 ) -> tuple[list[float], list[int]]:
-    """Run the probe/flood script, returning the realized prices+decisions."""
+    """Run the probe/flood script on ``player.step``; the realized prices+decisions."""
     prices: list[float] = []
     decisions: list[int] = []
     accepted = 0

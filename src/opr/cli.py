@@ -32,7 +32,8 @@ _EXIT_DATA = 3
 
 
 def _parse_synthetic_spec(spec: str) -> dict:
-    """Parse 'period=24,amp=80,mean=250,seed=0[,hours=2160,jitter=0.1]'."""
+    """Parse 'period=24,amp=80,mean=250,seed=0[,hours=2160,jitter=0.1]', each key
+    at most once, into `synthetic_diurnal`'s keywords."""
     out: dict[str, float] = {}
     for field in spec.split(","):
         field = field.strip()
@@ -44,6 +45,8 @@ def _parse_synthetic_spec(spec: str) -> dict:
         key = key.strip().lower()
         if key not in ("period", "amp", "mean", "seed", "hours", "jitter"):
             raise ParameterError(f"unknown synthetic key {key!r}")
+        if key in out:
+            raise ParameterError(f"synthetic {key} given twice")
         try:
             value = float(raw)
         except ValueError:
@@ -52,7 +55,7 @@ def _parse_synthetic_spec(spec: str) -> dict:
             raise ParameterError(f"synthetic {key} must be finite, got {value}")
         if key in ("hours", "seed") and not (value.is_integer() and value >= 0):
             raise ParameterError(f"synthetic {key} must be a nonnegative integer, got {value}")
-        out[key] = value
+        out[key] = int(value) if key in ("hours", "seed") else value
     return out
 
 
@@ -118,20 +121,9 @@ def _load_dataset(args, variant: Variant):
     kind = TraceKind.INTENSITY if variant is Variant.MIN else TraceKind.CARBON_FREE_PCT
     if args.trace:
         return parse_trace(args.trace, kind), f"file:{args.trace}"
-    spec = _parse_synthetic_spec(args.synthetic)
-    defaults = {"mean": 250.0, "amp": 100.0} if kind is TraceKind.INTENSITY else {
-        "mean": 55.0,
-        "amp": 25.0,
-    }
-    ds = synthetic_diurnal(
-        hours=int(spec.get("hours", 2160)),
-        period=spec.get("period", 24.0),
-        amp=spec.get("amp", defaults["amp"]),
-        mean=spec.get("mean", defaults["mean"]),
-        seed=int(spec.get("seed", 0)),
-        jitter=spec.get("jitter", 0.1),
-        kind=kind,
-    )
+    # unset keys take synthetic_diurnal's defaults, but 2160 hours and carbon-free 55 +/- 25
+    own = {"hours": 2160, **({} if variant is Variant.MIN else {"mean": 55.0, "amp": 25.0})}
+    ds = synthetic_diurnal(**{**own, **_parse_synthetic_spec(args.synthetic)}, kind=kind)
     return ds, f"synthetic:{args.synthetic}"
 
 

@@ -80,7 +80,7 @@ class Instance:
                 f"price sequence has length {len(self.prices)}, expected T={self.T}"
             )
         for t, p in enumerate(self.prices):
-            if not (self.L <= p <= self.U) or not math.isfinite(p):
+            if not (self.L <= p <= self.U):  # NaN and inf too: L and U are finite
                 raise ParameterError(
                     f"price c_{t + 1}={p} outside [L, U]=[{self.L}, {self.U}]"
                 )

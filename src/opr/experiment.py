@@ -138,9 +138,9 @@ class ExperimentResult:
         return {
             "config": self.config,
             "trace_bounds": {"l": self.bounds.L, "u": self.bounds.U},
-            "trials": list(self.trials),
+            "trials": self.trials,
             "summary": self.summary,
-            "cdf": {name: [list(pt) for pt in pts] for name, pts in self.cdf.items()},
+            "cdf": self.cdf,
         }
 
 
@@ -380,29 +380,26 @@ def sweep_ratios(
 
     Cells with beta at or past their `regime_edge` emit ``degenerate`` on
     the min side, where the player buys one contiguous block, and ``inf`` on
-    the max side, where the ratio is unbounded.  The k, the U, and then
-    every L and beta in grid order are checked before any cell is solved;
-    every other cell is solved in one `solve_ratios` call, and the first
-    that fails raises.
+    the max side, where the ratio is unbounded.  The k, the U, the first
+    L, every beta, and then the other L's in grid order are checked before
+    any cell is solved; every other cell is solved in one `solve_ratios`
+    call, and the first that fails in grid order raises.
     """
     check_k(k)
     if not (0 < U < math.inf):
         raise ParameterError(f"need 0 < U < inf, got U={U}")
+    negative = next((beta for beta in beta_grid if beta < 0), None)
     for L in l_grid:
         if not (0 < L <= U):
             raise ParameterError(f"grid L={L} outside (0, U={U}]")
-        for beta in beta_grid:
-            if beta < 0:
-                raise ParameterError(f"grid beta={beta} negative")
+        if negative is not None:  # raised after the first L's own check
+            raise ParameterError(f"grid beta={negative} negative")
     sentinel = "degenerate" if variant is Variant.MIN else "inf"
     edges = [regime_edge(variant, k, U, L) for L in l_grid]
-    ratios = iter(solve_ratios(variant, ((k, U, L, beta) for L, edge in zip(l_grid, edges)
-                                         for beta in beta_grid if not beta >= edge)))
-    rows: list[tuple[float, float, float | str]] = []
-    for L, edge in zip(l_grid, edges):
-        for beta in beta_grid:
-            cell = sentinel if beta >= edge else next(ratios)
-            if isinstance(cell, OprError):
-                raise cell
-            rows.append((L, beta, cell))
-    return rows
+    found = solve_ratios(variant, ((k, U, L, beta) for L, edge in zip(l_grid, edges)
+                                   for beta in beta_grid if not beta >= edge))
+    if failed := next((cell for cell in found if isinstance(cell, OprError)), None):
+        raise failed
+    ratios = iter(found)
+    return [(L, beta, sentinel if beta >= edge else next(ratios))
+            for L, edge in zip(l_grid, edges) for beta in beta_grid]

@@ -370,6 +370,9 @@ class TestSimulate:
             ("seed=abc", "synthetic seed must be a number, got 'abc'"),
             ("x", "bad synthetic field 'x', expected key=value"),
             ("foo=1", "unknown synthetic key 'foo'"),
+            # a repeated key is an error, as a repeated flag is
+            ("period=24,period=12", "synthetic period given twice"),
+            ("seed=1, SEED=2", "synthetic seed given twice"),
         ],
     )
     def test_bad_synthetic_spec_exits_2_before_any_work(

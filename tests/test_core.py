@@ -31,9 +31,12 @@ def make_min(prices, k, beta=1.0, L=None, U=None):
 
 
 class TestConstruction:
-    def test_prices_outside_bounds_rejected(self):
-        with pytest.raises(ParameterError):
-            Instance(k=1, T=2, L=2, U=5, beta=0, variant=Variant.MIN, prices=(3, 1))
+    # L and U are finite, so [L, U] holds no NaN, inf or -inf price either
+    @pytest.mark.parametrize("bad", [1.0, 6.0, math.nan, math.inf, -math.inf])
+    def test_prices_outside_bounds_rejected(self, bad):
+        with pytest.raises(ParameterError) as info:
+            Instance(k=1, T=2, L=2, U=5, beta=0, variant=Variant.MIN, prices=(3, bad))
+        assert str(info.value) == f"price c_2={bad} outside [L, U]=[2, 5]"
 
     def test_bad_bounds(self):
         with pytest.raises(ParameterError):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_simulate import reference_records
 from opr.algorithms import PlayerKind
 from opr.core import Instance, Variant
 from opr import experiment, offline
@@ -751,6 +752,12 @@ class TestSweep:
             ([0.0, 1.0], [2.0, 5.0, 25.0], "grid L=25.0 outside (0, U=20.0]"),
             ([0.0, 1.0], [2.0, 0.0], "grid L=0.0 outside (0, U=20.0]"),
             ([0.0, 1.0, -0.5], [2.0, 5.0], "grid beta=-0.5 negative"),
+            # the first L is checked before the betas, and the betas before
+            # the other L's
+            ([0.0, -1.0], [25.0, 2.0], "grid L=25.0 outside (0, U=20.0]"),
+            ([0.0, -1.0, -2.0], [2.0, 25.0], "grid beta=-1.0 negative"),
+            # no L, no cell: nothing is checked, and the grid has no rows
+            ([0.0, -1.0], [], None),
         ],
     )
     def test_bad_cell_after_valid_cells_raises_its_parameter_error(
@@ -758,13 +765,34 @@ class TestSweep:
     ):
         # the first bad L or beta in grid order names itself, even with
         # solvable cells before it, and no cell is solved first
-        def solved(*args):
-            raise AssertionError("a cell was solved before the grid was checked")
+        def solved(variant, cells):
+            if list(cells):
+                raise AssertionError("a cell was solved before the grid was checked")
+            return []
 
         monkeypatch.setattr(experiment, "solve_ratios", solved)
+        if message is None:
+            assert sweep_ratios(variant, 4, 20.0, beta_grid, l_grid) == []
+            return
         with pytest.raises(ParameterError) as excinfo:
             sweep_ratios(variant, 4, 20.0, beta_grid, l_grid)
         assert excinfo.type is ParameterError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "l_grid, message",
+        [
+            # theta = 2**2.5 solves at beta 0, and theta = 2**402.5 does not:
+            # omega = sqrt(theta) lies past the last doubled bracket
+            ([2.0**400, 1.0], "beta must be finite and nonnegative, got nan"),
+            ([1.0, 2.0**400], "omega root bracket did not close; ratio diverges"),
+        ],
+    )
+    def test_first_failing_cell_in_grid_order_raises(self, l_grid, message):
+        # a NaN beta passes the grid check (it is not negative) and fails its
+        # solve; of the grid's failing cells the first in grid order raises
+        with pytest.raises(OprError) as excinfo:
+            sweep_ratios(Variant.MAX, 1, 2.0**402.5, [0.0, math.nan], l_grid)
         assert str(excinfo.value) == message
 
     def test_alpha_nonincreasing_in_l(self):
@@ -778,3 +806,66 @@ class TestSweep:
         rows = sweep_ratios(Variant.MAX, 3, 20.0, [0.5], l_grid)
         vals = [r for (_, _, r) in rows]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestReferenceSimulate:
+    """`run_experiment`'s records equal the one-trial-at-a-time records of
+    ``tests/reference_simulate.py``, which plays each player by `run_online`
+    and finds OPT by exhaustive search."""
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            return list(run())
+        except OprError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("noise", [1.0, 3.0])
+    @pytest.mark.parametrize(
+        "variant, trace, kind, beta_frac",
+        [
+            # beta_frac 0.05 sits below every trial's min edge (U - L)/2, and
+            # 0.49 above it on some trials and below it on others
+            *((Variant.MIN, trace, TraceKind.INTENSITY, frac)
+              for trace in (SHIPPED_INTENSITY, SHIPPED_CARBONFREE) for frac in (0.05, 0.49)),
+            # at noise 3, beta_frac 0.05 reaches a trial's kL/2, which fails
+            # its DTPR and k-search families
+            *((Variant.MAX, SHIPPED_CARBONFREE, TraceKind.CARBON_FREE_PCT, frac)
+              for frac in (0.0005, 0.05)),
+        ],
+    )
+    def test_records_equal_the_reference(self, variant, trace, kind, beta_frac, noise):
+        ds = parse_trace(str(trace), kind)
+        cfg = ExperimentConfig(variant=variant, T=12, k=3, beta_frac=beta_frac, noise=noise,
+                               trials=8, seed=5)
+        got = self._outcome(lambda: run_experiment(cfg, ds).trials)
+        want = self._outcome(lambda: reference_records(cfg, ds))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want) == cfg.trials
+        for record, ref in zip(got, want):
+            if record["opt_total"] != ref["opt_total"]:
+                # two optima of equal cost, whose totals sum other prices
+                assert record["opt_total"] == pytest.approx(ref["opt_total"], rel=1e-12, abs=0)
+                ratios = {name: alg["ratio"] for name, alg in ref["algs"].items()}
+                for name, alg in record["algs"].items():
+                    assert alg["ratio"] == pytest.approx(ratios[name], rel=1e-12, abs=0)
+                    alg["ratio"] = ratios[name]
+                record["opt_total"] = ref["opt_total"]
+            assert record == ref
+
+    def test_reference_grid_meets_every_adjustment(self):
+        # the grid above clips, floors, widens and fails somewhere
+        intensity = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=12, k=3, beta_frac=0.49, noise=3.0,
+                               trials=8, seed=5)
+        records = reference_records(cfg, intensity)
+        assert {r["algs"]["dtpr"]["beta_clipped"] for r in records} == {False, True}
+        assert {r["bounds_widened"] for r in records} == {False, True}
+        assert sum(r["floored_values"] for r in records) > 0
+        carbonfree = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
+        cfg = ExperimentConfig(variant=Variant.MAX, T=12, k=3, beta_frac=0.05, noise=3.0,
+                               trials=8, seed=5)
+        with pytest.raises(RegimeError, match=r"^trial 5: beta=\S+ >= kL/2="):
+            reference_records(cfg, carbonfree)

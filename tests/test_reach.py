@@ -64,7 +64,6 @@ ALLOWED = {
     "experiment.run_trial": PINNED,
     "thresholds.ksearch_thresholds": PINNED,
     "traces.apply_noise": PINNED,
-    "adversary.OnlinePlayer.step": "Protocol stub: its body is never run",
 }
 
 
