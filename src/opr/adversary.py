@@ -30,7 +30,7 @@ The probes sit on the double-threshold resume rail, so a player whose own
 thresholds sit above it grabs them cheaply.  The k-search and constant-
 threshold players, whose two rails coincide, therefore also face the
 grab/stall scripts of ``_grab_stall_script``, built on their own thresholds
-and played by ``run_online`` on a fresh player of the same family; the
+and played by ``hindsight_trace`` on a fresh player of the same family; the
 adversary returns whichever transcript scores higher.  Double-threshold
 players, the carbon-agnostic player and black-box factories see only the
 probe script.
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .algorithms import PlayerKind, new_player, run_online
+from .algorithms import PlayerKind, hindsight_trace, new_player
 from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, cost_ratio,
                    evaluate_schedule)
 from .errors import ProtocolError, RegimeError
@@ -140,8 +140,8 @@ def _nudged(price: float, L: float, U: float, up: bool) -> float:
     return max(price * (1 - _PROBE_NUDGE) - _PROBE_NUDGE * L, L)
 
 
-def _finish(inst: Instance, sched: Schedule, bound: float) -> AdversaryTranscript:
-    alg_cost = evaluate_schedule(inst, sched)
+def _finish(inst: Instance, sched: Schedule, alg_cost: CostBreakdown,
+            bound: float) -> AdversaryTranscript:
     _, opt_cost = dp_optimal(inst)
     return AdversaryTranscript(
         prices=inst.prices,
@@ -235,15 +235,15 @@ def _adversary(player: PlayerKind | PlayerFactory, variant: Variant, k: int, U: 
         online = player(k, T, L, U, beta)
     prices, decisions = _drive(online, k, T, probes, flood_price=flood, close_price=close)
     inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=tuple(prices))
-    transcript = _finish(inst, Schedule(tuple(decisions)), family.ratio)
+    sched = Schedule(tuple(decisions))
+    transcript = _finish(inst, sched, evaluate_schedule(inst, sched), family.ratio)
     # every other player, black-box factories included, sees only the probes
-    script = (_grab_stall_script(online.family.lower, variant, k, U, L, beta)
-              if player in _GRAB_STALL_KINDS else None)
-    if script is None:
+    if player not in _GRAB_STALL_KINDS:
         return transcript
     # a fresh player of the same family replays the script
+    script = _grab_stall_script(online.family.lower, variant, k, U, L, beta)
     inst = Instance(k=k, T=len(script), L=L, U=U, beta=beta, variant=variant, prices=script)
-    scripted = _finish(inst, run_online(player, inst, online.family), family.ratio)
+    scripted = _finish(inst, *hindsight_trace(player, inst, online.family), family.ratio)
     return scripted if scripted.ratio > transcript.ratio else transcript
 
 

@@ -70,20 +70,20 @@ class Instance:
     prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
         check_variant(self.variant)
         if self.k < 1 or self.T < 1 or self.k > self.T:
             raise ParameterError(f"need 1 <= k <= T, got k={self.k}, T={self.T}")
         object.__setattr__(self, "k", check_cell(self.k, self.U, self.L, self.beta))
-        if len(self.prices) != self.T:
-            raise StructuralError(
-                f"price sequence has length {len(self.prices)}, expected T={self.T}"
-            )
-        for t, p in enumerate(self.prices):
+        prices = tuple(self.prices)
+        if len(prices) != self.T:
+            raise StructuralError(f"price sequence has length {len(prices)}, expected T={self.T}")
+        # checked before float(), which would read '5' and b'7' as numbers
+        for t, p in enumerate(prices):
             if not (self.L <= p <= self.U):  # NaN and inf too: L and U are finite
                 raise ParameterError(
-                    f"price c_{t + 1}={p} outside [L, U]=[{self.L}, {self.U}]"
+                    f"price c_{t + 1}={float(p)} outside [L, U]=[{self.L}, {self.U}]"
                 )
+        object.__setattr__(self, "prices", tuple(map(float, prices)))
 
 
 _BINARY = frozenset((0, 1))

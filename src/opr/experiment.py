@@ -65,11 +65,6 @@ def resolve_player_kind(name: str) -> PlayerKind:
     raise ParameterError(f"unknown algorithm {name!r}; choose from {ALG_NAMES}")
 
 
-def default_k(T: int) -> int:
-    """Job-length default: ceil(T/6)."""
-    return math.ceil(T / 6)
-
-
 def derive_seed(master: int, trial: int) -> int:
     """Stable 63-bit splitmix-style hash of (master, trial)."""
     x = (master * 0x9E3779B97F4A7C15 + trial + 1) & 0xFFFFFFFFFFFFFFFF
@@ -82,7 +77,7 @@ def derive_seed(master: int, trial: int) -> int:
 class ExperimentConfig:
     variant: Variant
     T: int = 48
-    k: int | None = None  # None -> ceil(T/6)
+    k: int | None = None  # the job length; None is stored as ceil(T/6)
     beta: float | None = None  # absolute, exclusive with beta_frac
     beta_frac: float | None = None  # fraction of the trace-wide U
     noise: float = 1.0
@@ -98,11 +93,10 @@ class ExperimentConfig:
             if value < 1:
                 raise ParameterError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, check_k(value, name))
-        k = self.resolved_k()
+        k = math.ceil(self.T / 6) if self.k is None else self.k
         if not (1 <= k <= self.T):
             raise ParameterError(f"need 1 <= k <= T, got k={k}, T={self.T}")
-        if self.k is not None:
-            object.__setattr__(self, "k", check_k(self.k))
+        object.__setattr__(self, "k", check_k(k))
         # 0 and negative seeds are valid; NaN and inf fail the test
         if self.seed % 1 != 0:
             raise ParameterError(f"seed must be an integer, got {self.seed}")
@@ -121,9 +115,6 @@ class ExperimentConfig:
             raise ParameterError(f"algs must not repeat a name, got {list(self.algs)}")
         for name in self.algs:
             resolve_player_kind(name)
-
-    def resolved_k(self) -> int:
-        return self.k if self.k is not None else default_k(self.T)
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def _run_trials(
     A T longer than the trace or an infinite beta fails first, naming no
     trial.
     """
-    T, k, variant, m = cfg.T, cfg.resolved_k(), cfg.variant, len(kinds)
+    T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
         raise ParameterError(f"segment length {T} exceeds trace length {len(ds)}")
     if not (0 <= beta_abs < math.inf):
@@ -334,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
     kinds = [resolve_player_kind(name) for name in cfg.algs]
-    step = pass_len(cfg.T, cfg.resolved_k(), len(kinds))
+    step = pass_len(cfg.T, cfg.k, len(kinds))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
         records += _run_trials(cfg, ds, bounds, beta_abs, kinds, start, stop)
@@ -354,7 +345,7 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     config_echo = {
         "variant": cfg.variant.value,
         "t_horizon": cfg.T,
-        "k": cfg.resolved_k(),
+        "k": cfg.k,
         "beta": beta_abs,
         "noise": cfg.noise,
         "trials": cfg.trials,

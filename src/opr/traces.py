@@ -88,7 +88,8 @@ def parse_trace(
 ) -> TraceDataset:
     """Parse a trace CSV; row indices in errors are 1-based file lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # utf-8-sig drops a leading byte-order mark, as some editors save one
+        with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             return parse_trace(fh, kind)
     region = ""
     lines: list[int] = []

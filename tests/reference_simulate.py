@@ -3,39 +3,63 @@
 `run_experiment` samples a pass of trials into one price array, solves OPT
 for every row with the lane DP and plays every (trial, algorithm) lane in
 one `play_lanes` call.  This module builds the same records one trial at a
-time from the one-row parts: `sample_segment_with_offset` and `apply_noise`,
-the floor and widen rules of `opr.experiment`'s module docstring written out
-here, an `Instance`, each player stepped by `run_online`, and OPT by the
-exhaustive `brute_force_optimal`.  No user path of ``opr`` needs it.
+time from the one-row parts: `sample_segment_with_offset`, the noise, floor
+and widen rules of `opr.experiment`'s module docstring written out here, an
+`Instance`, each player stepped by `run_online`, and OPT by the exhaustive
+`brute_force_optimal`.  No user path of ``opr`` needs it.
 """
+
+import math
 
 from brute_force import brute_force_optimal
 
 from opr.algorithms import PlayerKind, player_family, run_online
 from opr.core import Instance, Variant, cost_ratio, evaluate_schedule
-from opr.errors import OprError
+from opr.errors import OprError, ParameterError
 from opr.experiment import ExperimentConfig, derive_seed
-from opr.traces import TraceBounds, TraceDataset, apply_noise, sample_segment_with_offset, trace_bounds
+from opr.traces import (TraceBounds, TraceDataset, TraceKind, sample_segment_with_offset,
+                        trace_bounds)
 
 #: past the min regime edge (U - L)/2, DTPR plays the rails of this
 #: fraction of the edge while the instance charges the true beta
 BETA_CLIP = 0.999999
 
 
+def reference_sample(
+    cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, trial: int
+) -> tuple[list[float], dict]:
+    """Trial ``trial``'s prices and the sampling fields of its record, as
+    `sample_pass` writes them; a segment that admits no instance raises."""
+    seed = derive_seed(cfg.seed, trial)
+    segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
+    # noise: deviations from the segment mean amplified, truncated below at
+    # 0, and carbon-free percentages capped at 100
+    mean = math.fsum(segment) / cfg.T
+    cap = 100.0 if ds.kind is TraceKind.CARBON_FREE_PCT else math.inf
+    noised = [min(max(mean + cfg.noise * (v - mean), 0.0), cap) for v in segment]
+    high = max(noised)
+    if high <= 0:
+        raise OprError("noised segment is identically zero; instance undefined")
+    # floor: a value truncated to 0 is lifted to the smallest positive one
+    low = min(p for p in noised if p > 0)
+    # widen: the trace-wide bounds, stretched to hold every price
+    L, U = min(bounds.L, low), max(bounds.U, high)
+    if U == math.inf:
+        raise ParameterError(f"need 0 < L <= U < inf, got L={L}, U={U}")
+    return [p if p > 0 else low for p in noised], {
+        "trial": trial, "seed": seed, "offset": offset, "instance_l": L, "instance_u": U,
+        "bounds_widened": L < bounds.L or U > bounds.U,
+        "floored_values": sum(p <= 0 for p in noised)}
+
+
 def reference_record(
     cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, trial: int, beta: float
 ) -> dict:
     """Trial ``trial``'s record, as `run_experiment` writes it."""
-    T, k, variant = cfg.T, cfg.resolved_k(), cfg.variant
-    seed = derive_seed(cfg.seed, trial)
-    segment, offset = sample_segment_with_offset(ds, T, seed)
-    noised = apply_noise(segment, cfg.noise, ds.kind)
-    # floor: a value truncated to 0 is lifted to the smallest positive one
-    low = min(p for p in noised if p > 0)
-    prices = [p if p > 0 else low for p in noised]
-    # widen: the trace-wide bounds, stretched to hold every price
-    L, U = min(bounds.L, low), max(bounds.U, max(noised))
-    inst = Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=prices)
+    k, variant = cfg.k, cfg.variant
+    prices, record = reference_sample(cfg, ds, bounds, trial)
+    L, U = record["instance_l"], record["instance_u"]
+    inst = Instance(k=k, T=cfg.T, L=L, U=U, beta=beta, variant=variant, prices=prices)
     _, opt = brute_force_optimal(inst)
     algs = {}
     for name in cfg.algs:
@@ -45,9 +69,8 @@ def reference_record(
         alg = evaluate_schedule(inst, run_online(kind, inst, family))
         algs[name] = {"total": alg.total, "switches": alg.num_switches,
                       "ratio": cost_ratio(alg.total, opt.total, variant), "beta_clipped": clipped}
-    return {"trial": trial, "seed": seed, "offset": offset, "instance_l": L, "instance_u": U,
-            "bounds_widened": L < bounds.L or U > bounds.U,
-            "floored_values": sum(p <= 0 for p in noised), "opt_total": opt.total, "algs": algs}
+    record.update(opt_total=opt.total, algs=algs)
+    return record
 
 
 def reference_records(cfg: ExperimentConfig, ds: TraceDataset) -> list[dict]:

@@ -490,7 +490,7 @@ def test_criterion_case_study():
         variant=Variant.MIN, T=48, beta_frac=1 / 20, trials=500, seed=42,
         trace_source="data/synthetic_intensity.csv",
     )
-    assert cfg.resolved_k() == math.ceil(48 / 6)
+    assert cfg.k == math.ceil(48 / 6)
     res1 = run_experiment(cfg, ds)
     res2 = run_experiment(cfg, ds)
     deterministic = json.dumps(res1.to_dict(), sort_keys=True) == json.dumps(

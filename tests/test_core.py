@@ -38,6 +38,18 @@ class TestConstruction:
             Instance(k=1, T=2, L=2, U=5, beta=0, variant=Variant.MIN, prices=(3, bad))
         assert str(info.value) == f"price c_2={bad} outside [L, U]=[2, 5]"
 
+    def test_price_types(self):
+        # a string or bytes price is not read as a number, as in check_cell
+        for bad in ("5", b"3"):
+            with pytest.raises(TypeError):
+                Instance(k=1, T=2, L=2, U=5, beta=0, variant=Variant.MIN, prices=(3, bad))
+        # numpy scalars and ints are prices, stored as floats
+        inst = Instance(k=1, T=3, L=2, U=5, beta=0, variant=Variant.MIN,
+                        prices=(np.float64(2.5), np.int64(3), np.float32(4.5)))
+        assert [(type(p), p) for p in inst.prices] == [(float, 2.5), (float, 3.0), (float, 4.5)]
+        with pytest.raises(ParameterError, match=r"^price c_1=6\.0 outside"):
+            Instance(k=1, T=1, L=2, U=5, beta=0, variant=Variant.MIN, prices=(np.int64(6),))
+
     def test_bad_bounds(self):
         with pytest.raises(ParameterError):
             Instance(k=1, T=1, L=5, U=2, beta=0, variant=Variant.MIN, prices=(3,))

@@ -1,28 +1,28 @@
 """Experiment runner, statistics, and the ratio sweep."""
 
+import functools
 import json
 import math
 import tracemalloc
 import warnings
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_simulate import reference_records
+from reference_simulate import reference_records, reference_sample
 from opr.algorithms import PlayerKind
-from opr.core import Instance, Variant
+from opr.core import Variant
 from opr import experiment, offline
 from opr.errors import OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
-    default_k,
     derive_seed,
     resolve_player_kind,
     run_experiment,
-    run_trial,
     summarize,
     sweep_ratios,
 )
@@ -31,7 +31,6 @@ from opr.traces import (
     TraceDataset,
     TraceKind,
     parse_trace,
-    sample_segment_with_offset,
     synthetic_diurnal,
     trace_bounds,
 )
@@ -217,10 +216,8 @@ class TestRunExperiment:
             assert res.summary[name]["p95"] >= 1.0
 
     def test_default_k_rule(self):
-        assert default_k(48) == 8
-        assert ExperimentConfig(
-            variant=Variant.MIN, T=48, beta=1.0
-        ).resolved_k() == 8
+        for T, k in ((48, 8), (49, 9), (1, 1)):
+            assert ExperimentConfig(variant=Variant.MIN, T=T, beta=1.0).k == k
 
     def test_integral_float_counts_are_stored_as_ints(self):
         ds = synthetic_diurnal(hours=100, seed=3)
@@ -274,6 +271,12 @@ class TestRunExperiment:
 SHIPPED_INTENSITY = resources.files("opr.data") / "synthetic_intensity.csv"
 
 
+def _one_trial_a_pass(cfg, ds):
+    """`run_experiment`'s records with every lane pass holding one trial."""
+    with mock.patch.object(experiment, "_PASS_BYTES", 0):
+        return run_experiment(cfg, ds).trials
+
+
 class TestFamilyMemo:
     """run_experiment builds each distinct (kind, L, U, beta) cell of a lane
     pass once, and every lane of that cell plays its rails; the records must
@@ -281,13 +284,9 @@ class TestFamilyMemo:
 
     @staticmethod
     def _check_against_fresh_trials(cfg, ds):
-        res = run_experiment(cfg, ds)
-        bounds = trace_bounds(ds)
-        beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
-        kinds = [resolve_player_kind(name) for name in cfg.algs]
-        for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, bounds, trial, beta_abs, kinds)
-        return res.trials
+        trials = run_experiment(cfg, ds).trials
+        assert trials == _one_trial_a_pass(cfg, ds)
+        return trials
 
     @staticmethod
     def _widen_and_count(monkeypatch, widen):
@@ -352,9 +351,7 @@ class TestFamilyMemo:
         assert bounds[0] == bounds[1] and len(set(bounds)) == 3
         kinds = [resolve_player_kind(name) for name in cfg.algs]
         assert built == [kind for _ in range(builds) for kind in kinds]
-        trace = trace_bounds(ds)
-        for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, trace, trial, cfg.beta_frac * trace.U, kinds)
+        assert res.trials == _one_trial_a_pass(cfg, ds)
 
     def test_a_cell_met_again_later_in_its_pass_is_built_once(self, monkeypatch):
         # A, B, A, B in one pass: two cells a kind, solved in one call
@@ -420,10 +417,7 @@ class TestChunkedTrials:
         sizes = self._batch_sizes(monkeypatch)
         res = run_experiment(cfg, ds)
         assert sizes == [2, 2, 2, 1]
-        bounds = trace_bounds(ds)
-        kinds = [resolve_player_kind(name) for name in cfg.algs]
-        for trial, rec in enumerate(res.trials):
-            assert rec == run_trial(cfg, ds, bounds, trial, cfg.beta_frac * bounds.U, kinds)
+        assert res.trials == _one_trial_a_pass(cfg, ds)
 
     def test_default_budget_chunks(self, monkeypatch):
         sizes = self._batch_sizes(monkeypatch)
@@ -571,45 +565,6 @@ class TestChunkedTrials:
         )
 
 
-def _parent_trial_bounds(segment, bounds):
-    """The per-trial widening/flooring rule that `sample_pass` replaced."""
-    seg_min = min(segment)
-    seg_max = max(segment)
-    floored = 0
-    prices = tuple(segment)
-    if seg_min <= 0:
-        positive = [v for v in segment if v > 0]
-        if not positive:
-            raise OprError("noised segment is identically zero; instance undefined")
-        floor = min(positive)
-        prices = tuple(v if v > 0 else floor for v in segment)
-        floored = sum(1 for v in segment if v <= 0)
-        seg_min = floor
-    L = min(bounds.L, seg_min)
-    U = max(bounds.U, seg_max)
-    widened = L < bounds.L or U > bounds.U
-    return prices, L, U, widened, floored
-
-
-def _parent_sample_trial(cfg, ds, bounds, trial, beta_abs):
-    """One trial's instance and record, as sampled before `sample_pass`:
-    window, tuple noise, bounds rule, then a checked `Instance`."""
-    seed = derive_seed(cfg.seed, trial)
-    segment, offset = sample_segment_with_offset(ds, cfg.T, seed)
-    vals = tuple(float(v) for v in segment)
-    mu = math.fsum(vals) / len(vals)
-    with np.errstate(over="ignore"):
-        out = np.maximum(mu + float(cfg.noise) * (np.array(vals) - mu), 0.0)
-    if ds.kind is TraceKind.CARBON_FREE_PCT:
-        out = np.minimum(out, 100.0)
-    prices, L, U, widened, floored = _parent_trial_bounds(tuple(out.tolist()), bounds)
-    inst = Instance(
-        k=cfg.resolved_k(), T=cfg.T, L=L, U=U, beta=beta_abs, variant=cfg.variant, prices=prices
-    )
-    return inst, dict(trial=trial, seed=seed, offset=offset, instance_l=L, instance_u=U,
-                      bounds_widened=widened, floored_values=floored)
-
-
 @st.composite
 def _sampling_runs(draw):
     kind = draw(st.sampled_from(TraceKind))
@@ -629,7 +584,7 @@ def _sampling_runs(draw):
 
 class TestSamplePass:
     """`sample_pass` gives, row by row, the bits, records and errors of the
-    per-trial sampler it replaced."""
+    per-trial `reference_sample`."""
 
     @given(_sampling_runs())
     @settings(max_examples=300, deadline=None)
@@ -641,8 +596,8 @@ class TestSamplePass:
         expected = []
         for trial in range(cfg.trials):
             try:
-                inst, record = _parent_sample_trial(cfg, ds, bounds, trial, cfg.beta)
-                expected.append(([p.hex() for p in inst.prices], record))
+                prices, record = reference_sample(cfg, ds, bounds, trial)
+                expected.append(([p.hex() for p in prices], record))
             except OprError as exc:
                 expected.append((type(exc), str(exc)))
         for start in range(0, cfg.trials, step):
@@ -808,6 +763,11 @@ class TestSweep:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+@functools.cache
+def _parsed(path, kind):
+    return parse_trace(str(path), kind)
+
+
 class TestReferenceSimulate:
     """`run_experiment`'s records equal the one-trial-at-a-time records of
     ``tests/reference_simulate.py``, which plays each player by `run_online`
@@ -835,9 +795,43 @@ class TestReferenceSimulate:
         ],
     )
     def test_records_equal_the_reference(self, variant, trace, kind, beta_frac, noise):
-        ds = parse_trace(str(trace), kind)
         cfg = ExperimentConfig(variant=variant, T=12, k=3, beta_frac=beta_frac, noise=noise,
                                trials=8, seed=5)
+        self._check(cfg, _parsed(trace, kind))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_runs_equal_the_reference(self, data):
+        trace, kind = data.draw(st.sampled_from([
+            (SHIPPED_INTENSITY, TraceKind.INTENSITY),
+            (SHIPPED_CARBONFREE, TraceKind.CARBON_FREE_PCT),
+            *((None, kind) for kind in TraceKind)]))
+        if trace is None:
+            shape = {} if kind is TraceKind.INTENSITY else dict(amp=25.0, mean=55.0)
+            ds = synthetic_diurnal(hours=data.draw(st.integers(12, 48)), kind=kind,
+                                   seed=data.draw(st.integers(0, 99)), **shape)
+        else:
+            ds = _parsed(trace, kind)
+        T = data.draw(st.integers(1, 12))
+        cfg = ExperimentConfig(
+            variant=data.draw(st.sampled_from(Variant)), T=T,
+            k=data.draw(st.integers(1, min(T, 3))),
+            # before noise, the min clip edge (U - L)/2 is 0.14 to 0.49 of the
+            # trace-wide U of these traces
+            beta_frac=data.draw(st.sampled_from([0.0, 0.0005, 0.05, 0.2, 0.4, 0.49, 0.6])),
+            noise=data.draw(st.sampled_from([1.0, 2.0, 3.0])), trials=data.draw(st.integers(1, 6)),
+            seed=data.draw(st.integers(0, 2**32)),
+            algs=tuple(data.draw(st.lists(st.sampled_from(experiment.ALG_NAMES), min_size=1,
+                                          max_size=4, unique=True))),
+        )
+        # a budget of `per_pass` trials a lane pass, as `pass_len` sizes one
+        per_pass = data.draw(st.integers(1, cfg.trials))
+        trial_bytes = 9 * T + len(cfg.algs) * (16 * (cfg.k + 1) + 2 * T)
+        with mock.patch.object(experiment, "_PASS_BYTES", per_pass * trial_bytes):
+            assert experiment.pass_len(T, cfg.k, len(cfg.algs)) == per_pass
+            self._check(cfg, ds)
+
+    def _check(self, cfg, ds):
         got = self._outcome(lambda: run_experiment(cfg, ds).trials)
         want = self._outcome(lambda: reference_records(cfg, ds))
         if isinstance(want, tuple):

@@ -60,7 +60,6 @@ PINNED = "perfbench/tracer.py target; goes with ROADMAP item 1"
 
 #: qualified name -> why nothing `opr` runs calls it
 ALLOWED = {
-    "algorithms.hindsight_trace": PINNED,
     "experiment.run_trial": PINNED,
     "thresholds.ksearch_thresholds": PINNED,
     "traces.apply_noise": PINNED,

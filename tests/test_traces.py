@@ -117,6 +117,13 @@ class TestParse:
             parse_trace(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text", [GOOD, GOOD.split("\n", 1)[1]], ids=["comment", "header"])
+    def test_a_byte_order_mark_is_skipped(self, text, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_trace(marked) == parse_trace(plain)
+
     def test_empty_dataset_is_rejected(self):
         with pytest.raises(TraceError, match="^empty trace$"):
             TraceDataset("x", (), TraceKind.INTENSITY)
