@@ -8,7 +8,7 @@ lower-bound adversaries, carbon-trace tooling, and a batch experiment CLI.
 """
 
 from .adversary import AdversaryTranscript, adversary_max, adversary_min
-from .algorithms import PlayerKind, PlayerState, hindsight_trace, new_player, run_online
+from .algorithms import PlayerState, hindsight_trace, new_player, run_online
 from .core import (
     CostBreakdown,
     Instance,
@@ -25,8 +25,8 @@ from .experiment import (
 )
 from .offline import dp_optimal
 from .thresholds import (
+    PlayerKind,
     ThresholdFamily,
-    constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
@@ -62,7 +62,6 @@ __all__ = [
     "adversary_max",
     "adversary_min",
     "apply_noise",
-    "constant_threshold",
     "dp_optimal",
     "dtpr_max_thresholds",
     "dtpr_min_thresholds",

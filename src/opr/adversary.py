@@ -49,12 +49,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .algorithms import PlayerKind, hindsight_trace, new_player
+from .algorithms import hindsight_trace, new_player
 from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, cost_ratio,
                    evaluate_schedule)
 from .errors import ProtocolError, RegimeError
 from .offline import dp_optimal
-from .thresholds import EDGE_NAMES, dtpr_max_thresholds, dtpr_min_thresholds, regime_edge
+from .thresholds import (EDGE_NAMES, PlayerKind, dtpr_max_thresholds, dtpr_min_thresholds,
+                         regime_edge)
 
 
 #: factory signature: (k, T, L, U, beta) -> a player; `_drive` calls only its

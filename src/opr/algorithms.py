@@ -1,24 +1,18 @@
 """Online players: one price in, one irrevocable 0/1 decision out.
 
-Every player is a threshold family driven by one state machine; the players
-differ only in the per-unit thresholds they consult.  A ``PlayerKind`` names
-an algorithm, not a variant: each kind serves both the min and the max side,
-and a player takes its variant from the instance, through its family.  The
-double-threshold player (DTPR) compares against the stay rail when the
-previous price was accepted and the resume rail otherwise.  The baselines
-have both rails equal, so their decisions ignore the previous state:
-k-search uses the beta = 0 double-threshold rails, the constant rule the
-single price sqrt(L*U), and the carbon-agnostic player a rail on the price
-bound (U for min, L for max) that accepts every price, so it runs the job in
-the first k slots.
+Every player is a threshold family driven by one state machine; which rails
+each ``PlayerKind`` plays is decided in `thresholds` (`player_families`), and
+this module only plays them.  A player takes its variant from the instance,
+through its family.  The double-threshold player (DTPR) compares against the
+stay rail when the previous price was accepted and the resume rail
+otherwise; the baselines have both rails equal, so their decisions ignore
+the previous state.
 
 There is one transition rule, written twice: as ``PlayerState.step`` on one
 price, and as ``play_lanes``, a loop over the slots that steps every
 (algorithm, trial) lane in a few numpy passes.  One player over a known
 sequence is a loop over ``step``, ``run_online``; the experiment plays all
-its lanes in one ``play_lanes`` call.  ``player_families`` checks a pass's
-cells and builds their rails as one table in a few numpy passes;
-``player_family`` is its one-cell case.
+its lanes in one ``play_lanes`` call.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -27,26 +21,13 @@ what makes every run feasible regardless of the price sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, check_k,
-                   evaluate_schedule)
-from .errors import OprError, ParameterError, ProtocolError
-from .thresholds import ThresholdFamily, constant_threshold, dtpr_rails, solve_ratios
+from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
+from .errors import ParameterError, ProtocolError
+from .thresholds import PlayerKind, ThresholdFamily, player_family
 
-
-class PlayerKind(Enum):
-    DTPR = "dtpr"
-    KSEARCH = "ksearch"
-    CONSTANT_THRESHOLD = "const"
-    CARBON_AGNOSTIC = "agnostic"
-
-
-#: the kinds whose families are built from a solved ratio
-_SOLVED = (PlayerKind.DTPR, PlayerKind.KSEARCH)
 
 #: on CPython 3.11 a member lookup on the enum class is several times slower
 #: than a module global, and ``step`` pays it on every price
@@ -99,62 +80,6 @@ class PlayerState:
         self.i = i + x
         self.prev_decision = x
         return x
-
-
-def player_families(
-    cells: Sequence[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
-) -> tuple[np.ndarray, np.ndarray, dict[int, OprError]]:
-    """The (F, 2, k+1) rail table of a player of each (kind, U, L, beta)
-    cell on ``variant``, the F ratios, and ``{row: error}`` for each cell
-    whose check or ratio solve failed.  Row f holds cell f's lower and upper
-    rails in ``[f, :, :k]``, as `play_lanes` reads them; column k and a
-    failed cell's row and ratio are 0.  A k that is not a positive integer raises.
-
-    DTPR and k-search (DTPR at beta = 0) rows come from one `solve_ratios`
-    call and one `dtpr_rails`.  A constant row holds sqrt(L*U) on both rails,
-    an agnostic row the price bound that accepts every price (U for min, L
-    for max); their ratio is that of one reservation price at beta = 0.
-    """
-    k = check_k(k)
-    table, ratios, failed = np.zeros((max(len(cells), 1), 2, k + 1)), np.zeros(len(cells)), {}
-    solving, flat = [], []
-    for f, (kind, U, L, beta) in enumerate(cells):
-        try:
-            check_cell(k, U, L, beta)
-        except ParameterError as exc:
-            failed[f] = exc
-            continue
-        if kind in _SOLVED:
-            solving.append((f, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta))
-        else:
-            flat.append((f, U, L, kind is PlayerKind.CONSTANT_THRESHOLD))
-    found = solve_ratios(variant, [(k, *cell[1:]) for cell in solving]) if solving else ()
-    failed.update((cell[0], r) for cell, r in zip(solving, found) if isinstance(r, OprError))
-    if solved := [(*cell, r) for cell, r in zip(solving, found) if not isinstance(r, OprError)]:
-        rows = [cell[0] for cell in solved]
-        _, U, L, beta, ratio = np.array(solved).T
-        table[rows, :, :k] = dtpr_rails(variant, k, U, L, beta, ratio)
-        ratios[rows] = ratio
-    if flat:
-        rows, rails = [f for f, *_ in flat], [
-            constant_threshold(U, L) if const else U if variant is _VARIANT_MIN else L
-            for _, U, L, const in flat]
-        ratios[rows] = [max(rail / L, U / rail) for rail, (_, U, L, _) in zip(rails, flat)]
-        table[rows, :, :k] = np.array(rails)[:, None, None]
-    return table, ratios, failed
-
-
-def player_family(
-    kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
-) -> ThresholdFamily:
-    """`player_families` on one cell, as a family, raising its error.  A
-    caller that runs many players on the same parameters can build the
-    family once and hand it to ``new_player``/``run_online``."""
-    table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
-    if failed:
-        raise failed[0]
-    lower, upper = table[0, :, :-1].tolist()
-    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), float(ratios[0]))
 
 
 def new_player(

@@ -14,17 +14,11 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .adversary import adversary_max, adversary_min
-from .algorithms import PlayerKind, player_family
 from .core import Variant
 from .errors import OprError, ParameterError, TraceError
-from .experiment import (
-    ALG_NAMES,
-    ExperimentConfig,
-    resolve_player_kind,
-    run_experiment,
-    sweep_ratios,
-)
+from .experiment import ExperimentConfig, run_experiment, sweep_ratios
 from .jsonout import write_json
+from .thresholds import ALG_NAMES, PlayerKind, player_family, resolve_player_kind
 from .traces import TraceKind, parse_trace, synthetic_diurnal
 
 _EXIT_PARAM = 2

@@ -32,11 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import PlayerKind, play_lanes, player_families
+from .algorithms import play_lanes
 from .core import Variant, check_k, check_variant, cost_ratio, lane_cost, lane_flips
 from .errors import OprError, ParameterError
 from .offline import dp_decisions
-from .thresholds import regime_edge, solve_ratios
+from .thresholds import (ALG_NAMES, PlayerKind, player_families, regime_edge,
+                         resolve_player_kind, solve_ratios)
 from .traces import (
     TraceBounds,
     TraceDataset,
@@ -51,19 +52,6 @@ _BETA_CLIP = 0.999999
 #: byte budget of one lane pass's arrays; the offline DP keeps its own budget
 #: inside each pass
 _PASS_BYTES = 2 * 1024 * 1024
-
-#: short algorithm names used in configs, result files, and the CLI
-ALG_NAMES = tuple(kind.value for kind in PlayerKind)
-
-
-def resolve_player_kind(name: str) -> PlayerKind:
-    if isinstance(name, str):
-        try:
-            return PlayerKind(name)
-        except ValueError:
-            pass
-    raise ParameterError(f"unknown algorithm {name!r}; choose from {ALG_NAMES}")
-
 
 def derive_seed(master: int, trial: int) -> int:
     """Stable 63-bit splitmix-style hash of (master, trial)."""

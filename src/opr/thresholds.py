@@ -25,6 +25,11 @@ The double-threshold family pairs a resume threshold with a stay threshold
 exactly 2b apart: a player already accepting tolerates a slightly worse
 price (it would pay to switch away), while an idle player demands a price
 good enough to justify switching on.
+
+This module alone decides which rails each player kind plays.  A
+``PlayerKind`` names an algorithm, not a variant; `player_families` builds
+the rails of a batch of (kind, U, L, beta) cells as one table, and
+`player_family` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from enum import Enum
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Variant, check_cell
+from .core import Variant, check_cell, check_k
 from .errors import OprError, ParameterError, RegimeError
 
 
@@ -58,6 +64,26 @@ class ThresholdFamily:
     def __post_init__(self) -> None:
         if len(self.lower) != self.k or len(self.upper) != self.k:
             raise ParameterError("threshold family must hold exactly k values per rail")
+
+
+class PlayerKind(Enum):
+    DTPR = "dtpr"
+    KSEARCH = "ksearch"
+    CONSTANT_THRESHOLD = "const"
+    CARBON_AGNOSTIC = "agnostic"
+
+
+#: short algorithm names used in configs, result files, and the CLI
+ALG_NAMES = tuple(kind.value for kind in PlayerKind)
+
+
+def resolve_player_kind(name: str) -> PlayerKind:
+    if isinstance(name, str):
+        try:
+            return PlayerKind(name)
+        except ValueError:
+            pass
+    raise ParameterError(f"unknown algorithm {name!r}; choose from {ALG_NAMES}")
 
 
 #: how error messages name each variant's `regime_edge`
@@ -252,16 +278,63 @@ def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFam
     return dtpr_family(k, U, L, beta, solve_omega(k, U, L, beta), Variant.MAX)
 
 
+def player_families(
+    cells: Sequence[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
+) -> tuple[np.ndarray, np.ndarray, dict[int, OprError]]:
+    """The (F, 2, k+1) rail table of a player of each (kind, U, L, beta)
+    cell on ``variant``, the F ratios, and ``{row: error}`` for each cell
+    whose check or ratio solve failed.  Row f holds cell f's lower and upper
+    rails in ``[f, :, :k]``, as `play_lanes` reads them; column k and a
+    failed cell's row and ratio are 0.  A k that is not a positive integer raises.
+
+    DTPR and k-search (DTPR at beta = 0) rows come from one `solve_ratios`
+    call and one `dtpr_rails`.  A constant row holds sqrt(L*U) on both rails,
+    an agnostic row the price bound that accepts every price (U for min, L
+    for max); their ratio is that of one reservation price at beta = 0.
+    """
+    k = check_k(k)
+    table, ratios, failed = np.zeros((max(len(cells), 1), 2, k + 1)), np.zeros(len(cells)), {}
+    solving, flat = [], []
+    for f, (kind, U, L, beta) in enumerate(cells):
+        try:
+            check_cell(k, U, L, beta)
+        except ParameterError as exc:
+            failed[f] = exc
+            continue
+        if kind in (PlayerKind.DTPR, PlayerKind.KSEARCH):
+            solving.append((f, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta))
+        else:
+            flat.append((f, U, L, kind is PlayerKind.CONSTANT_THRESHOLD))
+    found = solve_ratios(variant, [(k, *cell[1:]) for cell in solving]) if solving else ()
+    failed.update((cell[0], r) for cell, r in zip(solving, found) if isinstance(r, OprError))
+    if solved := [(*cell, r) for cell, r in zip(solving, found) if not isinstance(r, OprError)]:
+        rows = [cell[0] for cell in solved]
+        _, U, L, beta, ratio = np.array(solved).T
+        table[rows, :, :k] = dtpr_rails(variant, k, U, L, beta, ratio)
+        ratios[rows] = ratio
+    if flat:
+        rows, rails = [f for f, *_ in flat], [
+            math.sqrt(L * U) if const else U if variant is Variant.MIN else L
+            for _, U, L, const in flat]
+        ratios[rows] = [max(rail / L, U / rail) for rail, (_, U, L, _) in zip(rails, flat)]
+        table[rows, :, :k] = np.array(rails)[:, None, None]
+    return table, ratios, failed
+
+
+def player_family(
+    kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
+) -> ThresholdFamily:
+    """`player_families` on one cell, as a family, raising its error.  A
+    caller that runs many players on the same parameters can build the
+    family once and hand it to ``new_player``/``run_online``."""
+    table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
+    if failed:
+        raise failed[0]
+    lower, upper = table[0, :, :-1].tolist()
+    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), float(ratios[0]))
+
+
 def ksearch_thresholds(k: int, U: float, L: float, variant: Variant) -> ThresholdFamily:
     """Classic k-search reservation prices: the beta = 0 double-threshold
     family, where both rails coincide at Phi_i."""
-    if variant is Variant.MIN:
-        return dtpr_min_thresholds(k, U, L, 0.0)
-    return dtpr_max_thresholds(k, U, L, 0.0)
-
-
-def constant_threshold(U: float, L: float) -> float:
-    """The single reservation price sqrt(L*U) of 1-search."""
-    if not (0 < L <= U):
-        raise ParameterError(f"need 0 < L <= U, got L={L}, U={U}")
-    return math.sqrt(L * U)
+    return player_family(PlayerKind.KSEARCH, k, U, L, 0.0, variant)

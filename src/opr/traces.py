@@ -220,7 +220,8 @@ def synthetic_diurnal(
     in region ``synthetic``.
 
     Stands in for real grid data when no trace file is supplied; bounds are
-    always recomputed from the generated values, never assumed.
+    always recomputed from the generated values, never assumed.  Parameters
+    whose values overflow or turn NaN raise, before the floor and the cap.
     """
     if hours < 1:
         raise ParameterError(f"hours must be >= 1, got {hours}")
@@ -228,8 +229,12 @@ def synthetic_diurnal(
         raise ParameterError("need period > 0, amp >= 0, mean > 0")
     rng = np.random.default_rng(seed)
     t = np.arange(hours)
-    values = mean + amp * np.sin(2 * np.pi * t / period)
-    values = values + jitter * amp * rng.standard_normal(hours)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = mean + amp * np.sin(2 * np.pi * t / period)
+        values = values + jitter * amp * rng.standard_normal(hours)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"synthetic trace is not finite at hour {np.isfinite(values).argmin()}"
+                             f" (period={period}, amp={amp}, mean={mean}, jitter={jitter})")
     floor = max(mean * 1e-3, 1e-9)
     values = np.maximum(values, floor)
     if kind is TraceKind.CARBON_FREE_PCT:

@@ -8,7 +8,7 @@ same namespace, apart from the handler in ``func``.
 import argparse
 
 from opr.cli import _cmd_adversary, _cmd_simulate, _cmd_solve, _cmd_sweep
-from opr.experiment import ALG_NAMES
+from opr.thresholds import ALG_NAMES
 
 
 def build_parser() -> argparse.ArgumentParser:

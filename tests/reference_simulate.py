@@ -13,10 +13,11 @@ import math
 
 from brute_force import brute_force_optimal
 
-from opr.algorithms import PlayerKind, player_family, run_online
+from opr.algorithms import run_online
 from opr.core import Instance, Variant, cost_ratio, evaluate_schedule
 from opr.errors import OprError, ParameterError
 from opr.experiment import ExperimentConfig, derive_seed
+from opr.thresholds import PlayerKind, player_family
 from opr.traces import (TraceBounds, TraceDataset, TraceKind, sample_segment_with_offset,
                         trace_bounds)
 

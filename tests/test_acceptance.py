@@ -16,12 +16,14 @@ import numpy as np
 
 from brute_force import brute_force_optimal
 from ratio_reference import max_lower_threshold, min_upper_threshold
+from test_adversary import RejectUntilForced
 from opr.adversary import adversary_max, adversary_min
-from opr.algorithms import PlayerKind, hindsight_trace
+from opr.algorithms import hindsight_trace
 from opr.core import Instance, Variant, cost_ratio
 from opr.experiment import ExperimentConfig, run_experiment
 from opr.offline import dp_optimal
 from opr.thresholds import (
+    PlayerKind,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     solve_alpha,
@@ -219,19 +221,6 @@ def test_criterion_dtpr_upper_bound():
 
 
 # --- criterion 5: lower-bound tightness -------------------------------------
-
-class _RejectUntilForced:
-    def __init__(self, k, T, L, U, beta):
-        self.k, self.T = k, T
-        self.i, self.t = 1, 0
-
-    def step(self, price):
-        self.t += 1
-        if (self.k - self.i) >= (self.T - self.t):
-            self.i += 1
-            return 1
-        return 0
-
 
 #: relative nudge that puts a menu price just past a threshold
 _ORACLE_NUDGE = 1e-12
@@ -446,10 +435,10 @@ def test_criterion_lower_bound_tightness():
         r = adversary_max(PlayerKind.DTPR, k, U, L, beta_max).ratio
         if abs(r - omega) > 1e-6:
             tight_bad.append(f"max dtpr draw {draw}: {r} vs {omega}")
-        r = adversary_min(_RejectUntilForced, k, U, L, beta_min).ratio
+        r = adversary_min(RejectUntilForced, k, U, L, beta_min).ratio
         if abs(r - alpha) > 1e-6:
             tight_bad.append(f"min reject draw {draw}: {r} vs {alpha}")
-        r = adversary_max(_RejectUntilForced, k, U, L, beta_max).ratio
+        r = adversary_max(RejectUntilForced, k, U, L, beta_max).ratio
         if abs(r - omega) > 1e-6:
             tight_bad.append(f"max reject draw {draw}: {r} vs {omega}")
 

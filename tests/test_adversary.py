@@ -5,9 +5,9 @@ import math
 import pytest
 
 from opr.adversary import _nudged, adversary_max, adversary_min, declared_horizon
-from opr.algorithms import PlayerKind
 from opr.errors import DegenerateProfitError, ParameterError, ProtocolError, RegimeError
 from opr.thresholds import (
+    PlayerKind,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     solve_alpha,
@@ -100,7 +100,7 @@ class TestTightness:
         tr = adversary_max(PlayerKind.CARBON_AGNOSTIC, k, U, L, beta)
         assert tr.ratio == (k * U - 2 * beta) / (q1 + (k - 1) * L - 2 * beta)
 
-    def test_constant_threshold_max_scores_at_least_omega(self):
+    def test_constant_rule_max_scores_at_least_omega(self):
         for k, U, L, beta in ((8, 760.0, 25.0, 10.0), (10, 30.0, 5.0, 1.0)):
             omega = solve_omega(k, U, L, beta)
             tr = adversary_max(PlayerKind.CONSTANT_THRESHOLD, k, U, L, beta)

@@ -8,27 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opr.algorithms import (
-    PlayerKind,
-    PlayerState,
-    hindsight_trace,
-    new_player,
-    play_lanes,
-    player_families,
-    player_family,
-    run_online,
-)
+from opr.algorithms import PlayerState, hindsight_trace, new_player, play_lanes, run_online
 from opr.core import Instance, Variant, check_cell
 from opr.errors import OprError, ParameterError, ProtocolError
 from opr.offline import dp_optimal
-from opr.experiment import resolve_player_kind
 from opr.thresholds import (
+    PlayerKind,
     ThresholdFamily,
-    constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    player_families,
+    player_family,
     regime_edge,
+    resolve_player_kind,
     solve_alpha,
     solve_omega,
 )
@@ -152,7 +145,7 @@ class TestStep:
             expected = {
                 PlayerKind.DTPR: dtpr(k, U, L, beta),
                 PlayerKind.KSEARCH: ksearch_thresholds(k, U, L, variant),
-                PlayerKind.CONSTANT_THRESHOLD: rails(constant_threshold(U, L), variant),
+                PlayerKind.CONSTANT_THRESHOLD: rails(math.sqrt(L * U), variant),
                 PlayerKind.CARBON_AGNOSTIC: rails(U if variant is Variant.MIN else L, variant),
             }
             assert set(expected) == set(PlayerKind)
@@ -431,7 +424,7 @@ class TestPlayLanes:
 def _scalar_row(kind, k, U, L, beta, variant):
     """One cell's (lower, upper, ratio) by the scalar formulas: the
     reference `min_upper_threshold`/`max_lower_threshold` at the one-cell
-    solve, `constant_threshold`, or the agnostic rail on the price bound;
+    solve, sqrt(L*U), or the agnostic rail on the price bound;
     or the error the cell's check or solve raises."""
     try:
         check_cell(k, U, L, beta)
@@ -447,7 +440,7 @@ def _scalar_row(kind, k, U, L, beta, variant):
     except OprError as exc:
         return exc
     if kind is PlayerKind.CONSTANT_THRESHOLD:
-        rail = constant_threshold(U, L)
+        rail = math.sqrt(L * U)
     else:
         rail = U if variant is Variant.MIN else L
     return [rail] * k, [rail] * k, max(rail / L, U / rail)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import opr.algorithms
 import opr.cli
 import opr.thresholds
 from opr.cli import main
@@ -655,7 +654,6 @@ class TestTheoryAdversaryRuns:
             return solve(variant, cells)
 
         monkeypatch.setattr(opr.thresholds, "solve_ratios", spy)
-        monkeypatch.setattr(opr.algorithms, "solve_ratios", spy)
         assert _theory_adversary(variant, alg) == 0
         assert len(calls) == solves
         assert all(calls)

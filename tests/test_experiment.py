@@ -14,19 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_simulate import reference_records, reference_sample
-from opr.algorithms import PlayerKind
 from opr.core import Variant
 from opr import experiment, offline
 from opr.errors import OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
     derive_seed,
-    resolve_player_kind,
     run_experiment,
     summarize,
     sweep_ratios,
 )
-from opr.thresholds import ksearch_thresholds, solve_alpha, solve_omega
+from opr.thresholds import (PlayerKind, ksearch_thresholds, resolve_player_kind, solve_alpha,
+                            solve_omega)
 from opr.traces import (
     TraceDataset,
     TraceKind,

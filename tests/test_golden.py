@@ -29,11 +29,10 @@ import opr.cli
 import ratio_reference
 from test_adversary import AcceptEveryOther, GreedyAcceptAll, ProbeGrabber, RejectUntilForced
 from opr.adversary import adversary_max, adversary_min
-from opr.algorithms import PlayerKind
 from opr.core import Variant
 from opr.errors import RegimeError
 from opr.experiment import ExperimentConfig, run_experiment, sweep_ratios
-from opr.thresholds import solve_alpha, solve_omega
+from opr.thresholds import PlayerKind, solve_alpha, solve_omega
 from opr.traces import TraceKind, parse_trace
 
 GOLDENS = [

@@ -17,17 +17,18 @@ from hypothesis import strategies as st
 import ratio_reference
 from ratio_reference import max_lower_threshold, max_residual, min_residual, min_upper_threshold
 import opr.thresholds
-from opr.algorithms import PlayerKind, new_player
+from opr.algorithms import new_player
 from opr.core import Variant, check_cell
 from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
     EDGE_NAMES,
+    PlayerKind,
     ThresholdFamily,
     _powers,
-    constant_threshold,
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    player_family,
     regime_edge,
     solve_alpha,
     solve_omega,
@@ -193,11 +194,12 @@ class TestSolvers:
 
 
 class TestMinFamily:
-    def test_k1_beta0_is_constant_threshold(self):
+    def test_k1_beta0_is_the_constant_rule(self):
         fam = dtpr_min_thresholds(1, 100, 1, 0)
         assert fam.lower[0] == pytest.approx(10.0, abs=1e-9)
         assert fam.upper[0] == pytest.approx(10.0, abs=1e-9)
-        assert fam.lower[0] == pytest.approx(constant_threshold(100, 1), abs=1e-9)
+        const = player_family(PlayerKind.CONSTANT_THRESHOLD, 1, 100, 1, 0, Variant.MIN)
+        assert fam.lower[0] == pytest.approx(const.lower[0], abs=1e-9)
 
     @pytest.mark.parametrize("k,U,L,beta", [(10, 30, 5, 3), (4, 12, 2, 1), (1, 8, 2, 0.5)])
     def test_rail_gap_is_two_beta(self, k, U, L, beta):
@@ -256,17 +258,6 @@ class TestKSearch:
         fam = ksearch_thresholds(2, 4, 1, Variant.MIN)
         assert fam.ratio == pytest.approx(solve_alpha(2, 4, 1, 0), abs=1e-12)
         assert fam.ratio == pytest.approx(ALPHA_K2_CUBIC, abs=1e-9)
-
-
-class TestConstantThreshold:
-    def test_values(self):
-        assert constant_threshold(100, 1) == pytest.approx(10.0)
-        assert constant_threshold(4, 4) == pytest.approx(4.0)
-        assert constant_threshold(9, 4) == pytest.approx(6.0)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ParameterError):
-            constant_threshold(1, 2)
 
 
 @st.composite

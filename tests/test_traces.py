@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -347,3 +348,14 @@ class TestSynthetic:
             hours=200, amp=40, mean=80, seed=0, kind=TraceKind.CARBON_FREE_PCT
         )
         assert all(0 <= v <= 100 for v in ds.values)
+
+    @pytest.mark.parametrize("kind", list(TraceKind))
+    @pytest.mark.parametrize("spec", [dict(mean=1e308, amp=1e308), dict(period=1e-320),
+                                      dict(jitter=1e308, amp=1e10)])
+    def test_overflow_is_a_parameter_error(self, kind, spec):
+        # an overflow or a nan is refused before the floor and the
+        # carbon-free cap could turn it into a number, and numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"not finite at hour \d+ \(period="):
+                synthetic_diurnal(hours=48, kind=kind, **spec)
