@@ -1,11 +1,12 @@
 """Command-line surface: solve, sweep, simulate, adversary.
 
-Exit codes: 0 success, 2 parameter/regime error, 3 input-data error.
+Exit codes: 0 success, 1 the reader closed stdout early, 2 parameter/regime
+error, 3 input-data error.
 """
 
 from __future__ import annotations
 
-import json  # noqa: F401  (perfbench/tracer.py resolves its `cli:json.dump` target here)
+import json
 import math
 import os
 import sys
@@ -17,12 +18,40 @@ from .adversary import adversary_max, adversary_min
 from .core import Variant
 from .errors import OprError, ParameterError, TraceError
 from .experiment import ExperimentConfig, run_experiment, sweep_ratios
-from .jsonout import write_json
 from .thresholds import ALG_NAMES, PlayerKind, player_family, resolve_player_kind
 from .traces import TraceKind, parse_trace, synthetic_diurnal
 
 _EXIT_PARAM = 2
 _EXIT_DATA = 3
+#: list items per write: the most text held at once is 32 trial records
+_BLOCK = 32
+_encode = json.JSONEncoder(sort_keys=True).encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, write) -> None:
+    """Write `o` through `write` as `json.dumps(o, sort_keys=True)` prints it.
+
+    Dicts are walked in sorted key order, and a list or tuple goes out
+    `_BLOCK` items a call, each block printed by the C encoder; so the text
+    is never held whole.  A walked dict's keys must be `str` (`TypeError`
+    otherwise), where `json.dumps` would print an int key as a string.
+    """
+    if type(o) is dict:
+        write("{")
+        for i, (key, value) in enumerate(sorted(o.items())):
+            write((", " if i else "") + _encode_key(key) + ": ")
+            _write_json(value, write)
+        write("}")
+    elif type(o) in (list, tuple):
+        write("[")
+        for start in range(0, len(o), _BLOCK):
+            if start:
+                write(", ")
+            write(_encode(o[start:start + _BLOCK])[1:-1])
+        write("]")
+    else:
+        write(_encode(o))
 
 
 def _parse_synthetic_spec(spec: str) -> dict:
@@ -76,8 +105,7 @@ def _cmd_solve(args) -> int:
         payload = {"variant": variant.value, "k": args.k, "u": args.u, "l": args.l,
                    "beta": args.beta, "ratio": family.ratio, "lower": list(family.lower),
                    "upper": list(family.upper)}
-        write_json(payload, sys.stdout.write)
-        print()
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         name = "alpha" if variant is Variant.MIN else "omega"
         print(f"{name} = {family.ratio:.12g}")
@@ -141,7 +169,7 @@ def _cmd_simulate(args) -> int:
     result = run_experiment(cfg, ds)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        write_json(result.to_dict(), fh.write)
+        _write_json(result.to_dict(), fh.write)
         fh.write("\n")
     print(f"wrote results for {cfg.trials} trials to {out}")
     if args.cdf:

@@ -221,17 +221,21 @@ def synthetic_diurnal(
 
     Stands in for real grid data when no trace file is supplied; bounds are
     always recomputed from the generated values, never assumed.  Parameters
-    whose values overflow or turn NaN raise, before the floor and the cap.
+    whose values overflow or turn NaN raise, before the floor and the cap,
+    and so does an `hours` whose arrays cannot be allocated.
     """
     if hours < 1:
         raise ParameterError(f"hours must be >= 1, got {hours}")
     if period <= 0 or amp < 0 or mean <= 0:
         raise ParameterError("need period > 0, amp >= 0, mean > 0")
     rng = np.random.default_rng(seed)
-    t = np.arange(hours)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = mean + amp * np.sin(2 * np.pi * t / period)
-        values = values + jitter * amp * rng.standard_normal(hours)
+    try:
+        t = np.arange(hours)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = mean + amp * np.sin(2 * np.pi * t / period)
+            values = values + jitter * amp * rng.standard_normal(hours)
+    except MemoryError:  # an impossible length fails at once; no cap is set
+        raise ParameterError(f"hours must fit in memory, got {hours}") from None
     if not np.isfinite(values).all():
         raise ParameterError(f"synthetic trace is not finite at hour {np.isfinite(values).argmin()}"
                              f" (period={period}, amp={amp}, mean={mean}, jitter={jitter})")

