@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
+import decimal
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +328,40 @@ class TestJsonWriter:
 
         # the largest write is one block of trial records, however many ran
         assert largest_write(1000) == largest_write(opr.cli._BLOCK)
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65])
+    def test_a_list_goes_out_one_block_of_items_a_write(self, n):
+        items = [{"i": i, "x": i / 3} for i in range(n)]
+        blocks = [json.dumps(items[s:s + opr.cli._BLOCK], sort_keys=True)[1:-1]
+                  for s in range(0, n, opr.cli._BLOCK)]
+        assert len(blocks) == math.ceil(n / 32)
+        chunks = _written(items)
+        assert (chunks[0], chunks[-1]) == ("[", "]")
+        assert chunks[1:-1:2] == blocks
+        assert chunks[2:-1:2] == [", "] * (len(blocks) - 1)
+
+    @pytest.mark.parametrize("obj, name", [
+        ({1, 2}, "set"),
+        ({"a": [b"x"]}, "bytes"),
+        ({"a": [{"b": np.int64(3)}]}, "int64"),
+        ({"a": 1, "b": {"c": [1, 2, 1j]}}, "complex"),
+        ([object()], "object"),
+        ((1, frozenset()), "frozenset"),
+        ({"a": np.array([1.0])}, "ndarray"),
+        ({"a": {"b": decimal.Decimal("1.5")}}, "Decimal"),
+        ({"a": range(3)}, "range"),
+        ({"a": {}.keys()}, "dict_keys"),
+        # the bad item opens the second block, and sits in the third
+        ({"trials": [{"r": 1.5}] * 32 + [{"r": np.int64(1)}]}, "int64"),
+        ({"cdf": {"x": [(1.5, 0.5)] * 64 + [(1.5, np.float32(1.0))]}}, "float32"),
+    ], ids=["set-root", "bytes", "int64", "complex-after-keys", "object", "frozenset-in-tuple",
+            "ndarray", "Decimal", "range", "dict-keys", "second-block-int64",
+            "third-block-float32"])
+    def test_a_value_json_refuses_raises_type_error_naming_its_type(self, obj, name):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            json.dumps(obj, sort_keys=True)
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            _written(obj)
 
     @pytest.mark.parametrize("obj, name", [
         ({1: "a"}, "int"),
