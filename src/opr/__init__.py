@@ -30,6 +30,7 @@ from .thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    player_family,
     solve_alpha,
     solve_omega,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "ksearch_thresholds",
     "new_player",
     "parse_trace",
+    "player_family",
     "run_experiment",
     "run_online",
     "solve_alpha",

@@ -20,20 +20,20 @@ the exact DP optimum of the realized sequence, which can only certify a
 larger lower bound than the analytic estimate.
 
 Both variants run one path, ``_adversary``, which checks the cell first
-(`check_cell`, as every player and instance does), then the regime
+(`check_cell`, as every player family and instance does), then the regime
 0 < beta < `regime_edge`, then, on the max side only, the probe bound
 2*beta <= U - L.  Each run solves its cell once: the probes'
 double-threshold family also plays the DTPR player, and its ratio is the
-transcript's ``bound``.
+transcript's ``bound``; every other shipped kind plays its `player_family`.
 
 The probes sit on the double-threshold resume rail, so a player whose own
 thresholds sit above it grabs them cheaply.  The k-search and constant-
 threshold players, whose two rails coincide, therefore also face the
 grab/stall scripts of ``_grab_stall_script``, built on their own thresholds
-and played by ``hindsight_trace`` on a fresh player of the same family; the
-adversary returns whichever transcript scores higher.  Double-threshold
-players, the carbon-agnostic player and black-box factories see only the
-probe script.
+and replayed by ``hindsight_trace(online.family, inst)``, a fresh player of
+the family the probes stepped; the adversary returns whichever transcript
+scores higher.  Double-threshold players, the carbon-agnostic player and
+black-box factories see only the probe script.
 
 The probe script drives the double-threshold player to exactly alpha/omega.
 It does not certify alpha/omega against every player in this cost model,
@@ -55,7 +55,7 @@ from .core import (CostBreakdown, Instance, Schedule, Variant, check_cell, cost_
 from .errors import ProtocolError, RegimeError
 from .offline import dp_optimal
 from .thresholds import (EDGE_NAMES, PlayerKind, dtpr_max_thresholds, dtpr_min_thresholds,
-                         regime_edge)
+                         player_family, regime_edge)
 
 
 #: factory signature: (k, T, L, U, beta) -> a player; `_drive` calls only its
@@ -229,9 +229,10 @@ def _adversary(player: PlayerKind | PlayerFactory, variant: Variant, k: int, U: 
     probes = tuple(_nudged(r, L, U, up=minimize) for r in rail)
     flood, close = (U, L) if minimize else (L, U)
     T = declared_horizon(k)
-    if isinstance(player, PlayerKind):
-        online = new_player(player, k, T, L, U, beta, variant,
-                            family if player is PlayerKind.DTPR else None)
+    if player is PlayerKind.DTPR:
+        online = new_player(family, T)
+    elif isinstance(player, PlayerKind):
+        online = new_player(player_family(player, k, U, L, beta, variant), T)
     else:
         online = player(k, T, L, U, beta)
     prices, decisions = _drive(online, k, T, probes, flood_price=flood, close_price=close)
@@ -241,10 +242,9 @@ def _adversary(player: PlayerKind | PlayerFactory, variant: Variant, k: int, U: 
     # every other player, black-box factories included, sees only the probes
     if player not in _GRAB_STALL_KINDS:
         return transcript
-    # a fresh player of the same family replays the script
     script = _grab_stall_script(online.family.lower, variant, k, U, L, beta)
     inst = Instance(k=k, T=len(script), L=L, U=U, beta=beta, variant=variant, prices=script)
-    scripted = _finish(inst, *hindsight_trace(player, inst, online.family), family.ratio)
+    scripted = _finish(inst, *hindsight_trace(online.family, inst), family.ratio)
     return scripted if scripted.ratio > transcript.ratio else transcript
 
 

@@ -1,9 +1,10 @@
 """Online players: one price in, one irrevocable 0/1 decision out.
 
-Every player is a threshold family driven by one state machine; which rails
-each ``PlayerKind`` plays is decided in `thresholds` (`player_families`), and
-this module only plays them.  A player takes its variant from the instance,
-through its family.  The double-threshold player (DTPR) compares against the
+Every player is a threshold family driven by one state machine.  Which rails
+each ``PlayerKind`` plays is decided in `thresholds` (`player_family`, and
+`player_families` for a batch); this module takes only families, never a
+kind, and plays them.  A family carries its k and variant, which must be the
+instance's.  The double-threshold player (DTPR) compares against the
 stay rail when the previous price was accepted and the resume rail
 otherwise; the baselines have both rails equal, so their decisions ignore
 the previous state.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import CostBreakdown, Instance, Schedule, Variant, evaluate_schedule
 from .errors import ParameterError, ProtocolError
-from .thresholds import PlayerKind, ThresholdFamily, player_family
+from .thresholds import ThresholdFamily
 
 
 #: on CPython 3.11 a member lookup on the enum class is several times slower
@@ -43,7 +44,6 @@ class PlayerState:
     always mirrors the last emitted decision, 0 before the first step.
     """
 
-    k: int
     T: int
     family: ThresholdFamily
     i: int = 1
@@ -52,7 +52,7 @@ class PlayerState:
 
     @property
     def exhausted(self) -> bool:
-        return self.i > self.k
+        return self.i > self.family.k
 
     def step(self, price: float) -> int:
         """Consume the next price and emit the irrevocable decision.
@@ -63,7 +63,7 @@ class PlayerState:
         (k - i) >= (T - t).  Otherwise the price is compared with the stay
         rail after an accept and the resume rail otherwise; ties accept.
         """
-        k, i = self.k, self.i
+        k, i = self.family.k, self.i
         if i > k:
             raise ProtocolError(f"player already filled all {k} units")
         if self.t >= self.T:
@@ -82,56 +82,35 @@ class PlayerState:
         return x
 
 
-def new_player(
-    kind: PlayerKind,
-    k: int,
-    T: int,
-    L: float,
-    U: float,
-    beta: float,
-    variant: Variant,
-    family: ThresholdFamily | None = None,
-) -> PlayerState:
-    """Build a fresh single-use player from raw parameters.
-
-    ``kind`` names the algorithm; ``variant`` is the instance's, and the
-    player reads it from its threshold family, so every kind plays both
-    sides.  ``family`` overrides the threshold construction, for a caller
-    that reuses one family or plays rails built from another beta than the
-    instance charges; its variant and k must be the player's.
-    """
-    if not (1 <= k <= T):
-        raise ParameterError(f"need 1 <= k <= T, got k={k}, T={T}")
-    if family is None:
-        family = player_family(kind, k, U, L, beta, variant)
-    elif family.variant is not variant:
-        raise ParameterError(
-            f"a {family.variant.value} family cannot play a {variant.value} instance"
-        )
-    elif family.k != k:
-        raise ParameterError(f"a family of k={family.k} cannot play k={k} units")
-    return PlayerState(k=family.k, T=T, family=family)
+def new_player(family: ThresholdFamily, T: int) -> PlayerState:
+    """A fresh single-use player of ``family`` (its rails, k and variant)
+    over ``T`` slots; `thresholds.player_family` builds a kind's family."""
+    if not (1 <= family.k <= T):
+        raise ParameterError(f"need 1 <= k <= T, got k={family.k}, T={T}")
+    return PlayerState(T=T, family=family)
 
 
-def run_online(
-    kind: PlayerKind, inst: Instance, family: ThresholdFamily | None = None
-) -> Schedule:
-    """Step a fresh player through c_1..c_T and return its (always feasible)
-    schedule; once it has filled its k units it is no longer stepped and its
-    decisions are 0."""
-    k = inst.k
-    player = new_player(kind, k, inst.T, inst.L, inst.U, inst.beta, inst.variant, family)
+def run_online(family: ThresholdFamily, inst: Instance) -> Schedule:
+    """Step a fresh player of ``family`` through c_1..c_T and return its
+    (always feasible) schedule; once it has filled its k units it is no
+    longer stepped and its decisions are 0.  The family's variant and k must
+    be the instance's; its rails may come from another beta than the
+    instance charges."""
+    if family.variant is not inst.variant:
+        raise ParameterError(f"a {family.variant.value} family cannot play a "
+                             f"{inst.variant.value} instance")
+    if family.k != inst.k:
+        raise ParameterError(f"a family of k={family.k} cannot play k={inst.k} units")
+    player = new_player(family, inst.T)
     sched = Schedule(tuple(0 if player.exhausted else player.step(p) for p in inst.prices))
-    if sched.num_accepted() != k:
-        raise ProtocolError(f"{kind.value} accepted {sched.num_accepted()} of k={k} units")
+    if sched.num_accepted() != inst.k:
+        raise ProtocolError(f"player accepted {sched.num_accepted()} of k={inst.k} units")
     return sched
 
 
-def hindsight_trace(
-    kind: PlayerKind, inst: Instance, family: ThresholdFamily | None = None
-) -> tuple[Schedule, CostBreakdown]:
-    """Run a player and evaluate its schedule in one call."""
-    sched = run_online(kind, inst, family)
+def hindsight_trace(family: ThresholdFamily, inst: Instance) -> tuple[Schedule, CostBreakdown]:
+    """Run a player of ``family`` and evaluate its schedule in one call."""
+    sched = run_online(family, inst)
     return sched, evaluate_schedule(inst, sched)
 
 

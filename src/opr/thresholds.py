@@ -324,9 +324,9 @@ def player_families(
 def player_family(
     kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
 ) -> ThresholdFamily:
-    """`player_families` on one cell, as a family, raising its error.  A
-    caller that runs many players on the same parameters can build the
-    family once and hand it to ``new_player``/``run_online``."""
+    """`player_families` on one cell, as a family, raising its error.  Every
+    player is made this way, since `algorithms` plays only families; a caller
+    that runs many players on the same parameters builds the family once."""
     table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
     if failed:
         raise failed[0]

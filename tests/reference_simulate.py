@@ -5,8 +5,8 @@ for every row with the lane DP and plays every (trial, algorithm) lane in
 one `play_lanes` call.  This module builds the same records one trial at a
 time from the one-row parts: `sample_segment_with_offset`, the noise, floor
 and widen rules of `opr.experiment`'s module docstring written out here, an
-`Instance`, each player stepped by `run_online`, and OPT by the exhaustive
-`brute_force_optimal`.  No user path of ``opr`` needs it.
+`Instance`, each player's `player_family` stepped by `run_online`, and OPT
+by the exhaustive `brute_force_optimal`.  No user path of ``opr`` needs it.
 """
 
 import math
@@ -66,8 +66,8 @@ def reference_record(
     for name in cfg.algs:
         kind, edge = PlayerKind(name), (U - L) / 2
         clipped = kind is PlayerKind.DTPR and variant is Variant.MIN and beta >= edge
-        family = player_family(kind, k, U, L, BETA_CLIP * edge, variant) if clipped else None
-        alg = evaluate_schedule(inst, run_online(kind, inst, family))
+        family = player_family(kind, k, U, L, BETA_CLIP * edge if clipped else beta, variant)
+        alg = evaluate_schedule(inst, run_online(family, inst))
         algs[name] = {"total": alg.total, "switches": alg.num_switches,
                       "ratio": cost_ratio(alg.total, opt.total, variant), "beta_clipped": clipped}
     record.update(opt_total=opt.total, algs=algs)

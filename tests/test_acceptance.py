@@ -189,11 +189,9 @@ def test_criterion_dtpr_upper_bound():
             U = L * theta
             if variant is Variant.MIN:
                 beta = float(rng.uniform(0.02, 0.95)) * (U - L) / 2
-                kind = PlayerKind.DTPR
                 family = dtpr_min_thresholds(k, U, L, beta)
             else:
                 beta = float(rng.uniform(0.02, 0.9)) * min(k * L, U - L) / 2
-                kind = PlayerKind.DTPR
                 family = dtpr_max_thresholds(k, U, L, beta)
             ratio_bound = family.ratio
             T = int(rng.integers(k, 3 * k + 12))
@@ -204,7 +202,7 @@ def test_criterion_dtpr_upper_bound():
                 inst = Instance(
                     k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant, prices=prices
                 )
-                _, cost = hindsight_trace(kind, inst)
+                _, cost = hindsight_trace(family, inst)
                 _, opt = dp_optimal(inst)
                 ratio = cost_ratio(cost.total, opt.total, variant)
                 worst_excess = max(worst_excess, ratio - ratio_bound)

@@ -40,9 +40,14 @@ def max_inst(prices, k, L, U, beta):
     )
 
 
+def family_of(kind, inst):
+    """``kind``'s family on the instance's cell."""
+    return player_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant)
+
+
 class TestStep:
     def test_horizon_equals_k_forces_every_slot(self):
-        player = new_player(PlayerKind.DTPR, 3, 3, 5, 30, 3, Variant.MIN)
+        player = new_player(dtpr_min_thresholds(3, 30, 5, 3), 3)
         assert [player.step(p) for p in (30, 30, 30)] == [1, 1, 1]
 
     def test_all_upper_bound_prices_forced_tail(self):
@@ -50,14 +55,14 @@ class TestStep:
         fam = dtpr_min_thresholds(k, U, L, beta)
         assert fam.lower[0] < U  # rejects are voluntary until the deadline
         inst = min_inst([U] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
+        sched, cost = hindsight_trace(fam, inst)
         assert sched.decisions == (0,) * 7 + (1,) * 3
         assert cost.total == pytest.approx(k * U + 2 * beta)
 
     def test_all_lower_bound_prices_accept_immediately(self):
         k, L, U, beta = 3, 5.0, 30.0, 3.0
         inst = min_inst([L] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
+        sched, cost = hindsight_trace(family_of(PlayerKind.DTPR, inst), inst)
         assert sched.decisions == (1, 1, 1) + (0,) * 7
         assert cost.total == pytest.approx(k * L + 2 * beta)
 
@@ -68,11 +73,11 @@ class TestStep:
         mid = (fam.lower[1] + fam.upper[1]) / 2
         assert fam.lower[1] < mid <= fam.upper[1]
 
-        on = new_player(PlayerKind.DTPR, k, 20, L, U, beta, Variant.MIN)
+        on = new_player(fam, 20)
         assert on.step(fam.lower[0]) == 1  # switch on at the resume rail
         assert on.step(mid) == 1  # stay rail tolerates it
 
-        off = new_player(PlayerKind.DTPR, k, 20, L, U, beta, Variant.MIN)
+        off = new_player(fam, 20)
         assert off.step(fam.lower[0]) == 1
         assert off.step(U) == 0  # switched away
         assert off.step(mid) == 0  # same price now needs the resume rail
@@ -89,32 +94,32 @@ class TestStep:
             prices = (off[0], on[1]) + ((U if variant is Variant.MIN else L),) * 8
             inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=variant,
                             prices=prices)
-            assert run_online(kind, inst).decisions[:2] == (1, 1)
-            player = new_player(kind, k, inst.T, L, U, beta, variant)
+            assert run_online(fam, inst).decisions[:2] == (1, 1)
+            player = new_player(fam, inst.T)
             assert [player.step(p) for p in prices[:2]] == [1, 1]
             for prefix, rail in (((), off[0]), ((off[0],), on[1])):
                 nudged = math.nextafter(rail, worse)
                 if L <= nudged <= U:
-                    player = new_player(kind, k, inst.T, L, U, beta, variant)
+                    player = new_player(fam, inst.T)
                     decisions = [player.step(p) for p in prefix + (nudged,)]
                     assert decisions == [1] * len(prefix) + [0]
 
     def test_exhausted_player_raises(self):
-        player = new_player(PlayerKind.DTPR, 1, 5, 5, 30, 3, Variant.MIN)
+        player = new_player(dtpr_min_thresholds(1, 30, 5, 3), 5)
         player.step(5)
         assert player.exhausted
         with pytest.raises(ProtocolError):
             player.step(5)
 
     def test_step_past_horizon_raises(self):
-        player = new_player(PlayerKind.DTPR, 2, 2, 5, 30, 3, Variant.MIN)
+        player = new_player(dtpr_min_thresholds(2, 30, 5, 3), 2)
         player.step(30)
         player.step(30)
         with pytest.raises(ProtocolError):
             player.step(30)
         # a state built directly skips new_player's k <= T check, so it
         # runs out of slots before units
-        state = PlayerState(k=2, T=1, family=dtpr_min_thresholds(2, 30, 5, 3))
+        state = PlayerState(T=1, family=dtpr_min_thresholds(2, 30, 5, 3))
         state.step(30)
         with pytest.raises(ProtocolError, match=r"^step past horizon T=1$"):
             state.step(30)
@@ -124,7 +129,19 @@ class TestStep:
         # a DTPR player of k=3, T=2 used to take 2 steps and then raise
         # ProtocolError("step past horizon") mid-run
         with pytest.raises(ParameterError, match=r"need 1 <= k <= T, got k=3, T=2$"):
-            new_player(kind, 3, 2, 1, 3, 0.5, Variant.MIN)
+            new_player(player_family(kind, 3, 3, 1, 0.5, Variant.MIN), 2)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_state_plays_exactly_its_familys_k_units(self, variant):
+        # the state reads k from its family; a separate k field used to
+        # disagree with it: k=3 on a 2-unit family raised IndexError on the
+        # third step, and k=1 stopped after one of its two units
+        family = player_family(PlayerKind.DTPR, 2, 30, 5, 3, variant)
+        best = 5 if variant is Variant.MIN else 30
+        state = PlayerState(T=10, family=family)
+        assert [state.step(best) for _ in range(2)] == [1, 1] and state.exhausted
+        with pytest.raises(ProtocolError, match=r"^player already filled all 2 units$"):
+            state.step(best)
 
     def test_one_kind_serves_both_variants(self):
         T, L, U, beta = 8, 5.0, 30.0, 3.0
@@ -150,34 +167,37 @@ class TestStep:
             }
             assert set(expected) == set(PlayerKind)
             for kind, family in expected.items():
-                player = new_player(kind, k, T, L, U, beta, variant)
+                player = new_player(player_family(kind, k, U, L, beta, variant), T)
                 assert player.family == family
                 assert player.family.variant is variant
-                assert type(player.k) is int and type(player.family.k) is int
+                assert type(player.family.k) is int
         with pytest.raises(ParameterError):
             resolve_player_kind("dtpr-min")
 
     def test_family_variant_must_match_instance(self):
         family = dtpr_min_thresholds(2, 30, 5, 3)
-        with pytest.raises(ParameterError):
-            new_player(PlayerKind.DTPR, 2, 5, 5, 30, 3, Variant.MAX, family)
+        inst = max_inst([30.0] * 5, 2, 5, 30, 3)
+        for play in (run_online, hindsight_trace):
+            with pytest.raises(ParameterError,
+                               match=r"^a min family cannot play a max instance$"):
+                play(family, inst)
 
     @pytest.mark.parametrize("family_k", [5, 2])
     def test_family_k_must_match_instance(self, family_k):
         # a longer family used to play on its first 3 rails, a shorter one
         # to raise IndexError mid-run
         family = dtpr_min_thresholds(family_k, 30, 5, 3)
-        with pytest.raises(ParameterError):
-            new_player(PlayerKind.DTPR, 3, 10, 5, 30, 3, Variant.MIN, family)
         inst = min_inst([30.0] * 10, 3, 5, 30, 3)
-        with pytest.raises(ParameterError):
-            run_online(PlayerKind.DTPR, inst, family)
+        for play in (run_online, hindsight_trace):
+            with pytest.raises(ParameterError,
+                               match=rf"^a family of k={family_k} cannot play k=3 units$"):
+                play(family, inst)
 
 
 class TestRunOnline:
     def test_carbon_agnostic_first_k(self):
         inst = min_inst([10, 20, 5, 8, 30], 2, 5, 30, 2)
-        sched, cost = hindsight_trace(PlayerKind.CARBON_AGNOSTIC, inst)
+        sched, cost = hindsight_trace(family_of(PlayerKind.CARBON_AGNOSTIC, inst), inst)
         assert sched.decisions == (1, 1, 0, 0, 0)
         assert cost.switching_cost == pytest.approx(2 * 2)
 
@@ -187,7 +207,7 @@ class TestRunOnline:
         fam = dtpr_min_thresholds(k, U, L, beta)
         prices = [fam.lower[0]] + [U] * 9
         inst = min_inst(prices, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
+        sched, cost = hindsight_trace(fam, inst)
         assert sched.decisions[0] == 1
         assert cost.total == pytest.approx(fam.lower[0] + (k - 1) * U + 4 * beta)
 
@@ -198,14 +218,14 @@ class TestRunOnline:
                 k=3, T=len(prices), L=5, U=30, beta=0.0, variant=variant,
                 prices=tuple(prices),
             )
-            a = run_online(PlayerKind.DTPR, inst)
-            b = run_online(PlayerKind.KSEARCH, inst)
+            a = run_online(family_of(PlayerKind.DTPR, inst), inst)
+            b = run_online(family_of(PlayerKind.KSEARCH, inst), inst)
             assert a.decisions == b.decisions
 
     def test_dtpr_max_all_upper(self):
         k, L, U, beta = 3, 5.0, 30.0, 3.0
         inst = max_inst([U] * 10, k, L, U, beta)
-        sched, cost = hindsight_trace(PlayerKind.DTPR, inst)
+        sched, cost = hindsight_trace(family_of(PlayerKind.DTPR, inst), inst)
         assert sched.decisions == (1, 1, 1) + (0,) * 7
         assert cost.total == pytest.approx(k * U - 2 * beta)
 
@@ -218,15 +238,15 @@ class TestRunOnline:
             PlayerKind.CARBON_AGNOSTIC,
         ):
             inst = min_inst(prices, 3, 5, 30, 2)
-            _, cost = hindsight_trace(kind, inst)
+            _, cost = hindsight_trace(family_of(kind, inst), inst)
             assert cost.total == pytest.approx(sum(prices) + 2 * 2)
 
     def test_player_short_of_k_is_a_protocol_error(self, monkeypatch):
         # a player that never accepts breaks the forced-acceptance rule
         monkeypatch.setattr(PlayerState, "step", lambda self, price: 0)
         inst = min_inst([10, 20, 5, 8, 30], 2, 5, 30, 2)
-        with pytest.raises(ProtocolError, match=r"^dtpr accepted 0 of k=2 units$"):
-            run_online(PlayerKind.DTPR, inst)
+        with pytest.raises(ProtocolError, match=r"^player accepted 0 of k=2 units$"):
+            run_online(family_of(PlayerKind.DTPR, inst), inst)
 
 
 @st.composite
@@ -254,7 +274,7 @@ def _on_the_rails(inst, data):
     (or a price bound), so the comparisons hit their ties."""
     rails = {inst.L, inst.U}
     for kind in PlayerKind:
-        fam = player_family(kind, inst.k, inst.U, inst.L, inst.beta, inst.variant)
+        fam = family_of(kind, inst)
         rails.update(v for v in fam.lower + fam.upper if inst.L <= v <= inst.U)
     menu = sorted(rails)
     prices = tuple(data.draw(st.sampled_from(menu)) for _ in range(inst.T))
@@ -267,7 +287,7 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_every_kind_is_feasible(self, inst):
         for kind in PlayerKind:
-            sched = run_online(kind, inst)
+            sched = run_online(family_of(kind, inst), inst)
             assert sched.num_accepted() == inst.k
             if kind is PlayerKind.CARBON_AGNOSTIC:
                 assert sched.decisions == (1,) * inst.k + (0,) * (inst.T - inst.k)
@@ -287,7 +307,8 @@ class TestProperties:
         other = Instance(k=inst.k, T=inst.T, L=inst.L, U=inst.U, beta=inst.beta,
                          variant=inst.variant, prices=inst.prices[:t] + tuple(tail))
         for kind in PlayerKind:
-            assert run_online(kind, other).decisions[:t] == run_online(kind, inst).decisions[:t]
+            family = family_of(kind, inst)
+            assert run_online(family, other).decisions[:t] == run_online(family, inst).decisions[:t]
 
     @given(random_instances())
     @settings(max_examples=150, deadline=None)
@@ -298,18 +319,17 @@ class TestProperties:
         _, opt = dp_optimal(inst)
         if inst.variant is Variant.MIN:
             alpha = solve_alpha(inst.k, inst.U, inst.L, inst.beta)
-            _, cost = hindsight_trace(PlayerKind.DTPR, inst)
+            _, cost = hindsight_trace(family_of(PlayerKind.DTPR, inst), inst)
             assert cost.total <= alpha * opt.total + 1e-6
         else:
             omega = solve_omega(inst.k, inst.U, inst.L, inst.beta)
-            _, cost = hindsight_trace(PlayerKind.DTPR, inst)
+            _, cost = hindsight_trace(family_of(PlayerKind.DTPR, inst), inst)
             assert opt.total <= omega * cost.total + 1e-6
 
     @given(random_instances())
     @settings(max_examples=60, deadline=None)
     def test_dtpr_never_beats_exact_optimum(self, inst):
-        kind = PlayerKind.DTPR
-        _, cost = hindsight_trace(kind, inst)
+        _, cost = hindsight_trace(family_of(PlayerKind.DTPR, inst), inst)
         _, opt = dp_optimal(inst)
         if inst.variant is Variant.MIN:
             assert cost.total >= opt.total - 1e-9
@@ -331,7 +351,7 @@ def _check_lanes(insts):
     k, T, variant = insts[0].k, insts[0].T, insts[0].variant
     kinds = list(PlayerKind)
     families = [
-        [player_family(kind, k, inst.U, inst.L, inst.beta, variant) for kind in kinds]
+        [family_of(kind, inst) for kind in kinds]
         for inst in insts
     ]
     distinct = list(dict.fromkeys(f for row in families for f in row))
@@ -344,7 +364,7 @@ def _check_lanes(insts):
     assert decisions.dtype == np.int8 and decisions.shape == (len(insts), len(kinds), T)
     for i, inst in enumerate(insts):
         for a, kind in enumerate(kinds):
-            played = run_online(kind, inst, families[i][a]).decisions
+            played = run_online(families[i][a], inst).decisions
             assert tuple(decisions[i, a].tolist()) == played
     return decisions
 

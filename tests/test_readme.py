@@ -37,7 +37,7 @@ def test_known_gap_dtpr_min_exceeds_alpha_on_theorys_cell():
               + [math.nextafter(family.lower[7], math.inf)] * 33 + [U] * 33)
     inst = Instance(k=k, T=len(prices), L=L, U=U, beta=beta, variant=Variant.MIN,
                     prices=prices)
-    alg = evaluate_schedule(inst, run_online(PlayerKind.DTPR, inst, family))
+    alg = evaluate_schedule(inst, run_online(family, inst))
     _, opt = dp_optimal(inst)
     ratio = alg.total / opt.total
     [gap] = re.findall(r"\*\*Known gap\.\*\*(.*?)\n\*", README.read_text(encoding="utf-8"), re.S)

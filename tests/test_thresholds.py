@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import ratio_reference
 from ratio_reference import max_lower_threshold, max_residual, min_residual, min_upper_threshold
 import opr.thresholds
-from opr.algorithms import new_player
 from opr.core import Variant, check_cell
 from opr.errors import ParameterError, RegimeError
 from opr.thresholds import (
@@ -104,7 +103,7 @@ class TestSolvers:
         for kind in PlayerKind:
             for variant in Variant:
                 with pytest.raises(ParameterError):
-                    new_player(kind, 2, 10, -1.0, 30.0, 1.0, variant)
+                    player_family(kind, 2, 30.0, -1.0, 1.0, variant)
 
     @pytest.mark.parametrize(
         "U, beta", [(30.0, math.nan), (30.0, math.inf), (math.inf, 1.0), (30.0, -5.0)]
@@ -123,7 +122,7 @@ class TestSolvers:
         for kind in PlayerKind:
             for variant in Variant:
                 with pytest.raises(ParameterError):
-                    new_player(kind, 4, 10, 5.0, U, beta, variant)
+                    player_family(kind, 4, U, 5.0, beta, variant)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 2.5])
     def test_non_integer_k_rejected(self, k):
@@ -136,7 +135,7 @@ class TestSolvers:
         for kind in PlayerKind:
             for variant in Variant:
                 with pytest.raises(ParameterError):
-                    new_player(kind, k, 10, 5.0, 30.0, 1.0, variant)
+                    player_family(kind, k, 30.0, 5.0, 1.0, variant)
 
     def test_integral_float_k_builds_the_int_family(self):
         # k = 2.0 passes the k check; it used to reach `range(1, k + 1)` in
