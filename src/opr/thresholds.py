@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Variant, check_cell, check_k
+from .core import Variant, check_cell, check_k, check_variant
 from .errors import OprError, ParameterError, RegimeError
 
 
@@ -53,6 +53,8 @@ class ThresholdFamily:
 
     Double-threshold rails are ``2*beta`` apart, the constant and agnostic
     ones equal; the player's previous decision picks the rail at each step.
+    A variant that is not a `Variant`, a rail not k long or a rail value that
+    is not finite raises `ParameterError`, since `algorithms` plays any family.
     """
 
     variant: Variant
@@ -62,8 +64,14 @@ class ThresholdFamily:
     ratio: float
 
     def __post_init__(self) -> None:
+        check_variant(self.variant)
         if len(self.lower) != self.k or len(self.upper) != self.k:
             raise ParameterError("threshold family must hold exactly k values per rail")
+        rails = (*self.lower, *self.upper)
+        if not all(map(math.isfinite, rails)):
+            i, value = next((i, v) for i, v in enumerate(rails) if not math.isfinite(v))
+            name = f"lower[{i}]" if i < self.k else f"upper[{i - self.k}]"
+            raise ParameterError(f"threshold rails must be finite, got {name}={value}")
 
 
 class PlayerKind(Enum):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from brute_force import SizeError, brute_force_optimal
 from opr.core import Instance, Variant, evaluate_schedule
+from opr.errors import ParameterError
 from opr import offline
 from opr.offline import _dp_kernel, dp_decisions, dp_optimal
 
@@ -305,3 +306,55 @@ class TestBatchedDP:
     def test_empty_batch(self):
         decisions = dp_decisions(np.empty((0, 5)), 2, 1.0, Variant.MIN)
         assert decisions.dtype == np.int8 and decisions.shape == (0, 5)
+
+
+@st.composite
+def seam_batches(draw):
+    """(n, T) signed prices, k and beta for the flat kernel's row seams:
+    1..12 rows whose scales (1e-3 to 1e6) may differ from row to row, T at
+    the byte edges or up to 80, k of 1, T or between, and beta 0, past every
+    price gap or drawn."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    T = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 15, 16, 17]), st.integers(1, 80)))
+    k = draw(st.one_of(st.just(1), st.just(T), st.integers(min_value=1, max_value=T)))
+    scales = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e6]), min_size=n, max_size=n))
+    unit = st.floats(min_value=1.0, max_value=4.0)
+    prices = np.array(
+        [[scale * v for v in draw(st.lists(unit, min_size=T, max_size=T))] for scale in scales]
+    )
+    beta = draw(st.one_of(st.just(0.0), st.just(8.0 * max(scales)), st.floats(0, 10)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return sign * prices, k, beta
+
+
+class TestRowSeams:
+    @given(seam_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_bytes_equal_the_byte_per_state_kernel(self, case):
+        # the flat kernel runs every row end to end in one buffer; a seam
+        # cell leaking into a neighbour row of another scale changes a cost
+        prices, k, beta = case
+        T = prices.shape[1]
+        cost, packed = _dp_kernel(prices, k, beta)
+        ref_cost, ref_back = byte_per_state_kernel(prices, k, beta)
+        assert cost.tobytes() == ref_cost[k].tobytes()
+        assert packed.tobytes() == np.packbits(ref_back, axis=-1, bitorder="little").tobytes()
+        assert packed.shape == (k + 1, 2, len(prices), (T + 7) // 8)
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_prices_must_be_finite(self, bad, variant):
+        prices = np.ones((3, 4))
+        prices[1, 2] = prices[2, 0] = bad
+        with pytest.raises(
+            ParameterError, match=rf"^need finite prices, got {bad} at row 1, slot 2$"
+        ):
+            dp_decisions(prices, 2, 1.0, variant)
+
+    @pytest.mark.parametrize("k", [0, -1, 4, 5])
+    def test_k_must_be_within_1_to_T(self, k):
+        # k > T used to return an all-zero row and k = 0 an empty schedule
+        with pytest.raises(ParameterError, match=rf"^need 1 <= k <= T, got k={k}, T=3$"):
+            dp_decisions(np.ones((1, 3)), k, 1.0, Variant.MIN)

@@ -192,6 +192,26 @@ class TestSolvers:
         assert cell == omega
 
 
+class TestFamilyChecks:
+    @pytest.mark.parametrize("variant", ["min", "max", 0, None])
+    def test_variant_must_be_a_variant(self, variant):
+        # 'min' failed `variant is Variant.MIN` in the step rule, so the
+        # family played the max rule: it took a price above its threshold
+        with pytest.raises(ParameterError, match=r"^variant must be a Variant, got "):
+            ThresholdFamily(variant, 1, (5.0,), (5.0,), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rail", ["lower", "upper"])
+    def test_rails_must_be_finite(self, rail, bad):
+        # NaN rails used to refuse every price until the deadline forced one
+        rails = dict(lower=(5.0, 6.0), upper=(7.0, 8.0))
+        rails[rail] = (rails[rail][0], bad)
+        with pytest.raises(
+            ParameterError, match=rf"^threshold rails must be finite, got {rail}\[1\]={bad}$"
+        ):
+            ThresholdFamily(Variant.MIN, 2, ratio=1.0, **rails)
+
+
 class TestMinFamily:
     def test_k1_beta0_is_the_constant_rule(self):
         fam = dtpr_min_thresholds(1, 100, 1, 0)
