@@ -205,15 +205,21 @@ def _complete_record(
     """A trial's last phase: its OPT total, then the total, switches, ratio
     and clipped flag of each algorithm in ``names`` order.  ``opt`` and each
     of ``lanes`` hold the decision bytes and flip count of one schedule; a
-    lane also holds its clipped flag."""
+    lane also holds its clipped flag.  Each lane is checked as it is scored:
+    a total that overflows, or a ratio below 1 (a defect: OPT is exact), raises."""
     _, _, opt_total = lane_cost(prices, *opt, beta, variant)
     record.update(opt_total=opt_total, algs={})
     for name, (decisions, flips, clipped) in zip(names, lanes):
         _, _, total = lane_cost(prices, decisions, flips, beta, variant)
+        if not math.isfinite(total):
+            raise ParameterError(f"{name} total {total} overflows")
+        ratio = cost_ratio(total, opt_total, variant)
+        if ratio < 1 - 1e-9:
+            raise OprError(f"{name} ratio {ratio} below 1; OPT is exact, this indicates a defect")
         record["algs"][name] = {
             "total": total,
             "switches": flips,
-            "ratio": cost_ratio(total, opt_total, variant),
+            "ratio": ratio,
             "beta_clipped": clipped,
         }
     return record
@@ -234,11 +240,11 @@ def _run_trials(
     families of each distinct (L, U) are built by one `player_families`
     call into the rows of one rail table, and each lane is pointed at its
     row; OPT is solved for every row and every lane is played in one
-    `play_lanes` call.  The first sampling error, or the first family error
-    in trial and algorithm order, is raised as ``trial i: ...`` once every
-    trial before it, and every algorithm before it in its trial, is scored.
-    A T longer than the trace or an infinite beta fails first, naming no
-    trial.
+    `play_lanes` call.  One scoring loop raises the first per-trial failure
+    in trial and algorithm order, as ``trial i: ...``: a family error at the
+    first lane it fails, `_complete_record`'s own, or, after the trials
+    before it, a sampling error.  A T longer than the trace, or a beta that
+    is infinite or overflows OPT, fails first, naming no trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -263,28 +269,23 @@ def _run_trials(
             cells.append((kind, U, L, _BETA_CLIP * edge if clip else beta_abs))
             clips.append(clip)
     table, _, failed = player_families(cells, k, variant)
-    clipped = [clips[f] for f in lane_rows.ravel().tolist()]
-    del seen, group, cells, clips  # freed before the DP and the players run
-    bad = np.flatnonzero(np.isin(lane_rows, list(failed))).tolist()
-    if bad:  # the first failing lane ends the pass there
-        row, a = divmod(bad[0], m)
-        failure = records[row]["trial"], failed[lane_rows[row, a]]
-        del records[row + 1 :], clipped[bad[0] :]
-    n = len(records)
-    if n:
-        opt_rows = dp_decisions(prices[:n], k, float(beta_abs), variant)
-        alg_rows = play_lanes(prices[:n], table, lane_rows[:n], variant)
-        opt_flips, alg_flips = lane_flips(opt_rows).tolist(), lane_flips(alg_rows).tolist()
-        opt_bytes, alg_bytes = opt_rows.tobytes(), alg_rows.tobytes()
+    del seen, group, cells  # freed before the DP and the players run
+    prices = prices[: len(records)]
+    opt_rows = dp_decisions(prices, k, float(beta_abs), variant)
+    alg_rows = play_lanes(prices, table, lane_rows, variant)
+    opt_flips, alg_flips = lane_flips(opt_rows).tolist(), lane_flips(alg_rows).tolist()
+    opt_bytes, alg_bytes = opt_rows.tobytes(), alg_rows.tobytes()
     names = [kind.value for kind in kinds]
     for i, record in enumerate(records):
+        rows = lane_rows[i].tolist()
+        scored = next((a for a, f in enumerate(rows) if f in failed), m)
         opt = opt_bytes[i * T : (i + 1) * T], opt_flips[i]
-        lanes = [
-            (alg_bytes[(i * m + a) * T : (i * m + a + 1) * T], alg_flips[i][a], clipped[i * m + a])
-            for a in range(min(m, len(clipped) - i * m))
-        ]
+        lanes = [(alg_bytes[(i * m + a) * T : (i * m + a + 1) * T], alg_flips[i][a], clips[f])
+                 for a, f in enumerate(rows[:scored])]
         try:
             _complete_record(record, prices[i].tolist(), opt, lanes, names, beta_abs, variant)
+            if scored < m:
+                raise failed[rows[scored]]
         except OprError as exc:
             raise type(exc)(f"trial {record['trial']}: {exc}") from exc
     if failure is not None:
@@ -307,8 +308,9 @@ def run_trial(
 
 
 def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
-    """Run all trials in lane passes of `pass_len` trials; the first failing
-    trial aborts the run with its index, as if run one by one."""
+    """Summarize all trials, run in lane passes of `pass_len` trials whose
+    `_run_trials` decides every failure: the first failing trial aborts the
+    run with its index, as if run one by one."""
     bounds = trace_bounds(ds)
     beta_abs = cfg.beta if cfg.beta is not None else cfg.beta_frac * bounds.U
     records = []
@@ -320,14 +322,7 @@ def run_experiment(cfg: ExperimentConfig, ds: TraceDataset) -> ExperimentResult:
     summary: dict[str, dict] = {}
     cdf: dict[str, tuple[tuple[float, float], ...]] = {}
     for name in cfg.algs:
-        ratios = [rec["algs"][name]["ratio"] for rec in records]
-        for rec, ratio in zip(records, ratios):
-            if ratio < 1 - 1e-9:
-                raise OprError(
-                    f"trial {rec['trial']}: {name} ratio {ratio} below 1; OPT is exact, "
-                    "this indicates a defect"
-                )
-        mean, p95, worst, points = summarize(ratios)
+        mean, p95, worst, points = summarize([rec["algs"][name]["ratio"] for rec in records])
         summary[name] = {"mean": mean, "p95": p95, "max": worst}
         cdf[name] = points
     config_echo = {

@@ -109,6 +109,7 @@ def _dp_kernel(prices: np.ndarray, k: int, beta: float):
     return np.stack((off[T::W], on[T::W])), packed
 
 
+@np.errstate(over="ignore")  # an inf cost already means no schedule passes there
 def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> np.ndarray:
     """The optimal decisions of every row of (n, T) prices, as (n, T) int8.
 
@@ -116,7 +117,8 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
     rows a call.  Each row's backtrace walks back from slot T one accept at a
     time, skips a run of rejects to its highest set off backpointer by one bit
     search, and stops at the row's first accept.  k outside 1..T or a price
-    that is not finite raises `ParameterError`, before any kernel call.
+    that is not finite raises `ParameterError`, before any kernel call, and
+    so does a row whose optimal cost is not finite, after its kernel call.
     """
     n, T = prices.shape
     if not 1 <= k <= T:
@@ -131,8 +133,11 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
     for start in range(0, n, step):
         rows = prices[start : start + step]
         cost, packed = _dp_kernel(rows if variant is Variant.MIN else -rows, k, beta)
-        # closing boundary: a final x_T = 1 pays one more flip
-        close_on = (cost[0] > cost[1] + beta).tolist()
+        closed = cost[1] + beta  # closing boundary: a final x_T = 1 pays one more flip
+        best = np.minimum(cost[0], closed)  # checked by min and max, as the prices are
+        if not (-_INF < best.min() and best.max() < _INF):
+            raise ParameterError(f"optimal cost overflows at beta={beta}, k={k}")
+        close_on = (cost[0] > closed).tolist()
         back, batch, width = memoryview(packed.reshape(-1)), len(rows), packed.shape[-1]
         for i, p in enumerate(close_on):
             j, t, row = k, T - 1, (start + i) * T

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
 import decimal
+import hashlib
 import json
 import math
 import os
@@ -536,6 +537,38 @@ class TestSimulate:
         ) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta, message", [
+        ("1e308", "optimal cost overflows at beta=1e+308, k=8"),
+        ("8.9e307", "trial 0: ksearch total inf overflows"),
+    ], ids=["opt", "player"])
+    def test_overflowing_beta_exits_2(self, beta, message, tmp_path, capsys):
+        # every schedule pays at least two flips of beta: at 1e308 OPT's own
+        # cost overflows, at 8.9e307 only that of a player that flips more.
+        # The first used to fail on OPT's zero total, the second to write
+        # an Infinity ratio into results.json
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--trace", str(SHIPPED_TRACE),
+             "--beta", beta, "--trials", "2", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_beta_short_of_overflow_writes_its_results_unchanged(self, tmp_path, monkeypatch):
+        # the bare file name makes the echoed trace_source the same on every
+        # machine; the digest was taken before the overflow checks existed
+        monkeypatch.chdir(resources.files("opr") / "data")
+        out = tmp_path / "r.json"
+        assert main(
+            ["simulate", "--variant", "min", "--trace", SHIPPED_TRACE.name,
+             "--beta", "1e307", "--trials", "2", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "264b27c72cea8110f510f2805165e9cf5215aadab0c505a54613bf9b05c98db2"
+        )
 
     @pytest.mark.parametrize("algs", ["dtpr,dtpr", ","])
     def test_empty_or_repeated_algs_exit_2_before_trial_0(self, algs, tmp_path, capsys):

@@ -563,6 +563,50 @@ class TestChunkedTrials:
             [(4, 1)] if reported == 4 else []
         )
 
+    @pytest.mark.parametrize("fault, reported, message", [
+        ("defect", 0, r"dtpr ratio \S+ below 1; OPT is exact, this indicates a defect"),
+        ("family", 4, "cannot build"),
+    ], ids=["defect", "family"])
+    def test_first_failure_across_kinds_is_reported(self, monkeypatch, fault, reported, message):
+        # trial 6 fails to sample later in the same pass than a ratio defect
+        # at trial 0 (an OPT of each row's first k slots, which DTPR beats)
+        # or a family failure at trial 4 (ksearch at that trial's (L, U)):
+        # the earlier failure is reported, after the trials before it
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(
+            variant=Variant.MIN, T=24, beta=1.0, noise=3.0, trials=8, seed=0,
+            algs=("dtpr", "ksearch", "const"),
+        )
+        bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
+        sample, build = experiment.sample_pass, experiment.player_families
+
+        def failing_sample(cfg, ds, bounds, start, prices):
+            records, failure = sample(cfg, ds, bounds, start, prices)
+            if 0 <= 6 - start < len(records):
+                records, failure = records[: 6 - start], (6, OprError("cannot sample"))
+            return records, failure
+
+        def first_k(prices, k, beta, variant):
+            out = np.zeros(prices.shape, dtype=np.int8)
+            out[:, :k] = 1
+            return out
+
+        def failing_families(cells, k, variant):
+            table, ratios, failed = build(cells, k, variant)
+            return table, ratios, {**failed, **{
+                f: RegimeError("cannot build") for f, (kind, U, L, _) in enumerate(cells)
+                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]}}
+
+        monkeypatch.setattr(experiment, "sample_pass", failing_sample)
+        if fault == "defect":
+            monkeypatch.setattr(experiment, "dp_decisions", first_k)
+        else:
+            monkeypatch.setattr(experiment, "player_families", failing_families)
+        scored = self._scored_trials(monkeypatch)
+        with pytest.raises(OprError, match=f"^trial {reported}: {message}$"):
+            run_experiment(cfg, ds)
+        assert scored == list(range(reported + 1))
+
 
 @st.composite
 def _sampling_runs(draw):

@@ -358,3 +358,16 @@ class TestPreconditions:
         # k > T used to return an all-zero row and k = 0 an empty schedule
         with pytest.raises(ParameterError, match=rf"^need 1 <= k <= T, got k={k}, T=3$"):
             dp_decisions(np.ones((1, 3)), k, 1.0, Variant.MIN)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_an_optimal_cost_that_overflows_is_refused(self, variant):
+        # every schedule pays two flips of beta, which overflow at 1e308; the
+        # backtrace of the all-inf costs used to return a row of no accepts
+        prices = np.array([[5.0, 1.0, 7.0, 2.0]])
+        with pytest.raises(
+            ParameterError, match=r"^optimal cost overflows at beta=1e\+308, k=2$"
+        ):
+            dp_decisions(prices, 2, 1e308, variant)
+        # two flips of 8.9e307 stay finite, and so does the row's cost
+        assert dp_decisions(prices, 2, 8.9e307, Variant.MIN).tolist() == [[1, 1, 0, 0]]
