@@ -16,8 +16,8 @@ in the trial record rather than silently applied.
 
 A run goes in lane passes: `sample_pass` samples a pass of trials into one
 (n, T) price array, OPT is solved for every row, every (trial, algorithm)
-lane is played in one `play_lanes` call, and the records are completed in
-trial order.
+lane is played in one `play_lanes` call, `core.lane_totals` prices them
+all, and the records are completed in trial order.
 Threshold families depend on a trial only through its (L, U), so a pass
 builds each algorithm's family once for each distinct (L, U) it meets, with
 one `solve_ratios` call for all their ratios; the records are the same as if
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import play_lanes
-from .core import Variant, check_k, check_variant, cost_ratio, lane_cost, lane_flips
+from .core import Variant, check_k, check_variant, cost_ratio, lane_totals
 from .errors import OprError, ParameterError
 from .offline import dp_decisions
 from .thresholds import (ALG_NAMES, PlayerKind, player_families, regime_edge,
@@ -195,22 +195,18 @@ def sample_pass(
 
 def _complete_record(
     record: dict,
-    prices: list[float],
-    opt: tuple[bytes, int],
-    lanes: list[tuple[bytes, int, bool]],
+    opt_total: float,
+    lanes: list[tuple[float, int, bool]],
     names: Sequence[str],
-    beta: float,
     variant: Variant,
 ) -> dict:
     """A trial's last phase: its OPT total, then the total, switches, ratio
-    and clipped flag of each algorithm in ``names`` order.  ``opt`` and each
-    of ``lanes`` hold the decision bytes and flip count of one schedule; a
-    lane also holds its clipped flag.  Each lane is checked as it is scored:
-    a total that overflows, or a ratio below 1 (a defect: OPT is exact), raises."""
-    _, _, opt_total = lane_cost(prices, *opt, beta, variant)
+    and clipped flag of each algorithm in ``names`` order, from the total,
+    flip count and clipped flag of each of ``lanes``.  Each lane is checked
+    as it is recorded: a total that overflows, or a ratio below 1 (a defect:
+    OPT is exact), raises."""
     record.update(opt_total=opt_total, algs={})
-    for name, (decisions, flips, clipped) in zip(names, lanes):
-        _, _, total = lane_cost(prices, decisions, flips, beta, variant)
+    for name, (total, flips, clipped) in zip(names, lanes):
         if not math.isfinite(total):
             raise ParameterError(f"{name} total {total} overflows")
         ratio = cost_ratio(total, opt_total, variant)
@@ -239,12 +235,14 @@ def _run_trials(
     `sample_pass` samples the trials into the rows of one price array.  The
     families of each distinct (L, U) are built by one `player_families`
     call into the rows of one rail table, and each lane is pointed at its
-    row; OPT is solved for every row and every lane is played in one
-    `play_lanes` call.  One scoring loop raises the first per-trial failure
-    in trial and algorithm order, as ``trial i: ...``: a family error at the
-    first lane it fails, `_complete_record`'s own, or, after the trials
-    before it, a sampling error.  A T longer than the trace, or a beta that
-    is infinite or overflows OPT, fails first, naming no trial.
+    row; OPT is solved for every row, every lane is played in one
+    `play_lanes` call, and two `lane_totals` calls price them all, lanes of
+    a failed family too.  One scoring loop raises the first per-trial
+    failure in trial and algorithm order, as ``trial i: ...``: a family
+    error at the first lane it fails, `_complete_record`'s own, or, after
+    the trials before it, a sampling error.  A T longer than the trace, a
+    beta that is infinite or overflows OPT, or a lane off k fails first,
+    naming no trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -273,17 +271,16 @@ def _run_trials(
     prices = prices[: len(records)]
     opt_rows = dp_decisions(prices, k, float(beta_abs), variant)
     alg_rows = play_lanes(prices, table, lane_rows, variant)
-    opt_flips, alg_flips = lane_flips(opt_rows).tolist(), lane_flips(alg_rows).tolist()
-    opt_bytes, alg_bytes = opt_rows.tobytes(), alg_rows.tobytes()
+    _, _, opt_totals, _ = lane_totals(prices, opt_rows[:, None], k, beta_abs, variant)
+    _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs, variant)
     names = [kind.value for kind in kinds]
     for i, record in enumerate(records):
         rows = lane_rows[i].tolist()
         scored = next((a for a, f in enumerate(rows) if f in failed), m)
-        opt = opt_bytes[i * T : (i + 1) * T], opt_flips[i]
-        lanes = [(alg_bytes[(i * m + a) * T : (i * m + a + 1) * T], alg_flips[i][a], clips[f])
+        lanes = [(totals[i * m + a], flips[i * m + a], clips[f])
                  for a, f in enumerate(rows[:scored])]
         try:
-            _complete_record(record, prices[i].tolist(), opt, lanes, names, beta_abs, variant)
+            _complete_record(record, opt_totals[i], lanes, names, variant)
             if scored < m:
                 raise failed[rows[scored]]
         except OprError as exc:

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opr import core
 from opr.core import (
     Instance,
     Schedule,
     Variant,
     cost_ratio,
     evaluate_schedule,
-    lane_cost,
-    lane_flips,
+    lane_totals,
 )
 from opr.errors import DegenerateProfitError, FeasibilityError, ParameterError, StructuralError
 from opr.offline import dp_optimal
@@ -262,27 +262,34 @@ class TestInvariants:
 
 
 @st.composite
-def schedule_batches(draw):
-    """1..6 feasible schedules sharing (k, T, beta, variant); beta may be 0,
-    and large enough that max-side totals reach 0 and below."""
+def lane_batches(draw):
+    """n trials of m feasible lanes each, sharing (k, T, beta, variant): k is
+    1, T or drawn, prices sit at the scale 1e-3, 1 or 1e6, and beta is 0,
+    drawn (large enough that max-side totals reach 0 and below) or 8.9e307,
+    where four flips overflow a total to inf.  Returns each trial's
+    Instance and the (n, m, T) int8 decisions."""
     T = draw(st.integers(min_value=1, max_value=30))
-    k = draw(st.integers(min_value=1, max_value=T))
+    k = draw(st.sampled_from([1, T]) | st.integers(min_value=1, max_value=T))
     variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
-    beta = draw(st.one_of(st.just(0.0), st.floats(min_value=0, max_value=200)))
-    cases = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    beta = draw(st.sampled_from([0.0, 8.9e307]) | st.floats(min_value=0, max_value=200 * scale))
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+    insts, decisions = [], np.zeros((n, m, T), dtype=np.int8)
+    for i in range(n):
         prices = draw(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=T, max_size=T))
-        accept = set(draw(st.permutations(list(range(T))))[:k])
-        inst = Instance(k=k, T=T, L=min(prices), U=max(prices), beta=beta, variant=variant,
-                        prices=tuple(prices))
-        cases.append((inst, Schedule(tuple(int(t in accept) for t in range(T)))))
-    return cases
+        prices = [p * scale for p in prices]
+        insts.append(Instance(k=k, T=T, L=min(prices), U=max(prices), beta=beta,
+                              variant=variant, prices=tuple(prices)))
+        for a in range(m):
+            decisions[i, a, draw(st.permutations(list(range(T))))[:k]] = 1
+    return insts, decisions
 
 
 def _loop_objective(inst, decisions):
     """(accepted, switching, total, flips) by the Python flip/fsum loop the
-    objective was first written as, kept here so the lane functions are
-    checked against code they do not share."""
+    objective was first written as, kept here so `lane_totals` is checked
+    against code it does not share."""
     d = decisions
     accepted = math.fsum(itertools.compress(inst.prices, d))
     flips = d[0] + d[-1] + sum(map(operator.ne, d, d[1:]))
@@ -293,48 +300,96 @@ def _loop_objective(inst, decisions):
 
 
 class TestLaneTotals:
-    """lane_flips and lane_cost score many schedules at once, and
-    evaluate_schedule is their one-row case; all must equal the loop
-    objective bit for bit."""
+    """lane_totals prices every lane of a pass at once, and evaluate_schedule
+    is its one-row case; both must equal the loop objective bit for bit."""
 
     @staticmethod
-    def _check(cases):
-        decisions = np.array([sched.decisions for _, sched in cases], dtype=np.int8)
-        flips = lane_flips(decisions).tolist()
-        for (inst, sched), row, f in zip(cases, decisions, flips):
-            accepted, switching, total, loop_flips = _loop_objective(inst, sched.decisions)
+    def _check(insts, decisions):
+        """Check every lane of ``decisions`` against the loop objective and
+        evaluate_schedule; returns lane_totals' totals and flips."""
+        first = insts[0]
+        prices = np.array([inst.prices for inst in insts])
+        got = lane_totals(prices, decisions, first.k, first.beta, first.variant)
+        # the strided (T, n, m) layout `play_lanes` returns prices the same
+        strided = np.ascontiguousarray(decisions.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert lane_totals(prices, strided, first.k, first.beta, first.variant) == got
+        lanes = [(inst, tuple(row)) for inst, rows in zip(insts, decisions.tolist())
+                 for row in rows]
+        assert all(len(part) == len(lanes) for part in got)
+        for (inst, row), *parts, f in zip(lanes, *got):
+            accepted, switching, total, loop_flips = _loop_objective(inst, row)
             assert type(f) is int and f == loop_flips
-            got = lane_cost(list(inst.prices), row.tobytes(), f, inst.beta, inst.variant)
-            cb = evaluate_schedule(inst, sched)
-            for parts in (got, (cb.accepted_sum, cb.switching_cost, cb.total)):
-                assert [type(x) for x in parts] == [float, type(switching), float]
-                assert [x.hex() for x in map(float, parts)] == [
+            cb = evaluate_schedule(inst, Schedule(row))
+            for found in (parts, (cb.accepted_sum, cb.switching_cost, cb.total)):
+                assert [type(x) for x in found] == [float, type(switching), float]
+                assert [x.hex() for x in map(float, found)] == [
                     x.hex() for x in map(float, (accepted, switching, total))]
             assert type(cb.num_switches) is int and cb.num_switches == loop_flips
-        return flips
+        return got[2], got[3]
 
-    @given(schedule_batches())
+    @given(lane_batches())
     @settings(max_examples=200, deadline=None)
-    def test_equal_evaluate_schedule(self, cases):
-        self._check(cases)
+    def test_equal_evaluate_schedule(self, batch):
+        self._check(*batch)
 
     def test_max_side_totals_at_and_below_zero(self):
         prices = (1.0, 2.0, 1.0, 2.0)
-        cases = [
-            (Instance(k=2, T=4, L=1.0, U=2.0, beta=beta, variant=Variant.MAX, prices=prices),
-             Schedule(decisions))
-            for beta in (0.0, 0.75, 1.5, 5.0)
-            for decisions in ((1, 0, 1, 0), (0, 1, 1, 0))
-        ]
-        assert self._check(cases) == [4, 2] * 4
-        totals = [evaluate_schedule(inst, sched).total for inst, sched in cases]
-        assert totals == [2.0, 3.0, -1.0, 1.5, -4.0, 0.0, -18.0, -7.0]
+        decisions = np.array([[(1, 0, 1, 0), (0, 1, 1, 0)]], dtype=np.int8)
+        found = [self._check([Instance(k=2, T=4, L=1.0, U=2.0, beta=beta,
+                                       variant=Variant.MAX, prices=prices)], decisions)
+                 for beta in (0.0, 0.75, 1.5, 5.0)]
+        assert [f for _, flips in found for f in flips] == [4, 2] * 4
+        assert [t for totals, _ in found for t in totals] == [
+            2.0, 3.0, -1.0, 1.5, -4.0, 0.0, -18.0, -7.0]
+
+    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
+    def test_batch_of_several_blocks(self, variant):
+        # three fsum blocks and part of a fourth, at 1e6 and at an
+        # overflowing beta
+        rng = np.random.default_rng(5)
+        T, k, m = 20, 7, 3
+        n = 3 * (core._BLOCK_PRICES // (m * k)) + 2
+        rows = rng.uniform(1.0, 100.0, (n, T)) * 1e6
+        decisions = np.zeros((n, m, T), dtype=np.int8)
+        for i in range(n):
+            for a in range(m):
+                decisions[i, a, rng.permutation(T)[:k]] = 1
+        for beta in (0.0, 3.5e6, 8.9e307):
+            insts = [Instance(k=k, T=T, L=min(r), U=max(r), beta=beta, variant=variant,
+                              prices=tuple(r)) for r in rows.tolist()]
+            totals, _ = self._check(insts, decisions)
+            assert len(totals) == n * m
+        assert math.inf in list(map(abs, totals))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_lane_off_k_is_refused(self, extra):
+        # the lane sits past the first fsum block, and its name is its
+        # (trial, lane) in the whole pass; the next lane is off k the other
+        # way, so the pass still accepts k prices a lane on average
+        T, k, m = 10, 4, 2
+        n = core._BLOCK_PRICES // (m * k) + 3
+        decisions = np.zeros((n, m, T), dtype=np.int8)
+        decisions[..., :k] = 1
+        i = n - 2
+        decisions[i, 1, : k + extra] = 1
+        decisions[i, 1, k + extra :] = 0
+        decisions[i + 1, 0, : k - extra] = 1
+        decisions[i + 1, 0, k - extra :] = 0
+        prices = np.ones((n, T))
+        message = (rf"^lane \({i}, 1\) accepts {k + extra} prices, not k={k}; "
+                   "this indicates a defect$")
+        for variant in (Variant.MIN, Variant.MAX):
+            with pytest.raises(FeasibilityError, match=message):
+                lane_totals(prices, decisions, k, 1.0, variant)
 
     def test_stacked_rows_and_edges(self):
-        # lane_flips takes any leading shape; T = 1 has no interior flips
-        d = np.array([[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [0, 0, 0]]], dtype=np.int8)
-        assert lane_flips(d).tolist() == [[2, 2], [4, 0]]
-        assert lane_flips(np.ones((2, 1), dtype=np.int8)).tolist() == [2, 2]
+        # flips in (trial, lane) order; T = 1 has no interior flips
+        d = np.array([[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]]], dtype=np.int8)
+        prices = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        assert lane_totals(prices, d, 2, 0.5, Variant.MIN) == (
+            [3.0, 6.0, 40.0, 24.0], [1.0, 1.0, 2.0, 1.0], [4.0, 7.0, 42.0, 25.0], [2, 2, 4, 2])
+        assert lane_totals(np.ones((2, 1)), np.ones((2, 1, 1), dtype=np.int8), 1, 0.0,
+                           Variant.MAX)[3] == [2, 2]
 
 
 class TestCostRatio:

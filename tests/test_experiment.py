@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reference_simulate import reference_records, reference_sample
 from opr.core import Variant
 from opr import experiment, offline
-from opr.errors import OprError, ParameterError, RegimeError
+from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
     derive_seed,
@@ -472,6 +472,24 @@ class TestChunkedTrials:
         )
         assert scored == [0, 1, 2]
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_max_profit_fails_its_trial(self, monkeypatch):
+        # beta = 9.5 is below kL/2 = 10, so every family builds, but a lane
+        # can still net a nonpositive profit: trial 2 does, after trials 0
+        # and 1 are scored, and no warning is raised on the way
+        scored = self._scored_trials(monkeypatch)
+        values = (30, 20, 10, 10, 25, 26, 10, 10, 18, 10, 18, 10, 10, 10, 29, 28)
+        ds = TraceDataset(region="", values=tuple(map(float, values)),
+                          kind=TraceKind.CARBON_FREE_PCT)
+        cfg = ExperimentConfig(variant=Variant.MAX, T=4, k=2, beta=9.5, trials=12, seed=1,
+                               algs=("dtpr", "const"))
+        with pytest.raises(DegenerateProfitError) as excinfo:
+            run_experiment(cfg, ds)
+        assert str(excinfo.value) == (
+            "trial 2: nonpositive profit -10.0: beta too large relative to kL, ratio undefined"
+        )
+        assert scored == [0, 1, 2]
+
     def test_identically_zero_segment_fails_its_own_trial(self, monkeypatch):
         # a run of 4 zero hours: the only window of T=4 inside it stays zero
         # under noise, so its trial fails after every earlier trial is scored
@@ -547,11 +565,11 @@ class TestChunkedTrials:
         monkeypatch.setattr(experiment, "player_families", failing_families)
         lanes, complete = [], experiment._complete_record
 
-        def spy(record, prices, opt, trial_lanes, *args):
+        def spy(record, opt_total, trial_lanes, *args):
             lanes.append((record["trial"], len(trial_lanes)))
             if record["trial"] == fail_score:
                 raise OprError("cannot score")
-            return complete(record, prices, opt, trial_lanes, *args)
+            return complete(record, opt_total, trial_lanes, *args)
 
         monkeypatch.setattr(experiment, "_complete_record", spy)
         reported = 4 if fail_score is None else fail_score
