@@ -3,17 +3,14 @@
 Every player is a threshold family driven by one state machine.  Which rails
 each ``PlayerKind`` plays is decided in `thresholds` (`player_family`, and
 `player_families` for a batch); this module takes only families, never a
-kind, and plays them.  A family carries its k and variant, which must be the
-instance's.  The double-threshold player (DTPR) compares against the
-stay rail when the previous price was accepted and the resume rail
-otherwise; the baselines have both rails equal, so their decisions ignore
-the previous state.
+kind, and plays them.
 
 There is one transition rule, written twice: as ``PlayerState.step`` on one
-price, and as ``play_lanes``, a loop over the slots that steps every
-(algorithm, trial) lane in a few numpy passes.  One player over a known
-sequence is a loop over ``step``, ``run_online``; the experiment plays all
-its lanes in one ``play_lanes`` call.
+price, per variant, and as ``play_lanes``, a loop over the slots that steps
+every (algorithm, trial) lane on signed prices and rails in a few numpy
+passes.  One player over a known sequence is a loop over ``step``,
+``run_online``; the experiment plays all its lanes in one ``play_lanes``
+call.
 
 Every player honors the forced-acceptance rule near the deadline, which is
 what makes every run feasible regardless of the price sequence.
@@ -114,34 +111,29 @@ def hindsight_trace(family: ThresholdFamily, inst: Instance) -> tuple[Schedule, 
     return sched, evaluate_schedule(inst, sched)
 
 
-def play_lanes(
-    prices: np.ndarray, rails: np.ndarray, lanes: np.ndarray, variant: Variant
-) -> np.ndarray:
+def play_lanes(prices: np.ndarray, rails: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """Many players at once, each on its own price row and rail row.
 
-    ``prices`` is (n, T), one trial a row.  ``rails`` is (F, 2, k+1): row f
-    holds a family's lower rail in ``rails[f, 0, :k]`` and its upper rail in
-    ``rails[f, 1, :k]``.  ``lanes`` is (n, m) row numbers: lane (i, a) plays
-    price row i on rail row ``lanes[i, a]``.  Column k is scratch: it is set
-    here to a price no lane accepts, so a lane that has filled its k units
-    declines from then on.  Returns the (n, m, T) int8 decisions.
+    ``prices`` is (n, T), one trial a row.  ``rails`` is the signed (F, 2,
+    k+1) table of `thresholds.player_families`: row f holds a family's
+    resume rail in ``rails[f, 0, :k]`` and its stay rail in ``rails[f, 1, :k]``.
+    ``lanes`` is (n, m) row numbers: lane (i, a) plays price row i on rail
+    row ``lanes[i, a]``.  Column k is scratch, set here to -inf, so a lane
+    that has filled its k units declines from then on.  Returns the (n, m, T)
+    int8 decisions.
 
     Each slot gathers every lane's rail for its next unit and previous
-    decision, compares (ties accept), and forces acceptance once the units
-    left reach the slots left, as `PlayerState.step` does on one lane.
+    decision, accepts a price at or below it, and forces acceptance once the
+    units left reach the slots left, as `PlayerState.step` does on one lane.
     """
     n, T = prices.shape
     m, width = lanes.shape[1], rails.shape[-1]
     k = width - 1
-    is_min = variant is _VARIANT_MIN
-    accepts = np.less_equal if is_min else np.greater_equal
-    rails[..., k] = -np.inf if is_min else np.inf
+    rails[..., k] = -np.inf
     flat = rails.reshape(-1)
-    # the flat index of each lane's rail after a reject (resume: lower on
-    # the min side, upper on the max side) for its next unit; the rail after
-    # an accept (stay) is `width` away, in the direction `onto_stay`
-    resume, onto_stay = (0, width) if is_min else (width, -width)
-    filled = lanes * (2 * width) + resume
+    # the flat index of each lane's resume rail for its next unit; its stay
+    # rail is `width` on
+    filled = lanes * (2 * width)
     # a lane is forced at slot t (0-based) while filled <= forced_at + t
     forced_at = filled - (T - k)
     idx, rail = filled.copy(), np.empty((n, m))
@@ -151,12 +143,12 @@ def play_lanes(
     for t in range(T):
         x = decided[t]
         np.take(flat, idx, out=rail)
-        accepts(cols[t], rail, out=x)
+        np.less_equal(cols[t], rail, out=x)
         if t >= T - k:
             np.add(forced_at, t, out=scratch)
             np.less_equal(filled, scratch, out=forced)
             x |= forced
         filled += x
-        np.multiply(x, onto_stay, out=idx)
+        np.multiply(x, width, out=idx)
         idx += filled
     return decided.view(np.int8).transpose(1, 2, 0)

@@ -8,8 +8,12 @@ feasible schedule flips at least twice and at most 2k times.
 
 `lane_totals` is the one objective: it prices every lane of an (n, m, T)
 pass at once and refuses a lane that does not accept k prices as a defect.
-`evaluate_schedule` is its one-row case, behind its checks of an outside
-schedule; `experiment._complete_record` checks each trial's ratios.
+Like `offline.dp_decisions` and `algorithms.play_lanes`, it always
+minimizes: a max instance is the min one on negated prices and the signed
+rails of `thresholds.player_families`.  The variant is read at the edges,
+`evaluate_schedule` (its one-row case), `offline.dp_optimal` and
+`experiment._run_trials`, which negate a max instance's prices and its sums
+back as ``0.0 - x``, so that a zero profit stays +0.0.
 """
 
 from __future__ import annotations
@@ -130,8 +134,13 @@ def evaluate_schedule(inst: Instance, sched: Schedule) -> CostBreakdown:
         raise FeasibilityError(f"schedule accepts {sched.num_accepted()} prices, "
                                f"instance requires k={inst.k}")
     prices, row = np.fromiter(inst.prices, float, inst.T), np.frombuffer(bytes(d), np.int8)
-    parts = lane_totals(prices[None], row[None, None], inst.k, inst.beta, inst.variant)
-    return CostBreakdown(*(part[0] for part in parts))
+    if maximize := inst.variant is Variant.MAX:
+        np.negative(prices, out=prices)
+    [accepted], [switching], [total], [flips] = lane_totals(
+        prices[None], row[None, None], inst.k, inst.beta)
+    if maximize:
+        accepted, total = 0.0 - accepted, 0.0 - total
+    return CostBreakdown(accepted, switching, total, flips)
 
 
 #: accepted prices one `lane_totals` block sums: 256 lanes at k = 120 cost 0.9 MB RSS
@@ -139,13 +148,13 @@ _BLOCK_PRICES = 2048
 
 
 def lane_totals(
-    prices: np.ndarray, decisions: np.ndarray, k: int, beta: float, variant: Variant
+    prices: np.ndarray, decisions: np.ndarray, k: int, beta: float
 ) -> tuple[list[float], list[float], list[float], list[int]]:
     """(accepted sums, switching costs, totals, flips) of every lane, as flat
     lists in lane order: lane (i, a) of the (n, m, T) 0/1 int8 ``decisions``
     plays price row i of the (n, T) ``prices``.  A lane that does not accept
-    exactly k prices is refused as a defect.  Min totals add the switching
-    cost, max totals subtract it and may legitimately be <= 0."""
+    exactly k prices is refused as a defect, and one whose sum overflows
+    raises `ParameterError`."""
     d, (n, m, _) = decisions, decisions.shape
     counts = np.count_nonzero(d, axis=-1).reshape(-1).tolist()
     if counts.count(k) != len(counts):
@@ -158,12 +167,13 @@ def lane_totals(
     for start in range(0, n, step):
         block = d[start : start + step]
         taken = np.broadcast_to(prices[start : start + step, None], block.shape)[block.view(bool)]
-        # fsum is correctly rounded, so the summation order cannot move a bit
-        accepted += map(math.fsum, taken.reshape(-1, k).tolist())
+        try:
+            # fsum is correctly rounded, so the summation order cannot move a bit
+            accepted += map(math.fsum, taken.reshape(-1, k).tolist())
+        except OverflowError:  # ``+=`` kept the sums before the lane that raised
+            raise ParameterError(f"lane {divmod(len(accepted), m)} sum overflows") from None
     switching = [beta * f for f in flips]  # Python floats, which overflow to inf silently
-    if variant is Variant.MIN:
-        return accepted, switching, [a + s for a, s in zip(accepted, switching)], flips
-    return accepted, switching, [a - s for a, s in zip(accepted, switching)], flips
+    return accepted, switching, [a + s for a, s in zip(accepted, switching)], flips
 
 
 def cost_ratio(alg: float, opt: float, variant: Variant) -> float:

@@ -14,14 +14,10 @@ keep the trace-wide L floored at the segment minimum, and lift truncated
 zeros to the smallest positive segment value; every adjustment is recorded
 in the trial record rather than silently applied.
 
-A run goes in lane passes: `sample_pass` samples a pass of trials into one
-(n, T) price array, OPT is solved for every row, every (trial, algorithm)
-lane is played in one `play_lanes` call, `core.lane_totals` prices them
-all, and the records are completed in trial order.
-Threshold families depend on a trial only through its (L, U), so a pass
-builds each algorithm's family once for each distinct (L, U) it meets, with
-one `solve_ratios` call for all their ratios; the records are the same as if
-every trial built its own.
+A run goes in lane passes of `pass_len` trials, each one `_run_trials` call
+on one (n, T) price array, negated in place on a max pass (see `core`).
+Families depend on a trial only through its (L, U), so a pass builds each
+once; the records are the same as if every trial built its own.
 """
 
 from __future__ import annotations
@@ -234,15 +230,15 @@ def _run_trials(
 
     `sample_pass` samples the trials into the rows of one price array.  The
     families of each distinct (L, U) are built by one `player_families`
-    call into the rows of one rail table, and each lane is pointed at its
-    row; OPT is solved for every row, every lane is played in one
-    `play_lanes` call, and two `lane_totals` calls price them all, lanes of
-    a failed family too.  One scoring loop raises the first per-trial
-    failure in trial and algorithm order, as ``trial i: ...``: a family
-    error at the first lane it fails, `_complete_record`'s own, or, after
-    the trials before it, a sampling error.  A T longer than the trace, a
-    beta that is infinite or overflows OPT, or a lane off k fails first,
-    naming no trial.
+    call, with one `solve_ratios` for all their ratios, into the rows of one
+    rail table, and each lane is pointed at its row; OPT is solved for every
+    row, every lane is played in one `play_lanes` call, and two
+    `lane_totals` calls price them all, lanes of a failed family too.  One
+    scoring loop raises the first per-trial failure in trial and algorithm
+    order, as ``trial i: ...``: a family error at the first lane it fails,
+    `_complete_record`'s own, or, after the trials before it, a sampling
+    error.  A T longer than the trace, a beta that is infinite or overflows
+    OPT, or a lane off k fails first, naming no trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -269,10 +265,14 @@ def _run_trials(
     table, _, failed = player_families(cells, k, variant)
     del seen, group, cells  # freed before the DP and the players run
     prices = prices[: len(records)]
-    opt_rows = dp_decisions(prices, k, float(beta_abs), variant)
-    alg_rows = play_lanes(prices, table, lane_rows, variant)
-    _, _, opt_totals, _ = lane_totals(prices, opt_rows[:, None], k, beta_abs, variant)
-    _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs, variant)
+    if variant is Variant.MAX:
+        np.negative(prices, out=prices)
+    opt_rows = dp_decisions(prices, k, float(beta_abs))
+    alg_rows = play_lanes(prices, table, lane_rows)
+    _, _, opt_totals, _ = lane_totals(prices, opt_rows[:, None], k, beta_abs)
+    _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs)
+    if variant is Variant.MAX:  # 0.0 - t, so that a zero profit stays +0.0
+        opt_totals, totals = ([0.0 - t for t in part] for part in (opt_totals, totals))
     names = [kind.value for kind in kinds]
     for i, record in enumerate(records):
         rows = lane_rows[i].tolist()

@@ -3,18 +3,14 @@
 The DP runs over states (slot t, units used j, previous decision p) with
 transitions that add the price on accept and beta on every 0<->1 flip,
 including the implicit boundary flips at t = 0 and t = T+1.  It is exact for
-every beta >= 0, both variants, in O(T*k) time and memory.
+every beta >= 0 in O(T*k) time and memory, and minimizes: maximizing
+sum(c x) - beta*switches is minimizing sum(-c x) + beta*switches.
 
 The kernel is batched over trials and loops over the units only: layer j
 (every state with j units accepted) depends on layer j-1 and on itself
-through a running minimum, so each layer is a handful of numpy passes.  A
-batch's rows lie end to end in flat buffers, so each pass runs on contiguous
-1-D operands, and each row's start cell is kept at inf where a shifted pass
-carries the previous row's last cell into it.  The running minimum is
-`np.fmin.accumulate`, bit for bit `np.minimum.accumulate` since no cost is
-NaN (the prices are checked finite).  Its backpointers are bits, packed 8
-slots a byte, and `dp_batch_len` sizes a batch by the kernel's whole working
-set.
+through a running minimum, so each layer is a handful of numpy passes over
+flat buffers (`_dp_kernel`).  Its backpointers are bits, packed 8 slots a
+byte, and `dp_batch_len` sizes a batch by the kernel's whole working set.
 The backtrace steps once per accept and once per run of rejects.
 `dp_decisions` is the one entry point: `run_experiment` calls it on a lane
 pass's (n, T) prices, and `dp_optimal` on the one row of an instance.
@@ -110,11 +106,11 @@ def _dp_kernel(prices: np.ndarray, k: int, beta: float):
 
 
 @np.errstate(over="ignore")  # an inf cost already means no schedule passes there
-def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> np.ndarray:
-    """The optimal decisions of every row of (n, T) prices, as (n, T) int8.
+def dp_decisions(prices: np.ndarray, k: int, beta: float) -> np.ndarray:
+    """The cheapest decisions of every row of (n, T) prices, as (n, T) int8.
 
-    The rows share k, beta and the variant.  The kernel solves `dp_batch_len`
-    rows a call.  Each row's backtrace walks back from slot T one accept at a
+    The rows share k and beta.  The kernel solves `dp_batch_len` rows a
+    call.  Each row's backtrace walks back from slot T one accept at a
     time, skips a run of rejects to its highest set off backpointer by one bit
     search, and stops at the row's first accept.  k outside 1..T or a price
     that is not finite raises `ParameterError`, before any kernel call, and
@@ -132,7 +128,7 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
     step = dp_batch_len(T, k)
     for start in range(0, n, step):
         rows = prices[start : start + step]
-        cost, packed = _dp_kernel(rows if variant is Variant.MIN else -rows, k, beta)
+        cost, packed = _dp_kernel(rows, k, beta)
         closed = cost[1] + beta  # closing boundary: a final x_T = 1 pays one more flip
         best = np.minimum(cost[0], closed)  # checked by min and max, as the prices are
         if not (-_INF < best.min() and best.max() < _INF):
@@ -154,15 +150,15 @@ def dp_decisions(prices: np.ndarray, k: int, beta: float, variant: Variant) -> n
 
 def dp_optimal(inst: Instance) -> tuple[Schedule, CostBreakdown]:
     """Exact optimum over all feasible schedules: `dp_decisions` on the one
-    row of its prices, scored by `evaluate_schedule`.
+    row of its prices, negated for a max instance, scored by `evaluate_schedule`.
 
-    The max variant runs the same kernel on negated prices: maximizing
-    sum(c x) - beta*switches is minimizing sum(-c x) + beta*switches.
     Ties break toward the no-switch predecessor and a rejected final state,
     which lands accepted blocks as early as possible and makes the backtrace
     reproducible.
     """
     prices = np.array([inst.prices], dtype=np.float64)
-    [row] = dp_decisions(prices, inst.k, float(inst.beta), inst.variant).tolist()
+    if inst.variant is Variant.MAX:
+        np.negative(prices, out=prices)
+    [row] = dp_decisions(prices, inst.k, float(inst.beta)).tolist()
     sched = Schedule(tuple(row))
     return sched, evaluate_schedule(inst, sched)

@@ -28,8 +28,8 @@ good enough to justify switching on.
 
 This module alone decides which rails each player kind plays.  A
 ``PlayerKind`` names an algorithm, not a variant; `player_families` builds
-the rails of a batch of (kind, U, L, beta) cells as one table, and
-`player_family` is its one-cell case.
+the signed rails (see `core`) of a batch of (kind, U, L, beta) cells as one
+table, and `player_family`, through `_family`, is its one-cell case.
 """
 
 from __future__ import annotations
@@ -49,10 +49,8 @@ from .errors import OprError, ParameterError, RegimeError
 
 @dataclass(frozen=True)
 class ThresholdFamily:
-    """Per-unit acceptance thresholds plus the ratio they were built from.
-
-    Double-threshold rails are ``2*beta`` apart, the constant and agnostic
-    ones equal; the player's previous decision picks the rail at each step.
+    """Per-unit acceptance thresholds, unsigned, plus the ratio they were
+    built from; the player's previous decision picks the rail at each step.
     A variant that is not a `Variant`, a rail not k long or a rail value that
     is not finite raises `ParameterError`, since `algorithms` plays any family.
     """
@@ -240,31 +238,35 @@ def solve_omega(k: int, U: float, L: float, beta: float) -> float:
 def dtpr_rails(
     variant: Variant, k: int, U: np.ndarray, L: np.ndarray, beta: np.ndarray, ratio: np.ndarray
 ) -> np.ndarray:
-    """The (F, 2, k) lower and upper rails of F double-threshold cells, from
-    float64 columns of their parameters and solved ratios.  Each is anchored
-    at the extended index k+1, where the construction forces u_{k+1} = L + 2b
-    (min) and l_{k+1} = U - 2b (max), and the other rail is 2b away:
+    """The signed (F, 2, k) resume and stay rails of F double-threshold cells,
+    from float64 columns of their parameters and solved ratios.  Each is
+    anchored at the extended index k+1, where the construction forces
+    u_{k+1} = L + 2b (min) and l_{k+1} = U - 2b (max), the other 2b away:
 
         u_i = U - (U - L - 2b) r^(i-1-k),    r = 1 + 1/(k alpha)     (min)
         l_i = L + (U - L - 2b) rho^(i-1-k),  rho = 1 + omega/k       (max)
 
-    This is the direct closed form at the exact root, without the cancellation
-    its coefficient suffers when the growth factor is large; for in-regime
-    beta the rails stay inside (L, U), decreasing in i on the min side and
-    increasing on the max side.  numpy does the ``+ - *`` in the scalar order
-    and `_powers` the power, each cell's growth factor against the one row of
-    exponents -k ... -1, so every value is the scalar formula's bit for bit.
+    Signed, the stay rail is anchor - span and the resume rail 2b below,
+    with anchor U (min) or -L (max); negation is exact, so (-L) - span is
+    -l_i bit for bit.  This is the direct closed form at the exact root,
+    without the cancellation its coefficient suffers when the growth factor
+    is large.  numpy does the ``+ - *`` in the scalar order and `_powers` the
+    power, each cell's growth factor against the one row of exponents
+    -k ... -1, so every value is the scalar formula's bit for bit.
     """
-    growth = 1 + (1 / (k * ratio) if variant is Variant.MIN else ratio / k)
+    minimize = variant is Variant.MIN
+    growth = 1 + (1 / (k * ratio) if minimize else ratio / k)
     span = (U - L - 2 * beta)[:, None] * _powers(growth[:, None], np.arange(-k, 0.0))
     rails = np.empty((len(ratio), 2, k))
-    if variant is Variant.MIN:
-        np.subtract(U[:, None], span, out=rails[:, 1])
-        np.subtract(rails[:, 1], (2 * beta)[:, None], out=rails[:, 0])
-    else:
-        np.add(L[:, None], span, out=rails[:, 0])
-        np.add(rails[:, 0], (2 * beta)[:, None], out=rails[:, 1])
+    np.subtract((U if minimize else -L)[:, None], span, out=rails[:, 1])
+    np.subtract(rails[:, 1], (2 * beta)[:, None], out=rails[:, 0])
     return rails
+
+
+def _family(variant: Variant, k: int, rails: np.ndarray, ratio: float) -> ThresholdFamily:
+    """The family of one signed (2, k) row of resume and stay rails."""
+    lower, upper = (rails if variant is Variant.MIN else -rails[::-1]).tolist()
+    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), float(ratio))
 
 
 def dtpr_family(
@@ -272,8 +274,8 @@ def dtpr_family(
 ) -> ThresholdFamily:
     """The double-threshold family at its solved ratio: `dtpr_rails` on one
     cell.  An integral float k, such as 2.0, is stored as an int."""
-    lower, upper = dtpr_rails(variant, int(k), *np.array([[U], [L], [beta], [ratio]]))[0].tolist()
-    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), ratio)
+    rails = dtpr_rails(variant, int(k), *np.array([[U], [L], [beta], [ratio]]))
+    return _family(variant, k, rails[0], ratio)
 
 
 def dtpr_min_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFamily:
@@ -289,18 +291,19 @@ def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFam
 def player_families(
     cells: Sequence[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
 ) -> tuple[np.ndarray, np.ndarray, dict[int, OprError]]:
-    """The (F, 2, k+1) rail table of a player of each (kind, U, L, beta)
-    cell on ``variant``, the F ratios, and ``{row: error}`` for each cell
-    whose check or ratio solve failed.  Row f holds cell f's lower and upper
-    rails in ``[f, :, :k]``, as `play_lanes` reads them; column k and a
-    failed cell's row and ratio are 0.  A k that is not a positive integer raises.
+    """The signed (F, 2, k+1) rail table of a player of each (kind, U, L,
+    beta) cell on ``variant``, the F ratios, and ``{row: error}`` for each
+    cell whose check or ratio solve failed.  Row f holds cell f's resume and
+    stay rails in ``[f, :, :k]``, as `play_lanes` reads them: a max row holds
+    the negated upper and lower rails.  Column k and a failed cell's row and
+    ratio are 0.  A k that is not a positive integer raises.
 
     DTPR and k-search (DTPR at beta = 0) rows come from one `solve_ratios`
-    call and one `dtpr_rails`.  A constant row holds sqrt(L*U) on both rails,
-    an agnostic row the price bound that accepts every price (U for min, L
-    for max); their ratio is that of one reservation price at beta = 0.
+    call and one `dtpr_rails`.  A constant row holds +-sqrt(L*U) on both
+    rails, an agnostic row `dtpr_rails`' anchor, which accepts every price;
+    their ratio is that of one reservation price at beta = 0.
     """
-    k = check_k(k)
+    k, minimize = check_k(k), variant is Variant.MIN
     table, ratios, failed = np.zeros((max(len(cells), 1), 2, k + 1)), np.zeros(len(cells)), {}
     solving, flat = [], []
     for f, (kind, U, L, beta) in enumerate(cells):
@@ -322,10 +325,9 @@ def player_families(
         ratios[rows] = ratio
     if flat:
         rows, rails = [f for f, *_ in flat], [
-            math.sqrt(L * U) if const else U if variant is Variant.MIN else L
-            for _, U, L, const in flat]
+            math.sqrt(L * U) if const else U if minimize else L for _, U, L, const in flat]
         ratios[rows] = [max(rail / L, U / rail) for rail, (_, U, L, _) in zip(rails, flat)]
-        table[rows, :, :k] = np.array(rails)[:, None, None]
+        table[rows, :, :k] = (1.0 if minimize else -1.0) * np.array(rails)[:, None, None]
     return table, ratios, failed
 
 
@@ -338,8 +340,7 @@ def player_family(
     table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
     if failed:
         raise failed[0]
-    lower, upper = table[0, :, :-1].tolist()
-    return ThresholdFamily(variant, int(k), tuple(lower), tuple(upper), float(ratios[0]))
+    return _family(variant, k, table[0, :, :-1], ratios[0])
 
 
 def ksearch_thresholds(k: int, U: float, L: float, variant: Variant) -> ThresholdFamily:

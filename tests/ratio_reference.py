@@ -6,7 +6,8 @@ ends and its midpoints.  Its roots and errors must be bit-identical to this
 bisection, which calls the printed equations' residuals as functions
 (``tests/test_golden.py``); ``tests/test_thresholds.py`` checks the sign
 structure of the same residuals.  `opr.thresholds.dtpr_rails` must give
-`min_upper_threshold` and `max_lower_threshold` bit for bit at every unit.
+`min_upper_threshold` and the negated `max_lower_threshold` (its signed
+stay rails) bit for bit at every unit.
 """
 
 import math

@@ -1,6 +1,8 @@
 """Online-player protocol, baselines, and the competitive guarantees."""
 
+import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -9,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opr.algorithms import PlayerState, hindsight_trace, new_player, play_lanes, run_online
-from opr.core import Instance, Variant, check_cell
+from opr.core import Instance, Variant, check_cell, lane_totals
 from opr.errors import OprError, ParameterError, ProtocolError
-from opr.offline import dp_optimal
+from opr.offline import dp_decisions, dp_optimal
 from opr.thresholds import (
     PlayerKind,
     ThresholdFamily,
@@ -345,10 +347,11 @@ def _rails(family):
 
 
 def _check_lanes(insts):
-    """play_lanes over every (instance, kind) lane equals `run_online` on
-    that lane's instance and family, decision for decision.  Lanes whose
-    families are equal share one rail row."""
-    k, T, variant = insts[0].k, insts[0].T, insts[0].variant
+    """play_lanes over every (instance, kind) lane of min instances equals
+    `run_online` on that lane's instance and family, decision for decision.
+    Lanes whose families are equal share one rail row."""
+    k, T = insts[0].k, insts[0].T
+    assert {inst.variant for inst in insts} == {Variant.MIN}
     kinds = list(PlayerKind)
     families = [
         [family_of(kind, inst) for kind in kinds]
@@ -360,7 +363,7 @@ def _check_lanes(insts):
         rails[f, 0, :k], rails[f, 1, :k] = family.lower, family.upper
     lanes = np.array([[distinct.index(f) for f in row] for row in families])
     prices = np.array([inst.prices for inst in insts])
-    decisions = play_lanes(prices, rails, lanes, variant)
+    decisions = play_lanes(prices, rails, lanes)
     assert decisions.dtype == np.int8 and decisions.shape == (len(insts), len(kinds), T)
     for i, inst in enumerate(insts):
         for a, kind in enumerate(kinds):
@@ -371,74 +374,162 @@ def _check_lanes(insts):
 
 @st.composite
 def lane_batches(draw):
-    """1..5 instances sharing (k, T, variant), each with its own bounds,
-    beta and prices; some rows put every price on a rail or a bound."""
-    variant = draw(st.sampled_from([Variant.MIN, Variant.MAX]))
+    """1..5 min instances sharing (k, T), each with its own bounds, beta and
+    prices; some rows put every price on a rail or a bound."""
     T = draw(st.integers(min_value=1, max_value=30))
     k = draw(st.integers(min_value=1, max_value=T))
     insts = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
         L = draw(st.floats(min_value=1, max_value=10))
         U = L * draw(st.floats(min_value=1.2, max_value=30))
-        frac = draw(st.sampled_from([0.0, 1e-4, 0.2, 0.45]))
-        beta = frac * ((U - L) if variant is Variant.MIN else min(k * L, U - L))
+        beta = draw(st.sampled_from([0.0, 1e-4, 0.2, 0.45])) * (U - L)
         raw = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=T, max_size=T))
         prices = tuple(min(max(L + r * (U - L), L), U) for r in raw)
-        inst = Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=prices)
+        inst = Instance(k=k, T=T, L=L, U=U, beta=beta, variant=Variant.MIN, prices=prices)
         if draw(st.booleans()):
             inst = _on_the_rails(inst, draw(st.data()))
         insts.append(inst)
     return insts
 
 
+def _tie_rows(variant):
+    """Rows that put unit 1 exactly on each kind's resume rail and unit 2
+    exactly on its stay rail, or one ulp worse on either, with the
+    decisions each row must start with as (row, kind index, prefix)."""
+    k, L, U, beta = 3, 5.0, 30.0, 3.0
+    worse = math.inf if variant is Variant.MIN else -math.inf
+    far = U if variant is Variant.MIN else L
+    insts, expected = [], []
+    for kind in PlayerKind:
+        resume, stay = _rails(player_family(kind, k, U, L, beta, variant))
+        for first, second, want in (
+            (resume[0], stay[1], [1, 1]),
+            (math.nextafter(resume[0], worse), stay[1], [0]),
+            (resume[0], math.nextafter(stay[1], worse), [1, 0]),
+        ):
+            if not (L <= first <= U and L <= second <= U):
+                continue
+            prices = (first, second) + (far,) * 8
+            insts.append(Instance(k=k, T=10, L=L, U=U, beta=beta, variant=variant,
+                                  prices=prices))
+            expected.append((len(insts) - 1, list(PlayerKind).index(kind), want))
+    return insts, expected
+
+
+def _bound_rows(variant, k, T):
+    """A row of the worst bound, which forces every lane into the last k
+    slots (the agnostic player takes the first k), and a row of the best
+    bound, which fills every lane early; with each row's expected
+    decisions by kind."""
+    L, U, beta = 5.0, 30.0, 2.0
+    worst, best = (U, L) if variant is Variant.MIN else (L, U)
+    rows = [Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=(p,) * T)
+            for p in (worst, best)]
+    first, last = [1] * k + [0] * (T - k), [0] * (T - k) + [1] * k
+    return rows, [[first if kind is PlayerKind.CARBON_AGNOSTIC else last for kind in PlayerKind],
+                  [first] * len(PlayerKind)]
+
+
 class TestPlayLanes:
+    """play_lanes always minimizes; `TestSignedPass` plays it on max passes."""
+
     @given(lane_batches())
     @settings(max_examples=200, deadline=None)
     def test_lanes_equal_step(self, insts):
         _check_lanes(insts)
 
-    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
-    def test_ties_accept_on_both_rails(self, variant):
-        # each row puts unit 1 exactly on a kind's resume rail and unit 2
-        # exactly on its stay rail, or one ulp worse on either
-        k, L, U, beta = 3, 5.0, 30.0, 3.0
-        worse = math.inf if variant is Variant.MIN else -math.inf
-        far = U if variant is Variant.MIN else L
-        insts, expected = [], []
-        for kind in PlayerKind:
-            resume, stay = _rails(player_family(kind, k, U, L, beta, variant))
-            for first, second, want in (
-                (resume[0], stay[1], [1, 1]),
-                (math.nextafter(resume[0], worse), stay[1], [0]),
-                (resume[0], math.nextafter(stay[1], worse), [1, 0]),
-            ):
-                if not (L <= first <= U and L <= second <= U):
-                    continue
-                prices = (first, second) + (far,) * 8
-                insts.append(Instance(k=k, T=10, L=L, U=U, beta=beta, variant=variant,
-                                      prices=prices))
-                expected.append((len(insts) - 1, list(PlayerKind).index(kind), want))
+    def test_ties_accept_on_both_rails(self):
+        insts, expected = _tie_rows(Variant.MIN)
         decisions = _check_lanes(insts)
         for i, a, want in expected:
             assert decisions[i, a, : len(want)].tolist() == want
 
-    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
     @pytest.mark.parametrize("k, T", [(1, 1), (1, 9), (4, 4), (3, 9)])
-    def test_forced_and_early_lanes(self, variant, k, T):
-        # the worst bound every slot forces every lane into the last k
-        # slots (the agnostic player takes the first k); the best bound
-        # fills every lane early, and the lanes decline from then on
-        L, U, beta = 5.0, 30.0, 2.0
-        worst, best = (U, L) if variant is Variant.MIN else (L, U)
-        rows = [
-            Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=(p,) * T)
-            for p in (worst, best)
-        ]
-        decisions = _check_lanes(rows)
-        first, last = [1] * k + [0] * (T - k), [0] * (T - k) + [1] * k
-        for a, kind in enumerate(PlayerKind):
-            assert decisions[0, a].tolist() == (first if kind is PlayerKind.CARBON_AGNOSTIC else last)
-            assert decisions[1, a].tolist() == first
+    def test_forced_and_early_lanes(self, k, T):
+        # the lanes decline once filled
+        rows, want = _bound_rows(Variant.MIN, k, T)
+        assert _check_lanes(rows).tolist() == want
+
+
+def _check_signed_pass(insts):
+    """Play and price every (instance, kind) lane of a pass as
+    `experiment._run_trials` does: one signed `player_families` table, the
+    pass's prices negated on the max side, and `play_lanes`, `lane_totals`
+    and `dp_decisions` on them.  The decisions equal `run_online`'s and OPT
+    rows `dp_optimal`'s, and each total, turned back as 0.0 - t on the max
+    side, equals fsum(accepted) +- beta * flips in positive form, bit for
+    bit.  The instances share (k, T, beta, variant)."""
+    first, kinds = insts[0], list(PlayerKind)
+    k, beta, variant, m = first.k, first.beta, first.variant, len(kinds)
+    table, _, failed = player_families(
+        [(kind, inst.U, inst.L, beta) for inst in insts for kind in kinds], k, variant)
+    assert not failed
+    lanes = np.arange(len(insts) * m).reshape(-1, m)
+    prices = np.array([inst.prices for inst in insts])
+    if variant is Variant.MAX:
+        np.negative(prices, out=prices)
+    decisions = play_lanes(prices, table, lanes)
+    _, _, totals, flips = lane_totals(prices, decisions, k, beta)
+    opt = dp_decisions(prices, k, beta)
+    for i, inst in enumerate(insts):
+        assert tuple(opt[i].tolist()) == dp_optimal(inst)[0].decisions
+        for a, kind in enumerate(kinds):
+            row = run_online(family_of(kind, inst), inst).decisions
+            assert tuple(decisions[i, a].tolist()) == row
+            accepted = math.fsum(itertools.compress(inst.prices, row))
+            switches = row[0] + row[-1] + sum(map(operator.ne, row, row[1:]))
+            total = totals[i * m + a]
+            if variant is Variant.MIN:
+                want = accepted + beta * switches
+            else:
+                want, total = accepted - beta * switches, 0.0 - total
+            assert flips[i * m + a] == switches and total.hex() == want.hex()
+    return decisions
+
+
+@st.composite
+def signed_passes(draw):
+    """1..7 instances of one variant sharing k, T <= 59 and beta, which is
+    up to 0.99 of the smallest regime edge (kL/2 on the max side), each with
+    its own bounds; tie-heavy prices, every one on some player's rail or a
+    bound, in half the draws."""
+    variant = draw(st.sampled_from(Variant))
+    T = draw(st.integers(min_value=1, max_value=59))
+    k = draw(st.integers(min_value=1, max_value=T))
+    bounds = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        L = draw(st.floats(min_value=1, max_value=10))
+        bounds.append((L, L * draw(st.floats(min_value=1.2, max_value=30))))
+    edge = min(regime_edge(variant, k, U, L) for L, U in bounds)
+    beta = draw(st.floats(min_value=0, max_value=0.99)) * edge
+    ties = draw(st.booleans())
+    insts = []
+    for L, U in bounds:
+        raw = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=T, max_size=T))
+        prices = tuple(min(max(L + r * (U - L), L), U) for r in raw)
+        inst = Instance(k=k, T=T, L=L, U=U, beta=beta, variant=variant, prices=prices)
+        insts.append(_on_the_rails(inst, draw(st.data())) if ties else inst)
+    return insts
+
+
+class TestSignedPass:
+    """A max pass is the min pass on negated prices and rails."""
+
+    @given(signed_passes())
+    @settings(max_examples=200, deadline=None)
+    def test_pass_equals_run_online_and_the_positive_totals(self, insts):
+        _check_signed_pass(insts)
+
+    def test_ties_accept_on_both_rails_of_a_max_pass(self):
+        insts, expected = _tie_rows(Variant.MAX)
+        decisions = _check_signed_pass(insts)
+        for i, a, want in expected:
+            assert decisions[i, a, : len(want)].tolist() == want
+
+    @pytest.mark.parametrize("k, T", [(1, 1), (1, 9), (4, 4), (3, 9)])
+    def test_forced_and_early_lanes_of_a_max_pass(self, k, T):
+        rows, want = _bound_rows(Variant.MAX, k, T)
+        assert _check_signed_pass(rows).tolist() == want
 
 
 def _scalar_row(kind, k, U, L, beta, variant):
@@ -509,7 +600,9 @@ class TestRailTable:
                     player_family(kind, k, U, L, beta, variant)
                 continue
             lower, upper, ratio = want
-            assert table[f, :, :k].tobytes() == np.array([lower, upper]).tobytes()
+            signed = [lower, upper] if variant is Variant.MIN else [
+                [-x for x in upper], [-x for x in lower]]
+            assert table[f, :, :k].tobytes() == np.array(signed).tobytes()
             assert ratios[f : f + 1].tobytes() == np.array([ratio]).tobytes()
             family = ThresholdFamily(variant, k, tuple(lower), tuple(upper), ratio)
             assert player_family(kind, k, U, L, beta, variant) == family

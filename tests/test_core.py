@@ -288,8 +288,8 @@ def lane_batches(draw):
 
 def _loop_objective(inst, decisions):
     """(accepted, switching, total, flips) by the Python flip/fsum loop the
-    objective was first written as, kept here so `lane_totals` is checked
-    against code it does not share."""
+    objective was first written as, in positive form on both variants, kept
+    here so `lane_totals` is checked against code it does not share."""
     d = decisions
     accepted = math.fsum(itertools.compress(inst.prices, d))
     flips = d[0] + d[-1] + sum(map(operator.ne, d, d[1:]))
@@ -299,33 +299,46 @@ def _loop_objective(inst, decisions):
     return accepted, switching, accepted - switching, flips
 
 
+def _hexes(*values):
+    return [float(x).hex() for x in values]
+
+
 class TestLaneTotals:
-    """lane_totals prices every lane of a pass at once, and evaluate_schedule
-    is its one-row case; both must equal the loop objective bit for bit."""
+    """lane_totals prices every lane of a pass at once, always minimizing,
+    and evaluate_schedule is its one-row case on either variant; both must
+    equal the loop objective bit for bit."""
 
     @staticmethod
     def _check(insts, decisions):
-        """Check every lane of ``decisions`` against the loop objective and
-        evaluate_schedule; returns lane_totals' totals and flips."""
+        """Check every lane of ``decisions`` against the loop objective:
+        lane_totals on a min batch, evaluate_schedule on either; returns
+        evaluate_schedule's totals and flips in lane order."""
         first = insts[0]
         prices = np.array([inst.prices for inst in insts])
-        got = lane_totals(prices, decisions, first.k, first.beta, first.variant)
-        # the strided (T, n, m) layout `play_lanes` returns prices the same
-        strided = np.ascontiguousarray(decisions.transpose(2, 0, 1)).transpose(1, 2, 0)
-        assert lane_totals(prices, strided, first.k, first.beta, first.variant) == got
         lanes = [(inst, tuple(row)) for inst, rows in zip(insts, decisions.tolist())
                  for row in rows]
-        assert all(len(part) == len(lanes) for part in got)
-        for (inst, row), *parts, f in zip(lanes, *got):
+        if first.variant is Variant.MIN:
+            got = lane_totals(prices, decisions, first.k, first.beta)
+            # the strided (T, n, m) layout `play_lanes` returns prices the same
+            strided = np.ascontiguousarray(decisions.transpose(2, 0, 1)).transpose(1, 2, 0)
+            assert lane_totals(prices, strided, first.k, first.beta) == got
+            assert all(len(part) == len(lanes) for part in got)
+            for (inst, row), *parts, f in zip(lanes, *got):
+                accepted, switching, total, loop_flips = _loop_objective(inst, row)
+                assert type(f) is int and f == loop_flips
+                assert [type(x) for x in parts] == [float, type(switching), float]
+                assert _hexes(*parts) == _hexes(accepted, switching, total)
+        totals, flips = [], []
+        for inst, row in lanes:
             accepted, switching, total, loop_flips = _loop_objective(inst, row)
-            assert type(f) is int and f == loop_flips
             cb = evaluate_schedule(inst, Schedule(row))
-            for found in (parts, (cb.accepted_sum, cb.switching_cost, cb.total)):
-                assert [type(x) for x in found] == [float, type(switching), float]
-                assert [x.hex() for x in map(float, found)] == [
-                    x.hex() for x in map(float, (accepted, switching, total))]
+            found = (cb.accepted_sum, cb.switching_cost, cb.total)
+            assert [type(x) for x in found] == [float, type(switching), float]
+            assert _hexes(*found) == _hexes(accepted, switching, total)
             assert type(cb.num_switches) is int and cb.num_switches == loop_flips
-        return got[2], got[3]
+            totals.append(cb.total)
+            flips.append(cb.num_switches)
+        return totals, flips
 
     @given(lane_batches())
     @settings(max_examples=200, deadline=None)
@@ -333,19 +346,22 @@ class TestLaneTotals:
         self._check(*batch)
 
     def test_max_side_totals_at_and_below_zero(self):
+        # a zero profit is +0.0, not -0.0
         prices = (1.0, 2.0, 1.0, 2.0)
         decisions = np.array([[(1, 0, 1, 0), (0, 1, 1, 0)]], dtype=np.int8)
         found = [self._check([Instance(k=2, T=4, L=1.0, U=2.0, beta=beta,
                                        variant=Variant.MAX, prices=prices)], decisions)
                  for beta in (0.0, 0.75, 1.5, 5.0)]
         assert [f for _, flips in found for f in flips] == [4, 2] * 4
-        assert [t for totals, _ in found for t in totals] == [
-            2.0, 3.0, -1.0, 1.5, -4.0, 0.0, -18.0, -7.0]
+        assert [t.hex() for totals, _ in found for t in totals] == _hexes(
+            2.0, 3.0, -1.0, 1.5, -4.0, 0.0, -18.0, -7.0)
+        one = Instance(k=1, T=1, L=1.0, U=1.0, beta=0.5, variant=Variant.MAX, prices=(1.0,))
+        cb = evaluate_schedule(one, Schedule((1,)))
+        assert _hexes(cb.accepted_sum, cb.switching_cost, cb.total) == _hexes(1.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
-    def test_batch_of_several_blocks(self, variant):
+    def test_batch_of_several_blocks(self):
         # three fsum blocks and part of a fourth, at 1e6 and at an
-        # overflowing beta
+        # overflowing beta; a max pass's blocks are `TestChunkedTrials`'
         rng = np.random.default_rng(5)
         T, k, m = 20, 7, 3
         n = 3 * (core._BLOCK_PRICES // (m * k)) + 2
@@ -355,11 +371,11 @@ class TestLaneTotals:
             for a in range(m):
                 decisions[i, a, rng.permutation(T)[:k]] = 1
         for beta in (0.0, 3.5e6, 8.9e307):
-            insts = [Instance(k=k, T=T, L=min(r), U=max(r), beta=beta, variant=variant,
+            insts = [Instance(k=k, T=T, L=min(r), U=max(r), beta=beta, variant=Variant.MIN,
                               prices=tuple(r)) for r in rows.tolist()]
             totals, _ = self._check(insts, decisions)
             assert len(totals) == n * m
-        assert math.inf in list(map(abs, totals))
+        assert math.inf in totals
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_a_lane_off_k_is_refused(self, extra):
@@ -375,21 +391,44 @@ class TestLaneTotals:
         decisions[i, 1, k + extra :] = 0
         decisions[i + 1, 0, : k - extra] = 1
         decisions[i + 1, 0, k - extra :] = 0
-        prices = np.ones((n, T))
         message = (rf"^lane \({i}, 1\) accepts {k + extra} prices, not k={k}; "
                    "this indicates a defect$")
-        for variant in (Variant.MIN, Variant.MAX):
+        for prices in (np.ones((n, T)), -np.ones((n, T))):
             with pytest.raises(FeasibilityError, match=message):
-                lane_totals(prices, decisions, k, 1.0, variant)
+                lane_totals(prices, decisions, k, 1.0)
+
+    @pytest.mark.parametrize("past_first_block", [False, True])
+    def test_a_sum_that_overflows_names_its_lane(self, past_first_block):
+        # lanes 1 and 2 of trial i each sum two prices of 1e308 (negated on
+        # a max pass), past the float range; lane 0 and the other trials
+        # stay finite.  fsum raises OverflowError, refused as the first
+        # such lane.
+        T, k, m = 3, 2, 3
+        i = core._BLOCK_PRICES // (m * k) + 1 if past_first_block else 0
+        decisions = np.zeros((i + 2, m, T), dtype=np.int8)
+        decisions[..., :k] = 1
+        decisions[i, 0] = (1, 0, 1)
+        for sign in (1.0, -1.0):
+            prices = np.ones((i + 2, T))
+            prices[i] = (1e308, 1e308, 1.0)
+            with pytest.raises(ParameterError, match=rf"^lane \({i}, 1\) sum overflows$"):
+                lane_totals(sign * prices, decisions, k, 0.0)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_an_overflowing_schedule_is_refused(self, variant):
+        # the builtin OverflowError of fsum used to escape
+        inst = Instance(k=2, T=2, L=1e308, U=1e308, beta=0.0, variant=variant,
+                        prices=(1e308, 1e308))
+        with pytest.raises(ParameterError, match=r"^lane \(0, 0\) sum overflows$"):
+            evaluate_schedule(inst, Schedule((1, 1)))
 
     def test_stacked_rows_and_edges(self):
         # flips in (trial, lane) order; T = 1 has no interior flips
         d = np.array([[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]]], dtype=np.int8)
         prices = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
-        assert lane_totals(prices, d, 2, 0.5, Variant.MIN) == (
+        assert lane_totals(prices, d, 2, 0.5) == (
             [3.0, 6.0, 40.0, 24.0], [1.0, 1.0, 2.0, 1.0], [4.0, 7.0, 42.0, 25.0], [2, 2, 4, 2])
-        assert lane_totals(np.ones((2, 1)), np.ones((2, 1, 1), dtype=np.int8), 1, 0.0,
-                           Variant.MAX)[3] == [2, 2]
+        assert lane_totals(np.ones((2, 1)), np.ones((2, 1, 1), dtype=np.int8), 1, 0.0)[3] == [2, 2]
 
 
 class TestCostRatio:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reference_simulate import reference_records, reference_sample
 from opr.core import Variant
-from opr import experiment, offline
+from opr import core, experiment, offline
 from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
 from opr.experiment import (
     ExperimentConfig,
@@ -126,7 +126,7 @@ class TestRunExperiment:
 
     def test_opt_costlier_than_a_player_is_a_defect(self, monkeypatch):
         # an OPT that takes each row's first k slots is beaten by DTPR
-        def first_k(prices, k, beta, variant):
+        def first_k(prices, k, beta):
             out = np.zeros(prices.shape, dtype=np.int8)
             out[:, :k] = 1
             return out
@@ -418,6 +418,19 @@ class TestChunkedTrials:
         assert sizes == [2, 2, 2, 1]
         assert res.trials == _one_trial_a_pass(cfg, ds)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_records_equal_one_trial_passes_across_fsum_blocks(self, monkeypatch, variant):
+        # 4 lanes of k=4 a trial and 32 prices a block: the pass of 7 trials
+        # is priced in blocks of 2, 2, 2 and 1 trials, on its negated prices
+        # on the max side, and every record equals its own one-block pass
+        trace, kind = ((SHIPPED_INTENSITY, TraceKind.INTENSITY) if variant is Variant.MIN
+                       else (SHIPPED_CARBONFREE, TraceKind.CARBON_FREE_PCT))
+        cfg = ExperimentConfig(variant=variant, T=24, k=4, beta_frac=0.01, noise=2.0,
+                               trials=7, seed=3)
+        monkeypatch.setattr(core, "_BLOCK_PRICES", 32)
+        ds = parse_trace(str(trace), kind)
+        assert run_experiment(cfg, ds).trials == _one_trial_a_pass(cfg, ds)
+
     def test_default_budget_chunks(self, monkeypatch):
         sizes = self._batch_sizes(monkeypatch)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
@@ -489,6 +502,14 @@ class TestChunkedTrials:
             "trial 2: nonpositive profit -10.0: beta too large relative to kL, ratio undefined"
         )
         assert scored == [0, 1, 2]
+
+    def test_a_zero_max_profit_is_positive_zero(self):
+        # one price of 10 and two flips of 5 net exactly 0: the max pass's
+        # total on negated prices, +0.0, turns back as 0.0 - 0.0 = +0.0
+        ds = TraceDataset(region="", values=(10.0,) * 4, kind=TraceKind.CARBON_FREE_PCT)
+        cfg = ExperimentConfig(variant=Variant.MAX, T=1, k=1, beta=5.0, algs=("const",))
+        with pytest.raises(DegenerateProfitError, match=r"^trial 0: nonpositive profit 0\.0: "):
+            run_experiment(cfg, ds)
 
     def test_identically_zero_segment_fails_its_own_trial(self, monkeypatch):
         # a run of 4 zero hours: the only window of T=4 inside it stays zero
@@ -604,7 +625,7 @@ class TestChunkedTrials:
                 records, failure = records[: 6 - start], (6, OprError("cannot sample"))
             return records, failure
 
-        def first_k(prices, k, beta, variant):
+        def first_k(prices, k, beta):
             out = np.zeros(prices.shape, dtype=np.int8)
             out[:, :k] = 1
             return out

@@ -252,10 +252,11 @@ class TestSharedBacktrace:
         # a budget of `rows_a_call` rows a kernel call (the row bytes of
         # `dp_batch_len`)
         row_bytes = (inst.k + 1) * 2 * ((inst.T + 7) // 8) + 42 * (inst.T + 1)
+        sign = 1.0 if inst.variant is Variant.MIN else -1.0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(offline, "_DP_BATCH_BYTES", rows_a_call * row_bytes)
             assert offline.dp_batch_len(inst.T, inst.k) == rows_a_call
-            decisions = dp_decisions(prices, inst.k, float(inst.beta), inst.variant)
+            decisions = dp_decisions(sign * prices, inst.k, float(inst.beta))
         assert decisions.dtype == np.int8 and decisions.shape == (len(batch), inst.T)
         assert decisions.tolist() == expected
 
@@ -264,9 +265,12 @@ class TestBatchedDP:
     @given(tie_heavy_batches())
     @settings(max_examples=200, deadline=None)
     def test_every_lane_equals_its_own_dp(self, batch):
+        # a max batch's rows are the negated prices' own, as `dp_optimal`
+        # solves each max instance
         first = batch[0]
-        prices = np.array([inst.prices for inst in batch], dtype=np.float64)
-        rows = dp_decisions(prices, first.k, float(first.beta), first.variant).tolist()
+        sign = 1.0 if first.variant is Variant.MIN else -1.0
+        prices = sign * np.array([inst.prices for inst in batch], dtype=np.float64)
+        rows = dp_decisions(prices, first.k, float(first.beta)).tolist()
         assert len(rows) == len(batch)
         for instance, row in zip(batch, rows):
             sched, _ = dp_optimal(instance)
@@ -304,7 +308,7 @@ class TestBatchedDP:
         assert packed.tobytes() == np.packbits(ref_back, axis=-1, bitorder="little").tobytes()
 
     def test_empty_batch(self):
-        decisions = dp_decisions(np.empty((0, 5)), 2, 1.0, Variant.MIN)
+        decisions = dp_decisions(np.empty((0, 5)), 2, 1.0)
         assert decisions.dtype == np.int8 and decisions.shape == (0, 5)
 
 
@@ -344,30 +348,34 @@ class TestRowSeams:
 
 class TestPreconditions:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_prices_must_be_finite(self, bad, variant):
+    def test_prices_must_be_finite(self, bad):
         prices = np.ones((3, 4))
         prices[1, 2] = prices[2, 0] = bad
         with pytest.raises(
             ParameterError, match=rf"^need finite prices, got {bad} at row 1, slot 2$"
         ):
-            dp_decisions(prices, 2, 1.0, variant)
+            dp_decisions(prices, 2, 1.0)
 
     @pytest.mark.parametrize("k", [0, -1, 4, 5])
     def test_k_must_be_within_1_to_T(self, k):
         # k > T used to return an all-zero row and k = 0 an empty schedule
         with pytest.raises(ParameterError, match=rf"^need 1 <= k <= T, got k={k}, T=3$"):
-            dp_decisions(np.ones((1, 3)), k, 1.0, Variant.MIN)
+            dp_decisions(np.ones((1, 3)), k, 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("variant", list(Variant))
     def test_an_optimal_cost_that_overflows_is_refused(self, variant):
         # every schedule pays two flips of beta, which overflow at 1e308; the
-        # backtrace of the all-inf costs used to return a row of no accepts
-        prices = np.array([[5.0, 1.0, 7.0, 2.0]])
-        with pytest.raises(
-            ParameterError, match=r"^optimal cost overflows at beta=1e\+308, k=2$"
-        ):
-            dp_decisions(prices, 2, 1e308, variant)
-        # two flips of 8.9e307 stay finite, and so does the row's cost
-        assert dp_decisions(prices, 2, 8.9e307, Variant.MIN).tolist() == [[1, 1, 0, 0]]
+        # backtrace of the all-inf costs used to return a row of no accepts.
+        # A max instance's row is its negated prices.
+        prices = (5.0, 1.0, 7.0, 2.0)
+        sign = 1.0 if variant is Variant.MIN else -1.0
+        message = r"^optimal cost overflows at beta=1e\+308, k=2$"
+        with pytest.raises(ParameterError, match=message):
+            dp_decisions(sign * np.array([prices]), 2, 1e308)
+        with pytest.raises(ParameterError, match=message):
+            dp_optimal(inst(prices, 2, 1e308, variant))
+        # two flips of 8.9e307 stay finite, and so does the row's cost; the
+        # prices round away beside them, so the tie lands the block first
+        sched, cost = dp_optimal(inst(prices, 2, 8.9e307, variant))
+        assert sched.decisions == (1, 1, 0, 0) and math.isfinite(cost.total)
