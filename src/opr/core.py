@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -148,18 +149,20 @@ _BLOCK_PRICES = 2048
 
 
 def lane_totals(
-    prices: np.ndarray, decisions: np.ndarray, k: int, beta: float
+    prices: np.ndarray, decisions: np.ndarray, k: int, beta: float,
+    label: Callable[[int, int], str] = lambda i, a: f"lane {(i, a)}",
 ) -> tuple[list[float], list[float], list[float], list[int]]:
     """(accepted sums, switching costs, totals, flips) of every lane, as flat
     lists in lane order: lane (i, a) of the (n, m, T) 0/1 int8 ``decisions``
     plays price row i of the (n, T) ``prices``.  A lane that does not accept
     exactly k prices is refused as a defect, and one whose sum overflows
-    raises `ParameterError`."""
+    raises `ParameterError`; either message names the lane by
+    ``label(i, a)``."""
     d, (n, m, _) = decisions, decisions.shape
     counts = np.count_nonzero(d, axis=-1).reshape(-1).tolist()
     if counts.count(k) != len(counts):
         j = next(j for j, c in enumerate(counts) if c != k)
-        raise FeasibilityError(f"lane {divmod(j, m)} accepts {counts[j]} prices, not k={k}; "
+        raise FeasibilityError(f"{label(*divmod(j, m))} accepts {counts[j]} prices, not k={k}; "
                                "this indicates a defect")
     flips = d[..., 0] + d[..., -1] + np.count_nonzero(d[..., 1:] != d[..., :-1], axis=-1)
     flips, accepted = flips.reshape(-1).tolist(), []
@@ -171,7 +174,7 @@ def lane_totals(
             # fsum is correctly rounded, so the summation order cannot move a bit
             accepted += map(math.fsum, taken.reshape(-1, k).tolist())
         except OverflowError:  # ``+=`` kept the sums before the lane that raised
-            raise ParameterError(f"lane {divmod(len(accepted), m)} sum overflows") from None
+            raise ParameterError(f"{label(*divmod(len(accepted), m))} sum overflows") from None
     switching = [beta * f for f in flips]  # Python floats, which overflow to inf silently
     return accepted, switching, [a + s for a, s in zip(accepted, switching)], flips
 

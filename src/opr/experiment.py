@@ -34,13 +34,7 @@ from .errors import OprError, ParameterError
 from .offline import dp_decisions
 from .thresholds import (ALG_NAMES, PlayerKind, player_families, regime_edge,
                          resolve_player_kind, solve_ratios)
-from .traces import (
-    TraceBounds,
-    TraceDataset,
-    noise_rows,
-    sample_segment_with_offset,
-    trace_bounds,
-)
+from .traces import TraceBounds, TraceDataset, noise_rows, trace_bounds
 
 #: clip factor applied to the min `regime_edge` when the true beta reaches it
 _BETA_CLIP = 0.999999
@@ -48,14 +42,6 @@ _BETA_CLIP = 0.999999
 #: byte budget of one lane pass's arrays; the offline DP keeps its own budget
 #: inside each pass
 _PASS_BYTES = 2 * 1024 * 1024
-
-def derive_seed(master: int, trial: int) -> int:
-    """Stable 63-bit splitmix-style hash of (master, trial)."""
-    x = (master * 0x9E3779B97F4A7C15 + trial + 1) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (x ^ (x >> 31)) & 0x7FFFFFFFFFFFFFFF
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -154,19 +140,26 @@ def sample_pass(
     each trial's window, noised, its zeros lifted to the row's smallest
     positive value.
 
-    Returns the records so far of the trials before the first whose prices
-    admit no instance (all zeros, or U overflowing to inf), and that trial
-    with its error, or None.  Every other instance check holds by
-    construction: L <= every price <= U.
+    Trial i's seed is a 63-bit splitmix hash of (master seed, i), and its
+    window starts at the seed modulo the number of windows.  Returns the
+    records so far of the trials before the first whose prices admit no
+    instance (all zeros, or U overflowing to inf), and that trial with its
+    error, or None.  Every other instance check holds by construction:
+    L <= every price <= U.
     """
-    T, values, means, records = cfg.T, np.fromiter(ds.values, float, len(ds)), [], []
-    for row, trial in enumerate(range(start, start + len(prices))):
-        seed = derive_seed(cfg.seed, trial)
-        segment, offset = sample_segment_with_offset(ds, T, seed)
+    T, n = cfg.T, len(prices)
+    # uint64 array ops wrap silently, where a numpy scalar would warn; the
+    # master's product is reduced mod 2**64 in Python ints first
+    seeds = np.arange(n, dtype=np.uint64) + (
+        (cfg.seed * 0x9E3779B97F4A7C15 + start + 1) & 0xFFFFFFFFFFFFFFFF)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        seeds ^= seeds >> shift
+        seeds *= factor
+    seeds = (seeds ^ (seeds >> 31)) & 0x7FFFFFFFFFFFFFFF
+    offsets, values = (seeds % (len(ds) - T + 1)).tolist(), np.fromiter(ds.values, float, len(ds))
+    for row, offset in enumerate(offsets):
         prices[row] = values[offset : offset + T]
-        means.append(math.fsum(segment) / T)
-        records.append(dict(trial=trial, seed=seed, offset=offset))
-    noise_rows(prices, means, cfg.noise, ds.kind)
+    noise_rows(prices, [math.fsum(ds.values[o : o + T]) / T for o in offsets], cfg.noise, ds.kind)
     highs, zeros = prices.max(axis=1), prices <= 0
     np.copyto(prices, math.inf, where=zeros)
     lows = prices.min(axis=1)
@@ -174,47 +167,39 @@ def sample_pass(
     # Python's min and max keep the trace-wide bound objects on most rows
     L = [min(bounds.L, lo) for lo in lows.tolist()]
     U = [max(bounds.U, hi) for hi in highs.tolist()]
-    failure = None
-    bad = np.flatnonzero((highs <= 0) | (highs == math.inf)).tolist()
+    failure, bad = None, np.flatnonzero((highs <= 0) | (highs == math.inf)).tolist()
     if bad:
         row = bad[0]
         if U[row] == math.inf:
             exc = ParameterError(f"need 0 < L <= U < inf, got L={L[row]}, U={U[row]}")
         else:
             exc = OprError("noised segment is identically zero; instance undefined")
-        failure, records[row:] = (start + row, exc), []
-    for record, l, u, f in zip(records, L, U, np.count_nonzero(zeros, axis=1).tolist()):
-        record.update(instance_l=l, instance_u=u, bounds_widened=l < bounds.L or u > bounds.U,
-                      floored_values=f)
+        failure = (start + row, exc)
+    records = [{"trial": start + row, "seed": seed, "offset": offset, "instance_l": l,
+                "instance_u": u, "bounds_widened": l < bounds.L or u > bounds.U,
+                "floored_values": f}
+               for row, seed, offset, l, u, f in zip(
+                   range(bad[0] if bad else n), seeds.tolist(), offsets, L, U,
+                   np.count_nonzero(zeros, axis=1).tolist())]
     return records, failure
 
 
-def _complete_record(
-    record: dict,
-    opt_total: float,
-    lanes: list[tuple[float, int, bool]],
-    names: Sequence[str],
-    variant: Variant,
-) -> dict:
-    """A trial's last phase: its OPT total, then the total, switches, ratio
-    and clipped flag of each algorithm in ``names`` order, from the total,
-    flip count and clipped flag of each of ``lanes``.  Each lane is checked
-    as it is recorded: a total that overflows, or a ratio below 1 (a defect:
-    OPT is exact), raises."""
-    record.update(opt_total=opt_total, algs={})
-    for name, (total, flips, clipped) in zip(names, lanes):
+def _check_trial(
+    opt_total: float, totals: Sequence[float], errors: Sequence[OprError | None],
+    names: Sequence[str], variant: Variant,
+) -> None:
+    """Raise a trial's first failure, scoring its lanes one at a time in
+    ``names`` order from each lane's total and its family's error, if any:
+    that error, a total that overflows, `cost_ratio`'s own, or a ratio below
+    1 (a defect: OPT is exact)."""
+    for name, total, error in zip(names, totals, errors):
+        if error is not None:
+            raise error
         if not math.isfinite(total):
             raise ParameterError(f"{name} total {total} overflows")
         ratio = cost_ratio(total, opt_total, variant)
         if ratio < 1 - 1e-9:
             raise OprError(f"{name} ratio {ratio} below 1; OPT is exact, this indicates a defect")
-        record["algs"][name] = {
-            "total": total,
-            "switches": flips,
-            "ratio": ratio,
-            "beta_clipped": clipped,
-        }
-    return record
 
 
 def _run_trials(
@@ -234,11 +219,12 @@ def _run_trials(
     rail table, and each lane is pointed at its row; OPT is solved for every
     row, every lane is played in one `play_lanes` call, and two
     `lane_totals` calls price them all, lanes of a failed family too.  One
-    scoring loop raises the first per-trial failure in trial and algorithm
-    order, as ``trial i: ...``: a family error at the first lane it fails,
-    `_complete_record`'s own, or, after the trials before it, a sampling
-    error.  A T longer than the trace, a beta that is infinite or overflows
-    OPT, or a lane off k fails first, naming no trial.
+    (n, m) division gives every ratio and one mask flags every lane that
+    `_check_trial` would fail; the first flagged trial raises its failure
+    as ``trial i: ...``, and otherwise, after the trials before it, a
+    sampling error does.  A T longer than the trace, a beta that is
+    infinite or overflows OPT, or a lane off k or whose sum overflows fails
+    first; the last two name their trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -264,30 +250,40 @@ def _run_trials(
             clips.append(clip)
     table, _, failed = player_families(cells, k, variant)
     del seen, group, cells  # freed before the DP and the players run
-    prices = prices[: len(records)]
-    if variant is Variant.MAX:
+    n, names = len(records), [kind.value for kind in kinds]
+    prices = prices[:n]
+    if maximize := variant is Variant.MAX:
         np.negative(prices, out=prices)
     opt_rows = dp_decisions(prices, k, float(beta_abs))
     alg_rows = play_lanes(prices, table, lane_rows)
-    _, _, opt_totals, _ = lane_totals(prices, opt_rows[:, None], k, beta_abs)
-    _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs)
-    if variant is Variant.MAX:  # 0.0 - t, so that a zero profit stays +0.0
+    _, _, opt_totals, _ = lane_totals(prices, opt_rows[:, None], k, beta_abs,
+                                      lambda i, a: f"trial {start + i}: OPT")
+    _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs,
+                                      lambda i, a: f"trial {start + i}: {names[a]}")
+    del table  # freed before the records are filled
+    if maximize:  # 0.0 - t, so that a zero profit stays +0.0
         opt_totals, totals = ([0.0 - t for t in part] for part in (opt_totals, totals))
-    names = [kind.value for kind in kinds]
-    for i, record in enumerate(records):
-        rows = lane_rows[i].tolist()
-        scored = next((a for a, f in enumerate(rows) if f in failed), m)
-        lanes = [(totals[i * m + a], flips[i * m + a], clips[f])
-                 for a, f in enumerate(rows[:scored])]
+    alg, opt = np.array(totals).reshape(n, m), np.array(opt_totals).reshape(n, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = opt / alg if maximize else alg / opt  # `cost_ratio`'s quotient, bit for bit
+    dead = np.array([f in failed for f in range(len(clips))], dtype=bool)
+    bad = (dead[lane_rows] | (np.abs(alg) == math.inf) | ((alg if maximize else opt) <= 0)
+           | (ratios < 1 - 1e-9))
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
         try:
-            _complete_record(record, opt_totals[i], lanes, names, variant)
-            if scored < m:
-                raise failed[rows[scored]]
+            _check_trial(opt_totals[i], totals[i * m : i * m + m],
+                         [failed.get(f) for f in lane_rows[i].tolist()], names, variant)
         except OprError as exc:
-            raise type(exc)(f"trial {record['trial']}: {exc}") from exc
+            raise type(exc)(f"trial {start + i}: {exc}") from exc
     if failure is not None:
         trial, exc = failure
         raise type(exc)(f"trial {trial}: {exc}") from exc
+    lanes = zip(totals, flips, map(clips.__getitem__, lane_rows.ravel().tolist()))
+    for record, opt_total, trial_ratios in zip(records, opt_totals, ratios.tolist()):
+        # ``names`` runs out first, so each trial takes exactly its m lanes
+        record.update(opt_total=opt_total, algs={
+            name: {"total": t, "switches": f, "ratio": r, "beta_clipped": c}
+            for name, r, (t, f, c) in zip(names, trial_ratios, lanes)})
     return records
 
 

@@ -3,10 +3,11 @@
 `run_experiment` samples a pass of trials into one price array, solves OPT
 for every row with the lane DP and plays every (trial, algorithm) lane in
 one `play_lanes` call.  This module builds the same records one trial at a
-time from the one-row parts: `sample_segment_with_offset`, the noise, floor
-and widen rules of `opr.experiment`'s module docstring written out here, an
-`Instance`, each player's `player_family` stepped by `run_online`, and OPT
-by the exhaustive `brute_force_optimal`.  No user path of ``opr`` needs it.
+time from the one-row parts: the scalar `derive_seed` below,
+`sample_segment_with_offset`, the noise, floor and widen rules of
+`opr.experiment`'s module docstring written out here, an `Instance`, each
+player's `player_family` stepped by `run_online`, and OPT by the exhaustive
+`brute_force_optimal`.  No user path of ``opr`` needs it.
 """
 
 import math
@@ -16,7 +17,7 @@ from brute_force import brute_force_optimal
 from opr.algorithms import run_online
 from opr.core import Instance, Variant, cost_ratio, evaluate_schedule
 from opr.errors import OprError, ParameterError
-from opr.experiment import ExperimentConfig, derive_seed
+from opr.experiment import ExperimentConfig
 from opr.thresholds import PlayerKind, player_family
 from opr.traces import (TraceBounds, TraceDataset, TraceKind, sample_segment_with_offset,
                         trace_bounds)
@@ -24,6 +25,15 @@ from opr.traces import (TraceBounds, TraceDataset, TraceKind, sample_segment_wit
 #: past the min regime edge (U - L)/2, DTPR plays the rails of this
 #: fraction of the edge while the instance charges the true beta
 BETA_CLIP = 0.999999
+
+
+def derive_seed(master: int, trial: int) -> int:
+    """Trial ``trial``'s seed: a stable 63-bit splitmix hash of (master,
+    trial), in Python ints; `sample_pass` computes it in uint64 arrays."""
+    x = (master * 0x9E3779B97F4A7C15 + trial + 1) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return (x ^ (x >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
 def reference_sample(

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_simulate import reference_records, reference_sample
+from reference_simulate import derive_seed, reference_records, reference_sample
 from opr.core import Variant
 from opr import core, experiment, offline
-from opr.errors import DegenerateProfitError, OprError, ParameterError, RegimeError
+from opr.algorithms import play_lanes
+from opr.errors import (DegenerateProfitError, FeasibilityError, OprError, ParameterError,
+                        RegimeError)
 from opr.experiment import (
     ExperimentConfig,
-    derive_seed,
     run_experiment,
     summarize,
     sweep_ratios,
@@ -370,6 +371,9 @@ class TestFamilyMemo:
 
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
 
+#: DTPR's ratio below 1 at trial ``trial``, as a pattern: DTPR runs first
+DEFECT = r"^trial {trial}: dtpr ratio \S+ below 1; OPT is exact, this indicates a defect$"
+
 
 class TestChunkedTrials:
     """run_experiment samples a pass of trials, solves their optima in DP
@@ -391,19 +395,33 @@ class TestChunkedTrials:
         return sizes
 
     @staticmethod
-    def _scored_trials(monkeypatch, fail_score=None):
-        """Record the trial of every record the run completes; the record of
-        trial `fail_score` raises instead."""
-        scored, complete = [], experiment._complete_record
+    def _defect_at(monkeypatch, trial):
+        """Give trial ``trial`` of a run in one pass a real defect: its OPT
+        row becomes the schedule that pays the most, so a player's ratio
+        falls below 1 (`DEFECT`)."""
+        solve = experiment.dp_decisions
 
-        def spy(record, *args):
-            scored.append(record["trial"])
-            if record["trial"] == fail_score:
-                raise OprError("cannot score")
-            return complete(record, *args)
+        def worst(prices, k, beta):
+            rows = solve(prices, k, beta)
+            if trial < len(prices):
+                rows[trial] = solve(-prices[trial : trial + 1], k, beta)[0]
+            return rows
 
-        monkeypatch.setattr(experiment, "_complete_record", spy)
-        return scored
+        monkeypatch.setattr(experiment, "dp_decisions", worst)
+
+    @staticmethod
+    def _fail_family(monkeypatch, kind, bounds, message):
+        """Make `player_families` fail ``kind``'s family at the (L, U)
+        ``bounds`` with a `RegimeError` of ``message``."""
+        build = experiment.player_families
+
+        def failing_families(cells, k, variant):
+            table, ratios, failed = build(cells, k, variant)
+            return table, ratios, {**failed, **{
+                f: RegimeError(message) for f, (cell_kind, U, L, _) in enumerate(cells)
+                if cell_kind is kind and (L, U) == bounds}}
+
+        monkeypatch.setattr(experiment, "player_families", failing_families)
 
     def test_records_equal_fresh_trials_across_chunks(self, monkeypatch):
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
@@ -470,8 +488,9 @@ class TestChunkedTrials:
     def test_noisy_max_run_still_aborts_at_trial_2(self, monkeypatch):
         # beta = 0.05 U = 4.948 >= kL/2 = 1.078 once trial 2's noised segment
         # lowers L: DTPR's max family cannot be built.  Trials 0 and 1 are
-        # fine, share its pass and are scored first.
-        scored = self._scored_trials(monkeypatch)
+        # fine, share its pass and are scored first: a defect at trial 3
+        # leaves the error as it is, and one at trial 1 is reported instead.
+        self._defect_at(monkeypatch, 3)
         ds = parse_trace(str(SHIPPED_CARBONFREE), TraceKind.CARBON_FREE_PCT)
         cfg = ExperimentConfig(
             variant=Variant.MAX, T=48, noise=2.0, beta_frac=0.05, trials=10, seed=42
@@ -483,14 +502,16 @@ class TestChunkedTrials:
             "trial 2: beta=4.947912397446897 >= kL/2=1.0776627445075633: "
             "profit can be forced nonpositive, max ratio is unbounded"
         )
-        assert scored == [0, 1, 2]
+        self._defect_at(monkeypatch, 1)
+        with pytest.raises(OprError, match=DEFECT.format(trial=1)):
+            run_experiment(cfg, ds)
 
     @pytest.mark.filterwarnings("error")
     def test_nonpositive_max_profit_fails_its_trial(self, monkeypatch):
         # beta = 9.5 is below kL/2 = 10, so every family builds, but a lane
         # can still net a nonpositive profit: trial 2 does, after trials 0
-        # and 1 are scored, and no warning is raised on the way
-        scored = self._scored_trials(monkeypatch)
+        # and 1 are scored (a defect at trial 1 is reported instead), and no
+        # warning is raised on the way
         values = (30, 20, 10, 10, 25, 26, 10, 10, 18, 10, 18, 10, 10, 10, 29, 28)
         ds = TraceDataset(region="", values=tuple(map(float, values)),
                           kind=TraceKind.CARBON_FREE_PCT)
@@ -501,7 +522,9 @@ class TestChunkedTrials:
         assert str(excinfo.value) == (
             "trial 2: nonpositive profit -10.0: beta too large relative to kL, ratio undefined"
         )
-        assert scored == [0, 1, 2]
+        self._defect_at(monkeypatch, 1)
+        with pytest.raises(OprError, match=DEFECT.format(trial=1)):
+            run_experiment(cfg, ds)
 
     def test_a_zero_max_profit_is_positive_zero(self):
         # one price of 10 and two flips of 5 net exactly 0: the max pass's
@@ -513,23 +536,24 @@ class TestChunkedTrials:
 
     def test_identically_zero_segment_fails_its_own_trial(self, monkeypatch):
         # a run of 4 zero hours: the only window of T=4 inside it stays zero
-        # under noise, so its trial fails after every earlier trial is scored
+        # under noise, so its trial fails after every earlier trial is
+        # scored: a defect at the trial before it is reported instead
         values = [100.0 + i % 7 for i in range(40)]
         values[10:14] = [0.0] * 4
         ds = TraceDataset(region="zeros", values=tuple(values), kind=TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=4, k=2, beta=1.0, trials=30, seed=9)
         first = next(i for i in range(cfg.trials) if derive_seed(cfg.seed, i) % 37 == 10)
         assert first == 17
-        scored = self._scored_trials(monkeypatch)
         with pytest.warns(UserWarning, match="trace minimum is 0"):
             with pytest.raises(
                 OprError, match=f"^trial {first}: noised segment is identically zero"
             ):
                 run_experiment(cfg, ds)
-        assert scored == list(range(first))
+            self._defect_at(monkeypatch, first - 1)
+            with pytest.raises(OprError, match=DEFECT.format(trial=first - 1)):
+                run_experiment(cfg, ds)
 
-    def test_overflowing_noise_fails_trial_0(self, monkeypatch):
-        scored = self._scored_trials(monkeypatch)
+    def test_overflowing_noise_fails_trial_0(self):
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=48, beta=1.0, noise=1e306, trials=3)
         with pytest.raises(ParameterError) as info:
@@ -537,14 +561,13 @@ class TestChunkedTrials:
         assert str(info.value) == (
             "trial 0: need 0 < L <= U < inf, got L=23.083920056346066, U=inf"
         )
-        assert scored == []
 
-    @pytest.mark.parametrize("fail_sample, fail_score, reported", [(3, None, 3), (3, 1, 1)])
+    @pytest.mark.parametrize("fail_sample, defect, reported", [(3, None, 3), (3, 1, 1)])
     def test_first_failing_trial_is_reported(
-        self, monkeypatch, fail_sample, fail_score, reported
+        self, monkeypatch, fail_sample, defect, reported
     ):
         # a trial that fails to sample ends its pass: the trials before it
-        # are still scored first, and an earlier failure wins
+        # are still scored first, and an earlier failure, here a defect, wins
         sample = experiment.sample_pass
 
         def failing_sample(cfg, ds, bounds, start, prices):
@@ -555,52 +578,34 @@ class TestChunkedTrials:
             return records, failure
 
         monkeypatch.setattr(experiment, "sample_pass", failing_sample)
-        scored = self._scored_trials(monkeypatch, fail_score)
+        if defect is not None:
+            self._defect_at(monkeypatch, defect)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=24, beta=1.0, trials=10, seed=0)
-        with pytest.raises(OprError, match=f"^trial {reported}: cannot"):
+        message = "^trial 3: cannot sample$" if defect is None else DEFECT.format(trial=reported)
+        with pytest.raises(OprError, match=message):
             run_experiment(cfg, ds)
-        assert scored == list(range(min(fail_sample, reported + 1)))
 
-    @pytest.mark.parametrize("fail_score", [None, 1, 4])
-    def test_family_failure_is_its_trials_scoring_failure(self, monkeypatch, fail_score):
+    @pytest.mark.parametrize("defect", [None, 1, 4])
+    def test_family_failure_is_its_trials_scoring_failure(self, monkeypatch, defect):
         # ksearch's family fails at trial 4 (the third (L, U) of this run):
         # the trials before it are scored first, and so is dtpr, which comes
-        # before ksearch in trial 4; an earlier scoring failure wins.  Every
-        # cell of the pass is built, in one call, before any trial is scored.
+        # before ksearch in trial 4; so an earlier defect wins, dtpr's at
+        # trial 4 too.  Every cell of the pass is built, in one call, before
+        # any trial is scored.
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
         cfg = ExperimentConfig(
             variant=Variant.MIN, T=24, beta=1.0, noise=3.0, trials=8, seed=0,
             algs=("dtpr", "ksearch", "const"),
         )
         bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
-        assert bounds[3] != bounds[4]
-        build = experiment.player_families
-
-        def failing_families(cells, k, variant):
-            table, ratios, failed = build(cells, k, variant)
-            return table, ratios, {**failed, **{
-                f: RegimeError("cannot build") for f, (kind, U, L, _) in enumerate(cells)
-                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]}}
-
-        monkeypatch.setattr(experiment, "player_families", failing_families)
-        lanes, complete = [], experiment._complete_record
-
-        def spy(record, opt_total, trial_lanes, *args):
-            lanes.append((record["trial"], len(trial_lanes)))
-            if record["trial"] == fail_score:
-                raise OprError("cannot score")
-            return complete(record, opt_total, trial_lanes, *args)
-
-        monkeypatch.setattr(experiment, "_complete_record", spy)
-        reported = 4 if fail_score is None else fail_score
-        message = "cannot build" if fail_score is None else "cannot score"
-        with pytest.raises(OprError, match=f"^trial {reported}: {message}$"):
+        assert bounds[1] != bounds[3] != bounds[4]
+        self._fail_family(monkeypatch, PlayerKind.KSEARCH, bounds[4], "cannot build")
+        if defect is not None:
+            self._defect_at(monkeypatch, defect)
+        message = "^trial 4: cannot build$" if defect is None else DEFECT.format(trial=defect)
+        with pytest.raises(OprError, match=message):
             run_experiment(cfg, ds)
-        # trial 4 is scored for dtpr only
-        assert lanes == [(t, 3) for t in range(min(reported + 1, 4))] + (
-            [(4, 1)] if reported == 4 else []
-        )
 
     @pytest.mark.parametrize("fault, reported, message", [
         ("defect", 0, r"dtpr ratio \S+ below 1; OPT is exact, this indicates a defect"),
@@ -617,7 +622,7 @@ class TestChunkedTrials:
             algs=("dtpr", "ksearch", "const"),
         )
         bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
-        sample, build = experiment.sample_pass, experiment.player_families
+        sample = experiment.sample_pass
 
         def failing_sample(cfg, ds, bounds, start, prices):
             records, failure = sample(cfg, ds, bounds, start, prices)
@@ -630,21 +635,59 @@ class TestChunkedTrials:
             out[:, :k] = 1
             return out
 
-        def failing_families(cells, k, variant):
-            table, ratios, failed = build(cells, k, variant)
-            return table, ratios, {**failed, **{
-                f: RegimeError("cannot build") for f, (kind, U, L, _) in enumerate(cells)
-                if kind is PlayerKind.KSEARCH and (L, U) == bounds[4]}}
-
         monkeypatch.setattr(experiment, "sample_pass", failing_sample)
         if fault == "defect":
             monkeypatch.setattr(experiment, "dp_decisions", first_k)
         else:
-            monkeypatch.setattr(experiment, "player_families", failing_families)
-        scored = self._scored_trials(monkeypatch)
+            self._fail_family(monkeypatch, PlayerKind.KSEARCH, bounds[4], "cannot build")
         with pytest.raises(OprError, match=f"^trial {reported}: {message}$"):
             run_experiment(cfg, ds)
-        assert scored == list(range(reported + 1))
+
+    @pytest.mark.parametrize("per_pass", [1, 6])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("opt-off-k", FeasibilityError,
+         "trial 3: OPT accepts 0 prices, not k=4; this indicates a defect"),
+        ("lane-off-k", FeasibilityError,
+         "trial 3: ksearch accepts 0 prices, not k=4; this indicates a defect"),
+        ("opt-overflow", ParameterError, "trial 3: OPT sum overflows"),
+    ], ids=["opt-off-k", "lane-off-k", "opt-overflow"])
+    def test_lane_refusals_name_their_trial(self, monkeypatch, per_pass, fault, error, message):
+        # `lane_totals` refuses a lane before any trial is scored; from a
+        # pass it names the lane's trial and its algorithm or OPT, in
+        # one-trial passes (trial 3 is row 0 of the fourth) as in one pass
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=24, k=4, beta=1.0, trials=6, seed=0,
+                               algs=("dtpr", "ksearch"))
+        trial_bytes = 9 * 24 + 2 * (16 * 5 + 2 * 24)
+        monkeypatch.setattr(experiment, "_PASS_BYTES", per_pass * trial_bytes)
+        sample, solve, play = experiment.sample_pass, experiment.dp_decisions, play_lanes
+        row = {}
+
+        def sampled(cfg, ds, bounds, start, prices):
+            row["trial 3"] = 3 - start if start <= 3 < start + len(prices) else None
+            return sample(cfg, ds, bounds, start, prices)
+
+        def solved(prices, k, beta):
+            rows = solve(prices, k, beta)
+            if fault == "opt-off-k" and row["trial 3"] is not None:
+                rows[row["trial 3"]] = 0
+            if fault == "opt-overflow" and row["trial 3"] is not None:
+                # after the DP, which would refuse the cost: any four overflow
+                prices[row["trial 3"]] = 1e308
+            return rows
+
+        def played(prices, rails, lanes):
+            decisions = play(prices, rails, lanes)
+            if fault == "lane-off-k" and row["trial 3"] is not None:
+                decisions[row["trial 3"], 1] = 0
+            return decisions
+
+        monkeypatch.setattr(experiment, "sample_pass", sampled)
+        monkeypatch.setattr(experiment, "dp_decisions", solved)
+        monkeypatch.setattr(experiment, "play_lanes", played)
+        with pytest.raises(error) as info:
+            run_experiment(cfg, ds)
+        assert str(info.value) == message
 
 
 @st.composite
@@ -698,6 +741,30 @@ class TestSamplePass:
                 assert trial == start + len(records) < stop
                 assert expected[trial] == (type(exc), str(exc))
 
+    @given(
+        master=st.one_of(st.integers(-2**80, 2**80),
+                         st.sampled_from([-2**80, -2**64, -1, 0, 2**63, 2**64 - 1, 2**64, 2**80])),
+        start=st.sampled_from([0, 2**32, 2**62]).flatmap(
+            lambda base: st.integers(max(0, base - 40), base + 40)),
+        n=st.integers(1, 8), T=st.integers(1, 6),
+        windows=st.one_of(st.integers(1, 4), st.integers(1, 3000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_seed_and_offset_columns_equal_the_scalar_splitmix(self, master, start, n, T,
+                                                               windows):
+        # the pass's uint64 splitmix equals the Python-int one bit for bit,
+        # down to a trace with one window
+        ds = TraceDataset(region="", values=tuple(float(1 + i % 7) for i in range(T + windows - 1)),
+                          kind=TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=T, k=1, beta=1.0, seed=master)
+        records, failure = experiment.sample_pass(cfg, ds, trace_bounds(ds), start,
+                                                  np.empty((n, T)))
+        assert failure is None
+        seeds = [derive_seed(master, trial) for trial in range(start, start + n)]
+        assert [(r["trial"], r["seed"], r["offset"]) for r in records] == [
+            (trial, seed, seed % windows) for trial, seed in zip(range(start, start + n), seeds)]
+        assert {type(r[key]) for r in records for key in ("trial", "seed", "offset")} == {int}
+
     @pytest.mark.parametrize("noise", [1.0, 3.0])
     def test_long_pass_allocates_no_window_matrix(self, noise):
         # a long-max-shaped pass samples in place: gathering the windows
@@ -735,6 +802,78 @@ class TestSamplePass:
         with pytest.raises(ParameterError) as info:
             run_experiment(cfg, ds)
         assert str(info.value) == message
+
+
+#: ratios on either side of and at `_check_trial`'s defect edge 1 - 1e-9
+_EDGE_RATIOS = [math.nextafter(1 - 1e-9, 0), 1 - 1e-9, math.nextafter(1 - 1e-9, 2), 1.0, 0.5, 3.0]
+_ODD_TOTALS = [math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324, 5e-324, 1e-300, 1e308]
+
+
+@st.composite
+def _scored_passes(draw):
+    """(variant, n, m, OPT totals, lane totals) as a pass records them: on
+    both variants, a power-of-two scale a trial and lanes whose ratio is
+    exactly one of `_EDGE_RATIOS`, with odd and free totals mixed in."""
+    variant, n, m = draw(st.sampled_from(Variant)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    free = st.one_of(st.sampled_from(_ODD_TOTALS), st.floats(allow_nan=False))
+    opts, totals = [], []
+    for _ in range(n):
+        scale = 2.0 ** draw(st.integers(-30, 30))
+        # min: ALG/OPT with OPT the scale; max: OPT/ALG with ALG the scale
+        target = draw(st.sampled_from(_EDGE_RATIOS))
+        opt = draw(st.one_of(st.just(scale if variant is Variant.MIN else target * scale), free))
+        opts.append(opt)
+        totals += [draw(st.one_of(
+            st.sampled_from(_EDGE_RATIOS).map(lambda r: r * scale) if variant is Variant.MIN
+            else st.just(scale), free)) for _ in range(m)]
+    return variant, n, m, opts, totals
+
+
+class TestScoringMask:
+    """A pass decides every trial's failure from one (n, m) division and one
+    mask: it raises exactly what scoring each trial's lanes one at a time
+    by `_check_trial` would, and records `cost_ratio`'s ratios bit for bit."""
+
+    @given(_scored_passes())
+    @settings(max_examples=400, deadline=None)
+    def test_mask_equals_the_scalar_check(self, scored):
+        variant, n, m, opts, totals = scored
+        names = list(experiment.ALG_NAMES[:m])
+        ds = TraceDataset(region="", values=(3.0, 1.0, 2.0, 5.0), kind=TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=variant, T=2, k=1, beta=0.0, trials=n, algs=tuple(names))
+        # `lane_totals` gives minimizing totals, and a max pass records each
+        # total t as 0.0 - t: the drawn totals are handed over turned, and
+        # the expected ones are what the pass turns back (-0.0 becomes 0.0)
+        turn = (lambda t: t) if variant is Variant.MIN else (lambda t: 0.0 - t)
+        priced = iter([[turn(t) for t in opts], [turn(t) for t in totals]])
+
+        def lane_totals(prices, decisions, k, beta, label):
+            part = next(priced)
+            return None, None, part, [2] * len(part)
+
+        opts, totals = [turn(turn(t)) for t in opts], [turn(turn(t)) for t in totals]
+        expected = None
+        for i in range(n):
+            try:
+                experiment._check_trial(opts[i], totals[i * m : i * m + m], [None] * m, names,
+                                        variant)
+            except OprError as exc:
+                expected = type(exc), f"trial {i}: {exc}"
+                break
+        with mock.patch.object(experiment, "lane_totals", lane_totals):
+            try:
+                records = run_experiment(cfg, ds).trials
+            except OprError as exc:
+                assert (type(exc), str(exc)) == expected
+                return
+        assert expected is None
+        for i, record in enumerate(records):
+            assert record["opt_total"].hex() == opts[i].hex()
+            for a, name in enumerate(names):
+                alg, total = record["algs"][name], totals[i * m + a]
+                assert alg["total"].hex() == total.hex()
+                assert type(alg["ratio"]) is float
+                assert alg["ratio"].hex() == experiment.cost_ratio(total, opts[i], variant).hex()
 
 
 class TestSweep:

@@ -34,6 +34,9 @@ RUNS = [
       "--out", "{tmp}/min.json", "--cdf", "{tmp}/min-cdf.csv"], 0),
     (["simulate", "--variant", "max", "--trace", CARBONFREE, "--t-horizon", "24", "--k", "4",
       "--beta", "1", "--trials", "4", "--seed", "7", "--out", "{tmp}/max.json"], 0),
+    # trial 2's DTPR family cannot be built: its trial is scored lane by lane
+    (["simulate", "--variant", "max", "--trace", CARBONFREE, "--noise", "2",
+      "--beta-frac", "0.05", "--trials", "10", "--seed", "42", "--out", "{tmp}/noisy.json"], 2),
     (["simulate", "--variant", "min", "--synthetic", "period=24,amp=80,mean=250,seed=3,hours=96",
       "--t-horizon", "12", "--k", "3", "--beta", "2", "--trials", "3",
       "--algs", "dtpr,agnostic", "--out", "{tmp}/syn-min.json"], 0),
@@ -63,6 +66,7 @@ ALLOWED = {
     "experiment.run_trial": PINNED,
     "thresholds.ksearch_thresholds": PINNED,
     "traces.apply_noise": PINNED,
+    "traces.sample_segment_with_offset": PINNED,
 }
 
 
