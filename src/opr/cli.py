@@ -200,12 +200,11 @@ def _cmd_adversary(args) -> int:
     print(f"ratio           : {transcript.ratio:.9f}")
     print(f"theoretical {bound_name}: {transcript.bound:.9f}")
     if args.dump_sequence:
+        # one write, each distinct price formatted once (all lie in [L, U], L > 0: no -0.0)
+        text = {price: repr(price) for price in set(transcript.prices)}
+        rows = enumerate(zip(transcript.prices, transcript.alg_schedule.decisions), start=1)
         with open(args.dump_sequence, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,price,decision\n")
-            for t, (price, x) in enumerate(
-                zip(transcript.prices, transcript.alg_schedule.decisions), start=1
-            ):
-                fh.write(f"{t},{price!r},{x}\n")
+            fh.write("t,price,decision\n" + "".join([f"{t},{text[p]},{x}\n" for t, (p, x) in rows]))
         print(f"wrote realized sequence to {args.dump_sequence}")
     return 0
 

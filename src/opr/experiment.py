@@ -17,7 +17,8 @@ in the trial record rather than silently applied.
 A run goes in lane passes of `pass_len` trials, each one `_run_trials` call
 on one (n, T) price array, negated in place on a max pass (see `core`).
 Families depend on a trial only through its (L, U), so a pass builds each
-once; the records are the same as if every trial built its own.
+once, from float64 columns of its distinct (L, U) checked and solved as
+arrays; the records are the same as if every trial built its own.
 """
 
 from __future__ import annotations
@@ -213,18 +214,18 @@ def _run_trials(
 ) -> list[dict]:
     """The records of trials [start, stop), from one lane pass.
 
-    `sample_pass` samples the trials into the rows of one price array.  The
-    families of each distinct (L, U) are built by one `player_families`
-    call, with one `solve_ratios` for all their ratios, into the rows of one
-    rail table, and each lane is pointed at its row; OPT is solved for every
-    row, every lane is played in one `play_lanes` call, and two
-    `lane_totals` calls price them all, lanes of a failed family too.  One
-    (n, m) division gives every ratio and one mask flags every lane that
-    `_check_trial` would fail; the first flagged trial raises its failure
-    as ``trial i: ...``, and otherwise, after the trials before it, a
-    sampling error does.  A T longer than the trace, a beta that is
-    infinite or overflows OPT, or a lane off k or whose sum overflows fails
-    first; the last two name their trial.
+    `sample_pass` samples the trials into the rows of one price array.  Its
+    distinct (L, U) become float64 columns, with a (D, m) beta clipped by
+    array ops, that one `player_families` call turns into one rail table;
+    each lane is pointed at its row.  OPT is solved for every row, every
+    lane is played in one `play_lanes` call, and two `lane_totals` calls
+    price them all, lanes of a failed family too.  One (n, m) division
+    gives every ratio and one mask flags every lane that `_check_trial`
+    would fail; the first flagged trial raises its failure as
+    ``trial i: ...``, and otherwise, after the trials before it, a sampling
+    error does.  A T longer than the trace, a beta that is infinite or
+    overflows OPT, or a lane off k or whose sum overflows fails first; the
+    last two name their trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -233,23 +234,19 @@ def _run_trials(
         raise ParameterError(f"beta must be finite and nonnegative, got {beta_abs}")
     prices = np.empty((stop - start, T))
     records, failure = sample_pass(cfg, ds, bounds, start, prices)
-    # each distinct (L, U) gets a rail-table row per kind, and `lane_rows`
-    # says which row each lane plays
+    # each distinct (L, U) is a cell with a table row per kind; `lane_rows` holds each lane's row
     seen: dict[tuple[float, float], int] = {}
     group = [seen.setdefault((r["instance_l"], r["instance_u"]), len(seen)) for r in records]
     lane_rows = np.array(group, dtype=np.intp).reshape(-1, 1) * m + np.arange(m)
-    cells, clips = [], []
-    for L, U in seen:
-        edge = regime_edge(variant, k, U, L)
-        for kind in kinds:
-            # past the min regime edge the min algorithm degenerates to one
-            # contiguous block; DTPR's min rails are then built from a
-            # clipped beta while the instance still charges the true one
-            clip = kind is PlayerKind.DTPR and variant is Variant.MIN and beta_abs >= edge
-            cells.append((kind, U, L, _BETA_CLIP * edge if clip else beta_abs))
-            clips.append(clip)
-    table, _, failed = player_families(cells, k, variant)
-    del seen, group, cells  # freed before the DP and the players run
+    L, U = np.array(list(seen), dtype=float).reshape(-1, 2).T
+    # past the min regime edge the min algorithm degenerates to one contiguous block; DTPR's
+    # min rails are then built from a clipped beta while the instance still charges the true one
+    edge = regime_edge(Variant.MIN, k, U, L)[:, None]
+    clips = (beta_abs >= edge) & np.array(
+        [kind is PlayerKind.DTPR and variant is Variant.MIN for kind in kinds], bool)
+    beta = np.where(clips, _BETA_CLIP * edge, float(beta_abs))
+    table, _, failed = player_families(kinds, U, L, beta, k, variant)
+    del seen, group, L, U, edge, beta  # freed before the DP and the players run
     n, names = len(records), [kind.value for kind in kinds]
     prices = prices[:n]
     if maximize := variant is Variant.MAX:
@@ -266,7 +263,8 @@ def _run_trials(
     alg, opt = np.array(totals).reshape(n, m), np.array(opt_totals).reshape(n, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = opt / alg if maximize else alg / opt  # `cost_ratio`'s quotient, bit for bit
-    dead = np.array([f in failed for f in range(len(clips))], dtype=bool)
+    dead = np.zeros(clips.size, bool)
+    dead[list(failed)] = True
     bad = (dead[lane_rows] | (np.abs(alg) == math.inf) | ((alg if maximize else opt) <= 0)
            | (ratios < 1 - 1e-9))
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
@@ -278,7 +276,7 @@ def _run_trials(
     if failure is not None:
         trial, exc = failure
         raise type(exc)(f"trial {trial}: {exc}") from exc
-    lanes = zip(totals, flips, map(clips.__getitem__, lane_rows.ravel().tolist()))
+    lanes = zip(totals, flips, clips.ravel()[lane_rows.ravel()].tolist())
     for record, opt_total, trial_ratios in zip(records, opt_totals, ratios.tolist()):
         # ``names`` runs out first, so each trial takes exactly its m lanes
         record.update(opt_total=opt_total, algs={
@@ -349,8 +347,8 @@ def sweep_ratios(
     the min side, where the player buys one contiguous block, and ``inf`` on
     the max side, where the ratio is unbounded.  The k, the U, the first
     L, every beta, and then the other L's in grid order are checked before
-    any cell is solved; every other cell is solved in one `solve_ratios`
-    call, and the first that fails in grid order raises.
+    any cell is solved; the others, one mask over the grid's columns, are
+    solved in one `solve_ratios` call, and the first that fails raises.
     """
     check_k(k)
     if not (0 < U < math.inf):
@@ -362,11 +360,14 @@ def sweep_ratios(
         if negative is not None:  # raised after the first L's own check
             raise ParameterError(f"grid beta={negative} negative")
     sentinel = "degenerate" if variant is Variant.MIN else "inf"
-    edges = [regime_edge(variant, k, U, L) for L in l_grid]
-    found = solve_ratios(variant, ((k, U, L, beta) for L, edge in zip(l_grid, edges)
-                                   for beta in beta_grid if not beta >= edge))
-    if failed := next((cell for cell in found if isinstance(cell, OprError)), None):
-        raise failed
-    ratios = iter(found)
-    return [(L, beta, sentinel if beta >= edge else next(ratios))
-            for L, edge in zip(l_grid, edges) for beta in beta_grid]
+    Ls = np.repeat(np.array(l_grid, dtype=float), len(beta_grid))
+    betas = np.tile(np.array(beta_grid, dtype=float), len(l_grid))
+    live = ~(betas >= regime_edge(variant, k, U, Ls))
+    n = np.count_nonzero(live)
+    found, errors = solve_ratios(variant, np.full(n, float(k)), np.full(n, float(U)),
+                                 Ls[live], betas[live])
+    if errors:
+        raise errors[min(errors)]
+    ratios, regime = iter(found.tolist()), iter(live.tolist())
+    return [(L, beta, next(ratios) if next(regime) else sentinel)
+            for L in l_grid for beta in beta_grid]

@@ -14,8 +14,7 @@ Both degenerate to the classic k-search ratios at b = 0, with theta = U/L:
     (theta - 1) / (w - 1)     = (1 + w/k)^k            (k-max search)
 
 Both hold for beta below `regime_edge`, the one regime rule.  Both come
-from `solve_ratios`, one lane-wise bisection over a batch of cells that
-checks the batch and raises every lane's power as numpy arrays;
+from `solve_ratios`, one lane-wise bisection over float64 columns of cells;
 `solve_alpha`/`solve_omega` are its one-cell case.  These exact roots are
 the only form of the ratios here: the solver answers at every k, so the
 paper's asymptotic closed forms would be a second answer to the same
@@ -28,18 +27,16 @@ good enough to justify switching on.
 
 This module alone decides which rails each player kind plays.  A
 ``PlayerKind`` names an algorithm, not a variant; `player_families` builds
-the signed rails (see `core`) of a batch of (kind, U, L, beta) cells as one
-table, and `player_family`, through `_family`, is its one-cell case.
+the signed rails (see `core`) of m kinds on the float64 columns of D cells
+as one table, and `player_family`, through `_family`, is its one-cell case.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,14 +113,14 @@ def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def solve_ratios(
-    variant: Variant, cells: Iterable[tuple[int, float, float, float]]
-) -> list[float | OprError]:
-    """The ratio (alpha for min, omega for max) of each (k, U, L, beta) cell,
-    or the `OprError` of its solve; none is raised here but `check_cell`'s
-    `TypeError` on a value such as the string '4'.
+    variant: Variant, k: np.ndarray, U: np.ndarray, L: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, dict[int, OprError]]:
+    """The ratio (alpha for min, omega for max) of each cell of the float64
+    columns (k, U, L, beta), 0 where its solve failed, and ``{cell: error}``
+    of those cells; nothing is raised.
 
-    The cells are checked as one float64 array: the `check_cell` test, ratio
-    1 at U == L with beta == 0, and the `regime_edge` test; a failing cell's
+    The columns are checked as arrays: the `check_cell` test, ratio 1 at
+    U == L with beta == 0, and the `regime_edge` test; a failing cell's
     error is built from its own values.  The other cells are lanes that run
     the three phases of ``tests/ratio_reference.py::bisect_ratio`` together,
     on one residual, positive below the unique root: no root where it is
@@ -137,25 +134,20 @@ def solve_ratios(
     what = "alpha" if is_min else "omega"
     past_edge = ("single-block regime, min ratio equation does not apply" if is_min
                  else "profit can be forced nonpositive, max ratio is unbounded")
-    cells = list(cells)
-    if not {int, float}.issuperset(map(type, chain.from_iterable(cells))):
-        for cell in cells:  # np.fromiter would read '4' as 4.0
-            with suppress(ParameterError):  # the array checks give this error
-                check_cell(*cell)
-    roots, errors = np.ones(len(cells)), {}  # 1.0 until a lane's root is found
+    columns = (k, U, L, beta)
+    roots, errors = np.ones(len(k)), {}  # 1.0 until a lane's root is found
     with np.errstate(over="ignore", invalid="ignore"):
-        k, U, L, beta = np.fromiter(cells, np.dtype((float, 4)), len(cells)).T
         ok = ((k >= 1) & (k < math.inf) & (np.floor(k) == k) & (0 < L) & (L <= U)
               & (U < math.inf) & (0 <= beta) & (beta < math.inf))
         for i in np.flatnonzero(~ok).tolist():
             try:
-                check_cell(*cells[i])
+                check_cell(*(float(col[i]) for col in columns))
             except ParameterError as exc:
                 errors[i] = exc
         ok &= (U != L) | (beta != 0)
         past = ok & (beta >= regime_edge(variant, k, U, L))
         for i in np.flatnonzero(past).tolist():
-            kc, Uc, Lc, bc = cells[i]
+            kc, Uc, Lc, bc = (float(col[i]) for col in columns)
             errors[i] = RegimeError(f"beta={bc} >= {EDGE_NAMES[variant]}="
                                     f"{regime_edge(variant, kc, Uc, Lc)}: {past_edge}")
         live = np.flatnonzero(ok & ~past)
@@ -209,18 +201,17 @@ def solve_ratios(
             pos = residual(mid, *lanes[3:]) > 0
             np.copyto(lo, mid, where=pos)
             np.copyto(hi, mid, where=~pos)
-    out: list[float | OprError] = roots.tolist()
-    for i, exc in errors.items():
-        out[i] = exc
-    return out
+    roots[list(errors)] = 0.0
+    return roots, errors
 
 
 def _solve_ratio(k: int, U: float, L: float, beta: float, variant: Variant) -> float:
-    """`solve_ratios` on one cell, raising its error."""
-    [ratio] = solve_ratios(variant, [(k, U, L, beta)])
-    if isinstance(ratio, OprError):
-        raise ratio
-    return ratio
+    """`solve_ratios` on one cell after `check_cell` ('4' is a TypeError), raising its error."""
+    check_cell(k, U, L, beta)
+    [ratio], errors = solve_ratios(variant, *np.array([[k], [U], [L], [beta]], dtype=float))
+    if errors:
+        raise errors[0]
+    return float(ratio)
 
 
 def solve_alpha(k: int, U: float, L: float, beta: float) -> float:
@@ -289,55 +280,63 @@ def dtpr_max_thresholds(k: int, U: float, L: float, beta: float) -> ThresholdFam
 
 
 def player_families(
-    cells: Sequence[tuple[PlayerKind, float, float, float]], k: int, variant: Variant
+    kinds: Sequence[PlayerKind], U: np.ndarray, L: np.ndarray, beta: np.ndarray, k: int,
+    variant: Variant,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, OprError]]:
-    """The signed (F, 2, k+1) rail table of a player of each (kind, U, L,
-    beta) cell on ``variant``, the F ratios, and ``{row: error}`` for each
-    cell whose check or ratio solve failed.  Row f holds cell f's resume and
-    stay rails in ``[f, :, :k]``, as `play_lanes` reads them: a max row holds
-    the negated upper and lower rails.  Column k and a failed cell's row and
-    ratio are 0.  A k that is not a positive integer raises.
+    """The signed (D*m, 2, k+1) rail table of the m ``kinds`` on the D cells
+    of float64 columns U, L and (D, m) beta, the D*m ratios, and ``{row:
+    error}`` of each row whose check or solve failed.  Row d*m + a holds
+    kind a's resume and stay rails on cell d in ``[row, :, :k]``, as
+    `play_lanes` reads them: a max row holds the negated upper and lower
+    rails.  Column k and a failed row and its ratio are 0.  A k that is not
+    a positive integer raises.
 
-    DTPR and k-search (DTPR at beta = 0) rows come from one `solve_ratios`
-    call and one `dtpr_rails`.  A constant row holds +-sqrt(L*U) on both
-    rails, an agnostic row `dtpr_rails`' anchor, which accepts every price;
-    their ratio is that of one reservation price at beta = 0.
+    The rows are checked as masks; only a failing row calls `check_cell`,
+    for its error.  DTPR and k-search (DTPR at beta = 0) rows come from one
+    `solve_ratios` call and one `dtpr_rails`.  A constant row holds
+    +-sqrt(L*U) on both rails, an agnostic row `dtpr_rails`' anchor, which
+    accepts every price; their ratio is one reservation price's at beta = 0.
     """
-    k, minimize = check_k(k), variant is Variant.MIN
-    table, ratios, failed = np.zeros((max(len(cells), 1), 2, k + 1)), np.zeros(len(cells)), {}
-    solving, flat = [], []
-    for f, (kind, U, L, beta) in enumerate(cells):
+    k, minimize, cells = check_k(k), variant is Variant.MIN, len(U)
+    U, L, beta = np.repeat(U, len(kinds)), np.repeat(L, len(kinds)), np.ravel(beta)
+
+    def of(*members: PlayerKind) -> np.ndarray:  # which rows play one of ``members``
+        return np.tile(np.array([kind in members for kind in kinds], bool), cells)
+
+    table, ratios, failed = np.zeros((max(len(beta), 1), 2, k + 1)), np.zeros(len(beta)), {}
+    ok = (0 < L) & (L <= U) & (U < math.inf) & (0 <= beta) & (beta < math.inf)
+    for f in np.flatnonzero(~ok).tolist():
         try:
-            check_cell(k, U, L, beta)
+            check_cell(k, float(U[f]), float(L[f]), float(beta[f]))
         except ParameterError as exc:
             failed[f] = exc
-            continue
-        if kind in (PlayerKind.DTPR, PlayerKind.KSEARCH):
-            solving.append((f, U, L, 0.0 if kind is PlayerKind.KSEARCH else beta))
-        else:
-            flat.append((f, U, L, kind is PlayerKind.CONSTANT_THRESHOLD))
-    found = solve_ratios(variant, [(k, *cell[1:]) for cell in solving]) if solving else ()
-    failed.update((cell[0], r) for cell, r in zip(solving, found) if isinstance(r, OprError))
-    if solved := [(*cell, r) for cell, r in zip(solving, found) if not isinstance(r, OprError)]:
-        rows = [cell[0] for cell in solved]
-        _, U, L, beta, ratio = np.array(solved).T
-        table[rows, :, :k] = dtpr_rails(variant, k, U, L, beta, ratio)
-        ratios[rows] = ratio
-    if flat:
-        rows, rails = [f for f, *_ in flat], [
-            math.sqrt(L * U) if const else U if minimize else L for _, U, L, const in flat]
-        ratios[rows] = [max(rail / L, U / rail) for rail, (_, U, L, _) in zip(rails, flat)]
-        table[rows, :, :k] = (1.0 if minimize else -1.0) * np.array(rails)[:, None, None]
+    if len(rows := np.flatnonzero(ok & of(PlayerKind.DTPR, PlayerKind.KSEARCH))):
+        lane_beta = np.where(of(PlayerKind.KSEARCH)[rows], 0.0, beta[rows])
+        found, errors = solve_ratios(variant, np.full(len(rows), float(k)), U[rows], L[rows],
+                                     lane_beta)
+        failed.update(zip(rows[list(errors)].tolist(), errors.values()))
+        solved = found != 0  # a failed lane's root is 0
+        rows, lane_beta, found = rows[solved], lane_beta[solved], found[solved]
+        table[rows, :, :k] = dtpr_rails(variant, k, U[rows], L[rows], lane_beta, found)
+        ratios[rows] = found
+    rows = np.flatnonzero(ok & of(PlayerKind.CONSTANT_THRESHOLD, PlayerKind.CARBON_AGNOSTIC))
+    U, L, const = U[rows], L[rows], of(PlayerKind.CONSTANT_THRESHOLD)[rows]
+    with np.errstate(over="ignore"):  # an L*U past the float range is inf, as in Python
+        rail = np.where(const, np.sqrt(L * U), U if minimize else L)
+    ratios[rows] = np.maximum(rail / L, U / rail)
+    table[rows, :, :k] = (rail if minimize else -rail)[:, None, None]
     return table, ratios, failed
 
 
 def player_family(
     kind: PlayerKind, k: int, U: float, L: float, beta: float, variant: Variant
 ) -> ThresholdFamily:
-    """`player_families` on one cell, as a family, raising its error.  Every
-    player is made this way, since `algorithms` plays only families; a caller
-    that runs many players on the same parameters builds the family once."""
-    table, ratios, failed = player_families([(kind, U, L, beta)], k, variant)
+    """`player_families` on one cell after `check_cell`, as a family, raising
+    its error.  Every player is made this way, since `algorithms` plays only
+    families; a caller running many players on one cell builds it once."""
+    k = check_cell(k, U, L, beta)
+    U, L, beta = np.array([[U], [L], [beta]], dtype=float)
+    table, ratios, failed = player_families([kind], U, L, beta[:, None], k, variant)
     if failed:
         raise failed[0]
     return _family(variant, k, table[0, :, :-1], ratios[0])

@@ -461,8 +461,8 @@ def _check_signed_pass(insts):
     bit.  The instances share (k, T, beta, variant)."""
     first, kinds = insts[0], list(PlayerKind)
     k, beta, variant, m = first.k, first.beta, first.variant, len(kinds)
-    table, _, failed = player_families(
-        [(kind, inst.U, inst.L, beta) for inst in insts for kind in kinds], k, variant)
+    U, L = np.array([(inst.U, inst.L) for inst in insts]).T
+    table, _, failed = player_families(kinds, U, L, np.full((len(insts), m), beta), k, variant)
     assert not failed
     lanes = np.arange(len(insts) * m).reshape(-1, m)
     prices = np.array([inst.prices for inst in insts])
@@ -559,38 +559,43 @@ def _scalar_row(kind, k, U, L, beta, variant):
 
 @st.composite
 def rail_cells(draw):
-    """One pass's cells on one variant and k: every kind, theta up to 1e6,
-    beta at 0, inside the regime, one ulp below its edge or at DTPR's
-    clipped min beta, and failing cells mixed in (beta on the edge,
-    negative or NaN; L above U)."""
+    """One pass's columns on one variant and k: up to 8 cells, theta up to
+    1e6, the kinds in any order, and each row's beta at 0, inside the
+    regime, one ulp below its edge or at DTPR's clipped min beta, or
+    failing (on the edge, negative or NaN); a cell may have L above U."""
     variant = draw(st.sampled_from(Variant))
     k = draw(st.integers(min_value=1, max_value=200))
-    cells = []
+    kinds = draw(st.lists(st.sampled_from(PlayerKind), min_size=1, unique=True))
+    cells, betas = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         L = draw(st.floats(min_value=1e-3, max_value=1e3))
         U = L * draw(st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=1e6)))
         edge = regime_edge(variant, k, U, L)
-        beta = draw(st.one_of(
+        betas.append([draw(st.one_of(
             st.just(0.0),
             st.floats(min_value=0, max_value=1, exclude_max=True).map(lambda f: f * edge),
             st.sampled_from([math.nextafter(edge, 0), 0.999999 * (U - L) / 2]),
             st.sampled_from([edge, -1.0, math.nan]),
-        ))
+        )) for _ in kinds])
         if draw(st.integers(min_value=0, max_value=9)) == 0:
             L = 2 * U
-        cells.append((draw(st.sampled_from(PlayerKind)), U, L, beta))
-    return variant, k, cells
+        cells.append((U, L))
+    return variant, k, kinds, cells, betas
 
 
 class TestRailTable:
     @given(rail_cells())
     @settings(max_examples=100, deadline=None)
     def test_table_and_ratios_equal_the_scalar_formulas_bit_for_bit(self, case):
-        variant, k, cells = case
-        table, ratios, failed = player_families(cells, k, variant)
-        assert table.shape == (len(cells), 2, k + 1) and ratios.shape == (len(cells),)
+        variant, k, kinds, cells, betas = case
+        U, L = np.array(cells).T
+        table, ratios, failed = player_families(kinds, U, L, np.array(betas), k, variant)
+        n = len(cells) * len(kinds)
+        assert table.shape == (n, 2, k + 1) and ratios.shape == (n,)
         assert not table[:, :, k].any()
-        for f, (kind, U, L, beta) in enumerate(cells):
+        rows = [(kind, U, L, beta) for (U, L), row in zip(cells, betas)
+                for kind, beta in zip(kinds, row)]
+        for f, (kind, U, L, beta) in enumerate(rows):
             want = _scalar_row(kind, k, U, L, beta, variant)
             if isinstance(want, OprError):
                 got = failed.pop(f)

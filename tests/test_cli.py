@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opr.adversary
 import opr.cli
 import opr.thresholds
 from opr.cli import main
+from opr.thresholds import PlayerKind
 
 from cli_reference import build_parser
 
@@ -708,6 +710,20 @@ class TestAdversary:
         assert lines[0] == "t,price,decision"
         assert len(lines) > 4
 
+    @pytest.mark.parametrize("variant", ["min", "max"])
+    def test_a_grab_stall_dump_is_the_per_line_format(self, variant, tmp_path, capsys):
+        # k-search at theory's cell meets the grab/stall script: dozens of
+        # distinct prices, each formatted once, in one write
+        seq = tmp_path / "seq.csv"
+        assert main(["adversary", "--variant", variant, "--k", "40", "--u", "30", "--l", "5",
+                     "--beta", "3", "--alg", "ksearch", "--dump-sequence", str(seq)]) == 0
+        adversary = opr.adversary.adversary_min if variant == "min" else opr.adversary.adversary_max
+        transcript = adversary(PlayerKind.KSEARCH, 40, 30.0, 5.0, 3.0)
+        assert len(set(transcript.prices)) > 30
+        lines = [f"{t},{price!r},{x}\n" for t, (price, x) in enumerate(
+            zip(transcript.prices, transcript.alg_schedule.decisions), start=1)]
+        assert seq.read_bytes() == "".join(["t,price,decision\n", *lines]).encode()
+
     def test_dump_into_missing_directory_exits_3_before_the_adversary(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -790,10 +806,9 @@ class TestTheoryAdversaryRuns:
         # DTPR player and the printed bound; k-search adds its beta = 0 cell
         calls, solve = [], opr.thresholds.solve_ratios
 
-        def spy(variant, cells):
-            cells = list(cells)
-            calls.append(cells)
-            return solve(variant, cells)
+        def spy(variant, *columns):
+            calls.append(len(columns[0]))
+            return solve(variant, *columns)
 
         monkeypatch.setattr(opr.thresholds, "solve_ratios", spy)
         assert _theory_adversary(variant, alg) == 0

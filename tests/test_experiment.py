@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reference_simulate import derive_seed, reference_records, reference_sample
 from opr.core import Variant
-from opr import core, experiment, offline
+from opr import core, experiment, offline, thresholds
 from opr.algorithms import play_lanes
 from opr.errors import (DegenerateProfitError, FeasibilityError, OprError, ParameterError,
                         RegimeError)
@@ -172,9 +172,9 @@ class TestRunExperiment:
         beta = math.nextafter(edge, 0) if below else edge
         cells, families = [], experiment.player_families
 
-        def spy(pass_cells, *args):
-            cells.extend(pass_cells)
-            return families(pass_cells, *args)
+        def spy(kinds, U, L, beta, *args):
+            cells.extend(_rows(kinds, U, L, beta))
+            return families(kinds, U, L, beta, *args)
 
         monkeypatch.setattr(experiment, "player_families", spy)
         cfg = ExperimentConfig(variant=Variant.MIN, T=48, k=8, beta=beta, trials=3, seed=42)
@@ -271,6 +271,13 @@ class TestRunExperiment:
 SHIPPED_INTENSITY = resources.files("opr.data") / "synthetic_intensity.csv"
 
 
+def _rows(kinds, U, L, beta):
+    """The (kind, U, L, beta) cell of each row of a `player_families` call,
+    in row order, as Python floats."""
+    return [(kind, u, l, b) for u, l, row in zip(U.tolist(), L.tolist(), beta.tolist())
+            for kind, b in zip(kinds, row)]
+
+
 def _one_trial_a_pass(cfg, ds):
     """`run_experiment`'s records with every lane pass holding one trial."""
     with mock.patch.object(experiment, "_PASS_BYTES", 0):
@@ -304,9 +311,9 @@ class TestFamilyMemo:
 
         built, families = [], experiment.player_families
 
-        def spy(cells, *args):
-            built.extend(kind for kind, *_ in cells)
-            return families(cells, *args)
+        def spy(kinds, U, *args):
+            built.extend(list(kinds) * len(U))
+            return families(kinds, U, *args)
 
         monkeypatch.setattr(experiment, "sample_pass", widened)
         monkeypatch.setattr(experiment, "player_families", spy)
@@ -368,6 +375,33 @@ class TestFamilyMemo:
         assert built[: 2 * len(kinds)] == kinds * 2
         assert len(built) == 2 * len(kinds) + len(trials) * len(kinds)
 
+    def test_a_many_cell_pass_checks_and_solves_as_arrays(self, monkeypatch):
+        # volatile-min's run: noise 3 gives its one pass hundreds of distinct
+        # (L, U).  Every row passes the array checks, so `check_cell` is never
+        # called, and one `solve_ratios` call solves every DTPR and k-search
+        # row, as `thresholds` bisects its lanes
+        checks, solves = [], []
+        check, solve = thresholds.check_cell, thresholds.solve_ratios
+
+        def check_spy(*cell):
+            checks.append(cell)
+            return check(*cell)
+
+        def solve_spy(variant, k, *columns):
+            solves.append(len(k))
+            return solve(variant, k, *columns)
+
+        monkeypatch.setattr(thresholds, "check_cell", check_spy)
+        monkeypatch.setattr(thresholds, "solve_ratios", solve_spy)
+        ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
+        cfg = ExperimentConfig(variant=Variant.MIN, T=48, k=8, beta_frac=0.05, noise=3.0,
+                               trials=500, seed=42)
+        assert experiment.pass_len(cfg.T, cfg.k, len(cfg.algs)) >= cfg.trials
+        res = run_experiment(cfg, ds)
+        cells = {(rec["instance_l"], rec["instance_u"]) for rec in res.trials}
+        assert len(cells) > 400
+        assert checks == [] and solves == [2 * len(cells)]
+
 
 SHIPPED_CARBONFREE = resources.files("opr.data") / "synthetic_carbonfree.csv"
 
@@ -415,11 +449,12 @@ class TestChunkedTrials:
         ``bounds`` with a `RegimeError` of ``message``."""
         build = experiment.player_families
 
-        def failing_families(cells, k, variant):
-            table, ratios, failed = build(cells, k, variant)
+        def failing_families(kinds, U, L, beta, k, variant):
+            table, ratios, failed = build(kinds, U, L, beta, k, variant)
             return table, ratios, {**failed, **{
-                f: RegimeError(message) for f, (cell_kind, U, L, _) in enumerate(cells)
-                if cell_kind is kind and (L, U) == bounds}}
+                f: RegimeError(message)
+                for f, (cell_kind, u, l, _) in enumerate(_rows(kinds, U, L, beta))
+                if cell_kind is kind and (l, u) == bounds}}
 
         monkeypatch.setattr(experiment, "player_families", failing_families)
 
@@ -941,10 +976,10 @@ class TestSweep:
     ):
         # the first bad L or beta in grid order names itself, even with
         # solvable cells before it, and no cell is solved first
-        def solved(variant, cells):
-            if list(cells):
+        def solved(variant, k, U, L, beta):
+            if len(k):
                 raise AssertionError("a cell was solved before the grid was checked")
-            return []
+            return np.zeros(0), {}
 
         monkeypatch.setattr(experiment, "solve_ratios", solved)
         if message is None:

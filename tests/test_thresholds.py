@@ -18,7 +18,7 @@ import ratio_reference
 from ratio_reference import max_lower_threshold, max_residual, min_residual, min_upper_threshold
 import opr.thresholds
 from opr.core import Variant, check_cell
-from opr.errors import ParameterError, RegimeError
+from opr.errors import OprError, ParameterError, RegimeError
 from opr.thresholds import (
     EDGE_NAMES,
     PlayerKind,
@@ -27,6 +27,7 @@ from opr.thresholds import (
     dtpr_max_thresholds,
     dtpr_min_thresholds,
     ksearch_thresholds,
+    player_families,
     player_family,
     regime_edge,
     solve_alpha,
@@ -369,6 +370,14 @@ def _expected(variant, k, U, L, beta):
         return ("RegimeError", message)
 
 
+def _solve(variant, cells):
+    """`solve_ratios` on (k, U, L, beta) cells as float64 columns, as one
+    list: each cell's root or error.  A failed cell's root reads 0."""
+    roots, errors = solve_ratios(variant, *np.array(cells, dtype=float).reshape(-1, 4).T)
+    assert not roots[list(errors)].any()
+    return [errors.get(i, root) for i, root in enumerate(roots.tolist())]
+
+
 def _outcome(result):
     if isinstance(result, Exception):
         return (type(result).__name__, str(result))
@@ -418,19 +427,19 @@ class TestLaneSolver:
     @settings(max_examples=120, deadline=None)
     def test_each_lane_is_the_reference_cell(self, batch):
         variant, cells = batch
-        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        got = [_outcome(r) for r in _solve(variant, cells)]
         assert got == [_expected(variant, *cell) for cell in cells]
 
     @given(_batch(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_permuting_or_splitting_a_batch_moves_no_lane(self, batch, data):
         variant, cells = batch
-        whole = [_outcome(r) for r in solve_ratios(variant, cells)]
+        whole = [_outcome(r) for r in _solve(variant, cells)]
         order = data.draw(st.permutations(range(len(cells))))
-        permuted = solve_ratios(variant, [cells[i] for i in order])
+        permuted = _solve(variant, [cells[i] for i in order])
         assert [_outcome(r) for r in permuted] == [whole[i] for i in order]
         cut = data.draw(st.integers(min_value=0, max_value=len(cells)))
-        halves = solve_ratios(variant, cells[:cut]) + solve_ratios(variant, cells[cut:])
+        halves = _solve(variant, cells[:cut]) + _solve(variant, cells[cut:])
         assert [_outcome(r) for r in halves] == whole
 
     @given(_batch())
@@ -438,7 +447,7 @@ class TestLaneSolver:
     def test_one_cell_calls_are_solve_alpha_and_solve_omega(self, batch):
         variant, cells = batch
         solve = solve_alpha if variant is Variant.MIN else solve_omega
-        for cell, lane in zip(cells, solve_ratios(variant, cells)):
+        for cell, lane in zip(cells, _solve(variant, cells)):
             try:
                 alone = solve(*cell)
             except RegimeError as exc:
@@ -457,7 +466,7 @@ class TestLaneSolver:
             U = L * 10 ** rng.uniform(1e-6, rng.choice((3, 300)))
             edge = (U - L) / 2 if variant is Variant.MIN else k * L / 2
             cells.append((k, U, L, edge * rng.choice((0.0, rng.random(), 1 - 1e-9))))
-        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        got = [_outcome(r) for r in _solve(variant, cells)]
         assert got == [_expected(variant, *cell) for cell in cells]
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
@@ -466,7 +475,7 @@ class TestLaneSolver:
         # the drawn cells above reach that exit only by chance
         cells = [(k, 5.0 * (1 + 10.0**-e), 5.0, 0.0) for k in (1, 7, 200) for e in (9, 12, 15)]
         cells.insert(2, (10, 30.0, 5.0, 3.0))
-        got = [_outcome(r) for r in solve_ratios(variant, cells)]
+        got = [_outcome(r) for r in _solve(variant, cells)]
         assert got == [_expected(variant, *cell) for cell in cells]
         what = "alpha" if variant is Variant.MIN else "omega"
         assert got.count(("RegimeError", f"no {what} root above 1 for these parameters")) == 6
@@ -474,19 +483,19 @@ class TestLaneSolver:
     def test_bad_parameters_come_back_per_lane(self):
         cells = [(4, 30.0, 5.0, 1.0), (0, 30.0, 5.0, 1.0), (4, 5.0, 30.0, 1.0),
                  (4, 30.0, 5.0, math.nan), (4, 30.0, 5.0, 1.0)]
-        got = solve_ratios(Variant.MIN, cells)
+        got = _solve(Variant.MIN, cells)
         assert got[0] == got[4] == solve_alpha(4, 30.0, 5.0, 1.0)
         for cell, lane in zip(cells[1:4], got[1:4]):
-            with pytest.raises(ParameterError) as excinfo:
-                solve_alpha(*cell)
+            with pytest.raises(ParameterError) as excinfo:  # a lane's k is a float
+                solve_alpha(*map(float, cell))
             assert _outcome(lane) == _outcome(excinfo.value)
-        assert solve_ratios(Variant.MAX, []) == []
+        assert _solve(Variant.MAX, []) == []
 
     def test_overflow_stays_silent(self):
         # numpy would warn on the overflowing product; Python floats do not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solve_ratios(Variant.MAX, OVERFLOW_CELLS)
+            got = _solve(Variant.MAX, OVERFLOW_CELLS)
         assert [_outcome(r) for r in got] == [_expected(Variant.MAX, *c) for c in OVERFLOW_CELLS]
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
@@ -506,7 +515,7 @@ class TestLaneSolver:
             return powers(base, exps)
 
         monkeypatch.setattr(opr.thresholds, "_powers", spy)
-        solve_ratios(variant, cells)
+        _solve(variant, cells)
         residual = min_residual if variant is Variant.MIN else max_residual
         for cell in cells:
             def counted(x, cell=cell):
@@ -616,26 +625,30 @@ class TestBatchChecks:
         variant, cells = batch
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solve_ratios(variant, cells)
-        assert [_outcome(r) for r in got] == [_checked(variant, cell) for cell in cells]
+            got = _solve(variant, cells)
+        # the columns hold floats, so an int k or beta is named as its float
+        assert [_outcome(r) for r in got] == [
+            _checked(variant, tuple(map(float, cell))) for cell in cells]
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
     @pytest.mark.parametrize("position", range(4), ids=["k", "U", "L", "beta"])
     def test_a_batch_with_a_numeric_string_is_a_type_error(self, variant, position):
+        # the columns hold floats only; a cell of Python values enters through
+        # a one-cell call, which raises `check_cell`'s own TypeError for a
+        # string, of every player kind
         cell = [4, 30.0, 5.0, 1.0]
         cell[position] = str(cell[position])
         with pytest.raises(TypeError) as want:
             check_cell(*cell)
-        # after a good cell and one that fails `check_cell`, whose error is
-        # returned, not raised: the string's TypeError is raised
-        with pytest.raises(TypeError) as got:
-            solve_ratios(variant, [(3, 30.0, 5.0, 1.0), (0, 30.0, 5.0, 1.0), tuple(cell)])
-        assert str(got.value) == str(want.value)
+        for kind in PlayerKind:
+            with pytest.raises(TypeError) as got:
+                player_family(kind, *cell, variant)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("variant", [Variant.MIN, Variant.MAX])
     @pytest.mark.parametrize("position", range(4), ids=["k", "U", "L", "beta"])
     def test_a_numeric_string_is_a_type_error(self, variant, position):
-        # the batch reads cells through np.fromiter, which would convert '4'
+        # a float64 column would read '4' as 4.0
         cell = [4, 30.0, 5.0, 1.0]
         cell[position] = str(cell[position])
         solve, family = ((solve_alpha, dtpr_min_thresholds) if variant is Variant.MIN
@@ -643,3 +656,67 @@ class TestBatchChecks:
         for fn in (solve, family):
             with pytest.raises(TypeError):
                 fn(*cell)
+
+
+# --- the columnar rail table --------------------------------------------------
+
+
+@st.composite
+def _columns(draw):
+    """One `player_families` call: up to 12 cells drawn from a pool, so some
+    repeat, the kinds in any order, k 1..40, and each row's beta drawn from
+    the values where a rule changes: DTPR's min edge (U-L)/2 exactly, one
+    ulp below and past it, and the clip 0.999999 of it; the max edge kL/2
+    and past it; 0 at L == U; U within 1e-13 of L, which has no root above
+    1; and the failing cells U = inf, L <= 0, a negative or NaN beta."""
+    variant = draw(st.sampled_from(Variant))
+    k = draw(st.integers(min_value=1, max_value=40))
+    kinds = draw(st.lists(st.sampled_from(PlayerKind), min_size=1, unique=True))
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        L = draw(st.floats(min_value=0.01, max_value=100))
+        U = L * draw(st.one_of(st.just(1.0), st.just(1 + 1e-13),
+                               st.floats(min_value=1, max_value=1e4)))
+        pool.append(draw(st.sampled_from([(U, L), (U, L), (U, L), (math.inf, L), (U, 0.0),
+                                          (U, -L)])))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    betas = []
+    for U, L in cells:
+        low, high = (U - L) / 2, k * L / 2
+        betas.append([draw(st.sampled_from([
+            0.0, low * 0.5, high * 0.5, low, math.nextafter(low, 0), math.nextafter(low, math.inf),
+            0.999999 * low, high, math.nextafter(high, math.inf), -1.0, math.nan,
+        ])) for _ in kinds])
+    return variant, k, kinds, cells, betas
+
+
+class TestColumnarTable:
+    @given(_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_player_family_on_its_cell(self, case):
+        # the rails and ratio of every row by `.hex()`, a failed row by its
+        # error's type and message with an all-zero row, and column k zero
+        variant, k, kinds, cells, betas = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, L = np.array(cells).T
+            table, ratios, failed = player_families(kinds, U, L, np.array(betas), k, variant)
+        assert table.shape == (len(cells) * len(kinds), 2, k + 1)
+        assert not table[:, :, k].any()
+        rows = [(kind, U, L, beta) for (U, L), row in zip(cells, betas)
+                for kind, beta in zip(kinds, row)]
+        for f, (kind, U, L, beta) in enumerate(rows):
+            try:
+                family = player_family(kind, k, U, L, beta, variant)
+            except OprError as want:
+                got = failed.pop(f)
+                assert (type(got), str(got)) == (type(want), str(want))
+                assert not table[f].any() and ratios[f] == 0
+                continue
+            lower, upper = family.lower, family.upper
+            signed = [lower, upper] if variant is Variant.MIN else [
+                [-x for x in upper], [-x for x in lower]]
+            assert [[x.hex() for x in rail] for rail in table[f, :, :k].tolist()] == [
+                [x.hex() for x in rail] for rail in signed]
+            assert ratios[f].item().hex() == family.ratio.hex()
+        assert failed == {}
