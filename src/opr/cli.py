@@ -1,7 +1,7 @@
 """Command-line surface: solve, sweep, simulate, adversary.
 
 Exit codes: 0 success, 1 the reader closed stdout early, 2 parameter/regime
-error, 3 input-data error.
+error or a size that cannot be allocated, 3 input-data error.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA
-    except OprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OprError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_PARAM
 
 

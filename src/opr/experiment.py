@@ -18,7 +18,8 @@ A run goes in lane passes of `pass_len` trials, each one `_run_trials` call
 on one (n, T) price array, negated in place on a max pass (see `core`).
 Families depend on a trial only through its (L, U), so a pass builds each
 once, from float64 columns of its distinct (L, U) checked and solved as
-arrays; the records are the same as if every trial built its own.
+arrays; the records are the same as if every trial built its own.  One
+(n, m) mask decides a pass's failures, and each record is written once.
 """
 
 from __future__ import annotations
@@ -136,17 +137,17 @@ def pass_len(T: int, k: int, m: int) -> int:
 
 def sample_pass(
     cfg: ExperimentConfig, ds: TraceDataset, bounds: TraceBounds, start: int, prices: np.ndarray
-) -> tuple[list[dict], tuple[int, OprError] | None]:
+) -> tuple[tuple[list, ...], tuple[int, OprError] | None]:
     """Sample trials [start, start + len(prices)) into the rows of ``prices``:
     each trial's window, noised, its zeros lifted to the row's smallest
     positive value.
 
     Trial i's seed is a 63-bit splitmix hash of (master seed, i), and its
     window starts at the seed modulo the number of windows.  Returns the
-    records so far of the trials before the first whose prices admit no
-    instance (all zeros, or U overflowing to inf), and that trial with its
-    error, or None.  Every other instance check holds by construction:
-    L <= every price <= U.
+    columns seed, offset, instance L and U, and floored count of the trials
+    before the first whose prices admit no instance (all zeros, or U
+    overflowing to inf), and that trial with its error, or None.  Every
+    other instance check holds by construction: L <= every price <= U.
     """
     T, n = cfg.T, len(prices)
     # uint64 array ops wrap silently, where a numpy scalar would warn; the
@@ -170,37 +171,14 @@ def sample_pass(
     U = [max(bounds.U, hi) for hi in highs.tolist()]
     failure, bad = None, np.flatnonzero((highs <= 0) | (highs == math.inf)).tolist()
     if bad:
-        row = bad[0]
+        row = n = bad[0]  # the columns stop before it
         if U[row] == math.inf:
             exc = ParameterError(f"need 0 < L <= U < inf, got L={L[row]}, U={U[row]}")
         else:
             exc = OprError("noised segment is identically zero; instance undefined")
         failure = (start + row, exc)
-    records = [{"trial": start + row, "seed": seed, "offset": offset, "instance_l": l,
-                "instance_u": u, "bounds_widened": l < bounds.L or u > bounds.U,
-                "floored_values": f}
-               for row, seed, offset, l, u, f in zip(
-                   range(bad[0] if bad else n), seeds.tolist(), offsets, L, U,
-                   np.count_nonzero(zeros, axis=1).tolist())]
-    return records, failure
-
-
-def _check_trial(
-    opt_total: float, totals: Sequence[float], errors: Sequence[OprError | None],
-    names: Sequence[str], variant: Variant,
-) -> None:
-    """Raise a trial's first failure, scoring its lanes one at a time in
-    ``names`` order from each lane's total and its family's error, if any:
-    that error, a total that overflows, `cost_ratio`'s own, or a ratio below
-    1 (a defect: OPT is exact)."""
-    for name, total, error in zip(names, totals, errors):
-        if error is not None:
-            raise error
-        if not math.isfinite(total):
-            raise ParameterError(f"{name} total {total} overflows")
-        ratio = cost_ratio(total, opt_total, variant)
-        if ratio < 1 - 1e-9:
-            raise OprError(f"{name} ratio {ratio} below 1; OPT is exact, this indicates a defect")
+    columns = seeds.tolist(), offsets, L, U, np.count_nonzero(zeros, axis=1).tolist()
+    return tuple(column[:n] for column in columns), failure
 
 
 def _run_trials(
@@ -214,18 +192,18 @@ def _run_trials(
 ) -> list[dict]:
     """The records of trials [start, stop), from one lane pass.
 
-    `sample_pass` samples the trials into the rows of one price array.  Its
-    distinct (L, U) become float64 columns, with a (D, m) beta clipped by
-    array ops, that one `player_families` call turns into one rail table;
-    each lane is pointed at its row.  OPT is solved for every row, every
-    lane is played in one `play_lanes` call, and two `lane_totals` calls
-    price them all, lanes of a failed family too.  One (n, m) division
-    gives every ratio and one mask flags every lane that `_check_trial`
-    would fail; the first flagged trial raises its failure as
-    ``trial i: ...``, and otherwise, after the trials before it, a sampling
-    error does.  A T longer than the trace, a beta that is infinite or
-    overflows OPT, or a lane off k or whose sum overflows fails first; the
-    last two name their trial.
+    `sample_pass` samples the trials into the rows of one price array and
+    their columns.  The distinct (L, U) become float64 columns, with a (D, m)
+    beta clipped by array ops, that one `player_families` call turns into one
+    rail table; each lane is pointed at its row.  OPT is solved for every
+    row, every lane is played in one `play_lanes` call, and two `lane_totals`
+    calls price them all.  One (n, m) division gives every ratio and one mask
+    flags every failing lane; its first, row-major, raises as ``trial i: ...``
+    its family's error, a total that overflows, `cost_ratio`'s own or a ratio
+    below 1 (a defect: OPT is exact), in that order.  Else a sampling error
+    raises, or every record is written once.  A T longer than the trace, a
+    beta that is infinite or overflows OPT, or a lane off k or whose sum
+    overflows fails first; the last two name their trial.
     """
     T, k, variant, m = cfg.T, cfg.k, cfg.variant, len(kinds)
     if T > len(ds):
@@ -233,10 +211,10 @@ def _run_trials(
     if not (0 <= beta_abs < math.inf):
         raise ParameterError(f"beta must be finite and nonnegative, got {beta_abs}")
     prices = np.empty((stop - start, T))
-    records, failure = sample_pass(cfg, ds, bounds, start, prices)
+    (seeds, offsets, Ls, Us, floored), failure = sample_pass(cfg, ds, bounds, start, prices)
     # each distinct (L, U) is a cell with a table row per kind; `lane_rows` holds each lane's row
     seen: dict[tuple[float, float], int] = {}
-    group = [seen.setdefault((r["instance_l"], r["instance_u"]), len(seen)) for r in records]
+    group = [seen.setdefault(cell, len(seen)) for cell in zip(Ls, Us)]
     lane_rows = np.array(group, dtype=np.intp).reshape(-1, 1) * m + np.arange(m)
     L, U = np.array(list(seen), dtype=float).reshape(-1, 2).T
     # past the min regime edge the min algorithm degenerates to one contiguous block; DTPR's
@@ -247,7 +225,7 @@ def _run_trials(
     beta = np.where(clips, _BETA_CLIP * edge, float(beta_abs))
     table, _, failed = player_families(kinds, U, L, beta, k, variant)
     del seen, group, L, U, edge, beta  # freed before the DP and the players run
-    n, names = len(records), [kind.value for kind in kinds]
+    n, names = len(seeds), [kind.value for kind in kinds]
     prices = prices[:n]
     if maximize := variant is Variant.MAX:
         np.negative(prices, out=prices)
@@ -257,7 +235,7 @@ def _run_trials(
                                       lambda i, a: f"trial {start + i}: OPT")
     _, _, totals, flips = lane_totals(prices, alg_rows, k, beta_abs,
                                       lambda i, a: f"trial {start + i}: {names[a]}")
-    del table  # freed before the records are filled
+    del table  # freed before the records are written
     if maximize:  # 0.0 - t, so that a zero profit stays +0.0
         opt_totals, totals = ([0.0 - t for t in part] for part in (opt_totals, totals))
     alg, opt = np.array(totals).reshape(n, m), np.array(opt_totals).reshape(n, 1)
@@ -267,22 +245,29 @@ def _run_trials(
     dead[list(failed)] = True
     bad = (dead[lane_rows] | (np.abs(alg) == math.inf) | ((alg if maximize else opt) <= 0)
            | (ratios < 1 - 1e-9))
-    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+    for j in np.flatnonzero(bad)[:1].tolist():
+        (i, a), total = divmod(j, m), totals[j]
         try:
-            _check_trial(opt_totals[i], totals[i * m : i * m + m],
-                         [failed.get(f) for f in lane_rows[i].tolist()], names, variant)
+            if (error := failed.get(lane_rows[i, a].item())) is not None:
+                raise error
+            if abs(total) == math.inf:
+                raise ParameterError(f"{names[a]} total {total} overflows")
+            # `cost_ratio` raises on a nonpositive denominator; else the flag is a defect
+            raise OprError(f"{names[a]} ratio {cost_ratio(total, opt_totals[i], variant)} "
+                           "below 1; OPT is exact, this indicates a defect")
         except OprError as exc:
             raise type(exc)(f"trial {start + i}: {exc}") from exc
     if failure is not None:
         trial, exc = failure
         raise type(exc)(f"trial {trial}: {exc}") from exc
-    lanes = zip(totals, flips, clips.ravel()[lane_rows.ravel()].tolist())
-    for record, opt_total, trial_ratios in zip(records, opt_totals, ratios.tolist()):
-        # ``names`` runs out first, so each trial takes exactly its m lanes
-        record.update(opt_total=opt_total, algs={
-            name: {"total": t, "switches": f, "ratio": r, "beta_clipped": c}
-            for name, r, (t, f, c) in zip(names, trial_ratios, lanes)})
-    return records
+    clipped, ratios = clips.ravel()[lane_rows.ravel()].tolist(), ratios.ravel().tolist()
+    # lane j = i*m + a of each flat list is trial i's algorithm a
+    return [{"trial": start + i, "seed": seed, "offset": offset, "instance_l": l,
+             "instance_u": u, "bounds_widened": l < bounds.L or u > bounds.U,
+             "floored_values": f, "opt_total": opt_totals[i],
+             "algs": {name: {"total": totals[j], "switches": flips[j], "ratio": ratios[j],
+                             "beta_clipped": clipped[j]} for j, name in enumerate(names, i * m)}}
+            for i, (seed, offset, l, u, f) in enumerate(zip(seeds, offsets, Ls, Us, floored))]
 
 
 def run_trial(

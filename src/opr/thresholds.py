@@ -294,7 +294,8 @@ def player_families(
     The rows are checked as masks; only a failing row calls `check_cell`,
     for its error.  DTPR and k-search (DTPR at beta = 0) rows come from one
     `solve_ratios` call and one `dtpr_rails`.  A constant row holds
-    +-sqrt(L*U) on both rails, an agnostic row `dtpr_rails`' anchor, which
+    +-sqrt(L*U) on both rails, as sqrt(L)*sqrt(U) where L*U is not a
+    positive normal float, and an agnostic row `dtpr_rails`' anchor, which
     accepts every price; their ratio is one reservation price's at beta = 0.
     """
     k, minimize, cells = check_k(k), variant is Variant.MIN, len(U)
@@ -321,9 +322,11 @@ def player_families(
         ratios[rows] = found
     rows = np.flatnonzero(ok & of(PlayerKind.CONSTANT_THRESHOLD, PlayerKind.CARBON_AGNOSTIC))
     U, L, const = U[rows], L[rows], of(PlayerKind.CONSTANT_THRESHOLD)[rows]
-    with np.errstate(over="ignore"):  # an L*U past the float range is inf, as in Python
-        rail = np.where(const, np.sqrt(L * U), U if minimize else L)
-    ratios[rows] = np.maximum(rail / L, U / rail)
+    with np.errstate(over="ignore"):  # sqrt(L)*sqrt(U) where L*U is not positive normal
+        lu = L * U
+        rail = np.where(const, np.where((lu >= np.finfo(float).tiny) & (lu < math.inf),
+                                        np.sqrt(lu), np.sqrt(L) * np.sqrt(U)), U if minimize else L)
+        ratios[rows] = np.maximum(rail / L, U / rail)  # inf past the float range, as in Python
     table[rows, :, :k] = (rail if minimize else -rail)[:, None, None]
     return table, ratios, failed
 

@@ -7,10 +7,12 @@ time from the one-row parts: the scalar `derive_seed` below,
 `sample_segment_with_offset`, the noise, floor and widen rules of
 `opr.experiment`'s module docstring written out here, an `Instance`, each
 player's `player_family` stepped by `run_online`, and OPT by the exhaustive
-`brute_force_optimal`.  No user path of ``opr`` needs it.
+`brute_force_optimal`; `check_trial` scores a trial's lanes one at a
+time.  No user path of ``opr`` needs it.
 """
 
 import math
+from typing import Sequence
 
 from brute_force import brute_force_optimal
 
@@ -82,6 +84,24 @@ def reference_record(
                       "ratio": cost_ratio(alg.total, opt.total, variant), "beta_clipped": clipped}
     record.update(opt_total=opt.total, algs=algs)
     return record
+
+
+def check_trial(
+    opt_total: float, totals: Sequence[float], errors: Sequence[OprError | None],
+    names: Sequence[str], variant: Variant,
+) -> None:
+    """Raise a trial's first failure, scoring its lanes one at a time in
+    ``names`` order from each lane's total and its family's error, if any:
+    that error, a total that overflows, `cost_ratio`'s own, or a ratio below
+    1 (a defect: OPT is exact); a lane pass raises it from its one mask."""
+    for name, total, error in zip(names, totals, errors):
+        if error is not None:
+            raise error
+        if not math.isfinite(total):
+            raise ParameterError(f"{name} total {total} overflows")
+        ratio = cost_ratio(total, opt_total, variant)
+        if ratio < 1 - 1e-9:
+            raise OprError(f"{name} ratio {ratio} below 1; OPT is exact, this indicates a defect")
 
 
 def reference_records(cfg: ExperimentConfig, ds: TraceDataset) -> list[dict]:

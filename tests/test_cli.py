@@ -61,6 +61,15 @@ USAGE_ERRORS = {
 }
 
 
+#: each command, and the call in which a size past memory fails it
+ALLOCATING = {
+    "solve": (SOLVE, "player_family"),
+    "sweep": ([*SWEEP, "--out", "{tmp}/grid.csv"], "sweep_ratios"),
+    "simulate": ([*SIMULATE, "--beta", "1"], "run_experiment"),
+    "adversary": (["adversary", *SOLVE[1:], "--alg", "dtpr"], "adversary_min"),
+}
+
+
 def _child_env():
     """The environment of a fresh interpreter that imports this `opr`."""
     src = str(Path(opr.cli.__file__).resolve().parents[1])
@@ -80,6 +89,26 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
+         "float64", "error: Unable to allocate 745. GiB for an array with shape "
+         "(100000000000,) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("argv, call", ALLOCATING.values(), ids=ALLOCATING)
+    def test_a_size_past_memory_exits_2_with_one_error_line(
+        self, argv, call, message, line, tmp_path, capsys, monkeypatch
+    ):
+        # a stand-in raises the MemoryError that numpy raises for an array
+        # past memory (`opr solve --k 100000000000 ...`), or a bare one
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(opr.cli, call, allocate)
+        assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", line)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "-h"],

@@ -1,6 +1,7 @@
 """Experiment runner, statistics, and the ratio sweep."""
 
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_simulate import derive_seed, reference_records, reference_sample
+from reference_simulate import check_trial, derive_seed, reference_records, reference_sample
 from opr.core import Variant
 from opr import core, experiment, offline, thresholds
 from opr.algorithms import play_lanes
@@ -302,12 +303,9 @@ class TestFamilyMemo:
         sample = experiment.sample_pass
 
         def widened(cfg, ds, bounds, start, prices):
-            records, failure = sample(cfg, ds, bounds, start, prices)
-            for rec in records:
-                if widen.get(rec["trial"]):
-                    rec.update(instance_u=rec["instance_u"] + widen[rec["trial"]],
-                               bounds_widened=True)
-            return records, failure
+            (seeds, offsets, L, U, floored), failure = sample(cfg, ds, bounds, start, prices)
+            U = [u + widen[start + row] if start + row in widen else u for row, u in enumerate(U)]
+            return (seeds, offsets, L, U, floored), failure
 
         built, families = [], experiment.player_families
 
@@ -442,6 +440,21 @@ class TestChunkedTrials:
             return rows
 
         monkeypatch.setattr(experiment, "dp_decisions", worst)
+
+    @staticmethod
+    def _fail_sampling_at(monkeypatch, trial):
+        """Make trial ``trial`` fail to sample: its pass's columns stop
+        before it, with an `OprError` "cannot sample"."""
+        sample = experiment.sample_pass
+
+        def failing_sample(cfg, ds, bounds, start, prices):
+            columns, failure = sample(cfg, ds, bounds, start, prices)
+            if 0 <= trial - start < len(columns[0]):
+                columns = tuple(column[: trial - start] for column in columns)
+                failure = trial, OprError("cannot sample")
+            return columns, failure
+
+        monkeypatch.setattr(experiment, "sample_pass", failing_sample)
 
     @staticmethod
     def _fail_family(monkeypatch, kind, bounds, message):
@@ -603,16 +616,7 @@ class TestChunkedTrials:
     ):
         # a trial that fails to sample ends its pass: the trials before it
         # are still scored first, and an earlier failure, here a defect, wins
-        sample = experiment.sample_pass
-
-        def failing_sample(cfg, ds, bounds, start, prices):
-            records, failure = sample(cfg, ds, bounds, start, prices)
-            row = fail_sample - start
-            if 0 <= row < len(records):
-                records, failure = records[:row], (fail_sample, OprError("cannot sample"))
-            return records, failure
-
-        monkeypatch.setattr(experiment, "sample_pass", failing_sample)
+        self._fail_sampling_at(monkeypatch, fail_sample)
         if defect is not None:
             self._defect_at(monkeypatch, defect)
         ds = parse_trace(str(SHIPPED_INTENSITY), TraceKind.INTENSITY)
@@ -657,20 +661,13 @@ class TestChunkedTrials:
             algs=("dtpr", "ksearch", "const"),
         )
         bounds = [(r["instance_l"], r["instance_u"]) for r in run_experiment(cfg, ds).trials]
-        sample = experiment.sample_pass
-
-        def failing_sample(cfg, ds, bounds, start, prices):
-            records, failure = sample(cfg, ds, bounds, start, prices)
-            if 0 <= 6 - start < len(records):
-                records, failure = records[: 6 - start], (6, OprError("cannot sample"))
-            return records, failure
 
         def first_k(prices, k, beta):
             out = np.zeros(prices.shape, dtype=np.int8)
             out[:, :k] = 1
             return out
 
-        monkeypatch.setattr(experiment, "sample_pass", failing_sample)
+        self._fail_sampling_at(monkeypatch, 6)
         if fault == "defect":
             monkeypatch.setattr(experiment, "dp_decisions", first_k)
         else:
@@ -742,9 +739,13 @@ def _sampling_runs(draw):
     return cfg, ds, draw(st.integers(1, trials))
 
 
+#: the record fields that `sample_pass` gives as columns, in its order
+_SAMPLED = ("seed", "offset", "instance_l", "instance_u", "floored_values")
+
+
 class TestSamplePass:
-    """`sample_pass` gives, row by row, the bits, records and errors of the
-    per-trial `reference_sample`."""
+    """`sample_pass` gives, row by row, the bits, sampled fields and errors
+    of the per-trial `reference_sample`."""
 
     @given(_sampling_runs())
     @settings(max_examples=300, deadline=None)
@@ -762,18 +763,21 @@ class TestSamplePass:
                 expected.append((type(exc), str(exc)))
         for start in range(0, cfg.trials, step):
             prices = np.full((min(step, cfg.trials - start), cfg.T), np.nan)
-            records, failure = experiment.sample_pass(cfg, ds, bounds, start, prices)
-            for row, record in enumerate(records):
+            columns, failure = experiment.sample_pass(cfg, ds, bounds, start, prices)
+            assert len(columns) == len(_SAMPLED)
+            sampled = len(columns[0])
+            assert [len(column) for column in columns] == [sampled] * len(_SAMPLED)
+            for row, fields in enumerate(zip(*columns)):
                 hexes, want = expected[start + row]
                 assert [p.hex() for p in prices[row].tolist()] == hexes
-                assert record == want
-                assert [type(v) for v in record.values()] == [type(v) for v in want.values()]
+                assert list(fields) == [want[key] for key in _SAMPLED]
+                assert [type(v) for v in fields] == [type(want[key]) for key in _SAMPLED]
             stop = start + len(prices)
             if failure is None:
-                assert start + len(records) == stop
+                assert start + sampled == stop
             else:
                 trial, exc = failure
-                assert trial == start + len(records) < stop
+                assert trial == start + sampled < stop
                 assert expected[trial] == (type(exc), str(exc))
 
     @given(
@@ -792,13 +796,12 @@ class TestSamplePass:
         ds = TraceDataset(region="", values=tuple(float(1 + i % 7) for i in range(T + windows - 1)),
                           kind=TraceKind.INTENSITY)
         cfg = ExperimentConfig(variant=Variant.MIN, T=T, k=1, beta=1.0, seed=master)
-        records, failure = experiment.sample_pass(cfg, ds, trace_bounds(ds), start,
-                                                  np.empty((n, T)))
+        (seeds, offsets, *_), failure = experiment.sample_pass(cfg, ds, trace_bounds(ds), start,
+                                                               np.empty((n, T)))
         assert failure is None
-        seeds = [derive_seed(master, trial) for trial in range(start, start + n)]
-        assert [(r["trial"], r["seed"], r["offset"]) for r in records] == [
-            (trial, seed, seed % windows) for trial, seed in zip(range(start, start + n), seeds)]
-        assert {type(r[key]) for r in records for key in ("trial", "seed", "offset")} == {int}
+        want = [derive_seed(master, trial) for trial in range(start, start + n)]
+        assert seeds == want and offsets == [seed % windows for seed in want]
+        assert {type(v) for v in seeds + offsets} == {int}
 
     @pytest.mark.parametrize("noise", [1.0, 3.0])
     def test_long_pass_allocates_no_window_matrix(self, noise):
@@ -813,13 +816,13 @@ class TestSamplePass:
         prices = np.empty((cfg.trials, cfg.T))
         tracemalloc.start()
         try:
-            records, failure = experiment.sample_pass(cfg, ds, bounds, 0, prices)
+            (seeds, *_, floored), failure = experiment.sample_pass(cfg, ds, bounds, 0, prices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert failure is None and len(records) == cfg.trials
+        assert failure is None and len(seeds) == len(floored) == cfg.trials
         if noise > 1:
-            assert any(record["floored_values"] for record in records)
+            assert any(floored)
         assert peak < 2 * prices.nbytes
 
     @pytest.mark.parametrize("change, message", [
@@ -839,17 +842,23 @@ class TestSamplePass:
         assert str(info.value) == message
 
 
-#: ratios on either side of and at `_check_trial`'s defect edge 1 - 1e-9
+#: ratios on either side of and at the defect edge 1 - 1e-9
 _EDGE_RATIOS = [math.nextafter(1 - 1e-9, 0), 1 - 1e-9, math.nextafter(1 - 1e-9, 2), 1.0, 0.5, 3.0]
 _ODD_TOTALS = [math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324, 5e-324, 1e-300, 1e308]
+#: a trace whose windows of T=2 at noise 3 meet these three (L, U), trials
+#: 0..5 of seed 0 all three
+_MASK_TRACE = TraceDataset(region="", values=(3.0, 1.0, 2.0, 5.0, 4.0, 1.5),
+                           kind=TraceKind.INTENSITY)
+_MASK_CELLS = [(1.0, 6.5), (1.0, 8.0), (1.0, 5.0)]
 
 
 @st.composite
 def _scored_passes(draw):
-    """(variant, n, m, OPT totals, lane totals) as a pass records them: on
-    both variants, a power-of-two scale a trial and lanes whose ratio is
-    exactly one of `_EDGE_RATIOS`, with odd and free totals mixed in."""
-    variant, n, m = draw(st.sampled_from(Variant)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    """(variant, n, m, OPT totals, lane totals, failed families, trials a
+    pass) as a pass records them: on both variants, a power-of-two scale a
+    trial and lanes whose ratio is exactly one of `_EDGE_RATIOS`, with odd
+    and free totals mixed in, and some (L, U, kind) families failed."""
+    variant, n, m = draw(st.sampled_from(Variant)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
     free = st.one_of(st.sampled_from(_ODD_TOTALS), st.floats(allow_nan=False))
     opts, totals = [], []
     for _ in range(n):
@@ -861,41 +870,71 @@ def _scored_passes(draw):
         totals += [draw(st.one_of(
             st.sampled_from(_EDGE_RATIOS).map(lambda r: r * scale) if variant is Variant.MIN
             else st.just(scale), free)) for _ in range(m)]
-    return variant, n, m, opts, totals
+    failed = draw(st.dictionaries(
+        st.tuples(st.sampled_from(_MASK_CELLS), st.integers(0, m - 1)),
+        st.sampled_from([OprError, ParameterError, RegimeError]), max_size=3 * m))
+    return variant, n, m, opts, totals, failed, draw(st.integers(1, n))
 
 
 class TestScoringMask:
     """A pass decides every trial's failure from one (n, m) division and one
     mask: it raises exactly what scoring each trial's lanes one at a time
-    by `_check_trial` would, and records `cost_ratio`'s ratios bit for bit."""
+    by `check_trial` would, across its passes, and records `cost_ratio`'s
+    ratios bit for bit."""
+
+    def test_mask_trace_meets_every_cell(self):
+        cfg = ExperimentConfig(variant=Variant.MIN, T=2, k=1, beta=0.0, noise=3.0, trials=6)
+        bounds = trace_bounds(_MASK_TRACE)
+        cells = [tuple(reference_sample(cfg, _MASK_TRACE, bounds, i)[1][key]
+                       for key in ("instance_l", "instance_u")) for i in range(cfg.trials)]
+        assert set(cells) == set(_MASK_CELLS)
 
     @given(_scored_passes())
     @settings(max_examples=400, deadline=None)
     def test_mask_equals_the_scalar_check(self, scored):
-        variant, n, m, opts, totals = scored
+        variant, n, m, opts, totals, failed, per_pass = scored
         names = list(experiment.ALG_NAMES[:m])
-        ds = TraceDataset(region="", values=(3.0, 1.0, 2.0, 5.0), kind=TraceKind.INTENSITY)
-        cfg = ExperimentConfig(variant=variant, T=2, k=1, beta=0.0, trials=n, algs=tuple(names))
+        ds, k, T = _MASK_TRACE, 1, 2
+        cfg = ExperimentConfig(variant=variant, T=T, k=k, beta=0.0, noise=3.0, trials=n,
+                               algs=tuple(names))
         # `lane_totals` gives minimizing totals, and a max pass records each
-        # total t as 0.0 - t: the drawn totals are handed over turned, and
-        # the expected ones are what the pass turns back (-0.0 becomes 0.0)
+        # total t as 0.0 - t: the drawn totals are handed over turned, each
+        # pass's OPT totals and then its lanes', and the expected ones are
+        # what the pass turns back (-0.0 becomes 0.0)
         turn = (lambda t: t) if variant is Variant.MIN else (lambda t: 0.0 - t)
-        priced = iter([[turn(t) for t in opts], [turn(t) for t in totals]])
+        priced = [iter([turn(t) for t in opts]), iter([turn(t) for t in totals])]
+        calls = itertools.count()
 
         def lane_totals(prices, decisions, k, beta, label):
-            part = next(priced)
+            part = list(itertools.islice(priced[next(calls) % 2], decisions[..., 0].size))
             return None, None, part, [2] * len(part)
 
+        # the drawn (L, U, kind) families fail, each with its own message
+        errors = {key: error(f"cannot build {key}") for key, error in failed.items()}
+        build = experiment.player_families
+
+        def player_families(kinds, U, L, beta, k, variant):
+            table, ratios, _ = build(kinds, U, L, beta, k, variant)
+            return table, ratios, {
+                d * m + a: errors[cell, a] for d, cell in enumerate(zip(L.tolist(), U.tolist()))
+                for a in range(m) if (cell, a) in errors}
+
         opts, totals = [turn(turn(t)) for t in opts], [turn(turn(t)) for t in totals]
-        expected = None
+        bounds, expected = trace_bounds(ds), None
         for i in range(n):
+            record = reference_sample(cfg, ds, bounds, i)[1]
+            cell = record["instance_l"], record["instance_u"]
             try:
-                experiment._check_trial(opts[i], totals[i * m : i * m + m], [None] * m, names,
-                                        variant)
+                check_trial(opts[i], totals[i * m : i * m + m],
+                            [errors.get((cell, a)) for a in range(m)], names, variant)
             except OprError as exc:
                 expected = type(exc), f"trial {i}: {exc}"
                 break
-        with mock.patch.object(experiment, "lane_totals", lane_totals):
+        trial_bytes = 9 * T + m * (16 * (k + 1) + 2 * T)
+        with mock.patch.object(experiment, "lane_totals", lane_totals), \
+                mock.patch.object(experiment, "player_families", player_families), \
+                mock.patch.object(experiment, "_PASS_BYTES", per_pass * trial_bytes):
+            assert experiment.pass_len(T, k, m) == per_pass
             try:
                 records = run_experiment(cfg, ds).trials
             except OprError as exc:

@@ -690,7 +690,43 @@ def _columns(draw):
     return variant, k, kinds, cells, betas
 
 
+#: positive finite floats, the range's ends and the cells where L*U leaves it
+_MAGNITUDES = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 0.9e160, 1.1e160,
+                     1e300, 1.7976931348623157e308]))
+
+
 class TestColumnarTable:
+    @given(st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES).map(sorted), min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=5), st.sampled_from(Variant))
+    @settings(max_examples=300, deadline=None)
+    def test_constant_and_agnostic_rows_span_the_float_range(self, cells, k, variant):
+        # where L*U underflows or overflows, the constant rail is
+        # sqrt(L)*sqrt(U), finite and positive; where L*U is a positive
+        # normal float it is sqrt(L*U) bit for bit.  A ratio past the float
+        # range is inf, and nothing warns.
+        kinds = [PlayerKind.CONSTANT_THRESHOLD, PlayerKind.CARBON_AGNOSTIC]
+        L, U = np.array(cells).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, ratios, failed = player_families(kinds, U, L, np.zeros((len(cells), 2)), k,
+                                                    variant)
+            families = [player_family(kind, k, u, l, 0.0, variant)
+                        for l, u in cells for kind in kinds]
+        assert failed == {}
+        for f, family in enumerate(families):
+            signed = [family.lower, family.upper] if variant is Variant.MIN else [
+                [-x for x in family.upper], [-x for x in family.lower]]
+            assert [[x.hex() for x in rail] for rail in table[f, :, :k].tolist()] == [
+                [x.hex() for x in rail] for rail in signed]
+            assert ratios[f].item().hex() == family.ratio.hex()
+        for (l, u), family in zip(cells, families[::2]):
+            rail = family.lower[0]
+            assert 0 < rail < math.inf and set(family.lower + family.upper) == {rail}
+            if 2.2250738585072014e-308 <= l * u < math.inf:
+                assert rail.hex() == math.sqrt(l * u).hex()
+
     @given(_columns())
     @settings(max_examples=150, deadline=None)
     def test_each_row_is_player_family_on_its_cell(self, case):
